@@ -3,7 +3,6 @@ diffusion and alignment, coupled to a compressible viscous gas through drag,
 together with its relaxed two-phase (isothermal gas / isentropic gas) limit
 system and the entropy diagnostics that certify runs."""
 
-from ._kernels import BACKEND
 from .core import (
     CFLError,
     ConfigError,
@@ -26,7 +25,6 @@ from .moments import MomentSet, compute_moments, maxwellian, truncate_velocity
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CFLError",
     "ConfigError",
     "FluidState",

@@ -1,8 +1,14 @@
-"""Pure-numpy kernel implementations (fallback backend)."""
+"""Vectorized numpy kernels for the hot inner loops: the two phase-space
+upwind sweeps and the batched tridiagonal solve."""
 import numpy as np
 
 
 def upwind_transport(f, xi, dt_over_dx, ghost_lo, ghost_hi):
+    """First-order upwind advection in x, one constant speed per column.
+
+    ghost_lo/ghost_hi hold the wall ghost-cell value for every column;
+    only the inflow columns of each wall are actually read.
+    """
     nx, nv = f.shape
     padded = np.empty((nx + 2, nv), dtype=f.dtype)
     padded[1:-1] = f
@@ -15,6 +21,11 @@ def upwind_transport(f, xi, dt_over_dx, ghost_lo, ghost_hi):
 
 
 def upwind_drag(f, drift, dt_over_dv):
+    """Conservative upwind advection along the velocity axis.
+
+    drift has shape (nx, nv+1): interface drift speeds per spatial cell,
+    with the two outermost interfaces already forced to zero flux.
+    """
     nx, nv = f.shape
     a = drift[:, 1:-1]
     flux = np.zeros((nx, nv + 1), dtype=f.dtype)
@@ -23,6 +34,7 @@ def upwind_drag(f, drift, dt_over_dv):
 
 
 def thomas_batch(lower, diag, upper, rhs):
+    """Solve one tridiagonal system per row. lower[:,0] / upper[:,-1] unused."""
     nx, n = rhs.shape
     cp = np.empty_like(rhs)
     dp = np.empty_like(rhs)

@@ -11,6 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
+
 
 class SolverError(RuntimeError):
     """A time step could not be completed."""
@@ -220,8 +222,6 @@ def tridiag_dirichlet_solve(diag_add: np.ndarray, coeff: np.ndarray | float, rhs
 
     coeff may be a scalar or a per-row array.
     """
-    from . import _kernels
-
     n = rhs.shape[0]
     coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (n,)).copy()
     diag = diag_add + 2.0 * coeff

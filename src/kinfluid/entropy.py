@@ -333,8 +333,13 @@ class AuditRecord:
     slack_entropy_budget: float
     slack_at: float
     inferred_modified_constant: float
+    entropy_initial: float  # F(0), the scale of the pass tolerance
     slacks: np.ndarray
     times: np.ndarray
+
+    def passes(self, tolerance: float) -> bool:
+        """The certified budget holds up to tolerance * |F(0)|."""
+        return self.slack_entropy_budget >= -tolerance * abs(self.entropy_initial)
 
 
 def entropy_inequality_audit(times, reports, eps: float) -> AuditRecord:
@@ -362,16 +367,10 @@ def entropy_inequality_audit(times, reports, eps: float) -> AuditRecord:
         slack_entropy_budget=float(slacks[k]),
         slack_at=float(times[k]),
         inferred_modified_constant=max(overshoot, 0.0) / eps,
+        entropy_initial=float(f_arr[0]),
         slacks=slacks,
         times=times,
     )
-
-
-def minmax_identity_margin(x, y):
-    """Margin of 1 <= min(1/x, 1/y) (x + y) on positive pairs."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.minimum(1.0 / x, 1.0 / y) * (x + y) - 1.0
 
 
 def maxwellian_offset(grid: PhaseGrid) -> float:

@@ -54,33 +54,27 @@ def rusanov_step(dens, mom, dt, grid, p_fn, c_fn):
     return dens_new, mom_new
 
 
-def ns_step(fl: FluidState, drag_rho, drag_u, dt: float, grid: PhaseGrid) -> FluidState:
-    """Operator-split step: Rusanov hyperbolic update, implicit viscous solve
-    with v = 0 walls, then the implicit drag source
-    n v <- n v + dt*drag_rho*(drag_u - v). Pass drag_rho=None to disable drag."""
-    gamma = fl.gamma
+def gas_substep(n, v, dt, grid: PhaseGrid, gamma: float, mu: float):
+    """One gas sub-step without drag: the Rusanov update to (n1, m1), the
+    vacuum check, then the implicit viscous solve n1*v1 - dt*mu*Lap(v1) = m1
+    with v1 = 0 at the walls. Returns (n1, v1)."""
     n1, m1 = rusanov_step(
-        fl.n,
-        fl.n * fl.v,
-        dt,
-        grid,
-        lambda n: pressure(n, gamma),
-        lambda n: sound_speed(n, gamma),
+        n, n * v, dt, grid, lambda d: pressure(d, gamma), lambda d: sound_speed(d, gamma)
     )
     if float(n1.min()) <= N_FLOOR:
         raise VacuumError(f"fluid density hit the vacuum floor (min {n1.min():g})")
+    v1 = tridiag_dirichlet_solve(n1, mu * dt / grid.dx**2, m1)
+    return n1, v1
 
-    # implicit viscous solve: n1*v - dt*Lap(v) = m1, v = 0 at walls
-    visc = fl.mu * dt / grid.dx**2
-    v2 = tridiag_dirichlet_solve(n1.astype(float), visc, m1)
 
-    if drag_rho is not None:
-        drag_rho = np.asarray(drag_rho, dtype=float)
-        drag_u = np.asarray(drag_u, dtype=float)
-        v3 = (n1 * v2 + dt * drag_rho * drag_u) / (n1 + dt * drag_rho)
-    else:
-        v3 = v2
-    return FluidState(n=n1, v=v3, gamma=gamma, mu=fl.mu, t=fl.t + dt)
+def ns_step(fl: FluidState, drag_rho, drag_u, dt: float, grid: PhaseGrid) -> FluidState:
+    """Operator-split step: gas_substep, then the implicit drag source
+    n v <- n v + dt*drag_rho*(drag_u - v)."""
+    n1, v2 = gas_substep(fl.n, fl.v, dt, grid, fl.gamma, fl.mu)
+    drag_rho = np.asarray(drag_rho, dtype=float)
+    drag_u = np.asarray(drag_u, dtype=float)
+    v3 = (n1 * v2 + dt * drag_rho * drag_u) / (n1 + dt * drag_rho)
+    return FluidState(n=n1, v=v3, gamma=fl.gamma, mu=fl.mu, t=fl.t + dt)
 
 
 def momentum_exchange(drag_rho, drag_u, v, dt, grid: PhaseGrid) -> tuple[float, float]:
@@ -90,12 +84,6 @@ def momentum_exchange(drag_rho, drag_u, v, dt, grid: PhaseGrid) -> tuple[float, 
     dv = dt * drag_rho * (np.asarray(drag_u) - np.asarray(v)) / (1.0 + dt * drag_rho)
     dp_fluid = quad_x(dv, grid)
     return -dp_fluid, dp_fluid
-
-
-def fluid_cfl_dt(fl: FluidState, grid: PhaseGrid, cfl: float) -> float:
-    """Largest stable dt for the hyperbolic part at the given CFL number."""
-    speed = float((np.abs(fl.v) + sound_speed(fl.n, fl.gamma)).max())
-    return cfl * grid.dx / max(speed, 1e-300)
 
 
 def fluid_energy(fl: FluidState, grid: PhaseGrid) -> float:

@@ -7,8 +7,9 @@ follows eps_list order, so identical configs produce bit-identical CSVs.
 """
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +43,17 @@ from .kinetic import Diffuse, Dirichlet, Specular, kinetic_step
 from .limit import PicardSetup, _two_phase_substeps, picard_solve, to_symhyp
 from .moments import compute_moments, maxwellian, maxwellian_profile
 
-_CONFIG_FIELDS = {
-    "nx", "nv", "x_lo", "x_hi", "v_max",
-    "eps_list", "t_final", "cfl", "gamma", "vel_floor", "chi_lambda",
-    "initial_profile", "custom_state", "boundary", "wall_temperature",
-    "solver_mode", "output_dir", "n_samples", "picard_iters",
-    "audit_tolerance",
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+# accepted values for each field annotation of ExperimentConfig
+_TYPE_CHECKS = {
+    int: lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool),
+    float: _is_real,
+    str: lambda x: isinstance(x, str),
+    str | None: lambda x: x is None or isinstance(x, str),
+    list[float]: lambda x: isinstance(x, (list, tuple)) and all(map(_is_real, x)),
 }
 
 _PROFILES = ("local_maxwellian_wave", "equilibrium", "custom")
@@ -79,6 +85,7 @@ class ExperimentConfig:
     audit_tolerance: float = 0.05
 
     def __post_init__(self):
+        self._check_types()
         if not self.eps_list or any(e <= 0 for e in self.eps_list):
             raise ConfigError("eps_list must hold positive values")
         if any(a <= b for a, b in zip(self.eps_list, self.eps_list[1:])):
@@ -97,21 +104,39 @@ class ExperimentConfig:
             raise ConfigError("custom profile needs custom_state")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive")
+        if not self.gamma > 1:
+            raise ConfigError("gamma must exceed 1")
+        try:
+            grid = self.grid()
+            self.scaling(self.eps_list[0])
+            self.boundary_kernel(grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def _check_types(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _TYPE_CHECKS[f.type](value):
+                kind = f.type.__name__ if isinstance(f.type, type) else f.type
+                raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _CONFIG_FIELDS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if isinstance(raw.get("chi_lambda"), str):
-            raw["chi_lambda"] = float(raw["chi_lambda"])
+            try:
+                raw["chi_lambda"] = float(raw["chi_lambda"])
+            except ValueError as exc:
+                raise ConfigError(f"chi_lambda must be a number or \"inf\": {exc}") from exc
         return cls(**raw)
 
     def grid(self) -> PhaseGrid:
@@ -250,9 +275,24 @@ class CoupledRun:
     wall_seconds: float
 
 
-def _pick_dt(config: ExperimentConfig, grid: PhaseGrid, kin, fl) -> tuple[float, int, int]:
-    """Fixed dt: CFL-limited from the initial data, rounded so that
-    n_samples divides the step count and nt*dt = t_final exactly."""
+def _cadence(config: ExperimentConfig, dt_target: float) -> tuple[float, int, int]:
+    """Round dt_target down so that n_samples divides the step count and
+    nt*dt = t_final exactly; returns (dt, nt, steps per sample)."""
+    per = max(1, math.ceil(config.t_final / (config.n_samples * dt_target)))
+    nt = per * config.n_samples
+    return config.t_final / nt, nt, per
+
+
+def _sample_arrays(config: ExperimentConfig, grid: PhaseGrid):
+    """Sample buffers shared by coupled and limit runs: times (K,) and
+    rho, u, n, v (K, nx), with K = n_samples + 1."""
+    k = config.n_samples + 1
+    return (np.empty(k), *(np.empty((k, grid.nx)) for _ in range(4)))
+
+
+def _pick_dt(config: ExperimentConfig, grid: PhaseGrid, fl) -> tuple[float, int, int]:
+    """Fixed dt of a coupled run: CFL-limited from the initial data, then
+    rounded to the sampling cadence."""
     ximax = grid.v_max - 0.5 * grid.dv
     s_fluid = float((np.abs(fl.v) + sound_speed(fl.n, fl.gamma)).max())
     bound = min(
@@ -260,10 +300,7 @@ def _pick_dt(config: ExperimentConfig, grid: PhaseGrid, kin, fl) -> tuple[float,
         2.0 * grid.dv / (2.0 * grid.v_max), # drag half-steps, |v| <= v_max
         grid.dx / s_fluid,
     )
-    dt_target = config.cfl * bound
-    per = max(1, math.ceil(config.t_final / (config.n_samples * dt_target)))
-    nt = per * config.n_samples
-    return config.t_final / nt, nt, per
+    return _cadence(config, config.cfl * bound)
 
 
 def run_coupled(config: ExperimentConfig, eps: float, reference=None) -> CoupledRun:
@@ -277,16 +314,11 @@ def run_coupled(config: ExperimentConfig, eps: float, reference=None) -> Coupled
     s = config.scaling(eps)
     bc = config.boundary_kernel(grid)
     kin, fl, _ = make_well_prepared(config)
-    dt, nt, per = _pick_dt(config, grid, kin, fl)
+    dt, nt, per = _pick_dt(config, grid, fl)
 
-    k_samples = config.n_samples + 1
-    times = np.empty(k_samples)
-    rho = np.empty((k_samples, grid.nx))
-    u = np.empty((k_samples, grid.nx))
-    n = np.empty((k_samples, grid.nx))
-    v = np.empty((k_samples, grid.nx))
-    mass_kin = np.empty(k_samples)
-    mass_flu = np.empty(k_samples)
+    times, rho, u, n, v = _sample_arrays(config, grid)
+    mass_kin = np.empty(len(times))
+    mass_flu = np.empty(len(times))
     reports: list[EntropyReport] = []
     max_wall = 0.0
     max_asym = 0.0
@@ -367,31 +399,21 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
     """March the relaxed two-phase system (direct or fixed-point mode) on the
     same sampling cadence as the coupled runs."""
     grid = config.grid()
-    _, _, st0 = make_well_prepared(config)
-    st = TwoPhaseState(rho=st0.rho, u=st0.u, fluid=st0.fluid, t=0.0)
+    _, _, st = make_well_prepared(config)
 
-    dt_target = config.cfl * min(
+    dt, nt, per = _cadence(config, config.cfl * min(
         grid.dx / (float(np.abs(st.u).max()) + 1.0),
         grid.dx / float((np.abs(st.fluid.v) + sound_speed(st.fluid.n, config.gamma)).max()),
-    )
-    per = max(1, math.ceil(config.t_final / (config.n_samples * dt_target)))
-    nt = per * config.n_samples
-    dt = config.t_final / nt
-
-    k_samples = config.n_samples + 1
-    times = np.empty(k_samples)
-    rho = np.empty((k_samples, grid.nx))
-    u = np.empty((k_samples, grid.nx))
-    n = np.empty((k_samples, grid.nx))
-    v = np.empty((k_samples, grid.nx))
-    mass = np.empty(k_samples)
+    ))
+    times, rho, u, n, v = _sample_arrays(config, grid)
+    mass = np.empty(len(times))
     picard_reports = None
-
+    max_asym = 0.0
     if config.solver_mode == "limit_picard":
         setup = PicardSetup(grid=grid, t_final=config.t_final, nt=nt, gamma=config.gamma)
         traj, picard_reports = picard_solve(to_symhyp(st, grid), setup, max_iter=config.picard_iters)
         m_norm = grid.length
-        for idx in range(k_samples):
+        for idx in range(len(times)):
             k = idx * per
             times[idx] = k * dt
             rho[idx] = np.exp(traj.g[k]) / m_norm
@@ -399,9 +421,7 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
             n[idx] = 1.0 + traj.h[k]
             v[idx] = traj.v[k]
             mass[idx] = quad_x(rho[idx], grid)
-        max_asym = 0.0
     else:
-        max_asym = 0.0
 
         def sample(idx, st):
             times[idx] = st.t
@@ -499,6 +519,8 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 # emission
 # ---------------------------------------------------------------------------
 
+_REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))  # one series per field
+
 CSV_COLUMNS = ("eps", "sup_H", "sup_L1_rho", "sup_L1_n", "f_to_M_l1")
 
 
@@ -551,22 +573,11 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     """Emit a coupled run: sampled series + final state + metadata sidecar."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series = {
-        "times": run.times,
-        "F": np.array([r.F for r in run.reports]),
-        "D1": np.array([r.D1 for r in run.reports]),
-        "D2": np.array([r.D2 for r in run.reports]),
-        "E": np.array([r.E for r in run.reports]),
-        "H": np.array([r.H for r in run.reports]),
-        "P_f_M": np.array([r.P_f_M for r in run.reports]),
-        "rel_flux_l1": np.array([r.rel_flux_l1 for r in run.reports]),
-        "grad_v_sq": np.array([r.grad_v_sq for r in run.reports]),
-        "drag_mismatch": np.array([r.drag_mismatch for r in run.reports]),
-        "mass": np.array([r.mass for r in run.reports]),
-        "mass_kinetic": run.mass_kinetic,
-        "mass_fluid": run.mass_fluid,
-        "rho": run.rho, "u": run.u, "n": run.n, "v": run.v,
-    }
+    series = {name: np.array([getattr(r, name) for r in run.reports]) for name in _REPORT_FIELDS}
+    series.update(
+        times=run.times, mass_kinetic=run.mass_kinetic, mass_fluid=run.mass_fluid,
+        rho=run.rho, u=run.u, n=run.n, v=run.v,
+    )
     save_state(out / "series", series)
     save_state(out / "state_final", {"f": run.f_final.f, "n": run.fluid_final.n, "v": run.fluid_final.v})
     meta = {
@@ -589,13 +600,16 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
 
 
 def reaudit_run(run_dir) -> tuple[AuditRecord, dict]:
-    """Recompute the entropy-budget audit of an emitted run directory."""
+    """Recompute the entropy-budget audit of an emitted run directory; a
+    directory without readable run files is a ConfigError."""
     run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "run_meta.json").read_text())
-    arrays, _ = load_state(run_dir / "series.json")
-    fields = ("F", "D1", "D2", "E", "H", "P_f_M", "rel_flux_l1", "grad_v_sq", "drag_mismatch", "mass")
+    try:
+        meta = json.loads((run_dir / "run_meta.json").read_text())
+        arrays, _ = load_state(run_dir / "series.json")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{run_dir} is not a run directory: {exc}") from exc
     reports = [
-        EntropyReport(**{name: float(arrays[name][k]) for name in fields})
+        EntropyReport(**{name: float(arrays[name][k]) for name in _REPORT_FIELDS})
         for k in range(arrays["times"].shape[0])
     ]
     audit = entropy_inequality_audit(arrays["times"], reports, meta["eps"])

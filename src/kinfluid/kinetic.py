@@ -64,22 +64,6 @@ class KineticStepReport:
     max_wall_flux: float = 0.0
     truncation_leak: float = 0.0
 
-    @property
-    def boundary_flux(self) -> float:
-        return self.boundary_flux_left + self.boundary_flux_right
-
-
-def reflect(xi, normal):
-    """Specular velocity reflection xi - 2(xi.r)r; preserves |xi|."""
-    xi = np.asarray(xi, dtype=float)
-    normal = np.asarray(normal, dtype=float)
-    nrm = float(np.sqrt(np.sum(normal * normal)))
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError("normal must be a unit vector")
-    dot = np.sum(xi * normal, axis=-1) if xi.ndim and xi.shape == normal.shape else xi * normal
-    out = xi - 2.0 * dot * normal
-    return float(out) if np.ndim(out) == 0 else out
-
 
 def _diffuse_weights(bc: Diffuse, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     """Re-emission weights per wall: w(xi) on the incoming columns with

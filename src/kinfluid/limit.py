@@ -24,29 +24,18 @@ from .core import (
     quad_x,
     tridiag_dirichlet_solve,
 )
-from .fluid import N_FLOOR, pressure, rusanov_step, sound_speed
+from .fluid import N_FLOOR, gas_substep, rusanov_step
 
 
-def euler_step(rho, u, coupling_v, dt, grid, include_pressure=True):
+def euler_step(rho, u, dt, grid):
     """Isothermal Rusanov update of (rho, rho*u) with kinematic wall ghosts
-    (mirror rho, negate u), then exact exponential drag relaxation of u
-    toward coupling_v (skipped when coupling_v is None)."""
+    (mirror rho, negate u)."""
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
-    if include_pressure:
-        p_fn = lambda d: d
-        c_fn = lambda d: np.ones_like(d)
-    else:
-        p_fn = lambda d: np.zeros_like(d)
-        c_fn = lambda d: np.zeros_like(d)
-    rho1, m1 = rusanov_step(rho, rho * u, dt, grid, p_fn, c_fn)
+    rho1, m1 = rusanov_step(rho, rho * u, dt, grid, lambda d: d, np.ones_like)
     if float(rho1.min()) <= N_FLOOR:
         raise VacuumError(f"particle density hit the vacuum floor (min {rho1.min():g})")
-    u1 = m1 / rho1
-    if coupling_v is not None:
-        cv = np.asarray(coupling_v, dtype=float)
-        u1 = cv + (u1 - cv) * math.exp(-dt)
-    return rho1, u1
+    return rho1, m1 / rho1
 
 
 def drag_exchange(rho, u, n, v, dt):
@@ -63,68 +52,31 @@ def drag_exchange(rho, u, n, v, dt):
     return u + du, v + dv
 
 
-def _two_phase_substeps(st: TwoPhaseState, dt, grid, euler_flux="full", freeze_fluid=False):
+def _two_phase_substeps(st: TwoPhaseState, dt, grid):
     """Strang composition; returns the new state and the drag momenta
-    actually applied to the particle and fluid phases.
-
-    euler_flux: "full" | "no_pressure" | "off" (test hooks; "off" reduces the
-    particle phase to the pure drag relaxation)."""
-    if euler_flux not in ("full", "no_pressure", "off"):
-        raise ValueError("euler_flux must be full|no_pressure|off")
+    actually applied to the particle and fluid phases."""
     half = 0.5 * dt
     fl = st.fluid
-    gamma = fl.gamma
-
-    def _euler_half(rho, u):
-        if euler_flux == "off":
-            return rho, u
-        return euler_step(rho, u, None, half, grid, include_pressure=euler_flux == "full")
-
-    rho, u = _euler_half(st.rho, st.u)
-    if not freeze_fluid:
-        n, m = rusanov_step(
-            fl.n, fl.n * fl.v, half, grid,
-            lambda d: pressure(d, gamma), lambda d: sound_speed(d, gamma),
-        )
-        if float(n.min()) <= N_FLOOR:
-            raise VacuumError("fluid density hit the vacuum floor")
-        v = tridiag_dirichlet_solve(n.astype(float), fl.mu * half / grid.dx**2, m)
-    else:
-        n, v = fl.n, fl.v
-
-    if freeze_fluid:
-        u2 = v + (u - v) * math.exp(-dt)
-        v2 = v
-    else:
-        u2, v2 = drag_exchange(rho, u, n, v, dt)
+    rho, u = euler_step(st.rho, st.u, half, grid)
+    n, v = gas_substep(fl.n, fl.v, half, grid, fl.gamma, fl.mu)
+    u2, v2 = drag_exchange(rho, u, n, v, dt)
     dp_particle = quad_x(rho * (u2 - u), grid)
     dp_fluid = quad_x(n * (v2 - v), grid)
-
-    if not freeze_fluid:
-        n, m = rusanov_step(
-            n, n * v2, half, grid,
-            lambda d: pressure(d, gamma), lambda d: sound_speed(d, gamma),
-        )
-        if float(n.min()) <= N_FLOOR:
-            raise VacuumError("fluid density hit the vacuum floor")
-        v3 = tridiag_dirichlet_solve(n.astype(float), fl.mu * half / grid.dx**2, m)
-    else:
-        v3 = v2
-    rho, u3 = _euler_half(rho, u2)
+    n, v3 = gas_substep(n, v2, half, grid, fl.gamma, fl.mu)
+    rho, u3 = euler_step(rho, u2, half, grid)
 
     new = TwoPhaseState(
         rho=rho,
         u=u3,
-        fluid=FluidState(n=n, v=v3, gamma=gamma, mu=fl.mu, t=fl.t + dt),
+        fluid=FluidState(n=n, v=v3, gamma=fl.gamma, mu=fl.mu, t=fl.t + dt),
         t=st.t + dt,
     )
     return new, dp_particle, dp_fluid
 
 
-def two_phase_step(st: TwoPhaseState, dt: float, grid: PhaseGrid, euler_flux="full", freeze_fluid=False) -> TwoPhaseState:
-    """One step of the coupled two-phase system. euler_flux and freeze_fluid
-    are test hooks (drag-only decay checks)."""
-    new, _, _ = _two_phase_substeps(st, dt, grid, euler_flux, freeze_fluid)
+def two_phase_step(st: TwoPhaseState, dt: float, grid: PhaseGrid) -> TwoPhaseState:
+    """One step of the coupled two-phase system."""
+    new, _, _ = _two_phase_substeps(st, dt, grid)
     return new
 
 
@@ -146,10 +98,6 @@ class SymHypState:
     def __post_init__(self):
         if float(self.h.min()) <= -1.0:
             raise PositivityError("1 + h must stay positive")
-
-    @property
-    def eta(self):
-        return self.h, self.v
 
 
 def to_symhyp(st: TwoPhaseState, grid: PhaseGrid) -> SymHypState:

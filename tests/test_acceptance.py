@@ -36,13 +36,6 @@ def _report(num: int, name: str, ok: bool, detail: str):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels before any timed criterion
-    cfg = ExperimentConfig(nx=8, nv=16, t_final=0.01, eps_list=[0.5], n_samples=1)
-    run_coupled(cfg, 0.5)
-
-
 @pytest.fixture(scope="module")
 def wave_run():
     cfg = ExperimentConfig(nx=64, nv=64, t_final=1.0, cfl=0.4, eps_list=[0.5], n_samples=32)

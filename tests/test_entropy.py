@@ -15,7 +15,6 @@ from kinfluid.entropy import (
     kinetic_entropy,
     macroscopic_entropy,
     maxwellian_relative_entropy,
-    minmax_identity_margin,
     rel_flux_entropy_constant,
     relative_entropy,
     relative_entropy_bregman,
@@ -162,12 +161,6 @@ def test_pressure_bounds_random_sweep(rng):
         assert float(np.min(rec.margin_basic_p)) >= -1e-12
         assert float(np.min(rec.margin_taylor_tilde)) >= -1e-12
         assert float(np.min(rec.margin_case)) >= -1e-12
-
-
-def test_minmax_identity(rng):
-    x = 10 ** rng.uniform(-2, 2, 1000)
-    y = 10 ** rng.uniform(-2, 2, 1000)
-    assert float(np.min(minmax_identity_margin(x, y))) >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,10 @@ def test_cli_config_error_exit_code(tmp_path):
     p2 = tmp_path / "bad2.json"
     p2.write_text(json.dumps({"eps_list": [0.1, 0.4]}))
     assert main_simulate_limit(["--config", str(p2)]) == EXIT_CONFIG
+    for bad in ({"nv": 15}, {"nx": "16"}, {"gamma": 1.0}, {"chi_lambda": "abc"}):
+        p3 = _write_cfg(tmp_path, **bad)
+        assert main_simulate_kinetic(["--config", str(p3)]) == EXIT_CONFIG
+    assert main_simulate_kinetic(["--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
 def test_cli_converge_writes_outputs(tmp_path):
@@ -297,6 +301,9 @@ def test_cli_simulate_limit_both_modes(tmp_path):
 
 
 def test_cli_check_entropy_rejects_non_run(tmp_path):
+    assert main_check_entropy(["--run", str(tmp_path)]) == EXIT_CONFIG
+    # a run_meta.json without the series it describes
+    (tmp_path / "run_meta.json").write_text(json.dumps({"eps": 0.1}))
     assert main_check_entropy(["--run", str(tmp_path)]) == EXIT_CONFIG
 
 
@@ -329,34 +336,3 @@ def test_cli_audit_failure_exit_code(tmp_path):
     arrays["D2"] = arrays["D2"] + 1e6  # impossible dissipation
     save_state(out / "series", arrays)
     assert main_check_entropy(["--run", str(out)]) == EXIT_AUDIT
-
-
-# ---------------------------------------------------------------------------
-# kernel backends
-# ---------------------------------------------------------------------------
-
-def test_kernel_backends_agree(rng):
-    from kinfluid._kernels import loops, numpy_impl
-
-    nx, nv = 12, 16
-    f = rng.random((nx, nv)) + 0.1
-    xi = np.linspace(-4, 4, nv)
-    lo = rng.random(nv)
-    hi = rng.random(nv)
-    a = loops.upwind_transport(f, xi, 0.05, lo, hi)
-    b = numpy_impl.upwind_transport(f, xi, 0.05, lo, hi)
-    np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-15)
-
-    drift = rng.standard_normal((nx, nv + 1))
-    drift[:, 0] = drift[:, -1] = 0.0
-    a = loops.upwind_drag(f, drift, 0.05)
-    b = numpy_impl.upwind_drag(f, drift, 0.05)
-    np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-15)
-
-    lower = -rng.random((nx, nv))
-    upper = -rng.random((nx, nv))
-    diag = 2.0 + rng.random((nx, nv))
-    rhs = rng.standard_normal((nx, nv))
-    a = loops.thomas_batch(lower, diag, upper, rhs)
-    b = numpy_impl.thomas_batch(lower, diag, upper, rhs)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)

@@ -22,34 +22,11 @@ from kinfluid.kinetic import (
     drag_step,
     fokker_planck_step,
     kinetic_step,
-    reflect,
     transport_step,
 )
 from kinfluid.moments import compute_moments, maxwellian
 
 from conftest import random_positive_f
-
-
-# ---------------------------------------------------------------------------
-# reflection
-# ---------------------------------------------------------------------------
-
-def test_reflect_vector_and_scalar():
-    np.testing.assert_allclose(reflect(np.array([1.0, 2.0]), np.array([1.0, 0.0])), [-1.0, 2.0])
-    assert reflect(2.0, 1.0) == -2.0
-    assert reflect(2.0, -1.0) == -2.0
-
-
-def test_reflect_involution_and_magnitude(rng):
-    for _ in range(10):
-        xi = rng.standard_normal(3)
-        n = rng.standard_normal(3)
-        n /= np.linalg.norm(n)
-        once = reflect(xi, n)
-        np.testing.assert_allclose(reflect(once, n), xi, atol=1e-14)
-        assert np.linalg.norm(once) == pytest.approx(np.linalg.norm(xi), rel=1e-14)
-    with pytest.raises(ValueError):
-        reflect(1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
