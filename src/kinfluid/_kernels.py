@@ -34,18 +34,48 @@ def upwind_drag(f, drift, dt_over_dv):
 
 
 def thomas_batch(lower, diag, upper, rhs):
-    """Solve one tridiagonal system per row. lower[:,0] / upper[:,-1] unused."""
-    nx, n = rhs.shape
-    cp = np.empty_like(rhs)
-    dp = np.empty_like(rhs)
-    cp[:, 0] = upper[:, 0] / diag[:, 0]
-    dp[:, 0] = rhs[:, 0] / diag[:, 0]
-    for j in range(1, n):
-        m = diag[:, j] - lower[:, j] * cp[:, j - 1]
-        cp[:, j] = upper[:, j] / m
-        dp[:, j] = (rhs[:, j] - lower[:, j] * dp[:, j - 1]) / m
-    out = np.empty_like(rhs)
-    out[:, -1] = dp[:, -1]
-    for j in range(n - 2, -1, -1):
-        out[:, j] = dp[:, j] - cp[:, j] * out[:, j + 1]
-    return out
+    """Solve one tridiagonal system per row by odd-even cyclic reduction
+    (Hockney 1965; Buzbee, Golub & Nielson 1970). lower[:,0] / upper[:,-1] unused.
+
+    Row i is lower[i,j]*x[j-1] + diag[i,j]*x[j] + upper[i,j]*x[j+1] = rhs[i,j].
+    Each level eliminates the odd unknowns of the current system from its even
+    equations, which halves it; after ceil(log2 n) levels one unknown is left,
+    and the back substitution recovers the odd unknowns level by level. This
+    is Gaussian elimination on the odd-even permuted matrix, which keeps the
+    row or column diagonal dominance of both callers, so it needs no pivoting.
+
+    The work runs on system-major copies (n, batch) of the inputs, vectorised
+    over the batch and over the positions of a level; only the levels are
+    looped over. The level with stride s works in place on the rows j*s of the
+    copies, whose odd rows keep what the back substitution needs (diag there
+    is replaced by -1/diag). Callers that assemble system-major coefficients
+    and pass their .T views make those copies contiguous memcpys.
+    """
+    a, b, c, x = (arr.T.copy() for arr in (lower, diag, upper, rhs))
+    n = x.shape[0]
+    strides = [1 << k for k in range((n - 1).bit_length())]
+    for s in strides:
+        ae, be, ce, xe = (arr[:: 2 * s] for arr in (a, b, c, x))
+        ao, bo, co, xo = (arr[s :: 2 * s] for arr in (a, b, c, x))
+        h = len(bo)  # odd rows, each with an even row to its left
+        k = len(be) - 1  # odd rows with an even row to their right
+        np.divide(-1.0, bo, out=bo)
+        left = ae[1:] * bo[:k]  # even row i: -lower_i / diag_{i-1}
+        right = ce[:h] * bo  # even row i: -upper_i / diag_{i+1}
+        be[1:] += left * co[:k]
+        be[:h] += right * ao
+        xe[1:] += left * xo[:k]
+        xe[:h] += right * xo
+        np.multiply(left, ao[:k], out=ae[1:])
+        np.multiply(right[:k], co[:k], out=ce[:k])
+    x[0] /= b[0]
+    for s in reversed(strides):
+        xe = x[:: 2 * s]
+        ao, bo, co, xo = (arr[s :: 2 * s] for arr in (a, b, c, x))
+        k = len(xe) - 1
+        # odd row j: x_j = (rhs_j - lower_j x_{j-1} - upper_j x_{j+1}) / diag_j
+        t = ao * xe[: len(xo)]
+        t[:k] += co[:k] * xe[1:]
+        t -= xo
+        np.multiply(t, bo, out=xo)
+    return np.ascontiguousarray(x.T)

@@ -46,11 +46,10 @@ def main_simulate_kinetic(argv=None) -> int:
         eps = args.eps if args.eps is not None else cfg.eps_list[0]
         if eps <= 0:
             raise ConfigError("--eps must be positive")
+        run = run_coupled(cfg, eps)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        run = run_coupled(cfg, eps)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -77,11 +76,10 @@ def main_simulate_limit(argv=None) -> int:
         cfg = _load_config(args.config, output_dir=args.out, solver_mode=mode)
         if cfg.solver_mode == "coupled":
             cfg.solver_mode = "limit_direct"
+        run = run_limit(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        run = run_limit(cfg)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -107,11 +105,10 @@ def main_converge(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = _load_config(args.config, output_dir=args.out)
+        result = run_convergence(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        result = run_convergence(cfg)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -47,9 +47,13 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 # accepted values for each field annotation of ExperimentConfig
 _TYPE_CHECKS = {
-    int: lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool),
+    int: _is_int,
     float: _is_real,
     str: lambda x: isinstance(x, str),
     str | None: lambda x: x is None or isinstance(x, str),
@@ -85,7 +89,7 @@ class ExperimentConfig:
     audit_tolerance: float = 0.05
 
     def __post_init__(self):
-        self._check_types()
+        self._check_fields()
         if not self.eps_list or any(e <= 0 for e in self.eps_list):
             raise ConfigError("eps_list must hold positive values")
         if any(a <= b for a, b in zip(self.eps_list, self.eps_list[1:])):
@@ -104,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError("custom profile needs custom_state")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive")
+        if self.nx < 2:
+            raise ConfigError("nx must be at least 2 (wall values extrapolate from two cells)")
         if not self.gamma > 1:
             raise ConfigError("gamma must exceed 1")
         try:
@@ -113,12 +119,18 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def _check_types(self):
+    def _check_fields(self):
+        """Every field matches its annotation; every float is finite except
+        chi_lambda, whose inf switches the velocity truncation off."""
         for f in fields(self):
             value = getattr(self, f.name)
             if not _TYPE_CHECKS[f.type](value):
                 kind = f.type.__name__ if isinstance(f.type, type) else f.type
                 raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
+            if f.type in (float, list[float]) and f.name != "chi_lambda":
+                floats = value if f.type == list[float] else [value]
+                if not all(map(math.isfinite, floats)):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -311,6 +323,8 @@ def run_coupled(config: ExperimentConfig, eps: float, reference=None) -> Coupled
     entropy reference at sample times."""
     t0 = time.perf_counter()
     grid = config.grid()
+    if grid.nv < 4:
+        raise ConfigError("coupled runs need nv >= 4 (the entropy diagnostics' velocity stencil)")
     s = config.scaling(eps)
     bc = config.boundary_kernel(grid)
     kin, fl, _ = make_well_prepared(config)
@@ -551,12 +565,40 @@ def save_state(prefix, arrays: dict[str, np.ndarray], meta: dict | None = None) 
 
 
 def load_state(descriptor_path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read the arrays a save_state descriptor names. An unreadable or
+    malformed descriptor, an array file outside the descriptor's directory,
+    or a file whose size does not match its shape is a ConfigError."""
     descriptor_path = Path(descriptor_path)
-    desc = json.loads(descriptor_path.read_text())
+    try:
+        desc = json.loads(descriptor_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read state descriptor {descriptor_path}: {exc}") from exc
+    if not isinstance(desc, dict) or not isinstance(desc.get("arrays"), dict):
+        raise ConfigError(f"{descriptor_path}: descriptor needs an 'arrays' object")
+    base = descriptor_path.parent.resolve()
     arrays = {}
     for name, info in desc["arrays"].items():
-        raw = (descriptor_path.parent / info["file"]).read_bytes()
-        arrays[name] = np.frombuffer(raw, dtype=info["dtype"]).reshape(info["shape"]).copy()
+        if not isinstance(info, dict) or not {"file", "shape", "dtype"} <= info.keys():
+            raise ConfigError(f"{descriptor_path}: array {name!r} needs file, shape and dtype")
+        if info["dtype"] != "<f8":
+            raise ConfigError(f"{descriptor_path}: array {name!r} has dtype {info['dtype']!r}, not <f8")
+        shape = info["shape"]
+        if not isinstance(shape, list) or not all(_is_int(k) and k >= 0 for k in shape):
+            raise ConfigError(f"{descriptor_path}: array {name!r} has shape {shape!r}")
+        if not isinstance(info["file"], str):
+            raise ConfigError(f"{descriptor_path}: array {name!r} has file {info['file']!r}")
+        path = (base / info["file"]).resolve()
+        if not path.is_relative_to(base):
+            raise ConfigError(f"{descriptor_path}: array file {info['file']!r} lies outside {base}")
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read array {name!r}: {exc}") from exc
+        if len(raw) != 8 * math.prod(shape):
+            raise ConfigError(
+                f"{path}: {len(raw)} bytes do not hold a float64 array of shape {tuple(shape)}"
+            )
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return arrays, desc.get("meta", {})
 
 
@@ -601,16 +643,28 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
 
 def reaudit_run(run_dir) -> tuple[AuditRecord, dict]:
     """Recompute the entropy-budget audit of an emitted run directory; a
-    directory without readable run files is a ConfigError."""
+    directory without readable, complete run files is a ConfigError."""
     run_dir = Path(run_dir)
     try:
         meta = json.loads((run_dir / "run_meta.json").read_text())
         arrays, _ = load_state(run_dir / "series.json")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{run_dir} is not a run directory: {exc}") from exc
+    if not isinstance(meta, dict) or not _is_real(meta.get("eps")) or not meta["eps"] > 0:
+        raise ConfigError(f"{run_dir}/run_meta.json has no positive eps")
+    config = meta.get("config", {})
+    if not isinstance(config, dict) or not _is_real(config.get("audit_tolerance", 0.0)):
+        raise ConfigError(f"{run_dir}/run_meta.json: config needs a numeric audit_tolerance")
+    names = ("times", *_REPORT_FIELDS)
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise ConfigError(f"{run_dir}/series.json misses {missing}")
+    times = arrays["times"]
+    if len({arrays[name].shape for name in names}) != 1 or times.ndim != 1 or not times.size:
+        raise ConfigError(f"{run_dir}/series.json: the series must be 1-D, non-empty and of one length")
     reports = [
         EntropyReport(**{name: float(arrays[name][k]) for name in _REPORT_FIELDS})
-        for k in range(arrays["times"].shape[0])
+        for k in range(times.shape[0])
     ]
-    audit = entropy_inequality_audit(arrays["times"], reports, meta["eps"])
+    audit = entropy_inequality_audit(times, reports, meta["eps"])
     return audit, meta

@@ -189,21 +189,24 @@ def _fp_raw(farr, u, dt, grid, s):
     The interface weights are the geometric-mean fit to the local Maxwellian,
     so discrete Maxwellians with the given u are exact stationary states, the
     system matrix is an M-matrix (positivity) and its columns sum to one
-    (exact per-cell mass conservation)."""
+    (exact per-cell mass conservation).
+
+    The coefficients are assembled velocity-major, (nv, nx), the layout the
+    tridiagonal kernel works in, and passed as transposed views."""
     dv = grid.dv
-    sdev = grid.xi_edges[None, 1:-1] - np.asarray(u, dtype=float)[:, None]  # (nx, nv-1)
-    alpha = np.exp(-0.5 * dv * sdev)
-    beta = np.exp(0.5 * dv * sdev)
+    sdev = grid.xi_edges[1:-1, None] - np.asarray(u, dtype=float)[None, :]  # (nv-1, nx)
     a = dt / (s.eps * dv * dv)
     nx, nv = farr.shape
-    diag = np.ones((nx, nv))
-    lower = np.zeros((nx, nv))
-    upper = np.zeros((nx, nv))
-    diag[:, : nv - 1] += a * alpha
-    diag[:, 1:] += a * beta
-    upper[:, : nv - 1] = -a * beta
-    lower[:, 1:] = -a * alpha
-    return _kernels.thomas_batch(lower, diag, upper, farr)
+    lower = np.zeros((nv, nx))
+    upper = np.zeros((nv, nx))
+    np.exp(-0.5 * dv * sdev, out=lower[1:])
+    np.exp(0.5 * dv * sdev, out=upper[:-1])
+    lower *= -a
+    upper *= -a
+    diag = np.ones((nv, nx))
+    diag[:-1] -= lower[1:]
+    diag[1:] -= upper[:-1]
+    return _kernels.thomas_batch(lower.T, diag.T, upper.T, farr)
 
 
 def fokker_planck_step(f: KineticState, u: np.ndarray, dt: float, grid: PhaseGrid, s: ScalingParams) -> KineticState:

@@ -1,8 +1,13 @@
 import json
 import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kinfluid.core import ConfigError
 from kinfluid.cli import (
@@ -232,6 +237,47 @@ def test_state_files_bit_exact_roundtrip(tmp_path, rng):
         assert loaded[name].dtype == np.float64
 
 
+def _descriptor(**info):
+    """Descriptor text of one (2, 3) array in a.bin; a None value drops the key."""
+    entry = {"file": "a.bin", "shape": [2, 3], "dtype": "<f8"}
+    entry.update(info)
+    return json.dumps({"arrays": {"a": {k: v for k, v in entry.items() if v is not None}}})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"meta": {}}',
+        '{"arrays": [1, 2]}',
+        _descriptor(file=None),
+        _descriptor(shape=None),
+        _descriptor(dtype=None),
+        _descriptor(dtype="<f4"),
+        _descriptor(shape=[4, 3]),
+        _descriptor(shape=[2, -3]),
+        _descriptor(file="../a.bin"),
+        _descriptor(file="missing.bin"),
+    ],
+    ids=["not-json", "no-arrays", "arrays-list", "no-file", "no-shape", "no-dtype", "f4",
+         "size", "negative-shape", "outside", "missing-file"],
+)
+def test_load_state_rejects_bad_descriptor(tmp_path, text):
+    run = tmp_path / "run"
+    run.mkdir()
+    for folder in (tmp_path, run):  # "../a.bin" would be a valid array file
+        (folder / "a.bin").write_bytes(np.arange(6.0).tobytes())
+    good = run / "good.json"
+    good.write_text(_descriptor())
+    assert load_state(good)[0]["a"].shape == (2, 3)
+    bad = run / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(ConfigError):
+        load_state(bad)
+    with pytest.raises(ConfigError):
+        load_state(run / "no_such.json")
+
+
 def test_run_determinism_bitwise(tmp_path):
     cfg = tiny_config()
     csvs = []
@@ -279,6 +325,97 @@ def test_cli_config_error_exit_code(tmp_path):
         p3 = _write_cfg(tmp_path, **bad)
         assert main_simulate_kinetic(["--config", str(p3)]) == EXIT_CONFIG
     assert main_simulate_kinetic(["--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    # bad custom initial data is only found inside the run
+    missing_state = _write_cfg(tmp_path, initial_profile="custom", custom_state=str(tmp_path / "missing.json"))
+    assert main_simulate_kinetic(["--config", str(missing_state)]) == EXIT_CONFIG
+    ones = np.ones(16)
+    desc = save_state(tmp_path / "wall", {"rho0": ones, "u0": 0.5 * ones, "n0": ones, "v0": 0 * ones})
+    bad_walls = _write_cfg(tmp_path, initial_profile="custom", custom_state=str(desc))
+    assert main_simulate_kinetic(["--config", str(bad_walls)]) == EXIT_CONFIG
+    (tmp_path / "state").mkdir()
+    (tmp_path / "outside.bin").write_bytes(np.zeros(16).tobytes())
+    outside = tmp_path / "state" / "init.json"
+    outside.write_text(json.dumps({"arrays": {
+        name: {"file": "../outside.bin", "shape": [16], "dtype": "<f8"} for name in ("rho0", "u0", "n0", "v0")
+    }}))
+    escaping = _write_cfg(tmp_path, initial_profile="custom", custom_state=str(outside))
+    assert main_simulate_kinetic(["--config", str(escaping)]) == EXIT_CONFIG
+    one_eps = _write_cfg(tmp_path, eps_list=[0.4])
+    assert main_converge(["--config", str(one_eps)]) == EXIT_CONFIG
+
+
+_DROP = "<drop>"
+_BAD_VALUES = [_DROP, None, True, "x", [], {}, -1, 0, 1, 2, -0.5, 0.5, math.nan, math.inf, -math.inf]
+_BAD_EPS_LISTS = [[], [0.4], [0.1, 0.4], [0.4, 0.2, math.nan], [math.inf, 0.2, 0.1], [0.4, 0.2, -0.1], ["a"]]
+_BAD_STATES = ["missing", "directory", "not_json", "escaping", "short", "wrong_nx", "bad_walls"]
+
+
+def _bad_custom_state(tmp: Path, kind: str) -> Path:
+    """A custom_state path that must be rejected, written under tmp."""
+    if kind == "missing":
+        return tmp / "missing.json"
+    if kind == "directory":
+        return tmp
+    ones = np.ones(8)
+    arrays = {"rho0": ones, "u0": 0.0 * ones, "n0": ones, "v0": 0.0 * ones}
+    if kind == "wrong_nx":
+        arrays = {name: np.ones(5) for name in arrays}
+    if kind == "bad_walls":
+        arrays["u0"] = 0.5 * ones
+    desc = save_state(tmp / "st" / "init", arrays)
+    if kind == "not_json":
+        desc.write_text("arrays: none")
+    if kind == "escaping":
+        save_state(tmp / "init", arrays)  # valid array files one level up
+    if kind in ("escaping", "short"):
+        info = json.loads(desc.read_text())
+        for entry in info["arrays"].values():
+            if kind == "escaping":
+                entry["file"] = "../" + entry["file"]
+            else:
+                entry["shape"] = [9]
+        desc.write_text(json.dumps(info))
+    return desc
+
+
+# mutations of a tiny valid config: dropped keys, wrong types, out-of-range
+# values, bad eps lists and bad custom_state files
+_CONFIG_EDITS = st.fixed_dictionaries({
+    "edits": st.lists(
+        st.tuples(st.sampled_from([f.name for f in fields(ExperimentConfig)]), st.sampled_from(_BAD_VALUES)),
+        max_size=3,
+    ),
+    "eps_list": st.sampled_from([None, *_BAD_EPS_LISTS]),
+    "custom_state": st.sampled_from([None, *_BAD_STATES]),
+})
+
+
+def _edited_config(tmp: Path, case: dict) -> Path:
+    payload = dict(nx=8, nv=8, t_final=0.02, eps_list=[0.4, 0.2, 0.1], n_samples=2)
+    if case["custom_state"] is not None:
+        payload.update(initial_profile="custom", custom_state=str(_bad_custom_state(tmp, case["custom_state"])))
+    if case["eps_list"] is not None:
+        payload["eps_list"] = case["eps_list"]
+    for key, value in case["edits"]:
+        if value == _DROP:
+            payload.pop(key, None)
+        else:
+            payload[key] = value
+    path = tmp / "config.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_CONFIG_EDITS)
+@example(case={"edits": [("nx", 1)], "eps_list": None, "custom_state": None})
+@example(case={"edits": [("nv", 2)], "eps_list": None, "custom_state": None})
+@example(case={"edits": [("v_max", math.inf)], "eps_list": [0.4, 0.2, math.nan], "custom_state": None})
+def test_cli_fuzzed_config_exit_codes(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _edited_config(Path(tmp), case)
+        for main in (main_simulate_kinetic, main_converge):
+            assert main(["--config", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2, 3)
 
 
 def test_cli_converge_writes_outputs(tmp_path):
@@ -305,6 +442,14 @@ def test_cli_check_entropy_rejects_non_run(tmp_path):
     # a run_meta.json without the series it describes
     (tmp_path / "run_meta.json").write_text(json.dumps({"eps": 0.1}))
     assert main_check_entropy(["--run", str(tmp_path)]) == EXIT_CONFIG
+    # a valid series next to a run_meta.json with missing or malformed fields
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main_simulate_kinetic(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    meta = json.loads((out / "run_meta.json").read_text())
+    for bad in ({}, {"eps": "0.1"}, {**meta, "config": 1}, {**meta, "config": {"audit_tolerance": "x"}}):
+        (out / "run_meta.json").write_text(json.dumps(bad))
+        assert main_check_entropy(["--run", str(out)]) == EXIT_CONFIG
 
 
 def test_solver_failure_dumps_state_and_exit_code(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinfluid import _kernels
 
@@ -67,13 +69,55 @@ def test_upwind_drag_matches_loop(rng):
     )
 
 
-def test_thomas_batch_matches_dense_solve(rng):
-    nx, n = 12, 16
-    lower = -rng.random((nx, n))
-    upper = -rng.random((nx, n))
-    diag = 2.0 + rng.random((nx, n))
-    rhs = rng.standard_normal((nx, n))
-    out = _kernels.thomas_batch(lower, diag, upper, rhs)
-    for i in range(nx):
+def dense_solve_rows(lower, diag, upper, rhs):
+    out = np.empty_like(rhs)
+    for i in range(rhs.shape[0]):
         dense = np.diag(diag[i]) + np.diag(lower[i, 1:], -1) + np.diag(upper[i, :-1], 1)
-        np.testing.assert_allclose(out[i], np.linalg.solve(dense, rhs[i]), rtol=1e-12, atol=1e-13)
+        out[i] = np.linalg.solve(dense, rhs[i])
+    return out
+
+
+def test_thomas_batch_matches_dense_solve(rng):
+    for nx in (1, 3, 128):
+        for n in (1, 2, 3, 5, 16, 17, 127, 128, 129, 256):
+            lower = -rng.random((nx, n))
+            upper = -rng.random((nx, n))
+            diag = 2.0 + rng.random((nx, n))
+            rhs = rng.standard_normal((nx, n))
+            expected = dense_solve_rows(lower, diag, upper, rhs)
+            # the two corner entries lie outside the matrices and are never read
+            lower[:, 0] = np.nan
+            upper[:, -1] = np.nan
+            out = _kernels.thomas_batch(lower, diag, upper, rhs)
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-13, err_msg=f"shape {(nx, n)}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    nx=st.integers(1, 6),
+    n=st.integers(1, 80),
+    margin=st.floats(0.05, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    system_major=st.booleans(),
+)
+def test_thomas_batch_column_dominant_property(nx, n, margin, seed, system_major):
+    """Random column-diagonally-dominant systems of any shape: the solve
+    matches a dense solve and leaves its inputs untouched, also when the
+    coefficients come as .T views of system-major arrays."""
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-1.0, 1.0, (nx, n))
+    upper = rng.uniform(-1.0, 1.0, (nx, n))
+    # column j of row system i holds upper[i, j-1], diag[i, j], lower[i, j+1]
+    col = np.zeros((nx, n))
+    col[:, 1:] += np.abs(upper[:, :-1])
+    col[:, :-1] += np.abs(lower[:, 1:])
+    diag = rng.choice([-1.0, 1.0], (nx, n)) * (col * (1.0 + margin) + margin)
+    rhs = rng.standard_normal((nx, n))
+    if system_major:
+        lower, diag, upper = (np.ascontiguousarray(arr.T).T for arr in (lower, diag, upper))
+    inputs = [arr.copy() for arr in (lower, diag, upper, rhs)]
+    out = _kernels.thomas_batch(lower, diag, upper, rhs)
+    for before, after in zip(inputs, (lower, diag, upper, rhs)):
+        assert np.array_equal(before, after)
+    expected = dense_solve_rows(lower, diag, upper, rhs)
+    np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())

@@ -180,6 +180,22 @@ def test_relaxation_per_cell_mass_conservation(rng, grid, scaling):
     np.testing.assert_allclose(quad_v(out.f, grid), rho0, rtol=1e-13, atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [50.0, 500.0])
+def test_relaxation_stiff_mass_and_stationarity(a, rng, grid):
+    # stiff relaxation, a = dt/(eps*dv^2) >= 50: per-cell mass and discrete
+    # Maxwellians survive the rounding of the tridiagonal solve
+    dt = 1e-3
+    s = ScalingParams(eps=dt / (a * grid.dv**2))
+    rho = 1.0 + 0.3 * np.sin(2 * np.pi * grid.x)
+    u = 1.5 * np.cos(2 * np.pi * grid.x)
+    m = maxwellian(rho, u, grid)
+    out = fokker_planck_step(m, u, dt, grid, s)
+    assert np.abs(out.f - m.f).max() <= 1e-12 * m.f.max()
+    f = KineticState(f=random_positive_f(rng, grid))
+    out = fokker_planck_step(f, u, dt, grid, s)
+    np.testing.assert_allclose(quad_v(out.f, grid), quad_v(f.f, grid), rtol=1e-13, atol=0.0)
+
+
 def test_relaxation_decreases_relative_entropy(rng, grid):
     s = ScalingParams(eps=0.2)
     f = KineticState(f=random_positive_f(rng, grid))
