@@ -59,6 +59,8 @@ class PhaseGrid:
             raise ValueError("need x_hi > x_lo")
         if not self.v_max > 0:
             raise ValueError("v_max must be positive")
+        if not max(self.dx, self.dv) < 1e150:
+            raise ValueError("cell widths must stay below 1e150 (the solvers square them)")
         if self.dim != 1:
             raise ValueError("only the 1-D slab reduction is implemented")
 

@@ -14,14 +14,13 @@ from .core import (
     FluidState,
     KineticState,
     PhaseGrid,
-    ScalingParams,
     TwoPhaseState,
     phase_mass,
     quad_v,
     quad_x,
 )
-from .fluid import dirichlet_grad_sq
-from .moments import compute_moments, maxwellian_profile
+from .fluid import dirichlet_grad_sq, fluid_energy
+from .moments import MomentSet, maxwellian_profile
 
 _F_FLOOR = 1e-300
 
@@ -55,9 +54,7 @@ def kinetic_entropy(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
     """Combined entropy: int f (log f + xi^2/2) + int (n v^2/2 + n^gamma/(gamma-1))."""
     farr = f.f
     xi = grid.xi
-    kin = quad_x(quad_v(_xlogx(farr) + 0.5 * xi * xi * farr, grid), grid)
-    flu = quad_x(0.5 * fl.n * fl.v**2 + fl.n**fl.gamma / (fl.gamma - 1.0), grid)
-    return kin + flu
+    return quad_x(quad_v(_xlogx(farr) + 0.5 * xi * xi * farr, grid), grid) + fluid_energy(fl, grid)
 
 
 def _dxi_central(farr: np.ndarray, dv: float) -> np.ndarray:
@@ -69,11 +66,10 @@ def _dxi_central(farr: np.ndarray, dv: float) -> np.ndarray:
     return d
 
 
-def dissipation_d1(f: KineticState, grid: PhaseGrid, s: ScalingParams) -> float:
-    """Fisher-type dissipation int (1/f) |df/dxi - (u - xi) f|^2; zero exactly
-    on local Maxwellians in the continuum."""
+def dissipation_d1(f: KineticState, u: np.ndarray, grid: PhaseGrid) -> float:
+    """Fisher-type dissipation int (1/f) |df/dxi - (u - xi) f|^2, u the bulk
+    velocity of f; zero exactly on local Maxwellians in the continuum."""
     farr = f.f
-    u = compute_moments(farr, grid, s).u
     flux = _dxi_central(farr, grid.dv) - (u[:, None] - grid.xi[None, :]) * farr
     good = farr > _F_FLOOR
     integrand = np.zeros_like(farr)
@@ -278,26 +274,24 @@ def maxwellian_relative_entropy(f: KineticState, rho, u, grid: PhaseGrid) -> flo
     return quad_x(quad_v(m * phi, grid), grid)
 
 
-def csiszar_kullback_margin(f: KineticState, rho, u, grid: PhaseGrid) -> float:
-    """Margin of ||f - M||_1^2 <= 4 * mass * int P(f|M); nonnegative up to
-    the exponentially small velocity-cut tail."""
-    m = maxwellian_profile(rho, u, grid)
-    l1 = quad_x(quad_v(np.abs(f.f - m), grid), grid)
-    mass = phase_mass(f.f, grid)
-    return 4.0 * mass * maxwellian_relative_entropy(f, rho, u, grid) - l1 * l1
+def csiszar_kullback_margin(f: KineticState, mom: MomentSet, report: EntropyReport, grid: PhaseGrid) -> float:
+    """Margin of ||f - M||_1^2 <= 4 * mass * int P(f|M), M the local
+    Maxwellian of the moments mom of f, with mass and P(f|M) read from the
+    report of f; nonnegative up to the exponentially small velocity-cut tail."""
+    l1 = quad_x(quad_v(np.abs(f.f - maxwellian_profile(mom.rho, mom.u, grid)), grid), grid)
+    return 4.0 * report.mass * report.P_f_M - l1 * l1
 
 
 def evaluate_entropy_report(
     f: KineticState,
     fl: FluidState,
+    mom: MomentSet,
     grid: PhaseGrid,
-    s: ScalingParams,
     reference: TwoPhaseState | None = None,
 ) -> EntropyReport:
-    """All functionals at one time level. The moment state of f supplies the
-    macroscopic entropy; a reference two-phase state (when given) supplies the
-    relative entropy and relative flux."""
-    mom = compute_moments(f, grid, s)
+    """All functionals at one time level. The moments mom of f supply the
+    bulk velocity and the macroscopic entropy; a reference two-phase state
+    (when given) supplies the relative entropy and relative flux."""
     if float(mom.rho.min()) <= 0:
         raise ValueError("entropy report needs strictly positive particle density")
     moment_state = TwoPhaseState(rho=mom.rho, u=mom.u, fluid=fl, t=f.t)
@@ -307,7 +301,7 @@ def evaluate_entropy_report(
         rel_flux = relative_flux_l1(moment_state, reference, grid)
     return EntropyReport(
         F=kinetic_entropy(f, fl, grid),
-        D1=dissipation_d1(f, grid, s),
+        D1=dissipation_d1(f, mom.u, grid),
         D2=dissipation_d2(f, fl, grid),
         E=macroscopic_entropy(moment_state, grid),
         H=h,

@@ -64,6 +64,12 @@ _PROFILES = ("local_maxwellian_wave", "equilibrium", "custom")
 _BOUNDARIES = ("specular", "diffuse", "dirichlet_zero")
 _MODES = ("coupled", "limit_direct", "limit_picard")
 
+# Largest step count of one run, and so of n_samples. Far above the runs the
+# acceptance suite and the benchmark make (at most 1280 steps); a 128 x 128
+# coupled run of this many steps takes several minutes. A t_final or a CFL
+# bound that would need more is a config error, not a run that never ends.
+MAX_STEPS = 100_000
+
 
 @dataclass
 class ExperimentConfig:
@@ -106,8 +112,8 @@ class ExperimentConfig:
             raise ConfigError(f"solver_mode must be one of {_MODES}")
         if self.initial_profile == "custom" and not self.custom_state:
             raise ConfigError("custom profile needs custom_state")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be positive")
+        if not 1 <= self.n_samples <= MAX_STEPS:
+            raise ConfigError(f"n_samples must lie in [1, MAX_STEPS = {MAX_STEPS}]")
         if self.nx < 2:
             raise ConfigError("nx must be at least 2 (wall values extrapolate from two cells)")
         if not self.gamma > 1:
@@ -289,8 +295,16 @@ class CoupledRun:
 
 def _cadence(config: ExperimentConfig, dt_target: float) -> tuple[float, int, int]:
     """Round dt_target down so that n_samples divides the step count and
-    nt*dt = t_final exactly; returns (dt, nt, steps per sample)."""
-    per = max(1, math.ceil(config.t_final / (config.n_samples * dt_target)))
+    nt*dt = t_final exactly; returns (dt, nt, steps per sample). A run of
+    more than MAX_STEPS steps is a ConfigError."""
+    ratio = config.t_final / (config.n_samples * dt_target) if dt_target > 0 else math.inf
+    # nt = ceil(ratio) * n_samples <= MAX_STEPS; also false for an overflowed or nan ratio
+    if not ratio <= MAX_STEPS // config.n_samples:
+        raise ConfigError(
+            f"t_final = {config.t_final:g} at dt <= {dt_target:.3g} needs more than "
+            f"MAX_STEPS = {MAX_STEPS} steps"
+        )
+    per = max(1, math.ceil(ratio))
     nt = per * config.n_samples
     return config.t_final / nt, nt, per
 
@@ -337,34 +351,36 @@ def run_coupled(config: ExperimentConfig, eps: float, reference=None) -> Coupled
     max_wall = 0.0
     max_asym = 0.0
     leak = 0.0
-    ck_min = math.inf
 
-    def sample(idx, kin, fl):
-        mom = compute_moments(kin, grid, s)
+    def sample(idx, kin, fl, mom):
+        """Record time level idx; mom are the moments of kin."""
         times[idx] = kin.t
         rho[idx] = mom.rho
         u[idx] = mom.u
         n[idx] = fl.n
         v[idx] = fl.v
-        mass_kin[idx] = phase_mass(kin.f, grid)
         mass_flu[idx] = quad_x(fl.n, grid)
         ref = reference(kin.t) if reference is not None else None
-        reports.append(evaluate_entropy_report(kin, fl, grid, s, ref))
-        return csiszar_kullback_margin(kin, np.maximum(mom.rho, 1e-14), mom.u, grid)
+        report = evaluate_entropy_report(kin, fl, mom, grid, ref)
+        reports.append(report)
+        mass_kin[idx] = report.mass
+        return csiszar_kullback_margin(kin, mom, report, grid)
 
-    ck_min = min(ck_min, sample(0, kin, fl))
+    # the moments of the current kin: sampled, then the next step's gas drag
+    mom = compute_moments(kin, grid, s)
+    ck_min = sample(0, kin, fl, mom)
     try:
         for step in range(nt):
-            mom = compute_moments(kin, grid, s)
             kin, krep = kinetic_step(kin, fl, dt, grid, s, bc)
             fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
             dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
             fl = fl_new
+            mom = compute_moments(kin, grid, s)
             max_asym = max(max_asym, abs(dpk + dpf))
             max_wall = max(max_wall, krep.max_wall_flux)
             leak += krep.truncation_leak
             if (step + 1) % per == 0:
-                ck_min = min(ck_min, sample((step + 1) // per, kin, fl))
+                ck_min = min(ck_min, sample((step + 1) // per, kin, fl, mom))
     except SolverError as exc:
         dump = dump_failure_state(config, kin, fl, step)
         raise SolverError(f"step {step}: {exc} (state dumped to {dump})") from exc

@@ -57,8 +57,6 @@ class KineticStepReport:
     (time-integrated over the step), the largest instantaneous wall trace
     seen in any sub-step, and the velocity-truncation leak diagnostic."""
 
-    mass_before: float
-    mass_after: float
     boundary_flux_left: float = 0.0
     boundary_flux_right: float = 0.0
     max_wall_flux: float = 0.0
@@ -126,6 +124,9 @@ def _wall_traces(farr, ghost_lo, ghost_hi, grid) -> tuple[float, float]:
 
 
 def _transport_raw(farr, grid, dt, bc):
+    """Conservative upwind advection in x with wall ghost cells from bc;
+    returns (f, trace_lo, trace_hi). The mass change equals
+    -dt*(trace_lo + trace_hi) exactly (conservative telescoping)."""
     ximax = grid.v_max - 0.5 * grid.dv  # largest cell-center speed
     if dt * ximax / grid.dx > _CFL_SLACK:
         raise CFLError(f"transport CFL violated: dt*ximax/dx = {dt * ximax / grid.dx:g}")
@@ -133,26 +134,6 @@ def _transport_raw(farr, grid, dt, bc):
     trace_lo, trace_hi = _wall_traces(farr, ghost_lo, ghost_hi, grid)
     fnew = _kernels.upwind_transport(farr, grid.xi, dt / grid.dx, ghost_lo, ghost_hi)
     return fnew, trace_lo, trace_hi
-
-
-def transport_step(f: KineticState, grid: PhaseGrid, dt: float, bc: BoundaryKernel) -> tuple[KineticState, KineticStepReport]:
-    """Conservative upwind advection in x with wall ghost cells from bc.
-
-    The mass change equals minus the sum of the reported time-integrated
-    wall fluxes exactly (conservative telescoping)."""
-    from .core import phase_mass
-
-    m0 = phase_mass(f.f, grid)
-    fnew, tr_lo, tr_hi = _transport_raw(f.f, grid, dt, bc)
-    m1 = phase_mass(fnew, grid)
-    rep = KineticStepReport(
-        mass_before=m0,
-        mass_after=m1,
-        boundary_flux_left=dt * tr_lo,
-        boundary_flux_right=dt * tr_hi,
-        max_wall_flux=max(abs(tr_lo), abs(tr_hi)),
-    )
-    return KineticState(f=fnew, t=f.t + dt), rep
 
 
 def _drag_raw(farr, fluid_v, dt, grid, s):
@@ -178,13 +159,9 @@ def _drag_raw(farr, fluid_v, dt, grid, s):
     return fnew, leak
 
 
-def drag_step(f: KineticState, fluid_v: np.ndarray, dt: float, grid: PhaseGrid, s: ScalingParams) -> KineticState:
-    fnew, _ = _drag_raw(f.f, fluid_v, dt, grid, s)
-    return KineticState(f=fnew, t=f.t + dt)
-
-
 def _fp_raw(farr, u, dt, grid, s):
-    """Backward-Euler solve of the velocity diffusion-drift relaxation.
+    """Backward-Euler solve of the velocity diffusion-drift relaxation
+    toward the local Maxwellian M_{rho,u}, with u frozen over the sub-step.
 
     The interface weights are the geometric-mean fit to the local Maxwellian,
     so discrete Maxwellians with the given u are exact stationary states, the
@@ -209,13 +186,6 @@ def _fp_raw(farr, u, dt, grid, s):
     return _kernels.thomas_batch(lower.T, diag.T, upper.T, farr)
 
 
-def fokker_planck_step(f: KineticState, u: np.ndarray, dt: float, grid: PhaseGrid, s: ScalingParams) -> KineticState:
-    """Implicit velocity-space relaxation toward the local Maxwellian M_{rho,u}
-    with u frozen over the sub-step."""
-    fnew = _fp_raw(f.f, u, dt, grid, s)
-    return KineticState(f=fnew, t=f.t + dt)
-
-
 def kinetic_step(
     f: KineticState,
     fluid: FluidState,
@@ -225,9 +195,6 @@ def kinetic_step(
     bc: BoundaryKernel,
 ) -> tuple[KineticState, KineticStepReport]:
     """One Strang-split step of the full kinetic equation."""
-    from .core import phase_mass
-
-    m0 = phase_mass(f.f, grid)
     half = 0.5 * dt
 
     farr, tr_lo1, tr_hi1 = _transport_raw(f.f, grid, half, bc)
@@ -236,11 +203,7 @@ def kinetic_step(
     farr = _fp_raw(farr, u, dt, grid, s)
     farr, leak2 = _drag_raw(farr, fluid.v, half, grid, s)
     farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, bc)
-
-    m1 = phase_mass(farr, grid)
     rep = KineticStepReport(
-        mass_before=m0,
-        mass_after=m1,
         boundary_flux_left=half * (tr_lo1 + tr_lo2),
         boundary_flux_right=half * (tr_hi1 + tr_hi2),
         max_wall_flux=max(abs(tr_lo1), abs(tr_hi1), abs(tr_lo2), abs(tr_hi2)),

@@ -149,12 +149,6 @@ class PicardTrajectory:
     h: np.ndarray
     v: np.ndarray
 
-    def state(self, k: int, setup: PicardSetup) -> SymHypState:
-        return SymHypState(
-            g=self.g[k].copy(), u=self.u[k].copy(), h=self.h[k].copy(), v=self.v[k].copy(),
-            t=k * setup.dt,
-        )
-
 
 @dataclass
 class IterationReport:

@@ -9,29 +9,23 @@ from .core import KineticState, PhaseGrid, ScalingParams, quad_v
 
 @dataclass(frozen=True, eq=False)
 class MomentSet:
-    """Zeroth/first moments, regularized bulk velocity, scalar stress and
-    kinetic energy density, one value per spatial cell."""
+    """Zeroth/first moments and regularized bulk velocity, one value per
+    spatial cell."""
 
     rho: np.ndarray
     mom: np.ndarray
     u: np.ndarray
-    stress: np.ndarray
-    kin_energy: np.ndarray
 
 
 def compute_moments(f: KineticState | np.ndarray, grid: PhaseGrid, s: ScalingParams) -> MomentSet:
     farr = f.f if isinstance(f, KineticState) else np.asarray(f)
-    xi = grid.xi
     rho = quad_v(farr, grid)
-    mom = quad_v(farr * xi, grid)
+    mom = quad_v(farr * grid.xi, grid)
     if s.vel_floor > 0.0:
         u = mom / (rho + s.vel_floor)
     else:
         u = np.divide(mom, rho, out=np.zeros_like(mom), where=rho > 0)
-    dev = xi[None, :] - u[:, None]
-    stress = quad_v(dev * dev * farr, grid)
-    kin_energy = quad_v(0.5 * xi * xi * farr, grid)
-    return MomentSet(rho=rho, mom=mom, u=u, stress=stress, kin_energy=kin_energy)
+    return MomentSet(rho=rho, mom=mom, u=u)
 
 
 def maxwellian_profile(rho: np.ndarray, u: np.ndarray, grid: PhaseGrid) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,6 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kinfluid.entropy as entropy
+import kinfluid.harness as harness
+import kinfluid.kinetic as kinetic
 from kinfluid.core import ConfigError
 from kinfluid.cli import (
     EXIT_AUDIT,
@@ -140,6 +144,44 @@ def test_coupled_run_mass_books_and_audit():
     assert abs(run.mass_fluid[-1] - run.mass_fluid[0]) <= 1e-10
     assert run.audit.slack_entropy_budget >= -1e-10
     assert run.max_wall_flux <= 1e-12
+
+
+def test_coupled_run_makes_one_diagnostics_pass(monkeypatch):
+    # moments once per step after the step (shared by the sample and the next
+    # gas drag) plus once inside each kinetic step; P(f|M) once per sample
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (harness, kinetic):
+        monkeypatch.setattr(module, "compute_moments", counted("moments", module.compute_moments))
+    monkeypatch.setattr(
+        entropy, "maxwellian_relative_entropy", counted("P(f|M)", entropy.maxwellian_relative_entropy)
+    )
+    cfg = tiny_config()
+    run = run_coupled(cfg, 0.4)
+    nt = round(cfg.t_final / run.dt)
+    assert calls["moments"] == 2 * nt + 1
+    assert calls["P(f|M)"] == len(run.reports) == cfg.n_samples + 1
+
+
+def test_cadence_bounds_the_step_count():
+    cfg = tiny_config(t_final=1.0)
+    dt, nt, per = harness._cadence(cfg, 0.01)
+    assert (nt, per) == (100, 25) and dt * nt == 1.0
+    assert harness._cadence(cfg, (1 + 1e-9) / harness.MAX_STEPS)[1] == harness.MAX_STEPS
+    for dt_target in (0.99 / harness.MAX_STEPS, 1e-300, 0.0):
+        with pytest.raises(ConfigError):
+            harness._cadence(cfg, dt_target)
+    with pytest.raises(ConfigError):
+        harness._cadence(tiny_config(t_final=1e300), 0.01)
+    harness._cadence(tiny_config(n_samples=harness.MAX_STEPS), 1.0)
+    with pytest.raises(ConfigError):
+        tiny_config(n_samples=harness.MAX_STEPS + 1)
 
 
 def test_equilibrium_sweep_reported_degenerate():
@@ -324,6 +366,11 @@ def test_cli_config_error_exit_code(tmp_path):
     for bad in ({"nv": 15}, {"nx": "16"}, {"gamma": 1.0}, {"chi_lambda": "abc"}):
         p3 = _write_cfg(tmp_path, **bad)
         assert main_simulate_kinetic(["--config", str(p3)]) == EXIT_CONFIG
+    # runs of more than MAX_STEPS steps, found before any buffer is allocated
+    for bad in ({"t_final": 1e300}, {"n_samples": 10**12}):
+        p4 = _write_cfg(tmp_path, **bad)
+        assert main_simulate_kinetic(["--config", str(p4)]) == EXIT_CONFIG
+        assert main_converge(["--config", str(p4)]) == EXIT_CONFIG
     assert main_simulate_kinetic(["--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
     # bad custom initial data is only found inside the run
     missing_state = _write_cfg(tmp_path, initial_profile="custom", custom_state=str(tmp_path / "missing.json"))
@@ -345,7 +392,9 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 _DROP = "<drop>"
-_BAD_VALUES = [_DROP, None, True, "x", [], {}, -1, 0, 1, 2, -0.5, 0.5, math.nan, math.inf, -math.inf]
+_BAD_VALUES = [_DROP, None, True, "x", [], {}, -1, 0, 1, 2, -0.5, 0.5, 1e300, math.nan, math.inf, -math.inf]
+# a huge count only where it cannot size an array before the checks see it
+_HUGE_SAMPLES = ("n_samples", 10**12)
 _BAD_EPS_LISTS = [[], [0.4], [0.1, 0.4], [0.4, 0.2, math.nan], [math.inf, 0.2, 0.1], [0.4, 0.2, -0.1], ["a"]]
 _BAD_STATES = ["missing", "directory", "not_json", "escaping", "short", "wrong_nx", "bad_walls"]
 
@@ -379,10 +428,11 @@ def _bad_custom_state(tmp: Path, kind: str) -> Path:
 
 
 # mutations of a tiny valid config: dropped keys, wrong types, out-of-range
-# values, bad eps lists and bad custom_state files
+# or huge values, bad eps lists and bad custom_state files
 _CONFIG_EDITS = st.fixed_dictionaries({
     "edits": st.lists(
-        st.tuples(st.sampled_from([f.name for f in fields(ExperimentConfig)]), st.sampled_from(_BAD_VALUES)),
+        st.tuples(st.sampled_from([f.name for f in fields(ExperimentConfig)]), st.sampled_from(_BAD_VALUES))
+        | st.just(_HUGE_SAMPLES),
         max_size=3,
     ),
     "eps_list": st.sampled_from([None, *_BAD_EPS_LISTS]),
@@ -411,6 +461,9 @@ def _edited_config(tmp: Path, case: dict) -> Path:
 @example(case={"edits": [("nx", 1)], "eps_list": None, "custom_state": None})
 @example(case={"edits": [("nv", 2)], "eps_list": None, "custom_state": None})
 @example(case={"edits": [("v_max", math.inf)], "eps_list": [0.4, 0.2, math.nan], "custom_state": None})
+@example(case={"edits": [("t_final", 1e300)], "eps_list": None, "custom_state": None})
+@example(case={"edits": [_HUGE_SAMPLES], "eps_list": None, "custom_state": None})
+@example(case={"edits": [("x_hi", 1e300)], "eps_list": None, "custom_state": None})
 def test_cli_fuzzed_config_exit_codes(case):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _edited_config(Path(tmp), case)
