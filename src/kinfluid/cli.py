@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 configuration error, 2 solver failure,
 3 entropy-audit failure.
 """
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,24 +36,36 @@ def _load_config(path, **overrides) -> ExperimentConfig:
     return cfg
 
 
+def _exit_codes(main):
+    """A ConfigError raised in main exits 1 and a SolverError exits 2, each
+    with one line on stderr."""
+
+    @functools.wraps(main)
+    def wrapped(argv=None) -> int:
+        try:
+            return main(argv)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except SolverError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+
+    return wrapped
+
+
+@_exit_codes
 def main_simulate_kinetic(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="simulate-kinetic", description="Run the coupled kinetic/gas system at one eps.")
     ap.add_argument("--config", required=True)
     ap.add_argument("--eps", type=float, default=None)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
-    try:
-        cfg = _load_config(args.config, output_dir=args.out)
-        eps = args.eps if args.eps is not None else cfg.eps_list[0]
-        if eps <= 0:
-            raise ConfigError("--eps must be positive")
-        run = run_coupled(cfg, eps)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    cfg = _load_config(args.config, output_dir=args.out)
+    eps = args.eps if args.eps is not None else cfg.eps_list[0]
+    if eps <= 0:
+        raise ConfigError("--eps must be positive")
+    run = run_coupled(cfg, eps)
     out = save_run_series(run, Path(cfg.output_dir), cfg)
     print(
         f"eps={eps:g} steps_dt={run.dt:g} wall={run.wall_seconds:.2f}s "
@@ -65,24 +78,18 @@ def main_simulate_kinetic(argv=None) -> int:
     return EXIT_OK
 
 
+@_exit_codes
 def main_simulate_limit(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="simulate-limit", description="Run the relaxed two-phase system.")
     ap.add_argument("--config", required=True)
     ap.add_argument("--mode", choices=("direct", "picard"), default=None)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
-    try:
-        mode = None if args.mode is None else ("limit_direct" if args.mode == "direct" else "limit_picard")
-        cfg = _load_config(args.config, output_dir=args.out, solver_mode=mode)
-        if cfg.solver_mode == "coupled":
-            cfg.solver_mode = "limit_direct"
-        run = run_limit(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    mode = None if args.mode is None else ("limit_direct" if args.mode == "direct" else "limit_picard")
+    cfg = _load_config(args.config, output_dir=args.out, solver_mode=mode)
+    if cfg.solver_mode == "coupled":
+        cfg.solver_mode = "limit_direct"
+    run = run_limit(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_state(
@@ -98,20 +105,14 @@ def main_simulate_limit(argv=None) -> int:
     return EXIT_OK
 
 
+@_exit_codes
 def main_converge(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="converge", description="Eps sweep with rate fit against the limit trajectory.")
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
-    try:
-        cfg = _load_config(args.config, output_dir=args.out)
-        result = run_convergence(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    cfg = _load_config(args.config, output_dir=args.out)
+    result = run_convergence(cfg)
     out = Path(cfg.output_dir)
     csv_path = emit_csv(result.rows, out / "convergence.csv")
     meta = {
@@ -133,15 +134,12 @@ def main_converge(argv=None) -> int:
     return EXIT_OK
 
 
+@_exit_codes
 def main_check_entropy(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="check-entropy", description="Re-audit an emitted coupled run directory.")
     ap.add_argument("--run", required=True)
     args = ap.parse_args(argv)
-    try:
-        audit, meta = reaudit_run(args.run)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    audit, meta = reaudit_run(args.run)
     tol = meta.get("config", {}).get("audit_tolerance", 0.05)
     print(
         f"entropy_budget_slack={audit.slack_entropy_budget:.6g} at t={audit.slack_at:g} "

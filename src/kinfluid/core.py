@@ -48,7 +48,6 @@ class PhaseGrid:
     x_lo: float = 0.0
     x_hi: float = 1.0
     v_max: float = 8.0
-    dim: int = 1
 
     def __post_init__(self):
         if self.nx < 1:
@@ -61,8 +60,6 @@ class PhaseGrid:
             raise ValueError("v_max must be positive")
         if not max(self.dx, self.dv) < 1e150:
             raise ValueError("cell widths must stay below 1e150 (the solvers square them)")
-        if self.dim != 1:
-            raise ValueError("only the 1-D slab reduction is implemented")
 
     @property
     def dx(self) -> float:
@@ -138,8 +135,6 @@ class FluidState:
     n: np.ndarray
     v: np.ndarray
     gamma: float = 2.0
-    mu: float = 1.0
-    t: float = 0.0
 
     def __post_init__(self):
         if self.n.shape != self.v.shape:

@@ -2,8 +2,8 @@
 and the budget audits that certify a run.
 
 Conventions: f*log(f) is 0 at f = 0; cells with f below 1e-300 are excluded
-from 1/f weights; the Maxwellian normalization carries the grid dimension d
-through the (2*pi)^(d/2) constant.
+from 1/f weights; velocity space is 1-D, so the Maxwellian normalization is
+(2*pi)^(-1/2).
 """
 import math
 from dataclasses import dataclass
@@ -27,16 +27,13 @@ _F_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Every functional evaluated at one time level. H and rel_flux_l1 are 0
-    when no reference two-phase state was supplied."""
+    """Every functional evaluated at one time level."""
 
     F: float
     D1: float
     D2: float
     E: float
-    H: float
     P_f_M: float
-    rel_flux_l1: float
     grad_v_sq: float
     drag_mismatch: float  # int rho |u - v|^2 dx
     mass: float
@@ -282,31 +279,17 @@ def csiszar_kullback_margin(f: KineticState, mom: MomentSet, report: EntropyRepo
     return 4.0 * report.mass * report.P_f_M - l1 * l1
 
 
-def evaluate_entropy_report(
-    f: KineticState,
-    fl: FluidState,
-    mom: MomentSet,
-    grid: PhaseGrid,
-    reference: TwoPhaseState | None = None,
-) -> EntropyReport:
+def evaluate_entropy_report(f: KineticState, fl: FluidState, mom: MomentSet, grid: PhaseGrid) -> EntropyReport:
     """All functionals at one time level. The moments mom of f supply the
-    bulk velocity and the macroscopic entropy; a reference two-phase state
-    (when given) supplies the relative entropy and relative flux."""
-    if float(mom.rho.min()) <= 0:
-        raise ValueError("entropy report needs strictly positive particle density")
+    bulk velocity and the macroscopic entropy; a cell with rho <= 0 is a
+    VacuumError, raised by the two-phase state of the moments."""
     moment_state = TwoPhaseState(rho=mom.rho, u=mom.u, fluid=fl, t=f.t)
-    h = rel_flux = 0.0
-    if reference is not None:
-        h = relative_entropy(moment_state, reference, grid)
-        rel_flux = relative_flux_l1(moment_state, reference, grid)
     return EntropyReport(
         F=kinetic_entropy(f, fl, grid),
         D1=dissipation_d1(f, mom.u, grid),
         D2=dissipation_d2(f, fl, grid),
         E=macroscopic_entropy(moment_state, grid),
-        H=h,
         P_f_M=maxwellian_relative_entropy(f, mom.rho, mom.u, grid),
-        rel_flux_l1=rel_flux,
         grad_v_sq=dirichlet_grad_sq(fl.v, grid),
         drag_mismatch=quad_x(mom.rho * (mom.u - fl.v) ** 2, grid),
         mass=phase_mass(f.f, grid),
@@ -367,7 +350,6 @@ def entropy_inequality_audit(times, reports, eps: float) -> AuditRecord:
     )
 
 
-def maxwellian_offset(grid: PhaseGrid) -> float:
-    """(d/2) log(2 pi): the per-unit-mass entropy offset between a local
-    Maxwellian and its macroscopic counterpart."""
-    return 0.5 * grid.dim * math.log(2.0 * math.pi)
+# (1/2) log(2 pi): the per-unit-mass entropy offset between a 1-D local
+# Maxwellian and its macroscopic counterpart
+MAXWELLIAN_OFFSET = 0.5 * math.log(2.0 * math.pi)

@@ -54,27 +54,27 @@ def rusanov_step(dens, mom, dt, grid, p_fn, c_fn):
     return dens_new, mom_new
 
 
-def gas_substep(n, v, dt, grid: PhaseGrid, gamma: float, mu: float):
+def gas_substep(n, v, dt, grid: PhaseGrid, gamma: float):
     """One gas sub-step without drag: the Rusanov update to (n1, m1), the
-    vacuum check, then the implicit viscous solve n1*v1 - dt*mu*Lap(v1) = m1
+    vacuum check, then the implicit unit-viscosity solve n1*v1 - dt*Lap(v1) = m1
     with v1 = 0 at the walls. Returns (n1, v1)."""
     n1, m1 = rusanov_step(
         n, n * v, dt, grid, lambda d: pressure(d, gamma), lambda d: sound_speed(d, gamma)
     )
     if float(n1.min()) <= N_FLOOR:
         raise VacuumError(f"fluid density hit the vacuum floor (min {n1.min():g})")
-    v1 = tridiag_dirichlet_solve(n1, mu * dt / grid.dx**2, m1)
+    v1 = tridiag_dirichlet_solve(n1, dt / grid.dx**2, m1)
     return n1, v1
 
 
 def ns_step(fl: FluidState, drag_rho, drag_u, dt: float, grid: PhaseGrid) -> FluidState:
     """Operator-split step: gas_substep, then the implicit drag source
     n v <- n v + dt*drag_rho*(drag_u - v)."""
-    n1, v2 = gas_substep(fl.n, fl.v, dt, grid, fl.gamma, fl.mu)
+    n1, v2 = gas_substep(fl.n, fl.v, dt, grid, fl.gamma)
     drag_rho = np.asarray(drag_rho, dtype=float)
     drag_u = np.asarray(drag_u, dtype=float)
     v3 = (n1 * v2 + dt * drag_rho * drag_u) / (n1 + dt * drag_rho)
-    return FluidState(n=n1, v=v3, gamma=fl.gamma, mu=fl.mu, t=fl.t + dt)
+    return FluidState(n=n1, v=v3, gamma=fl.gamma)
 
 
 def momentum_exchange(drag_rho, drag_u, v, dt, grid: PhaseGrid) -> tuple[float, float]:

@@ -24,9 +24,11 @@ from .core import (
     TwoPhaseState,
     l1_distance,
     phase_mass,
+    quad_v,
     quad_x,
 )
 from .entropy import (
+    MAXWELLIAN_OFFSET,
     AuditRecord,
     EntropyReport,
     csiszar_kullback_margin,
@@ -34,14 +36,15 @@ from .entropy import (
     evaluate_entropy_report,
     kinetic_entropy,
     macroscopic_entropy,
-    maxwellian_offset,
+    relative_entropy,
     relative_pressure,
     relative_pressure_tilde,
 )
 from .fluid import momentum_exchange, ns_step, sound_speed
 from .kinetic import Diffuse, Dirichlet, Specular, kinetic_step
-from .limit import PicardSetup, _two_phase_substeps, picard_solve, to_symhyp
+from .limit import PicardSetup, SymHypState, _two_phase_substeps, from_symhyp, picard_solve, to_symhyp
 from .moments import compute_moments, maxwellian, maxwellian_profile
+
 
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -219,7 +222,8 @@ def make_well_prepared(config: ExperimentConfig) -> tuple[KineticState, FluidSta
     """Build eps-independent initial data: the kinetic density is the local
     Maxwellian of the particle profile and the fluid data coincide with the
     limit fluid data, so both well-preparedness residuals vanish up to
-    quadrature error. Order-0 wall compatibility (u.r = 0, v = 0) is checked."""
+    quadrature error. Order-0 wall compatibility (u.r = 0, v = 0) is checked,
+    and so is a positive density in every cell of the discrete Maxwellian."""
     grid = config.grid()
     rho0, u0, n0, v0 = _macroscopic_profile(config, grid)
     scale = max(1.0, float(np.abs(u0).max()), float(np.abs(v0).max()))
@@ -233,6 +237,8 @@ def make_well_prepared(config: ExperimentConfig) -> tuple[KineticState, FluidSta
         raise ConfigError("initial densities must be positive")
 
     kin = maxwellian(rho0, u0, grid)
+    if float(quad_v(kin.f, grid).min()) <= 0:
+        raise ConfigError("initial particle density vanishes in a cell of the discrete Maxwellian")
     fl = FluidState(n=n0, v=v0, gamma=config.gamma)
     limit0 = TwoPhaseState(rho=rho0, u=u0, fluid=fl)
     return kin, fl, limit0
@@ -245,7 +251,7 @@ def well_prepared_residuals(
 
     The entropy-gap residual compares the kinetic entropy of f0 with the
     macroscopic entropy of the limit data, compensated by the universal
-    Maxwellian offset (d/2) log(2 pi) per unit mass; the state-gap residual
+    Maxwellian offset (1/2) log(2 pi) per unit mass; the state-gap residual
     sums the squared velocity gaps and both relative pressures. Both are 0
     up to quadrature error for local-Maxwellian data."""
     grid = config.grid()
@@ -255,7 +261,7 @@ def well_prepared_residuals(
 
     f_kin = kinetic_entropy(kin, fl, grid)
     e_limit = macroscopic_entropy(limit0, grid)
-    res_entropy = f_kin - e_limit + maxwellian_offset(grid) * mass
+    res_entropy = f_kin - e_limit + MAXWELLIAN_OFFSET * mass
 
     res_state = (
         quad_x(mom.rho * (mom.u - limit0.u) ** 2, grid)
@@ -329,12 +335,9 @@ def _pick_dt(config: ExperimentConfig, grid: PhaseGrid, fl) -> tuple[float, int,
     return _cadence(config, config.cfl * bound)
 
 
-def run_coupled(config: ExperimentConfig, eps: float, reference=None) -> CoupledRun:
+def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     """Time-march the coupled kinetic/gas system, sampling entropy reports at
-    the configured cadence and auditing the run at the end.
-
-    reference: optional callable t -> TwoPhaseState supplying the relative-
-    entropy reference at sample times."""
+    the configured cadence and auditing the run at the end."""
     t0 = time.perf_counter()
     grid = config.grid()
     if grid.nv < 4:
@@ -360,8 +363,7 @@ def run_coupled(config: ExperimentConfig, eps: float, reference=None) -> Coupled
         n[idx] = fl.n
         v[idx] = fl.v
         mass_flu[idx] = quad_x(fl.n, grid)
-        ref = reference(kin.t) if reference is not None else None
-        report = evaluate_entropy_report(kin, fl, mom, grid, ref)
+        report = evaluate_entropy_report(kin, fl, mom, grid)
         reports.append(report)
         mass_kin[idx] = report.mass
         return csiszar_kullback_margin(kin, mom, report, grid)
@@ -410,19 +412,11 @@ class LimitRun:
     min_one_plus_h: float
     picard_reports: list | None = None
 
-    def state_at(self, idx: int, gamma: float) -> TwoPhaseState:
-        return TwoPhaseState(
-            rho=self.rho[idx], u=self.u[idx],
-            fluid=FluidState(n=self.n[idx], v=self.v[idx], gamma=gamma, t=self.times[idx]),
-            t=self.times[idx],
-        )
 
-    def interpolant(self, gamma: float):
-        """Nearest-sample lookup (exact at shared sample times)."""
-        def ref(t: float) -> TwoPhaseState:
-            idx = int(np.argmin(np.abs(self.times - t)))
-            return self.state_at(idx, gamma)
-        return ref
+def _sampled_state(run: CoupledRun | LimitRun, idx: int, gamma: float) -> TwoPhaseState:
+    """The two-phase state (rho, u, n, v) of sample idx of a coupled or limit run."""
+    fluid = FluidState(n=run.n[idx], v=run.v[idx], gamma=gamma)
+    return TwoPhaseState(rho=run.rho[idx], u=run.u[idx], fluid=fluid, t=run.times[idx])
 
 
 def run_limit(config: ExperimentConfig) -> LimitRun:
@@ -435,23 +429,17 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         grid.dx / (float(np.abs(st.u).max()) + 1.0),
         grid.dx / float((np.abs(st.fluid.v) + sound_speed(st.fluid.n, config.gamma)).max()),
     ))
-    times, rho, u, n, v = _sample_arrays(config, grid)
-    mass = np.empty(len(times))
     picard_reports = None
     max_asym = 0.0
     if config.solver_mode == "limit_picard":
         setup = PicardSetup(grid=grid, t_final=config.t_final, nt=nt, gamma=config.gamma)
         traj, picard_reports = picard_solve(to_symhyp(st, grid), setup, max_iter=config.picard_iters)
-        m_norm = grid.length
-        for idx in range(len(times)):
-            k = idx * per
-            times[idx] = k * dt
-            rho[idx] = np.exp(traj.g[k]) / m_norm
-            u[idx] = traj.u[k]
-            n[idx] = 1.0 + traj.h[k]
-            v[idx] = traj.v[k]
-            mass[idx] = quad_x(rho[idx], grid)
+        rows = SymHypState(g=traj.g[::per], u=traj.u[::per], h=traj.h[::per], v=traj.v[::per])
+        sampled = from_symhyp(rows, grid, config.gamma)
+        times = np.arange(config.n_samples + 1) * per * dt
+        rho, u, n, v = sampled.rho, sampled.u, sampled.fluid.n, sampled.fluid.v
     else:
+        times, rho, u, n, v = _sample_arrays(config, grid)
 
         def sample(idx, st):
             times[idx] = st.t
@@ -459,7 +447,6 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
             u[idx] = st.u
             n[idx] = st.fluid.n
             v[idx] = st.fluid.v
-            mass[idx] = quad_x(st.rho, grid)
 
         sample(0, st)
         for step in range(nt):
@@ -469,7 +456,7 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
                 sample((step + 1) // per, st)
 
     return LimitRun(
-        times=times, rho=rho, u=u, n=n, v=v, mass_rho=mass,
+        times=times, rho=rho, u=u, n=n, v=v, mass_rho=np.array([quad_x(r, grid) for r in rho]),
         max_exchange_asym=max_asym, dt=dt,
         min_one_plus_h=float(n.min()),
         picard_reports=picard_reports,
@@ -503,26 +490,26 @@ class ConvergenceResult:
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
-    """For each eps: coupled run vs the single limit trajectory; sup-in-time
+    """For each eps: coupled run vs the single limit trajectory, compared
+    sample by sample (both runs share the sampling cadence); sup-in-time
     relative entropy and L1 gaps; log-log slope fit of sup_H against eps."""
     if len(config.eps_list) < 3:
         raise ConfigError("eps sweep needs at least 3 values")
     t0 = time.perf_counter()
     grid = config.grid()
     limit = run_limit(config)
-    ref = limit.interpolant(config.gamma)
+    samples = range(len(limit.times))
+    gamma = config.gamma
 
     rows = []
     runs = []
     for eps in config.eps_list:
-        run = run_coupled(config, eps, reference=ref)
-        sup_h = max(r.H for r in run.reports)
-        sup_rho = max(
-            l1_distance(run.rho[k], limit.rho[k], grid) for k in range(len(run.times))
+        run = run_coupled(config, eps)
+        sup_h = max(
+            relative_entropy(_sampled_state(run, k, gamma), _sampled_state(limit, k, gamma), grid) for k in samples
         )
-        sup_n = max(
-            l1_distance(run.n[k], limit.n[k], grid) for k in range(len(run.times))
-        )
+        sup_rho = max(l1_distance(run.rho[k], limit.rho[k], grid) for k in samples)
+        sup_n = max(l1_distance(run.n[k], limit.n[k], grid) for k in samples)
         m_end = maxwellian_profile(limit.rho[-1], limit.u[-1], grid)
         f_gap = l1_distance(run.f_final.f, m_end, grid)
         rows.append(ConvergenceRow(eps=eps, sup_H=sup_h, sup_L1_rho=sup_rho, sup_L1_n=sup_n, f_to_M_l1=f_gap))

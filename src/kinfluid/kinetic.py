@@ -53,12 +53,9 @@ BoundaryKernel = Specular | Diffuse | Dirichlet
 
 @dataclass
 class KineticStepReport:
-    """Mass books for one step: per-wall outward trace integrals
-    (time-integrated over the step), the largest instantaneous wall trace
-    seen in any sub-step, and the velocity-truncation leak diagnostic."""
+    """Mass books for one step: the largest instantaneous wall trace seen in
+    any sub-step and the velocity-truncation leak diagnostic."""
 
-    boundary_flux_left: float = 0.0
-    boundary_flux_right: float = 0.0
     max_wall_flux: float = 0.0
     truncation_leak: float = 0.0
 
@@ -204,8 +201,6 @@ def kinetic_step(
     farr, leak2 = _drag_raw(farr, fluid.v, half, grid, s)
     farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, bc)
     rep = KineticStepReport(
-        boundary_flux_left=half * (tr_lo1 + tr_lo2),
-        boundary_flux_right=half * (tr_hi1 + tr_hi2),
         max_wall_flux=max(abs(tr_lo1), abs(tr_hi1), abs(tr_lo2), abs(tr_hi2)),
         truncation_leak=leak1 + leak2,
     )

@@ -58,17 +58,17 @@ def _two_phase_substeps(st: TwoPhaseState, dt, grid):
     half = 0.5 * dt
     fl = st.fluid
     rho, u = euler_step(st.rho, st.u, half, grid)
-    n, v = gas_substep(fl.n, fl.v, half, grid, fl.gamma, fl.mu)
+    n, v = gas_substep(fl.n, fl.v, half, grid, fl.gamma)
     u2, v2 = drag_exchange(rho, u, n, v, dt)
     dp_particle = quad_x(rho * (u2 - u), grid)
     dp_fluid = quad_x(n * (v2 - v), grid)
-    n, v3 = gas_substep(n, v2, half, grid, fl.gamma, fl.mu)
+    n, v3 = gas_substep(n, v2, half, grid, fl.gamma)
     rho, u3 = euler_step(rho, u2, half, grid)
 
     new = TwoPhaseState(
         rho=rho,
         u=u3,
-        fluid=FluidState(n=n, v=v3, gamma=fl.gamma, mu=fl.mu, t=fl.t + dt),
+        fluid=FluidState(n=n, v=v3, gamma=fl.gamma),
         t=st.t + dt,
     )
     return new, dp_particle, dp_fluid
@@ -113,14 +113,14 @@ def to_symhyp(st: TwoPhaseState, grid: PhaseGrid) -> SymHypState:
     )
 
 
-def from_symhyp(sh: SymHypState, grid: PhaseGrid, gamma: float = 2.0, mu: float = 1.0) -> TwoPhaseState:
+def from_symhyp(sh: SymHypState, grid: PhaseGrid, gamma: float = 2.0) -> TwoPhaseState:
     if float(sh.h.min()) <= -1.0:
         raise PositivityError("from_symhyp needs 1 + h > 0")
     m = grid.length
     return TwoPhaseState(
         rho=np.exp(sh.g) / m,
         u=sh.u.copy(),
-        fluid=FluidState(n=1.0 + sh.h, v=sh.v.copy(), gamma=gamma, mu=mu, t=sh.t),
+        fluid=FluidState(n=1.0 + sh.h, v=sh.v.copy(), gamma=gamma),
         t=sh.t,
     )
 
@@ -133,7 +133,6 @@ class PicardSetup:
     t_final: float
     nt: int
     gamma: float = 2.0
-    mu: float = 1.0
 
     @property
     def dt(self) -> float:
@@ -168,15 +167,14 @@ def initial_trajectory(init: SymHypState, setup: PicardSetup) -> PicardTrajector
     )
 
 
-def _upwind_2x2(q1, q2, lam1, lam2, ratio, grid, dt, odd_first=False):
+def _upwind_2x2(q1, q2, lam1, lam2, ratio, grid, dt):
     """First-order characteristic upwinding of a frozen-coefficient 2x2
     system with eigenvalues lam1/lam2 and eigenvectors (ratio, 1), (ratio, -1).
 
     Returns the advective increment (already scaled by -dt/dx) for both
-    components. Ghosts: q1 mirrors evenly unless odd_first, q2 mirrors oddly.
+    components. Ghosts: q1 mirrors evenly, q2 mirrors oddly.
     """
-    s1 = -1.0 if odd_first else 1.0
-    q1p = np.concatenate(([s1 * q1[0]], q1, [s1 * q1[-1]]))
+    q1p = np.concatenate(([q1[0]], q1, [q1[-1]]))
     q2p = np.concatenate(([-q2[0]], q2, [-q2[-1]]))
     dm1 = q1p[1:-1] - q1p[:-2]
     dp1 = q1p[2:] - q1p[1:-1]
@@ -228,7 +226,7 @@ def picard_iterate(prev: PicardTrajectory, setup: PicardSetup) -> tuple[PicardTr
         h_star = h[k] + inc_h
         v_star = v[k] + inc_v + dt * drag_gas
         v_new = tridiag_dirichlet_solve(
-            np.ones(nx), setup.mu * dt / (big_h * grid.dx**2), v_star
+            np.ones(nx), dt / (big_h * grid.dx**2), v_star
         )
         h[k + 1] = h_star
         v[k + 1] = v_new
@@ -254,8 +252,8 @@ def picard_iterate(prev: PicardTrajectory, setup: PicardSetup) -> tuple[PicardTr
     return traj, IterationReport(m=-1, cauchy_l2=cauchy)
 
 
-def picard_solve(init: SymHypState, setup: PicardSetup, max_iter: int = 12, tol: float = 0.0):
-    """Run the fixed-point iteration from the constant-in-time iterate 0.
+def picard_solve(init: SymHypState, setup: PicardSetup, max_iter: int = 12):
+    """Run max_iter fixed-point iterations from the constant-in-time iterate 0.
 
     Returns the last trajectory and the list of IterationReports with
     contraction ratios filled in."""
@@ -267,8 +265,6 @@ def picard_solve(init: SymHypState, setup: PicardSetup, max_iter: int = 12, tol:
         if reports and reports[-1].cauchy_l2 > 0:
             rep.contraction_ratio = rep.cauchy_l2 / reports[-1].cauchy_l2
         reports.append(rep)
-        if tol > 0 and rep.cauchy_l2 <= tol:
-            break
     return traj, reports
 
 

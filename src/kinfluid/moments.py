@@ -28,20 +28,22 @@ def compute_moments(f: KineticState | np.ndarray, grid: PhaseGrid, s: ScalingPar
     return MomentSet(rho=rho, mom=mom, u=u)
 
 
+_MAXWELLIAN_NORM = (2.0 * math.pi) ** -0.5  # 1-D velocity space
+
+
 def maxwellian_profile(rho: np.ndarray, u: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """Raw (nx, nv) array of the local Maxwellian rho*(2*pi)^(-d/2)*exp(-|xi-u|^2/2)."""
+    """Raw (nx, nv) array of the local Maxwellian rho*(2*pi)^(-1/2)*exp(-|xi-u|^2/2)."""
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
-    norm = (2.0 * math.pi) ** (-0.5 * grid.dim)
     dev = grid.xi[None, :] - u[:, None]
-    return rho[:, None] * norm * np.exp(-0.5 * dev * dev)
+    return rho[:, None] * _MAXWELLIAN_NORM * np.exp(-0.5 * dev * dev)
 
 
-def maxwellian(rho: np.ndarray, u: np.ndarray, grid: PhaseGrid, t: float = 0.0) -> KineticState:
+def maxwellian(rho: np.ndarray, u: np.ndarray, grid: PhaseGrid) -> KineticState:
     """Local Maxwellian evaluated at cell centers."""
     if np.any(np.asarray(rho) < 0):
         raise ValueError("rho must be nonnegative")
-    return KineticState(f=maxwellian_profile(rho, u, grid), t=t)
+    return KineticState(f=maxwellian_profile(rho, u, grid))
 
 
 def truncate_velocity(u: np.ndarray, lam: float) -> np.ndarray:

@@ -112,8 +112,6 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         quad_x(np.ones(5), g)  # wrong spatial length
     with pytest.raises(ValueError):
-        PhaseGrid(nx=4, nv=8, dim=3)
-    with pytest.raises(ValueError):
         ScalingParams(eps=0.0)
     with pytest.raises(ValueError):
         ScalingParams(eps=1.0, vel_floor=-1.0)

@@ -273,9 +273,8 @@ def test_report_quantities_nonnegative(rng, grid, scaling):
     for _ in range(5):
         f = KineticState(f=random_positive_f(rng, grid))
         fl = FluidState(n=0.5 + rng.random(grid.nx), v=0.5 * rng.standard_normal(grid.nx))
-        ref = random_two_phase(rng, grid)
-        rep = evaluate_entropy_report(f, fl, compute_moments(f, grid, scaling), grid, ref)
-        for name in ("D1", "D2", "H", "P_f_M", "rel_flux_l1", "grad_v_sq", "drag_mismatch"):
+        rep = evaluate_entropy_report(f, fl, compute_moments(f, grid, scaling), grid)
+        for name in ("D1", "D2", "P_f_M", "grad_v_sq", "drag_mismatch"):
             assert getattr(rep, name) >= -1e-13, name
 
 

@@ -25,8 +25,8 @@ def smooth_fluid(grid, gamma=2.0):
 
 def gas_only(fl, dt, grid):
     """One drag-free gas sub-step as a FluidState."""
-    n, v = gas_substep(fl.n, fl.v, dt, grid, fl.gamma, fl.mu)
-    return FluidState(n=n, v=v, gamma=fl.gamma, mu=fl.mu, t=fl.t + dt)
+    n, v = gas_substep(fl.n, fl.v, dt, grid, fl.gamma)
+    return FluidState(n=n, v=v, gamma=fl.gamma)
 
 
 def test_pressure_values():

@@ -18,6 +18,7 @@ from kinfluid.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     main_check_entropy,
     main_converge,
     main_simulate_kinetic,
@@ -355,7 +356,7 @@ def test_cli_simulate_kinetic_and_check_entropy(tmp_path):
     assert rc2 == EXIT_OK
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"nx": 8, "mystery": True}))
     assert main_simulate_kinetic(["--config", str(p)]) == EXIT_CONFIG
@@ -379,6 +380,15 @@ def test_cli_config_error_exit_code(tmp_path):
     desc = save_state(tmp_path / "wall", {"rho0": ones, "u0": 0.5 * ones, "n0": ones, "v0": 0 * ones})
     bad_walls = _write_cfg(tmp_path, initial_profile="custom", custom_state=str(desc))
     assert main_simulate_kinetic(["--config", str(bad_walls)]) == EXIT_CONFIG
+    # a positive rho0 whose discrete Maxwellian column underflows to 0
+    rho0 = ones.copy()
+    rho0[5] = 5e-324
+    desc = save_state(tmp_path / "vacuum", {"rho0": rho0, "u0": 0 * ones, "n0": ones, "v0": 0 * ones})
+    vacuum = _write_cfg(tmp_path, nv=16, initial_profile="custom", custom_state=str(desc))
+    capsys.readouterr()
+    assert main_simulate_kinetic(["--config", str(vacuum)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
     (tmp_path / "state").mkdir()
     (tmp_path / "outside.bin").write_bytes(np.zeros(16).tobytes())
     outside = tmp_path / "state" / "init.json"
@@ -503,6 +513,39 @@ def test_cli_check_entropy_rejects_non_run(tmp_path):
     for bad in ({}, {"eps": "0.1"}, {**meta, "config": 1}, {**meta, "config": {"audit_tolerance": "x"}}):
         (out / "run_meta.json").write_text(json.dumps(bad))
         assert main_check_entropy(["--run", str(out)]) == EXIT_CONFIG
+
+
+def test_cli_check_entropy_reads_series_with_retired_fields(tmp_path):
+    # series.json files written while the report carried H and rel_flux_l1
+    # hold those two series too; the re-audit reads only the report's fields
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main_simulate_kinetic(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    arrays, _ = load_state(out / "series.json")
+    assert "H" not in arrays and "rel_flux_l1" not in arrays
+    audit, _ = harness.reaudit_run(out)
+    arrays["H"] = arrays["rel_flux_l1"] = np.zeros_like(arrays["times"])
+    save_state(out / "series", arrays)
+    assert main_check_entropy(["--run", str(out)]) == EXIT_OK
+    assert harness.reaudit_run(out)[0].slack_entropy_budget == audit.slack_entropy_budget
+
+
+def test_mid_run_vacuum_dumps_state_and_exit_code(tmp_path, monkeypatch):
+    # a particle density that vanishes in one cell after the first step
+    real = harness.compute_moments
+    calls = []
+
+    def thinned(f, grid, s):
+        mom = real(f, grid, s)
+        calls.append(1)
+        if len(calls) > 1:
+            mom.rho[3] = 0.0
+        return mom
+
+    monkeypatch.setattr(harness, "compute_moments", thinned)
+    cfgfile = _write_cfg(tmp_path, output_dir=str(tmp_path / "dump"))
+    assert main_simulate_kinetic(["--config", str(cfgfile)]) == EXIT_SOLVER
+    assert list((tmp_path / "dump").glob("failure_step_*__f.bin"))
 
 
 def test_solver_failure_dumps_state_and_exit_code(tmp_path, monkeypatch):
