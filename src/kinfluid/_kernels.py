@@ -23,8 +23,8 @@ def upwind_transport(f, xi, dt_over_dx, ghost_lo, ghost_hi):
 def upwind_drag(f, drift, dt_over_dv):
     """Conservative upwind advection along the velocity axis.
 
-    drift has shape (nx, nv+1): interface drift speeds per spatial cell,
-    with the two outermost interfaces already forced to zero flux.
+    drift has shape (nx, nv+1): interface drift speeds per spatial cell.
+    The two outermost interfaces carry zero flux, so their columns are not read.
     """
     nx, nv = f.shape
     a = drift[:, 1:-1]

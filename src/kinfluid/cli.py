@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 solver failure,
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,8 +64,8 @@ def main_simulate_kinetic(argv=None) -> int:
     args = ap.parse_args(argv)
     cfg = _load_config(args.config, output_dir=args.out)
     eps = args.eps if args.eps is not None else cfg.eps_list[0]
-    if eps <= 0:
-        raise ConfigError("--eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):  # as an eps_list entry is checked
+        raise ConfigError(f"--eps must be finite and positive, got {eps!r}")
     run = run_coupled(cfg, eps)
     out = save_run_series(run, Path(cfg.output_dir), cfg)
     print(

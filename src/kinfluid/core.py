@@ -123,9 +123,10 @@ class KineticState:
     def __post_init__(self):
         if self.f.ndim != 2:
             raise ValueError("f must be a 2-D (nx, nv) array")
+        # written as "not >=" so that NaN entries fail the check too
         fmin = float(self.f.min(initial=0.0))
-        if fmin < -_NEG_TOL * max(1.0, float(self.f.max(initial=0.0))):
-            raise PositivityError(f"kinetic density has negative entries (min {fmin:g})")
+        if not fmin >= -_NEG_TOL * max(1.0, float(self.f.max(initial=0.0))):
+            raise PositivityError(f"kinetic density has negative or NaN entries (min {fmin:g})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +142,7 @@ class FluidState:
             raise ValueError("n and v must share a shape")
         if not self.gamma > 1:
             raise ValueError("gamma must exceed 1")
-        if float(self.n.min()) <= 0.0:
+        if not float(self.n.min()) > 0.0:
             raise VacuumError(f"fluid density must be positive (min {self.n.min():g})")
 
 
@@ -157,7 +158,7 @@ class TwoPhaseState:
     def __post_init__(self):
         if self.rho.shape != self.u.shape or self.rho.shape != self.fluid.n.shape:
             raise ValueError("rho, u and fluid fields must share a shape")
-        if float(self.rho.min()) <= 0.0:
+        if not float(self.rho.min()) > 0.0:
             raise VacuumError(f"particle density must be positive (min {self.rho.min():g})")
 
 
@@ -187,29 +188,26 @@ def phase_mass(f: np.ndarray, grid: PhaseGrid) -> float:
     return quad_x(quad_v(f, grid), grid)
 
 
-def _weight(a: np.ndarray, grid: PhaseGrid) -> float:
-    if a.ndim == 1:
-        return grid.dx
-    if a.ndim == 2:
-        return grid.dx * grid.dv
-    raise ValueError("fields must be 1-D (spatial) or 2-D (phase space)")
+def _weighted_gap(a: np.ndarray, b: np.ndarray, grid: PhaseGrid) -> tuple[float, np.ndarray]:
+    """The quadrature weight of two fields of one shape, 1-D (spatial) or 2-D
+    (phase space), and their difference a - b."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.ndim not in (1, 2):
+        raise ValueError("fields must be 1-D (spatial) or 2-D (phase space)")
+    return (grid.dx if a.ndim == 1 else grid.dx * grid.dv), a - b
 
 
 def l1_distance(a: np.ndarray, b: np.ndarray, grid: PhaseGrid) -> float:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(_weight(a, grid) * np.abs(a - b).sum())
+    weight, d = _weighted_gap(a, b, grid)
+    return float(weight * np.abs(d).sum())
 
 
 def l2_distance(a: np.ndarray, b: np.ndarray, grid: PhaseGrid) -> float:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(math.sqrt(_weight(a, grid) * float((d * d).sum())))
+    weight, d = _weighted_gap(a, b, grid)
+    return float(math.sqrt(weight * float((d * d).sum())))
 
 
 def tridiag_dirichlet_solve(diag_add: np.ndarray, coeff: np.ndarray | float, rhs: np.ndarray) -> np.ndarray:
@@ -224,13 +222,5 @@ def tridiag_dirichlet_solve(diag_add: np.ndarray, coeff: np.ndarray | float, rhs
     diag = diag_add + 2.0 * coeff
     diag[0] += coeff[0]
     diag[-1] += coeff[-1]
-    lower = np.empty(n)
-    upper = np.empty(n)
-    lower[1:] = -coeff[1:]
-    upper[:-1] = -coeff[:-1]
-    lower[0] = 0.0
-    upper[-1] = 0.0
-    sol = _kernels.thomas_batch(
-        lower[None, :], diag[None, :], upper[None, :], rhs[None, :]
-    )
-    return sol[0]
+    off = -coeff[None, :]  # both off-diagonals; thomas_batch never reads lower[0] or upper[-1]
+    return _kernels.thomas_batch(off, diag[None, :], off, rhs[None, :])[0]

@@ -1,11 +1,10 @@
-"""Entropy functionals, dissipation rates, relative entropies/pressures/fluxes
-and the budget audits that certify a run.
+"""Entropy functionals, dissipation rates, relative entropies and pressures,
+the gap to the local Maxwellian and the budget audits that certify a run.
 
-Conventions: f*log(f) is 0 at f = 0; cells with f below 1e-300 are excluded
-from 1/f weights; velocity space is 1-D, so the Maxwellian normalization is
-(2*pi)^(-1/2).
+Conventions: f*log(f) is 0 at f = 0; velocity pairs with an f below 1e-300
+add nothing to the dissipation D1; velocity space is 1-D, so the Maxwellian
+normalization is (2*pi)^(-1/2).
 """
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,26 +53,6 @@ def kinetic_entropy(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
     return quad_x(quad_v(_xlogx(farr) + 0.5 * xi * xi * farr, grid), grid) + fluid_energy(fl, grid)
 
 
-def _dxi_central(farr: np.ndarray, dv: float) -> np.ndarray:
-    """Velocity derivative: second-order central, one-sided at the cut."""
-    d = np.empty_like(farr)
-    d[:, 1:-1] = (farr[:, 2:] - farr[:, :-2]) / (2.0 * dv)
-    d[:, 0] = (-3.0 * farr[:, 0] + 4.0 * farr[:, 1] - farr[:, 2]) / (2.0 * dv)
-    d[:, -1] = (3.0 * farr[:, -1] - 4.0 * farr[:, -2] + farr[:, -3]) / (2.0 * dv)
-    return d
-
-
-def dissipation_d1(f: KineticState, u: np.ndarray, grid: PhaseGrid) -> float:
-    """Fisher-type dissipation int (1/f) |df/dxi - (u - xi) f|^2, u the bulk
-    velocity of f; zero exactly on local Maxwellians in the continuum."""
-    farr = f.f
-    flux = _dxi_central(farr, grid.dv) - (u[:, None] - grid.xi[None, :]) * farr
-    good = farr > _F_FLOOR
-    integrand = np.zeros_like(farr)
-    integrand[good] = flux[good] ** 2 / farr[good]
-    return quad_x(quad_v(integrand, grid), grid)
-
-
 def dissipation_d2(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
     """Drag + viscous dissipation int |v - xi|^2 f + int |dv/dx|^2."""
     dev = fl.v[:, None] - grid.xi[None, :]
@@ -81,105 +60,29 @@ def dissipation_d2(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
     return drag + dirichlet_grad_sq(fl.v, grid)
 
 
-def relative_pressure(x, y):
-    """Bregman divergence of z*log(z): x log x - y log y + (y - x)(1 + log y)."""
+def _bregman_args(name: str, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays, checked for x >= 0 and y > 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
-        raise ValueError("relative_pressure needs y > 0")
+        raise ValueError(f"{name} needs y > 0")
     if np.any(x < 0):
-        raise ValueError("relative_pressure needs x >= 0")
+        raise ValueError(f"{name} needs x >= 0")
+    return x, y
+
+
+def relative_pressure(x, y):
+    """Bregman divergence of z*log(z): x log x - y log y + (y - x)(1 + log y)."""
+    x, y = _bregman_args("relative_pressure", x, y)
     out = _xlogx(x) - y * np.log(y) + (y - x) * (1.0 + np.log(y))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def relative_pressure_tilde(x, y, gamma):
     """Bregman divergence of z^gamma/(gamma-1)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("relative_pressure_tilde needs y > 0")
-    if np.any(x < 0):
-        raise ValueError("relative_pressure_tilde needs x >= 0")
+    x, y = _bregman_args("relative_pressure_tilde", x, y)
     out = (x**gamma - y**gamma) / (gamma - 1.0) + gamma * (y - x) * y ** (gamma - 1.0) / (gamma - 1.0)
     return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class PressureBoundRecord:
-    """Both sides and margins of the relative-pressure lower bounds.
-
-    margin_basic_p / margin_case are provable bounds (margins must be
-    >= -1e-12); the literal min-form bound on the isentropic side is known to
-    fail by a factor (e.g. at gamma = 2), so it is only reported via
-    holds_literal_tilde, never asserted."""
-
-    p_value: float
-    p_bound: float
-    margin_basic_p: float
-    tilde_value: float
-    tilde_taylor_bound: float
-    margin_taylor_tilde: float
-    literal_tilde_bound: float
-    holds_literal_tilde: bool
-    case_constant: float
-    case_bound: float
-    margin_case: float
-    near_field: bool
-
-
-def _case_split_constant(x, y, gamma, y_min, y_max):
-    """Proof constants of the case-split lower bound, by regime."""
-    near = (y / 2.0 <= x) & (x <= 2.0 * y)
-    if gamma <= 2.0:
-        c_near = 0.5 * gamma * (2.0 * y_max) ** (gamma - 2.0)
-        c_far = (gamma / 8.0) * (1.0 - 1.0 / (1.0 + y_min**gamma))
-        c = np.where(near, c_near, c_far)
-    else:
-        c_near = 0.5 * gamma * (y_min / 2.0) ** (gamma - 2.0)
-        c_hi = min((1.0 - gamma * 2.0 ** (1.0 - gamma)) / (gamma - 1.0), y_min**gamma)
-        c_lo = min(1.0 / (gamma - 1.0), (1.0 - gamma / (2.0 * (gamma - 1.0))) * y_min**gamma)
-        c = np.where(near, c_near, np.where(np.asarray(x) > 2.0 * np.asarray(y), c_hi, c_lo))
-    return near, c
-
-
-def check_pressure_bounds(x, y, gamma, y_min, y_max):
-    """Evaluate the relative-pressure lower bounds at (x, y).
-
-    Vectorized over x/y; returns a PressureBoundRecord of arrays (or floats
-    for scalar input)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (0 < y_min <= y_max):
-        raise ValueError("need 0 < y_min <= y_max")
-    p_val = relative_pressure(x, y)
-    p_bound = 0.5 * (x - y) ** 2 / np.maximum(x, y)
-    tilde = relative_pressure_tilde(x, y, gamma)
-    min_pow = np.minimum(x, y) ** (gamma - 2.0) if gamma >= 2.0 else np.maximum(x, y) ** (gamma - 2.0)
-    taylor_bound = 0.5 * gamma * min_pow * (x - y) ** 2
-    literal_bound = gamma * min_pow * (x - y) ** 2
-
-    near, c = _case_split_constant(x, y, gamma, y_min, y_max)
-    case_shape = np.where(near, (x - y) ** 2, 1.0 + x**gamma)
-    case_bound = c * case_shape
-
-    def _maybe_scalar(a):
-        return float(a) if np.ndim(a) == 0 else a
-
-    return PressureBoundRecord(
-        p_value=_maybe_scalar(p_val),
-        p_bound=_maybe_scalar(p_bound),
-        margin_basic_p=_maybe_scalar(p_val - p_bound),
-        tilde_value=_maybe_scalar(tilde),
-        tilde_taylor_bound=_maybe_scalar(taylor_bound),
-        margin_taylor_tilde=_maybe_scalar(tilde - taylor_bound),
-        literal_tilde_bound=_maybe_scalar(literal_bound),
-        holds_literal_tilde=bool(np.all(tilde - literal_bound >= -1e-12)),
-        case_constant=_maybe_scalar(c),
-        case_bound=_maybe_scalar(case_bound),
-        margin_case=_maybe_scalar(tilde - case_bound),
-        near_field=bool(np.all(near)) if np.ndim(near) == 0 else near,
-    )
 
 
 def _pointwise_relative_entropy(bar: TwoPhaseState, ref: TwoPhaseState) -> np.ndarray:
@@ -213,62 +116,35 @@ def macroscopic_entropy(st: TwoPhaseState, grid: PhaseGrid) -> float:
     return quad_x(dens, grid)
 
 
-def relative_entropy_bregman(bar: TwoPhaseState, ref: TwoPhaseState, grid: PhaseGrid) -> float:
-    """Independent evaluation of the same functional through the convexity
-    identity E(bar) - E(ref) - DE(ref).(bar - ref), term by term in the
-    conserved variables. Kept separate from relative_entropy on purpose."""
-    gamma = ref.fluid.gamma
-    rho_b, m_b = bar.rho, bar.rho * bar.u
-    n_b, w_b = bar.fluid.n, bar.fluid.n * bar.fluid.v
-    rho, m = ref.rho, ref.rho * ref.u
-    n, w = ref.fluid.n, ref.fluid.n * ref.fluid.v
-    u, v = ref.u, ref.fluid.v
-
-    e_bar = 0.5 * m_b**2 / rho_b + 0.5 * w_b**2 / n_b + rho_b * np.log(rho_b) + n_b**gamma / (gamma - 1.0)
-    e_ref = 0.5 * m**2 / rho + 0.5 * w**2 / n + rho * np.log(rho) + n**gamma / (gamma - 1.0)
-    de_dot = (
-        (-0.5 * u**2 + np.log(rho) + 1.0) * (rho_b - rho)
-        + u * (m_b - m)
-        + (-0.5 * v**2 + gamma * n ** (gamma - 1.0) / (gamma - 1.0)) * (n_b - n)
-        + v * (w_b - w)
-    )
-    return quad_x(e_bar - e_ref - de_dot, grid)
-
-
-def relative_flux_l1(bar: TwoPhaseState, ref: TwoPhaseState, grid: PhaseGrid) -> float:
-    """Entrywise L1 size of the relative flux; the pressure block carries the
-    3-dimensional identity trace, so it is bounded by max(2, 3(gamma-1))
-    times the relative entropy."""
-    gamma = ref.fluid.gamma
-    dens = (
-        bar.rho * (bar.u - ref.u) ** 2
-        + bar.fluid.n * (bar.fluid.v - ref.fluid.v) ** 2
-        + 3.0 * (gamma - 1.0) * relative_pressure_tilde(bar.fluid.n, ref.fluid.n, gamma)
-    )
-    return quad_x(dens, grid)
-
-
-def rel_flux_entropy_constant(gamma: float) -> float:
-    return max(2.0, 3.0 * (gamma - 1.0))
-
-
-def maxwellian_relative_entropy(f: KineticState, rho, u, grid: PhaseGrid) -> float:
-    """int P(f | M_{rho,u}) over phase space, by pointwise quadrature of the
-    Bregman integrand (nonnegative by construction)."""
+def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float]:
+    """(P(f|M), D1) of f against the local Maxwellian M = M_{rho,u} floored at
+    _F_FLOOR, from one M, one z = f/M and one log z: P(f|M) = int M phi(z),
+    phi(z) = z log z - z + 1 >= 0, and the dissipation of the relaxation
+    solve's own flux sqrt(M_j M_{j+1}) (z_{j+1} - z_j) (Chang & Cooper 1970),
+        D1 = sum_x dx sum_j sqrt(M_j M_{j+1}) / dv (z_{j+1} - z_j)(log z_{j+1} - log z_j).
+    D1 >= 0 vanishes exactly when f/M is constant in velocity, and a relaxation
+    step f0 -> f1 at bulk velocity u obeys P(f1|M) - P(f0|M) <= -(dt/eps) D1(f1).
+    A velocity pair with an f below _F_FLOOR adds 0 to D1."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
+    if not np.all(rho > 0):
         raise ValueError("needs rho > 0")
     m = np.maximum(maxwellian_profile(rho, u, grid), _F_FLOOR)
     farr = f.f
-    # P(f|M) = m * phi(f/m), phi(z) = z log z - z + 1 >= 0; evaluated through
-    # log1p so the z ~ 1 cancellation stays at the size of the true value
     z = farr / m
     w = z - 1.0
+    # log z through log1p where z ~ 1, so the cancellation in phi stays at
+    # the size of the true value; z = 0 keeps a finite log z, and z log z = 0
+    near = np.abs(w) < 0.5
     w_near = np.clip(w, -0.5, 0.5)
-    near = (1.0 + w_near) * np.log1p(w_near) - w_near
-    far = _xlogx(z) - w
-    phi = np.where(np.abs(w) < 0.5, near, far)
-    return quad_x(quad_v(m * phi, grid), grid)
+    log_z = np.log1p(w_near)
+    np.log(z, out=log_z, where=~near & (z > 0))
+    phi = np.where(near, (1.0 + w_near) * log_z - w_near, z * log_z - w)
+    p_f_m = quad_x(quad_v(m * phi, grid), grid)
+
+    pair = (farr[:, 1:] > _F_FLOOR) & (farr[:, :-1] > _F_FLOOR)
+    flux = np.sqrt(m[:, 1:] * m[:, :-1]) * (z[:, 1:] - z[:, :-1])
+    d1 = np.where(pair, flux * (log_z[:, 1:] - log_z[:, :-1]), 0.0)
+    return p_f_m, quad_x(d1.sum(axis=1), grid) / grid.dv
 
 
 def csiszar_kullback_margin(f: KineticState, mom: MomentSet, report: EntropyReport, grid: PhaseGrid) -> float:
@@ -284,12 +160,13 @@ def evaluate_entropy_report(f: KineticState, fl: FluidState, mom: MomentSet, gri
     bulk velocity and the macroscopic entropy; a cell with rho <= 0 is a
     VacuumError, raised by the two-phase state of the moments."""
     moment_state = TwoPhaseState(rho=mom.rho, u=mom.u, fluid=fl, t=f.t)
+    p_f_m, d1 = maxwellian_gap(f, mom.rho, mom.u, grid)
     return EntropyReport(
         F=kinetic_entropy(f, fl, grid),
-        D1=dissipation_d1(f, mom.u, grid),
+        D1=d1,
         D2=dissipation_d2(f, fl, grid),
         E=macroscopic_entropy(moment_state, grid),
-        P_f_M=maxwellian_relative_entropy(f, mom.rho, mom.u, grid),
+        P_f_M=p_f_m,
         grad_v_sq=dirichlet_grad_sq(fl.v, grid),
         drag_mismatch=quad_x(mom.rho * (mom.u - fl.v) ** 2, grid),
         mass=phase_mass(f.f, grid),
@@ -349,7 +226,3 @@ def entropy_inequality_audit(times, reports, eps: float) -> AuditRecord:
         times=times,
     )
 
-
-# (1/2) log(2 pi): the per-unit-mass entropy offset between a 1-D local
-# Maxwellian and its macroscopic counterpart
-MAXWELLIAN_OFFSET = 0.5 * math.log(2.0 * math.pi)

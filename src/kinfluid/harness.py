@@ -23,26 +23,20 @@ from .core import (
     SolverError,
     TwoPhaseState,
     l1_distance,
-    phase_mass,
     quad_v,
     quad_x,
 )
 from .entropy import (
-    MAXWELLIAN_OFFSET,
     AuditRecord,
     EntropyReport,
     csiszar_kullback_margin,
     entropy_inequality_audit,
     evaluate_entropy_report,
-    kinetic_entropy,
-    macroscopic_entropy,
     relative_entropy,
-    relative_pressure,
-    relative_pressure_tilde,
 )
 from .fluid import momentum_exchange, ns_step, sound_speed
 from .kinetic import Diffuse, Dirichlet, Specular, kinetic_step
-from .limit import PicardSetup, SymHypState, _two_phase_substeps, from_symhyp, picard_solve, to_symhyp
+from .limit import PicardError, PicardSetup, SymHypState, _two_phase_substeps, from_symhyp, picard_solve, to_symhyp
 from .moments import compute_moments, maxwellian, maxwellian_profile
 
 
@@ -210,6 +204,8 @@ def _macroscopic_profile(config: ExperimentConfig, grid: PhaseGrid):
         raise ConfigError(f"custom state misses array {exc}") from exc
     if any(a.shape != (grid.nx,) for a in prof):
         raise ConfigError("custom state arrays must have shape (nx,)")
+    if not all(np.isfinite(a).all() for a in prof):
+        raise ConfigError("custom state arrays must be finite")
     return prof
 
 
@@ -233,43 +229,15 @@ def make_well_prepared(config: ExperimentConfig) -> tuple[KineticState, FluidSta
         for val in _wall_value(fld):
             if abs(val) > tol:
                 raise ConfigError(f"{name} violates wall compatibility: wall value {val:g}")
-    if float(rho0.min()) <= 0 or float(n0.min()) <= 0:
+    if not (float(rho0.min()) > 0 and float(n0.min()) > 0):
         raise ConfigError("initial densities must be positive")
 
     kin = maxwellian(rho0, u0, grid)
-    if float(quad_v(kin.f, grid).min()) <= 0:
+    if not float(quad_v(kin.f, grid).min()) > 0:
         raise ConfigError("initial particle density vanishes in a cell of the discrete Maxwellian")
     fl = FluidState(n=n0, v=v0, gamma=config.gamma)
     limit0 = TwoPhaseState(rho=rho0, u=u0, fluid=fl)
     return kin, fl, limit0
-
-
-def well_prepared_residuals(
-    kin: KineticState, fl: FluidState, limit0: TwoPhaseState, config: ExperimentConfig
-) -> tuple[float, float]:
-    """Discrete residuals of the two well-preparedness requirements.
-
-    The entropy-gap residual compares the kinetic entropy of f0 with the
-    macroscopic entropy of the limit data, compensated by the universal
-    Maxwellian offset (1/2) log(2 pi) per unit mass; the state-gap residual
-    sums the squared velocity gaps and both relative pressures. Both are 0
-    up to quadrature error for local-Maxwellian data."""
-    grid = config.grid()
-    s = config.scaling(config.eps_list[0])
-    mom = compute_moments(kin, grid, s)
-    mass = phase_mass(kin.f, grid)
-
-    f_kin = kinetic_entropy(kin, fl, grid)
-    e_limit = macroscopic_entropy(limit0, grid)
-    res_entropy = f_kin - e_limit + MAXWELLIAN_OFFSET * mass
-
-    res_state = (
-        quad_x(mom.rho * (mom.u - limit0.u) ** 2, grid)
-        + quad_x(fl.n * (fl.v - limit0.fluid.v) ** 2, grid)
-        + quad_x(relative_pressure(np.maximum(mom.rho, 0.0), limit0.rho), grid)
-        + quad_x(relative_pressure_tilde(fl.n, limit0.fluid.n, config.gamma), grid)
-    )
-    return float(res_entropy), float(res_state)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +341,10 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     ck_min = sample(0, kin, fl, mom)
     try:
         for step in range(nt):
-            kin, krep = kinetic_step(kin, fl, dt, grid, s, bc)
+            kin_new, krep = kinetic_step(kin, fl, dt, grid, s, bc)
             fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
             dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
-            fl = fl_new
+            kin, fl = kin_new, fl_new
             mom = compute_moments(kin, grid, s)
             max_asym = max(max_asym, abs(dpk + dpf))
             max_wall = max(max_wall, krep.max_wall_flux)
@@ -384,8 +352,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             if (step + 1) % per == 0:
                 ck_min = min(ck_min, sample((step + 1) // per, kin, fl, mom))
     except SolverError as exc:
-        dump = dump_failure_state(config, kin, fl, step)
-        raise SolverError(f"step {step}: {exc} (state dumped to {dump})") from exc
+        raise dump_failure_state(config, exc, {"f": kin.f, "n": fl.n, "v": fl.v}, "step", step, kin.t) from exc
 
     audit = entropy_inequality_audit(times, reports, eps)
     return CoupledRun(
@@ -433,7 +400,11 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
     max_asym = 0.0
     if config.solver_mode == "limit_picard":
         setup = PicardSetup(grid=grid, t_final=config.t_final, nt=nt, gamma=config.gamma)
-        traj, picard_reports = picard_solve(to_symhyp(st, grid), setup, max_iter=config.picard_iters)
+        try:
+            traj, picard_reports = picard_solve(to_symhyp(st, grid), setup, max_iter=config.picard_iters)
+        except PicardError as exc:
+            last = asdict(exc.trajectory)
+            raise dump_failure_state(config, exc, last, "iterate", exc.iterate, config.t_final) from exc
         rows = SymHypState(g=traj.g[::per], u=traj.u[::per], h=traj.h[::per], v=traj.v[::per])
         sampled = from_symhyp(rows, grid, config.gamma)
         times = np.arange(config.n_samples + 1) * per * dt
@@ -449,11 +420,15 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
             v[idx] = st.fluid.v
 
         sample(0, st)
-        for step in range(nt):
-            st, dpp, dpf = _two_phase_substeps(st, dt, grid)
-            max_asym = max(max_asym, abs(dpp + dpf))
-            if (step + 1) % per == 0:
-                sample((step + 1) // per, st)
+        try:
+            for step in range(nt):
+                st, dpp, dpf = _two_phase_substeps(st, dt, grid)
+                max_asym = max(max_asym, abs(dpp + dpf))
+                if (step + 1) % per == 0:
+                    sample((step + 1) // per, st)
+        except SolverError as exc:
+            arrays = {"rho": st.rho, "u": st.u, "n": st.fluid.n, "v": st.fluid.v}
+            raise dump_failure_state(config, exc, arrays, "step", step, st.t) from exc
 
     return LimitRun(
         times=times, rho=rho, u=u, n=n, v=v, mass_rho=np.array([quad_x(r, grid) for r in rho]),
@@ -605,13 +580,16 @@ def load_state(descriptor_path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, desc.get("meta", {})
 
 
-def dump_failure_state(config: ExperimentConfig, kin: KineticState, fl: FluidState, step: int) -> Path:
-    out = Path(config.output_dir)
-    return save_state(
-        out / f"failure_step_{step}",
-        {"f": kin.f, "n": fl.n, "v": fl.v},
-        meta={"step": step, "t": kin.t},
-    )
+def dump_failure_state(
+    config: ExperimentConfig, exc: SolverError, arrays: dict, kind: str, index: int, t: float
+) -> SolverError:
+    """Save the arrays that the failing step or fixed-point iterate `index`
+    started from as failure_<kind>_<index> in the output directory and
+    return the SolverError that reports exc and the dump. A step's arrays
+    are the state at time t; an iterate's are the (g, u, h, v) trajectory of
+    the last completed iterate, t its horizon."""
+    dump = save_state(Path(config.output_dir) / f"failure_{kind}_{index}", arrays, meta={kind: index, "t": t})
+    return SolverError(f"{kind} {index}: {exc} (state dumped to {dump})")
 
 
 def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:

@@ -18,6 +18,7 @@ from .core import (
     FluidState,
     PhaseGrid,
     PositivityError,
+    SolverError,
     TwoPhaseState,
     VacuumError,
     l2_distance,
@@ -33,7 +34,7 @@ def euler_step(rho, u, dt, grid):
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
     rho1, m1 = rusanov_step(rho, rho * u, dt, grid, lambda d: d, np.ones_like)
-    if float(rho1.min()) <= N_FLOOR:
+    if not float(rho1.min()) > N_FLOOR:
         raise VacuumError(f"particle density hit the vacuum floor (min {rho1.min():g})")
     return rho1, m1 / rho1
 
@@ -96,12 +97,12 @@ class SymHypState:
     t: float = 0.0
 
     def __post_init__(self):
-        if float(self.h.min()) <= -1.0:
+        if not float(self.h.min()) > -1.0:
             raise PositivityError("1 + h must stay positive")
 
 
 def to_symhyp(st: TwoPhaseState, grid: PhaseGrid) -> SymHypState:
-    if float(st.rho.min()) <= 0 or float(st.fluid.n.min()) <= 0:
+    if not (float(st.rho.min()) > 0 and float(st.fluid.n.min()) > 0):
         raise PositivityError("to_symhyp needs positive densities")
     m = grid.length
     return SymHypState(
@@ -114,7 +115,7 @@ def to_symhyp(st: TwoPhaseState, grid: PhaseGrid) -> SymHypState:
 
 
 def from_symhyp(sh: SymHypState, grid: PhaseGrid, gamma: float = 2.0) -> TwoPhaseState:
-    if float(sh.h.min()) <= -1.0:
+    if not float(sh.h.min()) > -1.0:
         raise PositivityError("from_symhyp needs 1 + h > 0")
     m = grid.length
     return TwoPhaseState(
@@ -210,7 +211,7 @@ def picard_iterate(prev: PicardTrajectory, setup: PicardSetup) -> tuple[PicardTr
     for k in range(nt):
         gm, um, hm, vm = prev.g[k], prev.u[k], prev.h[k], prev.v[k]
         big_h = 1.0 + hm
-        if float(big_h.min()) <= 0.0:
+        if not float(big_h.min()) > 0.0:
             raise PositivityError(f"1 + h lost positivity at iterate level {k}")
         c = np.sqrt(gamma * big_h ** (gamma - 1.0))
         speed = float(np.max(np.abs(vm) + c))
@@ -252,62 +253,31 @@ def picard_iterate(prev: PicardTrajectory, setup: PicardSetup) -> tuple[PicardTr
     return traj, IterationReport(m=-1, cauchy_l2=cauchy)
 
 
+class PicardError(SolverError):
+    """Fixed-point iterate `iterate` failed; carries the trajectory it
+    started from, the last completed iterate (iterate 0 is the initial data
+    held constant)."""
+
+    def __init__(self, message: str, iterate: int, trajectory: PicardTrajectory):
+        super().__init__(message)
+        self.iterate = iterate
+        self.trajectory = trajectory
+
+
 def picard_solve(init: SymHypState, setup: PicardSetup, max_iter: int = 12):
     """Run max_iter fixed-point iterations from the constant-in-time iterate 0.
 
     Returns the last trajectory and the list of IterationReports with
-    contraction ratios filled in."""
+    contraction ratios filled in; a failed iterate raises PicardError."""
     traj = initial_trajectory(init, setup)
     reports: list[IterationReport] = []
     for m in range(1, max_iter + 1):
-        traj, rep = picard_iterate(traj, setup)
+        try:
+            traj, rep = picard_iterate(traj, setup)
+        except SolverError as exc:
+            raise PicardError(str(exc), m, traj) from exc
         rep.m = m
         if reports and reports[-1].cauchy_l2 > 0:
             rep.contraction_ratio = rep.cauchy_l2 / reports[-1].cauchy_l2
         reports.append(rep)
     return traj, reports
-
-
-@dataclass(frozen=True)
-class PositivityCheck:
-    min_one_plus_h: float
-    max_rel_deviation: float
-
-
-def density_positivity_check(h_path: np.ndarray, v_path: np.ndarray, dt: float, grid: PhaseGrid) -> PositivityCheck:
-    """Verify the along-characteristics density representation on a sampled
-    trajectory: 1 + h at the characteristic foot should match
-    (1 + h_0) * exp(-int div v). Returns min(1+h) over the whole path and the
-    worst relative deviation of the prediction."""
-    h_path = np.asarray(h_path, dtype=float)
-    v_path = np.asarray(v_path, dtype=float)
-    if h_path.shape != v_path.shape or h_path.ndim != 2:
-        raise ValueError("h_path and v_path must be matching (K, nx) arrays")
-    K, nx = h_path.shape
-    x = grid.x
-
-    def v_at(k, pos):
-        return np.interp(pos, x, v_path[k])
-
-    def divv_at(k, pos):
-        return np.interp(pos, x, np.gradient(v_path[k], grid.dx))
-
-    pos = x.copy()
-    integ = np.zeros(nx)
-    max_dev = 0.0
-    base = 1.0 + h_path[0]
-    for k in range(K - 1):
-        # Heun step for the characteristic and the divergence integral
-        v0 = v_at(k, pos)
-        pos_pred = pos + dt * v0
-        v1 = v_at(k + 1, pos_pred)
-        pos_new = pos + 0.5 * dt * (v0 + v1)
-        integ = integ + 0.5 * dt * (divv_at(k, pos) + divv_at(k + 1, pos_new))
-        pos = pos_new
-        predicted = base * np.exp(-integ)
-        actual = 1.0 + np.interp(pos, x, h_path[k + 1])
-        max_dev = max(max_dev, float(np.max(np.abs(predicted - actual) / np.abs(actual))))
-    return PositivityCheck(
-        min_one_plus_h=float((1.0 + h_path).min()),
-        max_rel_deviation=max_dev,
-    )

@@ -16,19 +16,20 @@ from kinfluid.core import (
     TwoPhaseState,
     l2_distance,
 )
-from kinfluid.entropy import check_pressure_bounds, relative_entropy, relative_entropy_bregman
+from kinfluid.entropy import relative_entropy
 from kinfluid.harness import ExperimentConfig, run_convergence, run_coupled, run_limit
 from kinfluid.kinetic import _fp_raw
 from kinfluid.limit import (
     PicardSetup,
     SymHypState,
-    density_positivity_check,
     from_symhyp,
     picard_solve,
     to_symhyp,
     two_phase_step,
 )
 from kinfluid.moments import maxwellian
+
+from paper_checks import check_pressure_bounds, density_positivity_check, relative_entropy_bregman
 
 
 def _report(num: int, name: str, ok: bool, detail: str):

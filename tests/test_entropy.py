@@ -6,26 +6,28 @@ from scipy.integrate import quad as scipy_quad
 
 from kinfluid.core import FluidState, KineticState, PhaseGrid, ScalingParams, TwoPhaseState, phase_mass, quad_x
 from kinfluid.entropy import (
-    check_pressure_bounds,
     csiszar_kullback_margin,
-    dissipation_d1,
     dissipation_d2,
     entropy_inequality_audit,
     evaluate_entropy_report,
     kinetic_entropy,
     macroscopic_entropy,
-    maxwellian_relative_entropy,
-    rel_flux_entropy_constant,
+    maxwellian_gap,
     relative_entropy,
-    relative_entropy_bregman,
-    relative_flux_l1,
     relative_pressure,
     relative_pressure_tilde,
 )
 from kinfluid.harness import ExperimentConfig, run_coupled
+from kinfluid.kinetic import _fp_raw
 from kinfluid.moments import compute_moments, maxwellian
 
 from conftest import random_positive_f
+from paper_checks import (
+    check_pressure_bounds,
+    rel_flux_entropy_constant,
+    relative_entropy_bregman,
+    relative_flux_l1,
+)
 
 
 def _unit_fluid(grid, gamma=2.0):
@@ -80,12 +82,43 @@ def test_d1_vanishes_on_maxwellian():
     rho = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
     u = 0.1 * np.cos(2 * np.pi * grid.x)
     f = maxwellian(rho, u, grid)
-    assert dissipation_d1(f, compute_moments(f, grid, s).u, grid) < 1e-3
+    mom = compute_moments(f, grid, s)
+    assert maxwellian_gap(f, mom.rho, mom.u, grid)[1] < 1e-20
+
+
+def test_d1_finite_on_underflowing_maxwellian_tail():
+    # at v_max = 40 the Maxwellian underflows to 0 in the outer velocity
+    # cells; pairs with an f below the floor add nothing
+    grid = PhaseGrid(nx=8, nv=64, v_max=40.0)
+    rho = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
+    u = 0.1 * np.cos(2 * np.pi * grid.x)
+    f = maxwellian(rho, u, grid)
+    mom = compute_moments(f, grid, ScalingParams(eps=1.0))
+    d1 = maxwellian_gap(f, mom.rho, mom.u, grid)[1]
+    assert math.isfinite(d1) and d1 < 1e-9
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
+@pytest.mark.parametrize("nv", [8, 12, 16, 32, 64])
+def test_relaxation_step_dissipates_d1(rng, nv, eps):
+    # by convexity one backward-Euler relaxation step obeys
+    # P(f1|M) - P(f0|M) <= -(dt/eps) D1(f1), M the Maxwellian of the step's u
+    grid = PhaseGrid(nx=8, nv=nv, v_max=8.0)
+    s = ScalingParams(eps=eps)
+    dt = 0.01
+    f0 = random_positive_f(rng, grid)
+    mom = compute_moments(f0, grid, s)
+    f1 = _fp_raw(f0, mom.u, dt, grid, s)
+    p0, _ = maxwellian_gap(KineticState(f=f0), mom.rho, mom.u, grid)
+    p1, d1 = maxwellian_gap(KineticState(f=f1), mom.rho, mom.u, grid)
+    assert d1 > 0.0
+    assert p1 - p0 <= -(dt / eps) * d1
 
 
 def test_dissipations_of_zero_density(grid, scaling):
     f = KineticState(f=np.zeros((grid.nx, grid.nv)))
-    assert dissipation_d1(f, compute_moments(f, grid, scaling).u, grid) == 0.0
+    u = compute_moments(f, grid, scaling).u
+    assert maxwellian_gap(f, np.ones(grid.nx), u, grid)[1] == 0.0
     d2 = dissipation_d2(f, _unit_fluid(grid), grid)
     assert d2 == 0.0  # no particles and v = 0
 
@@ -101,7 +134,8 @@ def test_dissipations_nonnegative_random(rng, grid, scaling):
     for _ in range(5):
         f = KineticState(f=random_positive_f(rng, grid))
         fl = FluidState(n=0.5 + rng.random(grid.nx), v=rng.standard_normal(grid.nx))
-        assert dissipation_d1(f, compute_moments(f, grid, scaling).u, grid) >= 0.0
+        mom = compute_moments(f, grid, scaling)
+        assert maxwellian_gap(f, mom.rho, mom.u, grid)[1] >= 0.0
         assert dissipation_d2(f, fl, grid) >= 0.0
 
 
@@ -247,7 +281,7 @@ def test_maxwellian_relative_entropy_zero_on_grid():
     rho = 1.0 + 0.5 * np.sin(2 * np.pi * grid.x)
     u = 0.3 * np.cos(2 * np.pi * grid.x)
     f = maxwellian(rho, u, grid)
-    assert maxwellian_relative_entropy(f, rho, u, grid) < 1e-4
+    assert maxwellian_gap(f, rho, u, grid)[0] < 1e-4
 
 
 def test_maxwellian_relative_entropy_gaussian_shift(grid):
@@ -257,7 +291,7 @@ def test_maxwellian_relative_entropy_gaussian_shift(grid):
     a = 0.35
     f = maxwellian(rho, u + a, grid)
     mass = phase_mass(f.f, grid)
-    val = maxwellian_relative_entropy(f, rho, u, grid)
+    val = maxwellian_gap(f, rho, u, grid)[0]
     assert val == pytest.approx(0.5 * a * a * mass, rel=1e-7)
 
 

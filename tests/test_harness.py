@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import kinfluid.entropy as entropy
 import kinfluid.harness as harness
 import kinfluid.kinetic as kinetic
-from kinfluid.core import ConfigError
+from kinfluid.core import ConfigError, SolverError
 from kinfluid.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
@@ -34,8 +34,9 @@ from kinfluid.harness import (
     run_coupled,
     run_limit,
     save_state,
-    well_prepared_residuals,
 )
+
+from paper_checks import well_prepared_residuals
 
 
 def tiny_config(**kw):
@@ -149,7 +150,8 @@ def test_coupled_run_mass_books_and_audit():
 
 def test_coupled_run_makes_one_diagnostics_pass(monkeypatch):
     # moments once per step after the step (shared by the sample and the next
-    # gas drag) plus once inside each kinetic step; P(f|M) once per sample
+    # gas drag) plus once inside each kinetic step; one Maxwellian gap (P(f|M)
+    # and D1) per sample
     calls = Counter()
 
     def counted(name, fn):
@@ -160,14 +162,12 @@ def test_coupled_run_makes_one_diagnostics_pass(monkeypatch):
 
     for module in (harness, kinetic):
         monkeypatch.setattr(module, "compute_moments", counted("moments", module.compute_moments))
-    monkeypatch.setattr(
-        entropy, "maxwellian_relative_entropy", counted("P(f|M)", entropy.maxwellian_relative_entropy)
-    )
+    monkeypatch.setattr(entropy, "maxwellian_gap", counted("gap", entropy.maxwellian_gap))
     cfg = tiny_config()
     run = run_coupled(cfg, 0.4)
     nt = round(cfg.t_final / run.dt)
     assert calls["moments"] == 2 * nt + 1
-    assert calls["P(f|M)"] == len(run.reports) == cfg.n_samples + 1
+    assert calls["gap"] == len(run.reports) == cfg.n_samples + 1
 
 
 def test_cadence_bounds_the_step_count():
@@ -356,6 +356,13 @@ def test_cli_simulate_kinetic_and_check_entropy(tmp_path):
     assert rc2 == EXIT_OK
 
 
+def test_cli_simulate_kinetic_coarse_velocity_grid(tmp_path, capsys):
+    # dv = 2: the entropy budget holds with the relaxation scheme's own D1
+    cfg = _write_cfg(tmp_path, nx=8, nv=8, t_final=0.02, n_samples=2)
+    assert main_simulate_kinetic(["--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert "entropy_budget_slack=0 " in capsys.readouterr().out
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"nx": 8, "mystery": True}))
@@ -399,6 +406,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main_simulate_kinetic(["--config", str(escaping)]) == EXIT_CONFIG
     one_eps = _write_cfg(tmp_path, eps_list=[0.4])
     assert main_converge(["--config", str(one_eps)]) == EXIT_CONFIG
+    # --eps is checked as an eps_list entry is: finite and positive
+    for eps in ("nan", "inf", "-0.1", "0"):
+        assert main_simulate_kinetic(["--config", str(_write_cfg(tmp_path)), "--eps", eps]) == EXIT_CONFIG
 
 
 _DROP = "<drop>"
@@ -531,6 +541,13 @@ def test_cli_check_entropy_reads_series_with_retired_fields(tmp_path):
 
 
 def test_mid_run_vacuum_dumps_state_and_exit_code(tmp_path, monkeypatch):
+    # dt/(eps*dv^2) overflows at eps = 1e-320 and the relaxation solve
+    # returns NaN, which is not a kinetic state
+    cfgfile = _write_cfg(tmp_path, output_dir=str(tmp_path / "tiny_eps"))
+    with np.errstate(all="ignore"):
+        assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", "1e-320"]) == EXIT_SOLVER
+    assert list((tmp_path / "tiny_eps").glob("failure_step_0__f.bin"))
+
     # a particle density that vanishes in one cell after the first step
     real = harness.compute_moments
     calls = []
@@ -566,6 +583,47 @@ def test_solver_failure_dumps_state_and_exit_code(tmp_path, monkeypatch):
     cfgfile = _write_cfg(tmp_path, output_dir=str(tmp_path / "dump2"))
     monkeypatch.setattr(cli, "run_coupled", boom)
     assert cli.main_simulate_kinetic(["--config", str(cfgfile)]) == 2
+
+
+def _lean_bubble_state(tmp_path):
+    """nx = 32 custom data whose particle density is 1e-9 on cells 12-19:
+    the fixed-point iterates outgrow the speeds that fix the picard dt."""
+    x = (np.arange(32) + 0.5) / 32
+    rho0 = np.ones(32)
+    rho0[12:20] = 1e-9
+    u0 = -0.5 * np.sin(2 * np.pi * x) * np.sin(np.pi * x) ** 2
+    return save_state(tmp_path / "bubble", {"rho0": rho0, "u0": u0, "n0": np.ones(32), "v0": np.zeros(32)})
+
+
+def test_limit_run_failure_dumps_state(tmp_path, monkeypatch):
+    desc = _lean_bubble_state(tmp_path)
+    cfg = _write_cfg(tmp_path, nx=32, nv=16, t_final=0.2, initial_profile="custom", custom_state=str(desc))
+    out = tmp_path / "picard"
+    assert main_simulate_limit(["--config", str(cfg), "--mode", "picard", "--out", str(out)]) == EXIT_SOLVER
+    # iterate 2 fails; its input, the last completed iterate, is dumped with
+    # one row per time level
+    (dump,) = out.glob("failure_iterate_*.json")
+    arrays, meta = load_state(dump)
+    assert dump.name == "failure_iterate_2.json" and meta == {"iterate": 2, "t": 0.2}
+    assert set(arrays) == {"g", "u", "h", "v"}
+    assert arrays["g"].shape[1] == 32 and np.isfinite(arrays["g"]).all()
+    assert main_simulate_limit(["--config", str(cfg), "--mode", "direct", "--out", str(tmp_path / "d")]) == EXIT_OK
+    dt = load_state(tmp_path / "d" / "limit_series.json")[1]["dt"]
+
+    # direct mode dumps the state before the failing step
+    real = harness._two_phase_substeps
+
+    def fail_at_step_2(st, dt, grid):
+        if st.t > 1.5 * dt:
+            raise SolverError("forced failure")
+        return real(st, dt, grid)
+
+    monkeypatch.setattr(harness, "_two_phase_substeps", fail_at_step_2)
+    out = tmp_path / "direct"
+    assert main_simulate_limit(["--config", str(cfg), "--mode", "direct", "--out", str(out)]) == EXIT_SOLVER
+    arrays, meta = load_state(out / "failure_step_2.json")
+    assert meta["step"] == 2 and meta["t"] == pytest.approx(2 * dt)
+    assert set(arrays) == {"rho", "u", "n", "v"} and arrays["n"].shape == (32,)
 
 
 def test_cli_audit_failure_exit_code(tmp_path):
