@@ -42,7 +42,7 @@ def thomas_batch(lower, diag, upper, rhs):
     equations, which halves it; after ceil(log2 n) levels one unknown is left,
     and the back substitution recovers the odd unknowns level by level. This
     is Gaussian elimination on the odd-even permuted matrix, which keeps the
-    row or column diagonal dominance of both callers, so it needs no pivoting.
+    column diagonal dominance of the relaxation matrices, so it needs no pivoting.
 
     The work runs on system-major copies (n, batch) of the inputs, vectorised
     over the batch and over the positions of a level; only the levels are

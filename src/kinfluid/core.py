@@ -11,8 +11,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
-
 
 class SolverError(RuntimeError):
     """A time step could not be completed."""
@@ -216,11 +214,33 @@ def tridiag_dirichlet_solve(diag_add: np.ndarray, coeff: np.ndarray | float, rhs
     (v_{-1} = -v_0, v_n = -v_{n-1}), i.e. v = 0 at both wall faces.
 
     coeff may be a scalar or a per-row array.
+
+    One row is solved by the Thomas recurrence over Python floats, which for
+    a single row of a few hundred unknowns costs less than any vectorised
+    kernel's per-call overhead. With diag_add > 0 and coeff >= 0 the matrix
+    is strictly diagonally dominant, so the recurrence needs no pivoting
+    (Higham 2002, sec. 9.5): every pivot m_i is at least diag_add[i] and every
+    multiplier w_i = coeff_i / m_i lies in [0, 1).
     """
     n = rhs.shape[0]
-    coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (n,)).copy()
+    coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (n,))
     diag = diag_add + 2.0 * coeff
     diag[0] += coeff[0]
     diag[-1] += coeff[-1]
-    off = -coeff[None, :]  # both off-diagonals; thomas_batch never reads lower[0] or upper[-1]
-    return _kernels.thomas_batch(off, diag[None, :], off, rhs[None, :])[0]
+    # forward elimination of the sub-diagonal -coeff_i: pivot m_i, upper
+    # multiplier w_i and eliminated right-hand side y_i
+    w_prev = y_prev = 0.0
+    w, y = [], []
+    for d_i, c_i, r_i in zip(diag.tolist(), coeff.tolist(), rhs.tolist()):
+        m_i = d_i - c_i * w_prev
+        w_prev = c_i / m_i
+        y_prev = (r_i + c_i * y_prev) / m_i
+        w.append(w_prev)
+        y.append(y_prev)
+    # back substitution v_i = y_i + w_i v_{i+1}, from v_{n-1} = y_{n-1}
+    v_next = y_prev
+    v = [v_next]
+    for w_i, y_i in zip(reversed(w[:-1]), reversed(y[:-1])):
+        v_next = y_i + w_i * v_next
+        v.append(v_next)
+    return np.array(v[::-1])

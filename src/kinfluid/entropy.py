@@ -116,9 +116,10 @@ def macroscopic_entropy(st: TwoPhaseState, grid: PhaseGrid) -> float:
     return quad_x(dens, grid)
 
 
-def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float]:
-    """(P(f|M), D1) of f against the local Maxwellian M = M_{rho,u} floored at
-    _F_FLOOR, from one M, one z = f/M and one log z: P(f|M) = int M phi(z),
+def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float, float]:
+    """(P(f|M), D1, ||f - M||_1) of f against the local Maxwellian M = M_{rho,u},
+    all from one evaluation of M. ||f - M||_1 is taken from M itself; P(f|M)
+    and D1 from M floored at _F_FLOOR, one z = f/M and one log z: P(f|M) = int M phi(z),
     phi(z) = z log z - z + 1 >= 0, and the dissipation of the relaxation
     solve's own flux sqrt(M_j M_{j+1}) (z_{j+1} - z_j) (Chang & Cooper 1970),
         D1 = sum_x dx sum_j sqrt(M_j M_{j+1}) / dv (z_{j+1} - z_j)(log z_{j+1} - log z_j).
@@ -128,8 +129,10 @@ def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, flo
     rho = np.asarray(rho, dtype=float)
     if not np.all(rho > 0):
         raise ValueError("needs rho > 0")
-    m = np.maximum(maxwellian_profile(rho, u, grid), _F_FLOOR)
+    m = maxwellian_profile(rho, u, grid)
     farr = f.f
+    l1_gap = quad_x(quad_v(np.abs(farr - m), grid), grid)
+    np.maximum(m, _F_FLOOR, out=m)
     z = farr / m
     w = z - 1.0
     # log z through log1p where z ~ 1, so the cancellation in phi stays at
@@ -144,24 +147,28 @@ def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, flo
     pair = (farr[:, 1:] > _F_FLOOR) & (farr[:, :-1] > _F_FLOOR)
     flux = np.sqrt(m[:, 1:] * m[:, :-1]) * (z[:, 1:] - z[:, :-1])
     d1 = np.where(pair, flux * (log_z[:, 1:] - log_z[:, :-1]), 0.0)
-    return p_f_m, quad_x(d1.sum(axis=1), grid) / grid.dv
+    return p_f_m, quad_x(d1.sum(axis=1), grid) / grid.dv, l1_gap
 
 
-def csiszar_kullback_margin(f: KineticState, mom: MomentSet, report: EntropyReport, grid: PhaseGrid) -> float:
+def csiszar_kullback_margin(report: EntropyReport, l1_gap: float) -> float:
     """Margin of ||f - M||_1^2 <= 4 * mass * int P(f|M), M the local
-    Maxwellian of the moments mom of f, with mass and P(f|M) read from the
-    report of f; nonnegative up to the exponentially small velocity-cut tail."""
-    l1 = quad_x(quad_v(np.abs(f.f - maxwellian_profile(mom.rho, mom.u, grid)), grid), grid)
-    return 4.0 * report.mass * report.P_f_M - l1 * l1
+    Maxwellian of the moments of f, with mass and P(f|M) read from the report
+    of f and l1_gap = ||f - M||_1 returned with it; nonnegative up to the
+    exponentially small velocity-cut tail."""
+    return 4.0 * report.mass * report.P_f_M - l1_gap * l1_gap
 
 
-def evaluate_entropy_report(f: KineticState, fl: FluidState, mom: MomentSet, grid: PhaseGrid) -> EntropyReport:
-    """All functionals at one time level. The moments mom of f supply the
-    bulk velocity and the macroscopic entropy; a cell with rho <= 0 is a
-    VacuumError, raised by the two-phase state of the moments."""
+def evaluate_entropy_report(
+    f: KineticState, fl: FluidState, mom: MomentSet, grid: PhaseGrid
+) -> tuple[EntropyReport, float]:
+    """All functionals at one time level, and ||f - M||_1 for the
+    Csiszar-Kullback margin, from the one local Maxwellian M of the moments
+    mom of f. The moments supply the bulk velocity and the macroscopic
+    entropy; a cell with rho <= 0 is a VacuumError, raised by the two-phase
+    state of the moments."""
     moment_state = TwoPhaseState(rho=mom.rho, u=mom.u, fluid=fl, t=f.t)
-    p_f_m, d1 = maxwellian_gap(f, mom.rho, mom.u, grid)
-    return EntropyReport(
+    p_f_m, d1, l1_gap = maxwellian_gap(f, mom.rho, mom.u, grid)
+    report = EntropyReport(
         F=kinetic_entropy(f, fl, grid),
         D1=d1,
         D2=dissipation_d2(f, fl, grid),
@@ -171,6 +178,7 @@ def evaluate_entropy_report(f: KineticState, fl: FluidState, mom: MomentSet, gri
         drag_mismatch=quad_x(mom.rho * (mom.u - fl.v) ** 2, grid),
         mass=phase_mass(f.f, grid),
     )
+    return report, l1_gap
 
 
 @dataclass(frozen=True)

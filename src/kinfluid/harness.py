@@ -331,10 +331,10 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
         n[idx] = fl.n
         v[idx] = fl.v
         mass_flu[idx] = quad_x(fl.n, grid)
-        report = evaluate_entropy_report(kin, fl, mom, grid)
+        report, l1_gap = evaluate_entropy_report(kin, fl, mom, grid)
         reports.append(report)
         mass_kin[idx] = report.mass
-        return csiszar_kullback_margin(kin, mom, report, grid)
+        return csiszar_kullback_margin(report, l1_gap)
 
     # the moments of the current kin: sampled, then the next step's gas drag
     mom = compute_moments(kin, grid, s)

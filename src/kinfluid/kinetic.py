@@ -10,12 +10,13 @@ whose discrete stationary states are exactly the discrete local Maxwellians.
 Every sub-step preserves f >= 0 and conserves mass (transport up to the wall
 flux it reports; the velocity-space steps exactly, by zero-flux cut-offs).
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import CFLError, FluidState, KineticState, PhaseGrid, ScalingParams
+from .core import CFLError, FluidState, KineticState, PhaseGrid, ScalingParams, SolverError
 from .moments import compute_moments, truncate_velocity
 
 _CFL_SLACK = 1.0 + 1e-9
@@ -167,15 +168,20 @@ def _fp_raw(farr, u, dt, grid, s):
     The coefficients are assembled velocity-major, (nv, nx), the layout the
     tridiagonal kernel works in, and passed as transposed views."""
     dv = grid.dv
-    sdev = grid.xi_edges[1:-1, None] - np.asarray(u, dtype=float)[None, :]  # (nv-1, nx)
-    a = dt / (s.eps * dv * dv)
+    scale = s.eps * dv * dv  # 0 when eps is near the smallest double
+    a = dt / scale if scale > 0.0 else math.inf
+    if not math.isfinite(a):
+        raise SolverError(f"relaxation coefficient dt/(eps dv^2) overflows at eps = {s.eps:g}")
+    # exp(+-dv (xi_{j+1/2} - u) / 2) as the outer product of a velocity factor
+    # and a spatial factor, with the factor -a folded into the first
+    half = 0.5 * dv
+    edges = grid.xi_edges[1:-1]
+    u = np.asarray(u, dtype=float)
     nx, nv = farr.shape
     lower = np.zeros((nv, nx))
     upper = np.zeros((nv, nx))
-    np.exp(-0.5 * dv * sdev, out=lower[1:])
-    np.exp(0.5 * dv * sdev, out=upper[:-1])
-    lower *= -a
-    upper *= -a
+    np.multiply((-a * np.exp(-half * edges))[:, None], np.exp(half * u), out=lower[1:])
+    np.multiply((-a * np.exp(half * edges))[:, None], np.exp(-half * u), out=upper[:-1])
     diag = np.ones((nv, nx))
     diag[:-1] -= lower[1:]
     diag[1:] -= upper[:-1]

@@ -21,7 +21,6 @@ from .core import (
     SolverError,
     TwoPhaseState,
     VacuumError,
-    l2_distance,
     quad_x,
     tridiag_dirichlet_solve,
 )
@@ -168,89 +167,115 @@ def initial_trajectory(init: SymHypState, setup: PicardSetup) -> PicardTrajector
     )
 
 
-def _upwind_2x2(q1, q2, lam1, lam2, ratio, grid, dt):
-    """First-order characteristic upwinding of a frozen-coefficient 2x2
-    system with eigenvalues lam1/lam2 and eigenvectors (ratio, 1), (ratio, -1).
+# time levels whose frozen coefficients picard_iterate builds in one
+# vectorised pass; a block rather than the whole horizon keeps the working
+# set (and the peak memory) independent of nt
+_BLOCK = 16
 
-    Returns the advective increment (already scaled by -dt/dx) for both
-    components. Ghosts: q1 mirrors evenly, q2 mirrors oddly.
-    """
+
+def _upwind_coefficients(lam1, lam2, ratio):
+    """Coefficients of the first-order characteristic upwinding of a
+    frozen-coefficient 2x2 system with eigenvalues lam1/lam2 and eigenvectors
+    (ratio, 1), (ratio, -1), for any number of levels at once.
+
+    A+- = sum_k lam_k^{+-} P_k with P_1 = [[1, ratio],[1/ratio, 1]]/2 and
+    P_2 = [[1, -ratio],[-1/ratio, 1]]/2; returns
+    (sp, dpm*ratio, sm, dmm*ratio, dpm/ratio, dmm/ratio), the half sums and
+    half differences of the positive and negative eigenvalue parts."""
+    l1p, l1m = np.maximum(lam1, 0.0), np.minimum(lam1, 0.0)
+    l2p, l2m = np.maximum(lam2, 0.0), np.minimum(lam2, 0.0)
+    sp, dpm = 0.5 * (l1p + l2p), 0.5 * (l1p - l2p)
+    sm, dmm = 0.5 * (l1m + l2m), 0.5 * (l1m - l2m)
+    return sp, dpm * ratio, sm, dmm * ratio, dpm / ratio, dmm / ratio
+
+
+def _upwind_increments(q1, q2, coef, r):
+    """Advective increments of one level, already scaled by -r = -dt/dx, for
+    both components; coef holds that level's rows of _upwind_coefficients.
+    Ghosts: q1 mirrors evenly, q2 mirrors oddly."""
+    sp, dpm_r, sm, dmm_r, dpm_over_r, dmm_over_r = coef
     q1p = np.concatenate(([q1[0]], q1, [q1[-1]]))
     q2p = np.concatenate(([-q2[0]], q2, [-q2[-1]]))
     dm1 = q1p[1:-1] - q1p[:-2]
     dp1 = q1p[2:] - q1p[1:-1]
     dm2 = q2p[1:-1] - q2p[:-2]
     dp2 = q2p[2:] - q2p[1:-1]
-
-    l1p, l1m = np.maximum(lam1, 0.0), np.minimum(lam1, 0.0)
-    l2p, l2m = np.maximum(lam2, 0.0), np.minimum(lam2, 0.0)
-    # projector combinations: A+- = sum_k lam_k^{+-} P_k with
-    # P_1 = [[1, ratio],[1/ratio, 1]]/2, P_2 = [[1, -ratio],[-1/ratio, 1]]/2
-    sp, dpm = 0.5 * (l1p + l2p), 0.5 * (l1p - l2p)
-    sm, dmm = 0.5 * (l1m + l2m), 0.5 * (l1m - l2m)
-    r = dt / grid.dx
-    inc1 = -r * (sp * dm1 + dpm * ratio * dm2 + sm * dp1 + dmm * ratio * dp2)
-    inc2 = -r * (dpm / ratio * dm1 + sp * dm2 + dmm / ratio * dp1 + sm * dp2)
+    inc1 = -r * (sp * dm1 + dpm_r * dm2 + sm * dp1 + dmm_r * dp2)
+    inc2 = -r * (dpm_over_r * dm1 + sp * dm2 + dmm_over_r * dp1 + sm * dp2)
     return inc1, inc2
+
+
+def _checked_sound_speed(big_h, um, vm, k0, setup):
+    """Frozen gas sound speed of the levels k0, k0+1, ... whose rows are
+    given, after the per-level checks in level order: at each level 1 + h > 0
+    first, then the fixed-point CFL condition."""
+    dt, dx, gamma = setup.dt, setup.grid.dx, setup.gamma
+    positive = big_h.min(axis=1) > 0.0  # NaN fails
+    n_ok = len(positive) if positive.all() else int(np.argmin(positive))
+    c = np.sqrt(gamma * big_h[:n_ok] ** (gamma - 1.0))
+    speed_v = (np.abs(vm[:n_ok]) + c).max(axis=1)
+    speed_u = (np.abs(um[:n_ok]) + 1.0).max(axis=1)
+    # max(speed_v, speed_u) as Python's max takes it, a NaN in speed_u ignored
+    cfl = dt * np.where(speed_u > speed_v, speed_u, speed_v) / dx
+    over = cfl > 1.0 + 1e-9
+    if over.any():
+        raise CFLError(f"fixed-point CFL violated: {cfl[np.argmax(over)]:g}")
+    if n_ok < len(positive):
+        raise PositivityError(f"1 + h lost positivity at iterate level {k0 + n_ok}")
+    return c
 
 
 def picard_iterate(prev: PicardTrajectory, setup: PicardSetup) -> tuple[PicardTrajectory, IterationReport]:
     """Advance the linearized system over the whole horizon with every
     coefficient frozen at the previous iterate; report the sup-in-time L2
-    distance to that iterate."""
-    grid, dt, nt, gamma = setup.grid, setup.dt, setup.nt, setup.gamma
+    distance to that iterate.
+
+    The frozen coefficients depend on prev only, so they are built for a
+    block of _BLOCK levels at a time; the march then loops over the levels
+    of the block."""
+    grid, dt, nt = setup.grid, setup.dt, setup.nt
     nx = grid.nx
     m_norm = grid.length
+    r = dt / grid.dx
 
     g = np.empty((nt + 1, nx))
     u = np.empty((nt + 1, nx))
     h = np.empty((nt + 1, nx))
     v = np.empty((nt + 1, nx))
     g[0], u[0], h[0], v[0] = prev.g[0], prev.u[0], prev.h[0], prev.v[0]
+    ones = np.ones(nx)
 
-    for k in range(nt):
-        gm, um, hm, vm = prev.g[k], prev.u[k], prev.h[k], prev.v[k]
+    for k0 in range(0, nt, _BLOCK):
+        blk = slice(k0, min(k0 + _BLOCK, nt))
+        gm, um, hm, vm = prev.g[blk], prev.u[blk], prev.h[blk], prev.v[blk]
         big_h = 1.0 + hm
-        if not float(big_h.min()) > 0.0:
-            raise PositivityError(f"1 + h lost positivity at iterate level {k}")
-        c = np.sqrt(gamma * big_h ** (gamma - 1.0))
-        speed = float(np.max(np.abs(vm) + c))
-        speed = max(speed, float(np.max(np.abs(um) + 1.0)))
-        if dt * speed / grid.dx > 1.0 + 1e-9:
-            raise CFLError(f"fixed-point CFL violated: {dt * speed / grid.dx:g}")
-
-        # gas phase: frozen-coefficient quasilinear system in (h, v)
-        inc_h, inc_v = _upwind_2x2(
-            h[k], v[k], vm + c, vm - c, big_h / c, grid, dt
-        )
-        drag_gas = np.exp(gm) / (m_norm * big_h) * (um - vm)
-        h_star = h[k] + inc_h
-        v_star = v[k] + inc_v + dt * drag_gas
-        v_new = tridiag_dirichlet_solve(
-            np.ones(nx), dt / (big_h * grid.dx**2), v_star
-        )
-        h[k + 1] = h_star
-        v[k + 1] = v_new
-
+        c = _checked_sound_speed(big_h, um, vm, k0, setup)
+        # gas phase: frozen-coefficient quasilinear system in (h, v), with
+        # the drag toward u explicit and the viscosity implicit
+        gas = _upwind_coefficients(vm + c, vm - c, big_h / c)
+        drag = dt * (np.exp(gm) / (m_norm * big_h) * (um - vm))
+        visc = dt / (big_h * grid.dx**2)
         # particle phase: acoustic pair (g, u) advected by the frozen um,
         # relaxation toward v treated implicitly
-        inc_g, inc_u = _upwind_2x2(
-            g[k], u[k], um + 1.0, um - 1.0, 1.0, grid, dt
-        )
-        g[k + 1] = g[k] + inc_g
-        u[k + 1] = (u[k] + inc_u + dt * v_new) / (1.0 + dt)
+        particle = _upwind_coefficients(um + 1.0, um - 1.0, 1.0)
 
-    traj = PicardTrajectory(g=g, u=u, h=h, v=v)
-    cauchy = 0.0
-    for k in range(nt + 1):
-        d2 = (
-            l2_distance(g[k], prev.g[k], grid) ** 2
-            + l2_distance(u[k], prev.u[k], grid) ** 2
-            + l2_distance(h[k], prev.h[k], grid) ** 2
-            + l2_distance(v[k], prev.v[k], grid) ** 2
-        )
-        cauchy = max(cauchy, math.sqrt(d2))
-    return traj, IterationReport(m=-1, cauchy_l2=cauchy)
+        for j, k in enumerate(range(blk.start, blk.stop)):
+            inc_h, inc_v = _upwind_increments(h[k], v[k], [a[j] for a in gas], r)
+            h[k + 1] = h[k] + inc_h
+            v_new = tridiag_dirichlet_solve(ones, visc[j], v[k] + inc_v + drag[j])
+            v[k + 1] = v_new
+            inc_g, inc_u = _upwind_increments(g[k], u[k], [a[j] for a in particle], r)
+            g[k + 1] = g[k] + inc_g
+            u[k + 1] = (u[k] + inc_u + dt * v_new) / (1.0 + dt)
+
+    # sup over levels of the L2 distance: per level, the squared l2_distance
+    # of each field, summed in field order
+    dist = [
+        np.sqrt(grid.dx * np.square(a - b).sum(axis=1)).tolist()
+        for a, b in ((g, prev.g), (u, prev.u), (h, prev.h), (v, prev.v))
+    ]
+    cauchy = max([0.0] + [math.sqrt(dg**2 + du**2 + dh**2 + dv**2) for dg, du, dh, dv in zip(*dist)])
+    return PicardTrajectory(g=g, u=u, h=h, v=v), IterationReport(m=-1, cauchy_l2=cauchy)
 
 
 class PicardError(SolverError):

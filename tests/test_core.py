@@ -124,20 +124,26 @@ def test_validation_errors():
 
 
 def test_tridiag_dirichlet_solve_against_dense(rng):
-    n = 17
-    diag_add = 0.5 + rng.random(n)
-    coeff = 0.8
-    rhs = rng.standard_normal(n)
-    v = tridiag_dirichlet_solve(diag_add, coeff, rhs)
+    for n in (1, 2, 3, 17, 128, 256):
+        for per_row in (False, True):
+            diag_add = 0.5 + rng.random(n)
+            coeff = 0.1 + 2.0 * rng.random(n) if per_row else 0.8
+            rhs = rng.standard_normal(n)
+            inputs = [np.copy(x) for x in (diag_add, coeff, rhs)]
+            v = tridiag_dirichlet_solve(diag_add, coeff, rhs)
+            for before, after in zip(inputs, (diag_add, coeff, rhs)):
+                np.testing.assert_array_equal(after, before)
 
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, i] = diag_add[i] + 2 * coeff
-        if i > 0:
-            a[i, i - 1] = -coeff
-        if i < n - 1:
-            a[i, i + 1] = -coeff
-    a[0, 0] += coeff
-    a[-1, -1] += coeff
-    expect = np.linalg.solve(a, rhs)
-    np.testing.assert_allclose(v, expect, rtol=1e-12, atol=1e-13)
+            c = np.broadcast_to(coeff, (n,))
+            a = np.zeros((n, n))
+            for i in range(n):
+                a[i, i] = diag_add[i] + 2 * c[i]
+                if i > 0:
+                    a[i, i - 1] = -c[i]
+                if i < n - 1:
+                    a[i, i + 1] = -c[i]
+            a[0, 0] += c[0]
+            a[-1, -1] += c[-1]
+            expect = np.linalg.solve(a, rhs)
+            assert v.shape == (n,)
+            np.testing.assert_allclose(v, expect, rtol=1e-12, atol=1e-13, err_msg=f"n={n} per_row={per_row}")

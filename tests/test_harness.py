@@ -150,8 +150,8 @@ def test_coupled_run_mass_books_and_audit():
 
 def test_coupled_run_makes_one_diagnostics_pass(monkeypatch):
     # moments once per step after the step (shared by the sample and the next
-    # gas drag) plus once inside each kinetic step; one Maxwellian gap (P(f|M)
-    # and D1) per sample
+    # gas drag) plus once inside each kinetic step; one local Maxwellian per
+    # sample, shared by P(f|M), D1 and the Csiszar-Kullback margin
     calls = Counter()
 
     def counted(name, fn):
@@ -162,12 +162,12 @@ def test_coupled_run_makes_one_diagnostics_pass(monkeypatch):
 
     for module in (harness, kinetic):
         monkeypatch.setattr(module, "compute_moments", counted("moments", module.compute_moments))
-    monkeypatch.setattr(entropy, "maxwellian_gap", counted("gap", entropy.maxwellian_gap))
+    monkeypatch.setattr(entropy, "maxwellian_profile", counted("maxwellian", entropy.maxwellian_profile))
     cfg = tiny_config()
     run = run_coupled(cfg, 0.4)
     nt = round(cfg.t_final / run.dt)
     assert calls["moments"] == 2 * nt + 1
-    assert calls["gap"] == len(run.reports) == cfg.n_samples + 1
+    assert calls["maxwellian"] == len(run.reports) == cfg.n_samples + 1
 
 
 def test_cadence_bounds_the_step_count():
@@ -540,13 +540,18 @@ def test_cli_check_entropy_reads_series_with_retired_fields(tmp_path):
     assert harness.reaudit_run(out)[0].slack_entropy_budget == audit.slack_entropy_budget
 
 
-def test_mid_run_vacuum_dumps_state_and_exit_code(tmp_path, monkeypatch):
-    # dt/(eps*dv^2) overflows at eps = 1e-320 and the relaxation solve
-    # returns NaN, which is not a kinetic state
-    cfgfile = _write_cfg(tmp_path, output_dir=str(tmp_path / "tiny_eps"))
-    with np.errstate(all="ignore"):
-        assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", "1e-320"]) == EXIT_SOLVER
-    assert list((tmp_path / "tiny_eps").glob("failure_step_0__f.bin"))
+def test_mid_run_vacuum_dumps_state_and_exit_code(tmp_path, monkeypatch, capsys):
+    # the relaxation coefficient dt/(eps*dv^2) overflows at eps = 1e-320, and
+    # at eps = 5e-324 (dv = 0.5) eps*dv^2 underflows to 0: the relaxation
+    # solve refuses both with one line on stderr
+    for eps in ("1e-320", "5e-324"):
+        out = tmp_path / f"tiny_eps_{eps}"
+        cfgfile = _write_cfg(tmp_path, output_dir=str(out))
+        capsys.readouterr()
+        assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", eps]) == EXIT_SOLVER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver failure:"), err
+        assert list(out.glob("failure_step_0__f.bin"))
 
     # a particle density that vanishes in one cell after the first step
     real = harness.compute_moments

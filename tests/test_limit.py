@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kinfluid.core import FluidState, PhaseGrid, PositivityError, TwoPhaseState, l2_distance, quad_x
+from kinfluid import limit
+from kinfluid.core import CFLError, FluidState, PhaseGrid, PositivityError, TwoPhaseState, l2_distance, quad_x
 from kinfluid.limit import (
     PicardSetup,
     SymHypState,
@@ -238,6 +239,47 @@ def test_picard_iterate_requires_positive_density(xgrid):
     bad.h[:] = -2.0
     with pytest.raises(PositivityError):
         picard_iterate(bad, setup)
+
+
+@pytest.mark.parametrize("nt", [1, 15, 16, 17, 40])
+def test_picard_blocks_leave_bits_unchanged(monkeypatch, nt):
+    # the frozen coefficients are built per block of levels; one level per
+    # block is the plain per-level march, and both give the same bits
+    grid = PhaseGrid(nx=33, nv=2)
+    setup = PicardSetup(grid=grid, t_final=nt * 0.4 * grid.dx / 1.8, nt=nt)
+    init = to_symhyp(small_two_phase(grid, amp=0.3), grid)
+
+    def solve():
+        traj, reps = picard_solve(init, setup, max_iter=4)
+        return [traj.g, traj.u, traj.h, traj.v], [repr(r) for r in reps]
+
+    blocked = solve()
+    monkeypatch.setattr(limit, "_BLOCK", 1)
+    per_level = solve()
+    for a, b in zip(blocked[0], per_level[0]):
+        np.testing.assert_array_equal(a, b)
+    assert blocked[1] == per_level[1]
+
+
+@pytest.mark.parametrize(
+    "cfl_level, error, match",
+    [
+        (None, PositivityError, "level 20"),
+        (18, CFLError, "fixed-point CFL violated"),
+        (20, PositivityError, "level 20"),  # at one level, 1 + h is checked first
+        (25, PositivityError, "level 20"),
+    ],
+)
+def test_picard_iterate_raises_at_the_first_failing_level(xgrid, cfl_level, error, match):
+    setup = _picard_setup(xgrid)
+    assert setup.nt > 32 and limit._BLOCK < 20
+    z = np.zeros(xgrid.nx)
+    prev = initial_trajectory(SymHypState(g=z, u=z.copy(), h=z.copy(), v=z.copy()), setup)
+    prev.h[20] = -1.5
+    if cfl_level is not None:
+        prev.v[cfl_level] = 100.0
+    with pytest.raises(error, match=match):
+        picard_iterate(prev, setup)
 
 
 # ---------------------------------------------------------------------------
