@@ -120,6 +120,7 @@ def main_converge(argv=None) -> int:
         "config": cfg.echo(),
         "slope": None if result.degenerate else result.slope,
         "prefactor": None if result.degenerate else result.prefactor,
+        "local_slopes": None if result.degenerate else result.local_slopes,
         "monotone": result.monotone,
         "degenerate": result.degenerate,
         "wall_seconds": result.wall_seconds,
@@ -129,7 +130,8 @@ def main_converge(argv=None) -> int:
     if result.degenerate:
         print(f"sup_H degenerate (zero gap); no slope fitted -> {csv_path}")
     else:
-        print(f"fitted slope={result.slope:.4f} monotone={result.monotone} -> {csv_path}")
+        local = ",".join(f"{k:.4f}" for k in result.local_slopes)
+        print(f"fitted slope={result.slope:.4f} local slopes={local} monotone={result.monotone} -> {csv_path}")
         if not result.monotone:
             print("warning: sup_H not monotone across eps", file=sys.stderr)
     return EXIT_OK

@@ -32,6 +32,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+# Every CFL check accepts a ratio up to this, so a dt computed as cfl * bound
+# with cfl = 1 is not rejected for its last bits of rounding.
+CFL_SLACK = 1.0 + 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseGrid:
     """Uniform slab x position grid times symmetric velocity grid.

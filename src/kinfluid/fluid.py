@@ -9,6 +9,7 @@ carrier velocity implicitly.
 import numpy as np
 
 from .core import (
+    CFL_SLACK,
     CFLError,
     FluidState,
     PhaseGrid,
@@ -41,7 +42,7 @@ def rusanov_step(dens, mom, dt, grid, p_fn, c_fn):
     p = p_fn(d)
     c = c_fn(d)
     speed = np.abs(u) + c
-    if dt * float(speed[1:-1].max()) / grid.dx > 1.0 + 1e-9:
+    if dt * float(speed[1:-1].max()) / grid.dx > CFL_SLACK:
         raise CFLError(f"hyperbolic CFL violated: {dt * speed[1:-1].max() / grid.dx:g}")
     f1 = m
     f2 = m * u + p

@@ -35,7 +35,7 @@ from .entropy import (
     relative_entropy,
 )
 from .fluid import momentum_exchange, ns_step, sound_speed
-from .kinetic import Diffuse, Dirichlet, Specular, kinetic_step
+from .kinetic import kinetic_step, wall_kernels
 from .limit import PicardError, PicardSetup, SymHypState, _two_phase_substeps, from_symhyp, picard_solve, to_symhyp
 from .moments import compute_moments, maxwellian, maxwellian_profile
 
@@ -58,7 +58,6 @@ _TYPE_CHECKS = {
 }
 
 _PROFILES = ("local_maxwellian_wave", "equilibrium", "custom")
-_BOUNDARIES = ("specular", "diffuse", "dirichlet_zero")
 _MODES = ("coupled", "limit_direct", "limit_picard")
 
 # Largest step count of one run, and so of n_samples. Far above the runs the
@@ -103,8 +102,6 @@ class ExperimentConfig:
             raise ConfigError("cfl must lie in (0, 1]")
         if self.initial_profile not in _PROFILES:
             raise ConfigError(f"initial_profile must be one of {_PROFILES}")
-        if self.boundary not in _BOUNDARIES:
-            raise ConfigError(f"boundary must be one of {_BOUNDARIES}")
         if self.solver_mode not in _MODES:
             raise ConfigError(f"solver_mode must be one of {_MODES}")
         if self.initial_profile == "custom" and not self.custom_state:
@@ -115,10 +112,14 @@ class ExperimentConfig:
             raise ConfigError("nx must be at least 2 (wall values extrapolate from two cells)")
         if not self.gamma > 1:
             raise ConfigError("gamma must exceed 1")
+        if self.picard_iters < 1:
+            raise ConfigError("picard_iters must be at least 1")
+        if not self.audit_tolerance >= 0:
+            raise ConfigError("audit_tolerance must be nonnegative (the slack at t = 0 is 0)")
         try:
             grid = self.grid()
             self.scaling(self.eps_list[0])
-            self.boundary_kernel(grid)
+            wall_kernels(self.boundary, grid, self.wall_temperature)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -159,14 +160,6 @@ class ExperimentConfig:
 
     def scaling(self, eps: float) -> ScalingParams:
         return ScalingParams(eps=eps, vel_floor=self.vel_floor, chi_lambda=self.chi_lambda)
-
-    def boundary_kernel(self, grid: PhaseGrid):
-        if self.boundary == "specular":
-            return Specular()
-        if self.boundary == "diffuse":
-            return Diffuse(wall_temperature=self.wall_temperature)
-        zeros = np.zeros(grid.nv)
-        return Dirichlet(g_left=zeros, g_right=zeros.copy())
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -311,7 +304,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     if grid.nv < 4:
         raise ConfigError("coupled runs need nv >= 4 (the entropy diagnostics' velocity stencil)")
     s = config.scaling(eps)
-    bc = config.boundary_kernel(grid)
+    walls = wall_kernels(config.boundary, grid, config.wall_temperature)
     kin, fl, _ = make_well_prepared(config)
     dt, nt, per = _pick_dt(config, grid, fl)
 
@@ -341,7 +334,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     ck_min = sample(0, kin, fl, mom)
     try:
         for step in range(nt):
-            kin_new, krep = kinetic_step(kin, fl, dt, grid, s, bc)
+            kin_new, krep = kinetic_step(kin, fl, dt, grid, s, walls)
             fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
             dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
             kin, fl = kin_new, fl_new
@@ -457,6 +450,7 @@ class ConvergenceResult:
     rows: list[ConvergenceRow]
     slope: float
     prefactor: float  # empirical: sup_H ~ prefactor * eps**slope (reported, never asserted)
+    local_slopes: list[float]  # of each consecutive eps pair; sup_H is not one power law
     monotone: bool
     degenerate: bool
     runs: list[CoupledRun]
@@ -467,7 +461,8 @@ class ConvergenceResult:
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """For each eps: coupled run vs the single limit trajectory, compared
     sample by sample (both runs share the sampling cadence); sup-in-time
-    relative entropy and L1 gaps; log-log slope fit of sup_H against eps."""
+    relative entropy and L1 gaps; log-log slope fit of sup_H against eps, and
+    the slope between each consecutive pair of eps values."""
     if len(config.eps_list) < 3:
         raise ConfigError("eps sweep needs at least 3 values")
     t0 = time.perf_counter()
@@ -495,13 +490,16 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     degenerate = bool(np.any(sup_hs <= 1e-20))
     if degenerate:
         slope = prefactor = math.nan
+        local_slopes = [math.nan] * (len(rows) - 1)
     else:
-        coeffs = np.polyfit(np.log(config.eps_list), np.log(sup_hs), 1)
+        log_eps, log_h = np.log(config.eps_list), np.log(sup_hs)
+        coeffs = np.polyfit(log_eps, log_h, 1)
         slope = float(coeffs[0])
         prefactor = float(math.exp(coeffs[1]))
+        local_slopes = (np.diff(log_h) / np.diff(log_eps)).tolist()
     monotone = bool(np.all(np.diff(sup_hs) < 0))  # eps_list descends, so sup_H must too
     return ConvergenceResult(
-        rows=rows, slope=slope, prefactor=prefactor, monotone=monotone,
+        rows=rows, slope=slope, prefactor=prefactor, local_slopes=local_slopes, monotone=monotone,
         degenerate=degenerate, runs=runs, limit=limit,
         wall_seconds=time.perf_counter() - t0,
     )
@@ -634,8 +632,9 @@ def reaudit_run(run_dir) -> tuple[AuditRecord, dict]:
     if not isinstance(meta, dict) or not _is_real(meta.get("eps")) or not meta["eps"] > 0:
         raise ConfigError(f"{run_dir}/run_meta.json has no positive eps")
     config = meta.get("config", {})
-    if not isinstance(config, dict) or not _is_real(config.get("audit_tolerance", 0.0)):
-        raise ConfigError(f"{run_dir}/run_meta.json: config needs a numeric audit_tolerance")
+    tol = config.get("audit_tolerance", 0.0) if isinstance(config, dict) else None
+    if not (_is_real(tol) and tol >= 0):
+        raise ConfigError(f"{run_dir}/run_meta.json: config needs a nonnegative audit_tolerance")
     names = ("times", *_REPORT_FIELDS)
     missing = [name for name in names if name not in arrays]
     if missing:

@@ -1,4 +1,4 @@
-"""Time integration of the scaled kinetic equation with wall reflection kernels.
+"""Time integration of the scaled kinetic equation with wall scattering kernels.
 
 One full step is the Strang composition
     transport(dt/2) -> drag(dt/2) -> relaxation(dt) -> drag(dt/2) -> transport(dt/2)
@@ -16,40 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import CFLError, FluidState, KineticState, PhaseGrid, ScalingParams, SolverError
+from .core import CFL_SLACK, CFLError, FluidState, KineticState, PhaseGrid, ScalingParams, SolverError
 from .moments import compute_moments, truncate_velocity
-
-_CFL_SLACK = 1.0 + 1e-9
-
-
-class Specular:
-    """Mirror reflection: incoming trace copies the outgoing trace at -xi."""
-
-    def __repr__(self):
-        return "Specular()"
-
-
-@dataclass(frozen=True)
-class Diffuse:
-    """Wall re-emission from a wall Maxwellian at the given temperature,
-    normalized so the re-emitted mass flux equals the outgoing mass flux."""
-
-    wall_temperature: float = 1.0
-
-    def __post_init__(self):
-        if not self.wall_temperature > 0:
-            raise ValueError("wall_temperature must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class Dirichlet:
-    """Prescribed incoming trace: g_left on xi > 0, g_right on xi < 0."""
-
-    g_left: np.ndarray
-    g_right: np.ndarray
-
-
-BoundaryKernel = Specular | Diffuse | Dirichlet
 
 
 @dataclass
@@ -61,50 +29,49 @@ class KineticStepReport:
     truncation_leak: float = 0.0
 
 
-def _diffuse_weights(bc: Diffuse, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Re-emission weights per wall: w(xi) on the incoming columns with
-    unit incoming mass flux. Checked here: unit flux normalization and
-    invariance of the wall Maxwellian under the kernel."""
+_WALL_TOL = 1e-12
+
+
+def wall_kernels(boundary: str, grid: PhaseGrid, wall_temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (nv, nv) scattering matrices (k_lo, k_hi) of the two walls, which
+    map a boundary cell's outgoing trace to its ghost row, f[0] @ k_lo and
+    f[-1] @ k_hi (Cercignani 1988, ch. III): the velocity reversal on the
+    incoming columns ("specular"), the rank-one dv |xi_out| (x) w with w the
+    wall Maxwellian at unit incoming mass flux ("diffuse"), or zero
+    ("dirichlet_zero", absorbing). Checked here, once: every non-absorbing
+    kernel returns the outgoing mass flux (k @ |xi| = |xi| on the outgoing
+    rows) and the diffuse one fixes its wall Maxwellian. k_hi is k_lo with
+    both axes reversed, as xi[::-1] == -xi exactly."""
     xi = grid.xi
-    mw = np.exp(-0.5 * xi * xi / bc.wall_temperature)
-    inc_lo = xi > 0  # left wall, outward normal -1
-    inc_hi = xi < 0
-    z_lo = grid.dv * float(np.sum(xi[inc_lo] * mw[inc_lo]))
-    z_hi = grid.dv * float(np.sum(-xi[inc_hi] * mw[inc_hi]))
-    w_lo = np.where(inc_lo, mw / z_lo, 0.0)
-    w_hi = np.where(inc_hi, mw / z_hi, 0.0)
-
-    flux_lo = grid.dv * float(np.sum(xi[inc_lo] * w_lo[inc_lo]))
-    flux_hi = grid.dv * float(np.sum(-xi[inc_hi] * w_hi[inc_hi]))
-    if abs(flux_lo - 1.0) > 1e-12 or abs(flux_hi - 1.0) > 1e-12:
-        raise ValueError("diffuse kernel failed flux normalization")
-    # wall Maxwellian fixed point: re-emitting its outgoing flux returns it
-    out_flux = grid.dv * float(np.sum(-xi[inc_hi] * mw[inc_hi]))
-    err = np.max(np.abs(out_flux * w_lo[inc_lo] - mw[inc_lo]))
-    if err > 1e-12 * float(mw.max()):
-        raise ValueError("diffuse kernel does not fix the wall Maxwellian")
-    return w_lo, w_hi
-
-
-def _ghost_values(farr: np.ndarray, grid: PhaseGrid, bc: BoundaryKernel) -> tuple[np.ndarray, np.ndarray]:
-    xi = grid.xi
-    if isinstance(bc, Specular):
-        # xi -> -xi is exactly index reversal on this grid
-        return farr[0, ::-1].copy(), farr[-1, ::-1].copy()
-    if isinstance(bc, Diffuse):
-        w_lo, w_hi = _diffuse_weights(bc, grid)
-        out_lo = grid.dv * float(np.sum(np.where(xi < 0, -xi, 0.0) * farr[0]))
-        out_hi = grid.dv * float(np.sum(np.where(xi > 0, xi, 0.0) * farr[-1]))
-        lo = np.where(xi > 0, out_lo * w_lo, farr[0])
-        hi = np.where(xi < 0, out_hi * w_hi, farr[-1])
-        return lo, hi
-    if isinstance(bc, Dirichlet):
-        if bc.g_left.shape != (grid.nv,) or bc.g_right.shape != (grid.nv,):
-            raise ValueError("Dirichlet profiles must have nv entries")
-        lo = np.where(xi > 0, bc.g_left, farr[0])
-        hi = np.where(xi < 0, bc.g_right, farr[-1])
-        return lo, hi
-    raise TypeError(f"unsupported boundary kernel {bc!r}")
+    out = xi < 0  # outgoing at the left wall, outward normal -1
+    speed = np.abs(xi)
+    k_lo = np.zeros((grid.nv, grid.nv))
+    if boundary == "specular":
+        incoming = np.flatnonzero(~out)
+        k_lo[grid.nv - 1 - incoming, incoming] = 1.0
+    elif boundary == "diffuse":
+        if not wall_temperature > 0:
+            raise ValueError("wall_temperature must be positive")
+        with np.errstate(over="ignore"):  # a subnormal temperature gives mw = 0
+            mw = np.exp(-0.5 * xi * xi / wall_temperature)
+        z = grid.dv * float(np.sum(xi[~out] * mw[~out]))
+        if not z > 0:
+            raise ValueError(
+                f"the diffuse wall Maxwellian at wall_temperature = {wall_temperature:g} "
+                "underflows to zero on every incoming velocity"
+            )
+        k_lo = grid.dv * np.outer(np.where(out, speed, 0.0), np.where(out, 0.0, mw / z))
+        # the wall Maxwellian's outgoing trace is re-emitted as itself
+        err = float(np.max(np.abs(mw @ k_lo - mw)[~out]))
+        if not err <= _WALL_TOL * float(mw.max()):
+            raise ValueError(f"diffuse kernel does not fix the wall Maxwellian (error {err:g})")
+    elif boundary != "dirichlet_zero":
+        raise ValueError(f"boundary must be one of ('specular', 'diffuse', 'dirichlet_zero'), got {boundary!r}")
+    if boundary != "dirichlet_zero":
+        err = float(np.max(np.abs(k_lo @ speed - speed)[out]))
+        if not err <= _WALL_TOL * grid.v_max:
+            raise ValueError(f"{boundary} kernel does not return the outgoing mass flux (error {err:g})")
+    return k_lo, np.ascontiguousarray(k_lo[::-1, ::-1])
 
 
 def _wall_traces(farr, ghost_lo, ghost_hi, grid) -> tuple[float, float]:
@@ -121,14 +88,17 @@ def _wall_traces(farr, ghost_lo, ghost_hi, grid) -> tuple[float, float]:
     return -s_lo, s_hi
 
 
-def _transport_raw(farr, grid, dt, bc):
-    """Conservative upwind advection in x with wall ghost cells from bc;
-    returns (f, trace_lo, trace_hi). The mass change equals
+def _transport_raw(farr, grid, dt, walls):
+    """Conservative upwind advection in x with wall ghost cells from the
+    scattering matrices walls = (k_lo, k_hi) of wall_kernels; returns
+    (f, trace_lo, trace_hi). The mass change equals
     -dt*(trace_lo + trace_hi) exactly (conservative telescoping)."""
     ximax = grid.v_max - 0.5 * grid.dv  # largest cell-center speed
-    if dt * ximax / grid.dx > _CFL_SLACK:
+    if dt * ximax / grid.dx > CFL_SLACK:
         raise CFLError(f"transport CFL violated: dt*ximax/dx = {dt * ximax / grid.dx:g}")
-    ghost_lo, ghost_hi = _ghost_values(farr, grid, bc)
+    k_lo, k_hi = walls
+    ghost_lo = farr[0] @ k_lo
+    ghost_hi = farr[-1] @ k_hi
     trace_lo, trace_hi = _wall_traces(farr, ghost_lo, ghost_hi, grid)
     fnew = _kernels.upwind_transport(farr, grid.xi, dt / grid.dx, ghost_lo, ghost_hi)
     return fnew, trace_lo, trace_hi
@@ -145,7 +115,7 @@ def _drag_raw(farr, fluid_v, dt, grid, s):
     # the interior edges are symmetric about 0, so max |v_eff - edge| over
     # them is max |v_eff| plus the largest interior edge, in floating point too
     amax = float(np.abs(v_eff).max()) + edges[-2]
-    if dt * amax / grid.dv > _CFL_SLACK:
+    if dt * amax / grid.dv > CFL_SLACK:
         raise CFLError(f"velocity-advection CFL violated: dt*|a|max/dv = {dt * amax / grid.dv:g}")
     a_bot = v_eff - edges[0]
     a_top = v_eff - edges[-1]
@@ -194,17 +164,18 @@ def kinetic_step(
     dt: float,
     grid: PhaseGrid,
     s: ScalingParams,
-    bc: BoundaryKernel,
+    walls: tuple[np.ndarray, np.ndarray],
 ) -> tuple[KineticState, KineticStepReport]:
-    """One Strang-split step of the full kinetic equation."""
+    """One Strang-split step of the full kinetic equation; walls are the
+    scattering matrices (k_lo, k_hi) of wall_kernels."""
     half = 0.5 * dt
 
-    farr, tr_lo1, tr_hi1 = _transport_raw(f.f, grid, half, bc)
+    farr, tr_lo1, tr_hi1 = _transport_raw(f.f, grid, half, walls)
     farr, leak1 = _drag_raw(farr, fluid.v, half, grid, s)
     u = compute_moments(farr, grid, s).u
     farr = _fp_raw(farr, u, dt, grid, s)
     farr, leak2 = _drag_raw(farr, fluid.v, half, grid, s)
-    farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, bc)
+    farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, walls)
     rep = KineticStepReport(
         max_wall_flux=max(abs(tr_lo1), abs(tr_hi1), abs(tr_lo2), abs(tr_hi2)),
         truncation_leak=leak1 + leak2,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CFL_SLACK,
     CFLError,
     FluidState,
     PhaseGrid,
@@ -217,7 +218,7 @@ def _checked_sound_speed(big_h, um, vm, k0, setup):
     speed_u = (np.abs(um[:n_ok]) + 1.0).max(axis=1)
     # max(speed_v, speed_u) as Python's max takes it, a NaN in speed_u ignored
     cfl = dt * np.where(speed_u > speed_v, speed_u, speed_v) / dx
-    over = cfl > 1.0 + 1e-9
+    over = cfl > CFL_SLACK
     if over.any():
         raise CFLError(f"fixed-point CFL violated: {cfl[np.argmax(over)]:g}")
     if n_ok < len(positive):

@@ -322,15 +322,16 @@ def test_load_state_rejects_bad_descriptor(tmp_path, text):
 
 
 def test_run_determinism_bitwise(tmp_path):
-    cfg = tiny_config()
-    csvs = []
-    for tag in ("a", "b"):
-        from kinfluid.harness import run_convergence
+    from kinfluid.harness import run_convergence
 
-        res = run_convergence(cfg)
-        p = emit_csv(res.rows, tmp_path / f"{tag}.csv")
-        csvs.append(p.read_bytes())
-    assert csvs[0] == csvs[1]
+    for boundary in ("specular", "diffuse"):
+        cfg = tiny_config(boundary=boundary)
+        csvs = []
+        for tag in ("a", "b"):
+            res = run_convergence(cfg)
+            p = emit_csv(res.rows, tmp_path / f"{boundary}_{tag}.csv")
+            csvs.append(p.read_bytes())
+        assert csvs[0] == csvs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +410,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     # --eps is checked as an eps_list entry is: finite and positive
     for eps in ("nan", "inf", "-0.1", "0"):
         assert main_simulate_kinetic(["--config", str(_write_cfg(tmp_path)), "--eps", eps]) == EXIT_CONFIG
+    # a diffuse wall Maxwellian that underflows on every incoming velocity
+    cold = _write_cfg(tmp_path, nx=8, nv=16, boundary="diffuse", wall_temperature=1e-5)
+    capsys.readouterr()
+    assert main_simulate_kinetic(["--config", str(cold), "--out", str(tmp_path / "cold")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    # no fixed-point iterate, and an audit tolerance no run can meet
+    no_iterate = _write_cfg(tmp_path, picard_iters=0)
+    out = ["--out", str(tmp_path / "never")]
+    assert main_simulate_limit(["--config", str(no_iterate), "--mode", "picard", *out]) == EXIT_CONFIG
+    negative_tol = _write_cfg(tmp_path, audit_tolerance=-1.0)
+    assert main_simulate_kinetic(["--config", str(negative_tol), *out]) == EXIT_CONFIG
 
 
 _DROP = "<drop>"
@@ -499,6 +512,7 @@ def test_cli_converge_writes_outputs(tmp_path):
     assert (out / "convergence.csv").exists()
     meta = json.loads((out / "convergence_meta.json").read_text())
     assert "slope" in meta and "audit_slacks" in meta
+    assert len(meta["local_slopes"]) == 2
 
 
 def test_cli_simulate_limit_both_modes(tmp_path):
@@ -520,7 +534,8 @@ def test_cli_check_entropy_rejects_non_run(tmp_path):
     out = tmp_path / "run"
     assert main_simulate_kinetic(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     meta = json.loads((out / "run_meta.json").read_text())
-    for bad in ({}, {"eps": "0.1"}, {**meta, "config": 1}, {**meta, "config": {"audit_tolerance": "x"}}):
+    bad_tols = ({**meta, "config": {"audit_tolerance": "x"}}, {**meta, "config": {"audit_tolerance": -1.0}})
+    for bad in ({}, {"eps": "0.1"}, {**meta, "config": 1}, *bad_tols):
         (out / "run_meta.json").write_text(json.dumps(bad))
         assert main_check_entropy(["--run", str(out)]) == EXIT_CONFIG
 

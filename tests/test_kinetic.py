@@ -15,14 +15,11 @@ from kinfluid.core import (
 )
 from kinfluid.entropy import maxwellian_gap
 from kinfluid.kinetic import (
-    Diffuse,
-    Dirichlet,
-    Specular,
-    _diffuse_weights,
     _drag_raw,
     _fp_raw,
     _transport_raw,
     kinetic_step,
+    wall_kernels,
 )
 from kinfluid.moments import compute_moments, maxwellian
 
@@ -33,11 +30,15 @@ from conftest import random_positive_f
 # transport
 # ---------------------------------------------------------------------------
 
+def specular(grid):
+    return wall_kernels("specular", grid, 1.0)
+
+
 def test_transport_even_profile_is_fixed_point(grid):
     phi = np.exp(-0.5 * grid.xi**2)  # even in xi
     f = np.tile(phi, (grid.nx, 1))
     dt = 0.9 * grid.dx / (grid.v_max - 0.5 * grid.dv)
-    out, tr_lo, tr_hi = _transport_raw(f, grid, dt, Specular())
+    out, tr_lo, tr_hi = _transport_raw(f, grid, dt, specular(grid))
     np.testing.assert_array_equal(out, f)
     assert tr_lo == tr_hi == 0.0
 
@@ -47,7 +48,7 @@ def test_transport_unit_cfl_exact_shift():
     f = np.zeros((16, 2))
     f[7, 1] = 1.0  # pulse moving right at xi = +0.5
     dt = g.dx / g.xi[1]
-    out, _, _ = _transport_raw(f, g, dt, Specular())
+    out, _, _ = _transport_raw(f, g, dt, specular(g))
     expect = np.zeros_like(f)
     expect[8, 1] = 1.0
     np.testing.assert_array_equal(out, expect)
@@ -56,7 +57,7 @@ def test_transport_unit_cfl_exact_shift():
 def test_transport_cfl_violation_raises(grid):
     f = np.ones((grid.nx, grid.nv))
     with pytest.raises(CFLError):
-        _transport_raw(f, grid, 10 * grid.dx / grid.v_max, Specular())
+        _transport_raw(f, grid, 10 * grid.dx / grid.v_max, specular(grid))
 
 
 def test_transport_specular_mass_conservation(rng, grid):
@@ -64,7 +65,7 @@ def test_transport_specular_mass_conservation(rng, grid):
     m0 = phase_mass(f, grid)
     dt = 0.8 * grid.dx / grid.v_max
     for _ in range(50):
-        f, tr_lo, tr_hi = _transport_raw(f, grid, dt, Specular())
+        f, tr_lo, tr_hi = _transport_raw(f, grid, dt, specular(grid))
         assert max(abs(tr_lo), abs(tr_hi)) <= 1e-12
     assert f.min() >= 0.0
     assert phase_mass(f, grid) == pytest.approx(m0, abs=1e-12)
@@ -74,46 +75,70 @@ def test_transport_specular_flux_exact_on_awkward_grid(rng):
     # non-dyadic velocity cut: the mirror-pair cancellation must still be exact
     g = PhaseGrid(nx=10, nv=30, v_max=7.3)
     dt = 0.8 * g.dx / g.v_max
-    _, tr_lo, tr_hi = _transport_raw(random_positive_f(rng, g), g, dt, Specular())
+    _, tr_lo, tr_hi = _transport_raw(random_positive_f(rng, g), g, dt, specular(g))
     assert tr_lo == tr_hi == 0.0
 
 
 def test_transport_mass_balance_matches_reported_flux(rng, grid):
-    # with an inflow profile the mass change equals minus the reported
+    # through absorbing walls the mass change equals minus the reported
     # outward wall traces integrated over the step, exactly
-    g_in = np.where(grid.xi > 0, 0.3 * np.exp(-0.5 * (grid.xi - 1) ** 2), 0.0)
-    bc = Dirichlet(g_left=g_in, g_right=g_in[::-1].copy())
+    walls = wall_kernels("dirichlet_zero", grid, 1.0)
     f = random_positive_f(rng, grid)
     dt = 0.8 * grid.dx / grid.v_max
     for _ in range(5):
         m0 = phase_mass(f, grid)
-        f, tr_lo, tr_hi = _transport_raw(f, grid, dt, bc)
+        f, tr_lo, tr_hi = _transport_raw(f, grid, dt, walls)
+        assert tr_lo > 0.0 and tr_hi > 0.0
         dm = phase_mass(f, grid) - m0
         assert dm == pytest.approx(-dt * (tr_lo + tr_hi), abs=1e-13)
 
 
-def test_dirichlet_profile_shape_validation(grid):
-    bad = Dirichlet(g_left=np.zeros(3), g_right=np.zeros(grid.nv))
-    with pytest.raises(ValueError):
-        _transport_raw(np.ones((grid.nx, grid.nv)), grid, 0.1 * grid.dx / grid.v_max, bad)
-
-
 def test_diffuse_kernel_discrete_conditions(grid):
-    # construction-time checks: unit re-emitted flux and wall-Maxwellian
-    # invariance (both raise if violated)
+    # the builder's matrices: the outgoing mass flux is returned, the wall
+    # Maxwellian is re-emitted as itself, and the right wall mirrors the left
+    xi, speed = grid.xi, np.abs(grid.xi)
     for theta in (0.5, 1.0, 2.3):
-        w_lo, w_hi = _diffuse_weights(Diffuse(wall_temperature=theta), grid)
-        flux = grid.dv * float(np.sum(np.where(grid.xi > 0, grid.xi, 0.0) * w_lo))
-        assert flux == pytest.approx(1.0, abs=1e-13)
-        np.testing.assert_allclose(w_lo, w_hi[::-1], rtol=1e-13)
+        k_lo, k_hi = wall_kernels("diffuse", grid, theta)
+        mw = np.exp(-0.5 * xi * xi / theta)
+        for k, out in ((k_lo, xi < 0), (k_hi, xi > 0)):
+            np.testing.assert_allclose((k @ speed)[out], speed[out], rtol=1e-13)
+            np.testing.assert_array_equal(k[~out], 0.0)  # incoming rows scatter nothing
+            np.testing.assert_array_equal(k[:, out], 0.0)  # nothing is emitted outward
+            np.testing.assert_allclose((mw @ k)[~out], mw[~out], rtol=1e-13)
+        np.testing.assert_array_equal(k_hi, k_lo[::-1, ::-1])
+        assert k_hi.flags.c_contiguous
+
+
+def test_specular_and_absorbing_kernels(grid):
+    k_lo, k_hi = specular(grid)
+    f = np.arange(1.0, grid.nv + 1.0)
+    for k, inc in ((k_lo, grid.xi > 0), (k_hi, grid.xi < 0)):
+        np.testing.assert_array_equal((f @ k)[inc], f[::-1][inc])
+        np.testing.assert_array_equal((f @ k)[~inc], 0.0)
+    for k in wall_kernels("dirichlet_zero", grid, 1.0):
+        np.testing.assert_array_equal(k, 0.0)
+
+
+def test_wall_kernels_reject_bad_input(grid):
+    with pytest.raises(ValueError, match="boundary must be one of"):
+        wall_kernels("periodic", grid, 1.0)
+    for theta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            wall_kernels("diffuse", grid, theta)
+    # the wall Maxwellian underflows on every incoming velocity
+    for theta in (1e-5, 1e-320):
+        with pytest.raises(ValueError, match="underflows"):
+            wall_kernels("diffuse", PhaseGrid(nx=8, nv=16), theta)
+    wall_kernels("specular", grid, -1.0)  # the temperature of a specular wall is never read
 
 
 def test_transport_diffuse_mass_conservation(rng, grid):
+    walls = wall_kernels("diffuse", grid, 1.0)
     f = random_positive_f(rng, grid)
     m0 = phase_mass(f, grid)
     dt = 0.8 * grid.dx / grid.v_max
     for _ in range(20):
-        f, _, _ = _transport_raw(f, grid, dt, Diffuse(wall_temperature=1.0))
+        f, _, _ = _transport_raw(f, grid, dt, walls)
     assert f.min() >= 0.0
     assert phase_mass(f, grid) == pytest.approx(m0, abs=1e-12)
 
@@ -212,13 +237,13 @@ def test_every_substep_preserves_positivity(rng, grid):
     f[rng.random(f.shape) < 0.3] = 0.0  # sprinkle hard zeros
     v = 0.8 * np.sin(2 * np.pi * grid.x)
     dt = 0.4 * grid.dx / grid.v_max
-    out_t, _, _ = _transport_raw(f, grid, dt, Specular())
+    out_t, _, _ = _transport_raw(f, grid, dt, specular(grid))
     assert out_t.min() >= 0.0
     out_d, _ = _drag_raw(f, v, dt, grid, s)
     assert out_d.min() >= 0.0
     out_r = _fp_raw(f, compute_moments(f, grid, s).u, dt, grid, s)
     assert out_r.min() >= -1e-14
-    out_full, _ = kinetic_step(KineticState(f=f), FluidState(n=np.ones(grid.nx), v=v), dt, grid, s, Specular())
+    out_full, _ = kinetic_step(KineticState(f=f), FluidState(n=np.ones(grid.nx), v=v), dt, grid, s, specular(grid))
     assert out_full.f.min() >= -1e-14
 
 
@@ -245,7 +270,7 @@ def test_kinetic_step_mass_conservation(rng, grid):
     dt = 0.8 * 2 * grid.dx / grid.v_max
     m0 = phase_mass(f.f, grid)
     for _ in range(20):
-        f, rep = kinetic_step(f, fl, dt, grid, s, Specular())
+        f, rep = kinetic_step(f, fl, dt, grid, s, specular(grid))
         assert rep.truncation_leak == 0.0
     assert phase_mass(f.f, grid) == pytest.approx(m0, abs=1e-12)
     assert f.f.min() >= -1e-14
@@ -266,7 +291,7 @@ def test_kinetic_step_homogeneous_relaxation_monotone(rng):
         mom = compute_moments(f, grid, s)
         m = maxwellian(mom.rho, mom.u, grid)
         gaps.append(l1_distance(f.f, m.f, grid))
-        f, _ = kinetic_step(f, fl, dt, grid, s, Specular())
+        f, _ = kinetic_step(f, fl, dt, grid, s, specular(grid))
     floor = 2.0 * s.eps * gaps[0]
     active = [k for k in range(len(gaps) - 1) if gaps[k] > floor]
     assert len(active) >= 4
@@ -284,7 +309,7 @@ def test_kinetic_step_splitting_self_convergence_order():
 
     def advance(f, dt, substeps):
         for _ in range(substeps):
-            f, _ = kinetic_step(f, fl, dt, grid, s, Specular())
+            f, _ = kinetic_step(f, fl, dt, grid, s, specular(grid))
         return f
 
     errs = []
