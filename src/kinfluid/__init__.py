@@ -10,7 +10,6 @@ from .core import (
     KineticState,
     PhaseGrid,
     PositivityError,
-    ScalingParams,
     SolverError,
     TwoPhaseState,
     VacuumError,
@@ -20,7 +19,7 @@ from .core import (
     quad_v,
     quad_x,
 )
-from .moments import MomentSet, compute_moments, maxwellian, truncate_velocity
+from .moments import MomentSet, compute_moments, maxwellian
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,6 @@ __all__ = [
     "MomentSet",
     "PhaseGrid",
     "PositivityError",
-    "ScalingParams",
     "SolverError",
     "TwoPhaseState",
     "VacuumError",
@@ -43,6 +41,5 @@ __all__ = [
     "phase_mass",
     "quad_v",
     "quad_x",
-    "truncate_velocity",
     "__version__",
 ]

@@ -8,6 +8,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import ConfigError, SolverError
@@ -26,15 +27,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_AUDIT = 3
-
-
-def _load_config(path, **overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(path)
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.__post_init__()
-    return cfg
 
 
 def _exit_codes(main):
@@ -62,7 +54,7 @@ def main_simulate_kinetic(argv=None) -> int:
     ap.add_argument("--eps", type=float, default=None)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
-    cfg = _load_config(args.config, output_dir=args.out)
+    cfg = ExperimentConfig.from_json(args.config, output_dir=args.out)
     eps = args.eps if args.eps is not None else cfg.eps_list[0]
     if not (math.isfinite(eps) and eps > 0):  # as an eps_list entry is checked
         raise ConfigError(f"--eps must be finite and positive, got {eps!r}")
@@ -83,22 +75,19 @@ def main_simulate_kinetic(argv=None) -> int:
 def main_simulate_limit(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="simulate-limit", description="Run the relaxed two-phase system.")
     ap.add_argument("--config", required=True)
-    ap.add_argument("--mode", choices=("direct", "picard"), default=None)
+    ap.add_argument("--mode", choices=("direct", "picard"), default="direct")
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
-    mode = None if args.mode is None else ("limit_direct" if args.mode == "direct" else "limit_picard")
-    cfg = _load_config(args.config, output_dir=args.out, solver_mode=mode)
-    if cfg.solver_mode == "coupled":
-        cfg.solver_mode = "limit_direct"
-    run = run_limit(cfg)
+    cfg = ExperimentConfig.from_json(args.config, output_dir=args.out)
+    run = run_limit(cfg, picard=args.mode == "picard")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_state(
         out / "limit_series",
         {"times": run.times, "rho": run.rho, "u": run.u, "n": run.n, "v": run.v, "mass_rho": run.mass_rho},
-        meta={"config": cfg.echo(), "dt": run.dt, "min_one_plus_h": run.min_one_plus_h},
+        meta={"config": asdict(cfg), "dt": run.dt, "min_one_plus_h": run.min_one_plus_h},
     )
-    msg = f"mode={cfg.solver_mode} dt={run.dt:g} min(1+h)={run.min_one_plus_h:g}"
+    msg = f"mode={args.mode} dt={run.dt:g} min(1+h)={run.min_one_plus_h:g}"
     if run.picard_reports:
         tail = run.picard_reports[-1]
         msg += f" iterations={tail.m} cauchy_l2={tail.cauchy_l2:.3e}"
@@ -112,12 +101,12 @@ def main_converge(argv=None) -> int:
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
-    cfg = _load_config(args.config, output_dir=args.out)
+    cfg = ExperimentConfig.from_json(args.config, output_dir=args.out)
     result = run_convergence(cfg)
     out = Path(cfg.output_dir)
     csv_path = emit_csv(result.rows, out / "convergence.csv")
     meta = {
-        "config": cfg.echo(),
+        "config": asdict(cfg),
         "slope": None if result.degenerate else result.slope,
         "prefactor": None if result.degenerate else result.prefactor,
         "local_slopes": None if result.degenerate else result.local_slopes,
@@ -142,8 +131,7 @@ def main_check_entropy(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="check-entropy", description="Re-audit an emitted coupled run directory.")
     ap.add_argument("--run", required=True)
     args = ap.parse_args(argv)
-    audit, meta = reaudit_run(args.run)
-    tol = meta.get("config", {}).get("audit_tolerance", 0.05)
+    audit, tol = reaudit_run(args.run)
     print(
         f"entropy_budget_slack={audit.slack_entropy_budget:.6g} at t={audit.slack_at:g} "
         f"inferred_modified_constant={audit.inferred_modified_constant:.6g}"

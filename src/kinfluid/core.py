@@ -94,25 +94,6 @@ class PhaseGrid:
         return np.concatenate((-pos[::-1], [0.0], pos))
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """Relaxation strength 1/eps plus the two numerical safeguards:
-    vel_floor regularizes the bulk velocity rho*u/(rho+vel_floor), and
-    chi_lambda truncates drift velocities at |v| = lambda (inf = off)."""
-
-    eps: float
-    vel_floor: float = 1e-12
-    chi_lambda: float = math.inf
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.vel_floor < 0:
-            raise ValueError("vel_floor must be nonnegative")
-        if not self.chi_lambda > 0:
-            raise ValueError("chi_lambda must be positive")
-
-
 _NEG_TOL = 1e-13
 
 

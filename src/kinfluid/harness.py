@@ -19,7 +19,6 @@ from .core import (
     FluidState,
     KineticState,
     PhaseGrid,
-    ScalingParams,
     SolverError,
     TwoPhaseState,
     l1_distance,
@@ -58,12 +57,13 @@ _TYPE_CHECKS = {
 }
 
 _PROFILES = ("local_maxwellian_wave", "equilibrium", "custom")
-_MODES = ("coupled", "limit_direct", "limit_picard")
 
-# Largest step count of one run, and so of n_samples. Far above the runs the
-# acceptance suite and the benchmark make (at most 1280 steps); a 128 x 128
-# coupled run of this many steps takes several minutes. A t_final or a CFL
-# bound that would need more is a config error, not a run that never ends.
+# Largest number of time levels one run computes: its step count, and so
+# n_samples, or for a fixed-point run picard_iters times its step count. Far
+# above the runs the acceptance suite and the benchmark make (at most 1280
+# steps); a 128 x 128 coupled run of this many steps takes several minutes. A
+# t_final, CFL bound or iterate count that would need more is a config error,
+# not a run that never ends.
 MAX_STEPS = 100_000
 
 
@@ -78,13 +78,10 @@ class ExperimentConfig:
     t_final: float = 0.5
     cfl: float = 0.4
     gamma: float = 2.0
-    vel_floor: float = 1e-12
-    chi_lambda: float = math.inf
     initial_profile: str = "local_maxwellian_wave"
     custom_state: str | None = None
     boundary: str = "specular"
     wall_temperature: float = 1.0
-    solver_mode: str = "coupled"
     output_dir: str = "out"
     n_samples: int = 32
     picard_iters: int = 10
@@ -102,8 +99,6 @@ class ExperimentConfig:
             raise ConfigError("cfl must lie in (0, 1]")
         if self.initial_profile not in _PROFILES:
             raise ConfigError(f"initial_profile must be one of {_PROFILES}")
-        if self.solver_mode not in _MODES:
-            raise ConfigError(f"solver_mode must be one of {_MODES}")
         if self.initial_profile == "custom" and not self.custom_state:
             raise ConfigError("custom profile needs custom_state")
         if not 1 <= self.n_samples <= MAX_STEPS:
@@ -117,27 +112,26 @@ class ExperimentConfig:
         if not self.audit_tolerance >= 0:
             raise ConfigError("audit_tolerance must be nonnegative (the slack at t = 0 is 0)")
         try:
-            grid = self.grid()
-            self.scaling(self.eps_list[0])
-            wall_kernels(self.boundary, grid, self.wall_temperature)
+            wall_kernels(self.boundary, self.grid(), self.wall_temperature)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def _check_fields(self):
-        """Every field matches its annotation; every float is finite except
-        chi_lambda, whose inf switches the velocity truncation off."""
+        """Every field matches its annotation and every float is finite."""
         for f in fields(self):
             value = getattr(self, f.name)
             if not _TYPE_CHECKS[f.type](value):
                 kind = f.type.__name__ if isinstance(f.type, type) else f.type
                 raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
-            if f.type in (float, list[float]) and f.name != "chi_lambda":
+            if f.type in (float, list[float]):
                 floats = value if f.type == list[float] else [value]
                 if not all(map(math.isfinite, floats)):
                     raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
+    def from_json(cls, path, **overrides) -> "ExperimentConfig":
+        """The config a JSON object describes, with each override that is not
+        None in place of the object's value; validated once, as built."""
         try:
             with open(path) as fh:
                 raw = json.load(fh)
@@ -148,24 +142,11 @@ class ExperimentConfig:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(raw.get("chi_lambda"), str):
-            try:
-                raw["chi_lambda"] = float(raw["chi_lambda"])
-            except ValueError as exc:
-                raise ConfigError(f"chi_lambda must be a number or \"inf\": {exc}") from exc
+        raw.update((key, val) for key, val in overrides.items() if val is not None)
         return cls(**raw)
 
     def grid(self) -> PhaseGrid:
         return PhaseGrid(nx=self.nx, nv=self.nv, x_lo=self.x_lo, x_hi=self.x_hi, v_max=self.v_max)
-
-    def scaling(self, eps: float) -> ScalingParams:
-        return ScalingParams(eps=eps, vel_floor=self.vel_floor, chi_lambda=self.chi_lambda)
-
-    def echo(self) -> dict:
-        d = asdict(self)
-        if math.isinf(d["chi_lambda"]):
-            d["chi_lambda"] = "inf"
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +284,6 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     grid = config.grid()
     if grid.nv < 4:
         raise ConfigError("coupled runs need nv >= 4 (the entropy diagnostics' velocity stencil)")
-    s = config.scaling(eps)
     walls = wall_kernels(config.boundary, grid, config.wall_temperature)
     kin, fl, _ = make_well_prepared(config)
     dt, nt, per = _pick_dt(config, grid, fl)
@@ -330,15 +310,15 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
         return csiszar_kullback_margin(report, l1_gap)
 
     # the moments of the current kin: sampled, then the next step's gas drag
-    mom = compute_moments(kin, grid, s)
+    mom = compute_moments(kin, grid)
     ck_min = sample(0, kin, fl, mom)
     try:
         for step in range(nt):
-            kin_new, krep = kinetic_step(kin, fl, dt, grid, s, walls)
+            kin_new, krep = kinetic_step(kin, fl, dt, grid, eps, walls)
             fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
             dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
             kin, fl = kin_new, fl_new
-            mom = compute_moments(kin, grid, s)
+            mom = compute_moments(kin, grid)
             max_asym = max(max_asym, abs(dpk + dpf))
             max_wall = max(max_wall, krep.max_wall_flux)
             leak += krep.truncation_leak
@@ -379,9 +359,11 @@ def _sampled_state(run: CoupledRun | LimitRun, idx: int, gamma: float) -> TwoPha
     return TwoPhaseState(rho=run.rho[idx], u=run.u[idx], fluid=fluid, t=run.times[idx])
 
 
-def run_limit(config: ExperimentConfig) -> LimitRun:
-    """March the relaxed two-phase system (direct or fixed-point mode) on the
-    same sampling cadence as the coupled runs."""
+def run_limit(config: ExperimentConfig, picard: bool = False) -> LimitRun:
+    """March the relaxed two-phase system on the same sampling cadence as the
+    coupled runs: directly, or by config.picard_iters fixed-point iterates
+    when picard is set. A fixed-point run of more than MAX_STEPS time levels
+    in all is a ConfigError."""
     grid = config.grid()
     _, _, st = make_well_prepared(config)
 
@@ -389,9 +371,14 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         grid.dx / (float(np.abs(st.u).max()) + 1.0),
         grid.dx / float((np.abs(st.fluid.v) + sound_speed(st.fluid.n, config.gamma)).max()),
     ))
+    if picard and config.picard_iters * nt > MAX_STEPS:
+        raise ConfigError(
+            f"picard_iters = {config.picard_iters} iterates of {nt} steps each exceed "
+            f"MAX_STEPS = {MAX_STEPS} time levels"
+        )
     picard_reports = None
     max_asym = 0.0
-    if config.solver_mode == "limit_picard":
+    if picard:
         setup = PicardSetup(grid=grid, t_final=config.t_final, nt=nt, gamma=config.gamma)
         try:
             traj, picard_reports = picard_solve(to_symhyp(st, grid), setup, max_iter=config.picard_iters)
@@ -602,7 +589,7 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     save_state(out / "series", series)
     save_state(out / "state_final", {"f": run.f_final.f, "n": run.fluid_final.n, "v": run.fluid_final.v})
     meta = {
-        "config": config.echo(),
+        "config": asdict(config),
         "eps": run.eps,
         "dt": run.dt,
         "wall_seconds": run.wall_seconds,
@@ -620,9 +607,10 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     return out
 
 
-def reaudit_run(run_dir) -> tuple[AuditRecord, dict]:
-    """Recompute the entropy-budget audit of an emitted run directory; a
-    directory without readable, complete run files is a ConfigError."""
+def reaudit_run(run_dir) -> tuple[AuditRecord, float]:
+    """Recompute the entropy-budget audit of an emitted run directory and
+    return it with the run's audit tolerance; a directory without readable,
+    complete run files is a ConfigError."""
     run_dir = Path(run_dir)
     try:
         meta = json.loads((run_dir / "run_meta.json").read_text())
@@ -632,7 +620,7 @@ def reaudit_run(run_dir) -> tuple[AuditRecord, dict]:
     if not isinstance(meta, dict) or not _is_real(meta.get("eps")) or not meta["eps"] > 0:
         raise ConfigError(f"{run_dir}/run_meta.json has no positive eps")
     config = meta.get("config", {})
-    tol = config.get("audit_tolerance", 0.0) if isinstance(config, dict) else None
+    tol = config.get("audit_tolerance") if isinstance(config, dict) else None
     if not (_is_real(tol) and tol >= 0):
         raise ConfigError(f"{run_dir}/run_meta.json: config needs a nonnegative audit_tolerance")
     names = ("times", *_REPORT_FIELDS)
@@ -647,4 +635,4 @@ def reaudit_run(run_dir) -> tuple[AuditRecord, dict]:
         for k in range(times.shape[0])
     ]
     audit = entropy_inequality_audit(times, reports, meta["eps"])
-    return audit, meta
+    return audit, tol

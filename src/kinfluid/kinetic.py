@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import CFL_SLACK, CFLError, FluidState, KineticState, PhaseGrid, ScalingParams, SolverError
-from .moments import compute_moments, truncate_velocity
+from .core import CFL_SLACK, CFLError, FluidState, KineticState, PhaseGrid, SolverError
+from .moments import compute_moments
 
 
 @dataclass
 class KineticStepReport:
     """Mass books for one step: the largest instantaneous wall trace seen in
-    any sub-step and the velocity-truncation leak diagnostic."""
+    any sub-step and the diagnostic leak through the velocity cut at +-v_max."""
 
     max_wall_flux: float = 0.0
     truncation_leak: float = 0.0
@@ -104,29 +104,29 @@ def _transport_raw(farr, grid, dt, walls):
     return fnew, trace_lo, trace_hi
 
 
-def _drag_raw(farr, fluid_v, dt, grid, s):
-    """Upwind advection in velocity with per-cell drift chi(v) - xi.
+def _drag_raw(farr, fluid_v, dt, grid):
+    """Upwind advection in velocity with per-cell drift v - xi.
 
     Zero flux is imposed at the velocity cut; the would-be outflow there is
-    returned as the suppressed-leak diagnostic (zero unless |chi(v)| exceeds
+    returned as the suppressed-leak diagnostic (zero unless |v| exceeds
     v_max)."""
-    v_eff = truncate_velocity(np.asarray(fluid_v, dtype=float), s.chi_lambda)
+    v = np.asarray(fluid_v, dtype=float)
     edges = grid.xi_edges
-    # the interior edges are symmetric about 0, so max |v_eff - edge| over
-    # them is max |v_eff| plus the largest interior edge, in floating point too
-    amax = float(np.abs(v_eff).max()) + edges[-2]
+    # the interior edges are symmetric about 0, so max |v - edge| over
+    # them is max |v| plus the largest interior edge, in floating point too
+    amax = float(np.abs(v).max()) + edges[-2]
     if dt * amax / grid.dv > CFL_SLACK:
         raise CFLError(f"velocity-advection CFL violated: dt*|a|max/dv = {dt * amax / grid.dv:g}")
-    a_bot = v_eff - edges[0]
-    a_top = v_eff - edges[-1]
+    a_bot = v - edges[0]
+    a_top = v - edges[-1]
     leak = dt * grid.dx * grid.dv * float(
         np.sum(np.maximum(a_top, 0.0) * farr[:, -1] + np.maximum(-a_bot, 0.0) * farr[:, 0])
     )
-    fnew = _kernels.upwind_drag(farr, v_eff[:, None] - edges[None, :], dt / grid.dv)
+    fnew = _kernels.upwind_drag(farr, v[:, None] - edges[None, :], dt / grid.dv)
     return fnew, leak
 
 
-def _fp_raw(farr, u, dt, grid, s):
+def _fp_raw(farr, u, dt, grid, eps):
     """Backward-Euler solve of the velocity diffusion-drift relaxation
     toward the local Maxwellian M_{rho,u}, with u frozen over the sub-step.
 
@@ -137,11 +137,13 @@ def _fp_raw(farr, u, dt, grid, s):
 
     The coefficients are assembled velocity-major, (nv, nx), the layout the
     tridiagonal kernel works in, and passed as transposed views."""
+    if not eps > 0:  # written so that NaN fails too
+        raise ValueError(f"eps must be positive, got {eps!r}")
     dv = grid.dv
-    scale = s.eps * dv * dv  # 0 when eps is near the smallest double
+    scale = eps * dv * dv  # 0 when eps is near the smallest double
     a = dt / scale if scale > 0.0 else math.inf
     if not math.isfinite(a):
-        raise SolverError(f"relaxation coefficient dt/(eps dv^2) overflows at eps = {s.eps:g}")
+        raise SolverError(f"relaxation coefficient dt/(eps dv^2) overflows at eps = {eps:g}")
     # exp(+-dv (xi_{j+1/2} - u) / 2) as the outer product of a velocity factor
     # and a spatial factor, with the factor -a folded into the first
     half = 0.5 * dv
@@ -163,7 +165,7 @@ def kinetic_step(
     fluid: FluidState,
     dt: float,
     grid: PhaseGrid,
-    s: ScalingParams,
+    eps: float,
     walls: tuple[np.ndarray, np.ndarray],
 ) -> tuple[KineticState, KineticStepReport]:
     """One Strang-split step of the full kinetic equation; walls are the
@@ -171,10 +173,10 @@ def kinetic_step(
     half = 0.5 * dt
 
     farr, tr_lo1, tr_hi1 = _transport_raw(f.f, grid, half, walls)
-    farr, leak1 = _drag_raw(farr, fluid.v, half, grid, s)
-    u = compute_moments(farr, grid, s).u
-    farr = _fp_raw(farr, u, dt, grid, s)
-    farr, leak2 = _drag_raw(farr, fluid.v, half, grid, s)
+    farr, leak1 = _drag_raw(farr, fluid.v, half, grid)
+    u = compute_moments(farr, grid).u
+    farr = _fp_raw(farr, u, dt, grid, eps)
+    farr, leak2 = _drag_raw(farr, fluid.v, half, grid)
     farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, walls)
     rep = KineticStepReport(
         max_wall_flux=max(abs(tr_lo1), abs(tr_hi1), abs(tr_lo2), abs(tr_hi2)),

@@ -4,7 +4,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KineticState, PhaseGrid, ScalingParams, quad_v
+from .core import KineticState, PhaseGrid, quad_v
+
+
+# regularizes the bulk velocity u = mom / (rho + _VEL_FLOOR) in near-vacuum cells
+_VEL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -17,15 +21,11 @@ class MomentSet:
     u: np.ndarray
 
 
-def compute_moments(f: KineticState | np.ndarray, grid: PhaseGrid, s: ScalingParams) -> MomentSet:
+def compute_moments(f: KineticState | np.ndarray, grid: PhaseGrid) -> MomentSet:
     farr = f.f if isinstance(f, KineticState) else np.asarray(f)
     rho = quad_v(farr, grid)
     mom = quad_v(farr * grid.xi, grid)
-    if s.vel_floor > 0.0:
-        u = mom / (rho + s.vel_floor)
-    else:
-        u = np.divide(mom, rho, out=np.zeros_like(mom), where=rho > 0)
-    return MomentSet(rho=rho, mom=mom, u=u)
+    return MomentSet(rho=rho, mom=mom, u=mom / (rho + _VEL_FLOOR))
 
 
 _MAXWELLIAN_NORM = (2.0 * math.pi) ** -0.5  # 1-D velocity space
@@ -44,13 +44,3 @@ def maxwellian(rho: np.ndarray, u: np.ndarray, grid: PhaseGrid) -> KineticState:
     if np.any(np.asarray(rho) < 0):
         raise ValueError("rho must be nonnegative")
     return KineticState(f=maxwellian_profile(rho, u, grid))
-
-
-def truncate_velocity(u: np.ndarray, lam: float) -> np.ndarray:
-    """Zero out entries with |u| > lam; inf lam is the identity."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    u = np.asarray(u)
-    if math.isinf(lam):
-        return u.copy()
-    return np.where(np.abs(u) <= lam, u, 0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinfluid.core import PhaseGrid, ScalingParams
+from kinfluid.core import PhaseGrid
 
 
 @pytest.fixture
@@ -12,11 +12,6 @@ def rng():
 @pytest.fixture
 def grid():
     return PhaseGrid(nx=24, nv=64, x_lo=0.0, x_hi=1.0, v_max=8.0)
-
-
-@pytest.fixture
-def scaling():
-    return ScalingParams(eps=0.5)
 
 
 def random_positive_f(rng, grid, base=0.3, amp=0.25):

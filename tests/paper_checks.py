@@ -189,8 +189,7 @@ def well_prepared_residuals(
     sums the squared velocity gaps and both relative pressures. Both are 0
     up to quadrature error for local-Maxwellian data."""
     grid = config.grid()
-    s = config.scaling(config.eps_list[0])
-    mom = compute_moments(kin, grid, s)
+    mom = compute_moments(kin, grid)
     mass = phase_mass(kin.f, grid)
 
     f_kin = kinetic_entropy(kin, fl, grid)

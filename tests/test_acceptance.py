@@ -12,7 +12,6 @@ import pytest
 from kinfluid.core import (
     FluidState,
     PhaseGrid,
-    ScalingParams,
     TwoPhaseState,
     l2_distance,
 )
@@ -109,7 +108,7 @@ def test_criterion_04_maxwellian_stationarity():
     worst = 0.0
     for eps in (1.0, 0.1, 0.01):
         f = maxwellian(rho, u, grid).f
-        out = _fp_raw(f, u, 1e-3, grid, ScalingParams(eps=eps))
+        out = _fp_raw(f, u, 1e-3, grid, eps)
         worst = max(worst, float(np.abs(out - f).max()))
     ok = worst <= 1e-10
     _report(4, "Maxwellian stationarity", ok, f"worst per-step drift {worst:.2e}")

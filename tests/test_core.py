@@ -104,19 +104,20 @@ def test_l2_triangle_inequality(grid, rng):
 
 
 def test_validation_errors():
-    from kinfluid.core import KineticState, PositivityError, ScalingParams
+    from kinfluid.core import FluidState, KineticState, PositivityError
+    from kinfluid.kinetic import kinetic_step, wall_kernels
 
     g = PhaseGrid(nx=4, nv=8)
     with pytest.raises(ValueError):
         quad_v(np.ones(7), g)  # wrong velocity length
     with pytest.raises(ValueError):
         quad_x(np.ones(5), g)  # wrong spatial length
-    with pytest.raises(ValueError):
-        ScalingParams(eps=0.0)
-    with pytest.raises(ValueError):
-        ScalingParams(eps=1.0, vel_floor=-1.0)
-    with pytest.raises(ValueError):
-        ScalingParams(eps=1.0, chi_lambda=0.0)
+    f = KineticState(f=np.ones((4, 8)))
+    fl = FluidState(n=np.ones(4), v=np.zeros(4))
+    walls = wall_kernels("specular", g, 1.0)
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            kinetic_step(f, fl, 1e-3, g, eps, walls)
     with pytest.raises(PositivityError):
         KineticState(f=np.full((4, 8), -1.0))
     with pytest.raises(ValueError):

@@ -234,15 +234,9 @@ def test_shifted_domain_conservation_and_transform():
 
 
 def test_limit_run_modes_agree():
-    cfg = ExperimentConfig(
-        nx=64, nv=2, t_final=0.2, eps_list=[0.5], n_samples=4, solver_mode="limit_direct",
-    )
+    cfg = ExperimentConfig(nx=64, nv=2, t_final=0.2, eps_list=[0.5], n_samples=4, picard_iters=10)
     direct = run_limit(cfg)
-    cfg_p = ExperimentConfig(
-        nx=64, nv=2, t_final=0.2, eps_list=[0.5], n_samples=4,
-        solver_mode="limit_picard", picard_iters=10,
-    )
-    pic = run_limit(cfg_p)
+    pic = run_limit(cfg, picard=True)
     assert pic.picard_reports is not None
     gap = np.abs(direct.n[-1] - pic.n[-1]).max() + np.abs(direct.u[-1] - pic.u[-1]).max()
     assert gap <= 10 * (direct.dt + cfg.grid().dx)
@@ -372,9 +366,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     p2 = tmp_path / "bad2.json"
     p2.write_text(json.dumps({"eps_list": [0.1, 0.4]}))
     assert main_simulate_limit(["--config", str(p2)]) == EXIT_CONFIG
-    for bad in ({"nv": 15}, {"nx": "16"}, {"gamma": 1.0}, {"chi_lambda": "abc"}):
+    for bad in ({"nv": 15}, {"nx": "16"}, {"gamma": 1.0}):
         p3 = _write_cfg(tmp_path, **bad)
         assert main_simulate_kinetic(["--config", str(p3)]) == EXIT_CONFIG
+    # the retired truncation, velocity-floor and solver-mode knobs
+    for bad in ({"chi_lambda": "inf"}, {"vel_floor": 1e-12}, {"solver_mode": "coupled"}):
+        capsys.readouterr()
+        assert main_simulate_kinetic(["--config", str(_write_cfg(tmp_path, **bad))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown config keys") and err.count("\n") == 1, err
     # runs of more than MAX_STEPS steps, found before any buffer is allocated
     for bad in ({"t_final": 1e300}, {"n_samples": 10**12}):
         p4 = _write_cfg(tmp_path, **bad)
@@ -422,6 +422,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main_simulate_limit(["--config", str(no_iterate), "--mode", "picard", *out]) == EXIT_CONFIG
     negative_tol = _write_cfg(tmp_path, audit_tolerance=-1.0)
     assert main_simulate_kinetic(["--config", str(negative_tol), *out]) == EXIT_CONFIG
+    # 782 fixed-point iterates of nt = 128 steps: more than MAX_STEPS time levels
+    many_iterates = _write_cfg(tmp_path, nx=64, nv=2, t_final=0.5, n_samples=32, picard_iters=782)
+    capsys.readouterr()
+    assert main_simulate_limit(["--config", str(many_iterates), "--mode", "picard", *out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: picard_iters = 782 iterates of 128 steps") and err.count("\n") == 1, err
+    assert not (tmp_path / "never").exists()
 
 
 _DROP = "<drop>"
@@ -515,13 +522,20 @@ def test_cli_converge_writes_outputs(tmp_path):
     assert len(meta["local_slopes"]) == 2
 
 
-def test_cli_simulate_limit_both_modes(tmp_path):
+def test_cli_simulate_limit_both_modes(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, nx=32, nv=2)
     for mode in ("direct", "picard"):
         out = tmp_path / f"lim_{mode}"
         rc = main_simulate_limit(["--config", str(cfg), "--mode", mode, "--out", str(out)])
         assert rc == EXIT_OK
         assert (out / "limit_series.json").exists()
+    # without --mode the run is the direct march
+    capsys.readouterr()
+    assert main_simulate_limit(["--config", str(cfg), "--out", str(tmp_path / "lim_default")]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("mode=direct ")
+    for name in ("rho", "u", "n", "v"):
+        default = (tmp_path / "lim_default" / f"limit_series__{name}.bin").read_bytes()
+        assert default == (tmp_path / "lim_direct" / f"limit_series__{name}.bin").read_bytes()
 
 
 def test_cli_check_entropy_rejects_non_run(tmp_path):
@@ -534,7 +548,8 @@ def test_cli_check_entropy_rejects_non_run(tmp_path):
     out = tmp_path / "run"
     assert main_simulate_kinetic(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     meta = json.loads((out / "run_meta.json").read_text())
-    bad_tols = ({**meta, "config": {"audit_tolerance": "x"}}, {**meta, "config": {"audit_tolerance": -1.0}})
+    bad_tols = ({**meta, "config": {"audit_tolerance": "x"}}, {**meta, "config": {"audit_tolerance": -1.0}},
+                {**meta, "config": {}})
     for bad in ({}, {"eps": "0.1"}, {**meta, "config": 1}, *bad_tols):
         (out / "run_meta.json").write_text(json.dumps(bad))
         assert main_check_entropy(["--run", str(out)]) == EXIT_CONFIG
@@ -572,8 +587,8 @@ def test_mid_run_vacuum_dumps_state_and_exit_code(tmp_path, monkeypatch, capsys)
     real = harness.compute_moments
     calls = []
 
-    def thinned(f, grid, s):
-        mom = real(f, grid, s)
+    def thinned(f, grid):
+        mom = real(f, grid)
         calls.append(1)
         if len(calls) > 1:
             mom.rho[3] = 0.0

@@ -8,7 +8,6 @@ from kinfluid.core import (
     FluidState,
     KineticState,
     PhaseGrid,
-    ScalingParams,
     l1_distance,
     phase_mass,
     quad_v,
@@ -147,40 +146,40 @@ def test_transport_diffuse_mass_conservation(rng, grid):
 # drag advection in velocity
 # ---------------------------------------------------------------------------
 
-def test_drag_pulse_drifts_toward_fluid_velocity(grid, scaling):
+def test_drag_pulse_drifts_toward_fluid_velocity(grid):
     f = np.zeros((grid.nx, grid.nv))
     j0 = 10  # xi well below v = 2
     f[:, j0] = 1.0
     v = np.full(grid.nx, 2.0)
     dt = 0.5 * grid.dv / (2.0 + grid.v_max)
-    out, _ = _drag_raw(f, v, dt, grid, scaling)
+    out, _ = _drag_raw(f, v, dt, grid)
     mean0 = quad_v(grid.xi * f, grid) / quad_v(f, grid)
     mean1 = quad_v(grid.xi * out, grid) / quad_v(out, grid)
     assert np.all(mean1 > mean0)  # drift has the sign of v - xi
 
 
-def test_drag_preserves_evenness_when_v_zero(grid, scaling):
+def test_drag_preserves_evenness_when_v_zero(grid):
     even = np.exp(-0.3 * grid.xi**2)
     f = np.tile(even, (grid.nx, 1))
     dt = 0.5 * grid.dv / grid.v_max
-    out, _ = _drag_raw(f, np.zeros(grid.nx), dt, grid, scaling)
+    out, _ = _drag_raw(f, np.zeros(grid.nx), dt, grid)
     np.testing.assert_allclose(out, out[:, ::-1], rtol=1e-14, atol=1e-300)
 
 
-def test_drag_mass_conservation(rng, grid, scaling):
+def test_drag_mass_conservation(rng, grid):
     f = random_positive_f(rng, grid)
     m0 = phase_mass(f, grid)
     v = 1.5 * np.sin(2 * np.pi * grid.x)
     dt = 0.5 * grid.dv / (1.5 + grid.v_max)
     for _ in range(40):
-        f, _ = _drag_raw(f, v, dt, grid, scaling)
+        f, _ = _drag_raw(f, v, dt, grid)
     assert f.min() >= 0.0
     assert phase_mass(f, grid) == pytest.approx(m0, abs=1e-12)
 
 
-def test_drag_cfl_violation_raises(grid, scaling):
+def test_drag_cfl_violation_raises(grid):
     with pytest.raises(CFLError):
-        _drag_raw(np.ones((grid.nx, grid.nv)), np.zeros(grid.nx), 10 * grid.dv / grid.v_max, grid, scaling)
+        _drag_raw(np.ones((grid.nx, grid.nv)), np.zeros(grid.nx), 10 * grid.dv / grid.v_max, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +188,17 @@ def test_drag_cfl_violation_raises(grid, scaling):
 
 @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
 def test_relaxation_maxwellian_stationarity(eps, grid):
-    s = ScalingParams(eps=eps)
     rho = 1.0 + 0.3 * np.sin(2 * np.pi * grid.x)
     u = 0.2 * np.cos(2 * np.pi * grid.x)
     f = maxwellian(rho, u, grid).f
-    out = _fp_raw(f, u, 1e-3, grid, s)
+    out = _fp_raw(f, u, 1e-3, grid, eps)
     assert np.abs(out - f).max() <= 1e-10
 
 
-def test_relaxation_per_cell_mass_conservation(rng, grid, scaling):
+def test_relaxation_per_cell_mass_conservation(rng, grid):
     f = random_positive_f(rng, grid)
-    u = compute_moments(f, grid, scaling).u
-    out = _fp_raw(f, u, 2e-3, grid, scaling)
+    u = compute_moments(f, grid).u
+    out = _fp_raw(f, u, 2e-3, grid, 0.5)
     np.testing.assert_allclose(quad_v(out, grid), quad_v(f, grid), rtol=1e-13, atol=1e-12)
 
 
@@ -209,49 +207,49 @@ def test_relaxation_stiff_mass_and_stationarity(a, rng, grid):
     # stiff relaxation, a = dt/(eps*dv^2) >= 50: per-cell mass and discrete
     # Maxwellians survive the rounding of the tridiagonal solve
     dt = 1e-3
-    s = ScalingParams(eps=dt / (a * grid.dv**2))
+    eps = dt / (a * grid.dv**2)
     rho = 1.0 + 0.3 * np.sin(2 * np.pi * grid.x)
     u = 1.5 * np.cos(2 * np.pi * grid.x)
     m = maxwellian(rho, u, grid).f
-    out = _fp_raw(m, u, dt, grid, s)
+    out = _fp_raw(m, u, dt, grid, eps)
     assert np.abs(out - m).max() <= 1e-12 * m.max()
     f = random_positive_f(rng, grid)
-    out = _fp_raw(f, u, dt, grid, s)
+    out = _fp_raw(f, u, dt, grid, eps)
     np.testing.assert_allclose(quad_v(out, grid), quad_v(f, grid), rtol=1e-13, atol=0.0)
 
 
 def test_relaxation_decreases_relative_entropy(rng, grid):
-    s = ScalingParams(eps=0.2)
+    eps = 0.2
     f = KineticState(f=random_positive_f(rng, grid))
-    mom = compute_moments(f, grid, s)
+    mom = compute_moments(f, grid)
     before = maxwellian_gap(f, mom.rho, mom.u, grid)[0]
-    out = KineticState(f=_fp_raw(f.f, mom.u, 1e-3, grid, s))
+    out = KineticState(f=_fp_raw(f.f, mom.u, 1e-3, grid, eps))
     after = maxwellian_gap(out, mom.rho, mom.u, grid)[0]
     assert after < before
 
 
 def test_every_substep_preserves_positivity(rng, grid):
     # random nonnegative data through each sub-step and the composition
-    s = ScalingParams(eps=0.1)
+    eps = 0.1
     f = random_positive_f(rng, grid)
     f[rng.random(f.shape) < 0.3] = 0.0  # sprinkle hard zeros
     v = 0.8 * np.sin(2 * np.pi * grid.x)
     dt = 0.4 * grid.dx / grid.v_max
     out_t, _, _ = _transport_raw(f, grid, dt, specular(grid))
     assert out_t.min() >= 0.0
-    out_d, _ = _drag_raw(f, v, dt, grid, s)
+    out_d, _ = _drag_raw(f, v, dt, grid)
     assert out_d.min() >= 0.0
-    out_r = _fp_raw(f, compute_moments(f, grid, s).u, dt, grid, s)
+    out_r = _fp_raw(f, compute_moments(f, grid).u, dt, grid, eps)
     assert out_r.min() >= -1e-14
-    out_full, _ = kinetic_step(KineticState(f=f), FluidState(n=np.ones(grid.nx), v=v), dt, grid, s, specular(grid))
+    out_full, _ = kinetic_step(KineticState(f=f), FluidState(n=np.ones(grid.nx), v=v), dt, grid, eps, specular(grid))
     assert out_full.f.min() >= -1e-14
 
 
 def test_relaxation_preserves_positivity(rng, grid):
-    s = ScalingParams(eps=0.01)
+    eps = 0.01
     f = np.zeros((grid.nx, grid.nv))
     f[:, 5] = rng.random(grid.nx)  # harsh: a near-delta profile
-    out = _fp_raw(f, np.zeros(grid.nx), 0.05, grid, s)
+    out = _fp_raw(f, np.zeros(grid.nx), 0.05, grid, eps)
     assert out.min() >= -1e-14
 
 
@@ -264,13 +262,13 @@ def _uniform_fluid(grid, v=0.0):
 
 
 def test_kinetic_step_mass_conservation(rng, grid):
-    s = ScalingParams(eps=0.5)
+    eps = 0.5
     f = KineticState(f=random_positive_f(rng, grid))
     fl = _uniform_fluid(grid)
     dt = 0.8 * 2 * grid.dx / grid.v_max
     m0 = phase_mass(f.f, grid)
     for _ in range(20):
-        f, rep = kinetic_step(f, fl, dt, grid, s, specular(grid))
+        f, rep = kinetic_step(f, fl, dt, grid, eps, specular(grid))
         assert rep.truncation_leak == 0.0
     assert phase_mass(f.f, grid) == pytest.approx(m0, abs=1e-12)
     assert f.f.min() >= -1e-14
@@ -281,18 +279,18 @@ def test_kinetic_step_homogeneous_relaxation_monotone(rng):
     # monotonically through the relaxation transient (below that it settles
     # at the O(eps) finite-relaxation floor, where monotonicity ends)
     grid = PhaseGrid(nx=4, nv=64, v_max=8.0)
-    s = ScalingParams(eps=0.05)
+    eps = 0.05
     prof = 0.2 + np.abs(np.sin(3.0 * grid.xi)) * np.exp(-0.2 * grid.xi**2)
     f = KineticState(f=np.tile(prof * np.exp(-0.1 * grid.xi**2), (grid.nx, 1)))
     fl = _uniform_fluid(grid)
     dt = 0.4 * 2 * grid.dx / grid.v_max
     gaps = []
     for _ in range(12):
-        mom = compute_moments(f, grid, s)
+        mom = compute_moments(f, grid)
         m = maxwellian(mom.rho, mom.u, grid)
         gaps.append(l1_distance(f.f, m.f, grid))
-        f, _ = kinetic_step(f, fl, dt, grid, s, specular(grid))
-    floor = 2.0 * s.eps * gaps[0]
+        f, _ = kinetic_step(f, fl, dt, grid, eps, specular(grid))
+    floor = 2.0 * eps * gaps[0]
     active = [k for k in range(len(gaps) - 1) if gaps[k] > floor]
     assert len(active) >= 4
     assert all(gaps[k + 1] < gaps[k] for k in active)
@@ -303,13 +301,13 @@ def test_kinetic_step_splitting_self_convergence_order():
     # per-step self-convergence order of the split composition (>= ~2; the
     # positivity-preserving implicit relaxation sub-step caps it at 2)
     grid = PhaseGrid(nx=4, nv=64, v_max=8.0)
-    s = ScalingParams(eps=1.0)
+    eps = 1.0
     f0 = maxwellian(np.ones(grid.nx), np.zeros(grid.nx), grid)
     fl = _uniform_fluid(grid, v=0.0)
 
     def advance(f, dt, substeps):
         for _ in range(substeps):
-            f, _ = kinetic_step(f, fl, dt, grid, s, specular(grid))
+            f, _ = kinetic_step(f, fl, dt, grid, eps, specular(grid))
         return f
 
     errs = []
