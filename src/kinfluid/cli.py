@@ -47,9 +47,28 @@ def _exit_codes(main):
     return wrapped
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors (exit 1): argparse's own exit code 2
+    means a solver failure here."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _output_dir(path) -> Path:
+    """Make the output directory before the run; a path that cannot hold one
+    is a ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory: {exc}") from exc
+    return out
+
+
 @_exit_codes
 def main_simulate_kinetic(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="simulate-kinetic", description="Run the coupled kinetic/gas system at one eps.")
+    ap = _Parser(prog="simulate-kinetic", description="Run the coupled kinetic/gas system at one eps.")
     ap.add_argument("--config", required=True)
     ap.add_argument("--eps", type=float, default=None)
     ap.add_argument("--out", default=None)
@@ -58,8 +77,9 @@ def main_simulate_kinetic(argv=None) -> int:
     eps = args.eps if args.eps is not None else cfg.eps_list[0]
     if not (math.isfinite(eps) and eps > 0):  # as an eps_list entry is checked
         raise ConfigError(f"--eps must be finite and positive, got {eps!r}")
+    out = _output_dir(cfg.output_dir)
     run = run_coupled(cfg, eps)
-    out = save_run_series(run, Path(cfg.output_dir), cfg)
+    save_run_series(run, out, cfg)
     print(
         f"eps={eps:g} steps_dt={run.dt:g} wall={run.wall_seconds:.2f}s "
         f"entropy_budget_slack={run.audit.slack_entropy_budget:.6g} "
@@ -73,37 +93,31 @@ def main_simulate_kinetic(argv=None) -> int:
 
 @_exit_codes
 def main_simulate_limit(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="simulate-limit", description="Run the relaxed two-phase system.")
+    ap = _Parser(prog="simulate-limit", description="Run the relaxed two-phase system.")
     ap.add_argument("--config", required=True)
-    ap.add_argument("--mode", choices=("direct", "picard"), default="direct")
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
     cfg = ExperimentConfig.from_json(args.config, output_dir=args.out)
-    run = run_limit(cfg, picard=args.mode == "picard")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg.output_dir)
+    run = run_limit(cfg)
     save_state(
         out / "limit_series",
         {"times": run.times, "rho": run.rho, "u": run.u, "n": run.n, "v": run.v, "mass_rho": run.mass_rho},
         meta={"config": asdict(cfg), "dt": run.dt, "min_one_plus_h": run.min_one_plus_h},
     )
-    msg = f"mode={args.mode} dt={run.dt:g} min(1+h)={run.min_one_plus_h:g}"
-    if run.picard_reports:
-        tail = run.picard_reports[-1]
-        msg += f" iterations={tail.m} cauchy_l2={tail.cauchy_l2:.3e}"
-    print(msg + f" -> {out}")
+    print(f"dt={run.dt:g} min(1+h)={run.min_one_plus_h:g} -> {out}")
     return EXIT_OK
 
 
 @_exit_codes
 def main_converge(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="converge", description="Eps sweep with rate fit against the limit trajectory.")
+    ap = _Parser(prog="converge", description="Eps sweep with rate fit against the limit trajectory.")
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
     cfg = ExperimentConfig.from_json(args.config, output_dir=args.out)
+    out = _output_dir(cfg.output_dir)
     result = run_convergence(cfg)
-    out = Path(cfg.output_dir)
     csv_path = emit_csv(result.rows, out / "convergence.csv")
     meta = {
         "config": asdict(cfg),
@@ -128,7 +142,7 @@ def main_converge(argv=None) -> int:
 
 @_exit_codes
 def main_check_entropy(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="check-entropy", description="Re-audit an emitted coupled run directory.")
+    ap = _Parser(prog="check-entropy", description="Re-audit an emitted coupled run directory.")
     ap.add_argument("--run", required=True)
     args = ap.parse_args(argv)
     audit, tol = reaudit_run(args.run)

@@ -35,7 +35,7 @@ from .entropy import (
 )
 from .fluid import momentum_exchange, ns_step, sound_speed
 from .kinetic import kinetic_step, wall_kernels
-from .limit import PicardError, PicardSetup, SymHypState, _two_phase_substeps, from_symhyp, picard_solve, to_symhyp
+from .limit import _two_phase_substeps
 from .moments import compute_moments, maxwellian, maxwellian_profile
 
 
@@ -58,12 +58,10 @@ _TYPE_CHECKS = {
 
 _PROFILES = ("local_maxwellian_wave", "equilibrium", "custom")
 
-# Largest number of time levels one run computes: its step count, and so
-# n_samples, or for a fixed-point run picard_iters times its step count. Far
-# above the runs the acceptance suite and the benchmark make (at most 1280
-# steps); a 128 x 128 coupled run of this many steps takes several minutes. A
-# t_final, CFL bound or iterate count that would need more is a config error,
-# not a run that never ends.
+# Largest number of steps one run takes, and so of n_samples. Far above the
+# runs the acceptance suite and the benchmark make (at most 1280 steps); a
+# 128 x 128 coupled run of this many steps takes several minutes. A t_final or
+# CFL bound that would need more is a config error, not a run that never ends.
 MAX_STEPS = 100_000
 
 
@@ -84,7 +82,6 @@ class ExperimentConfig:
     wall_temperature: float = 1.0
     output_dir: str = "out"
     n_samples: int = 32
-    picard_iters: int = 10
     audit_tolerance: float = 0.05
 
     def __post_init__(self):
@@ -107,8 +104,6 @@ class ExperimentConfig:
             raise ConfigError("nx must be at least 2 (wall values extrapolate from two cells)")
         if not self.gamma > 1:
             raise ConfigError("gamma must exceed 1")
-        if self.picard_iters < 1:
-            raise ConfigError("picard_iters must be at least 1")
         if not self.audit_tolerance >= 0:
             raise ConfigError("audit_tolerance must be nonnegative (the slack at t = 0 is 0)")
         try:
@@ -325,7 +320,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             if (step + 1) % per == 0:
                 ck_min = min(ck_min, sample((step + 1) // per, kin, fl, mom))
     except SolverError as exc:
-        raise dump_failure_state(config, exc, {"f": kin.f, "n": fl.n, "v": fl.v}, "step", step, kin.t) from exc
+        raise dump_failure_state(config, exc, {"f": kin.f, "n": fl.n, "v": fl.v}, step, kin.t) from exc
 
     audit = entropy_inequality_audit(times, reports, eps)
     return CoupledRun(
@@ -350,7 +345,6 @@ class LimitRun:
     max_exchange_asym: float
     dt: float
     min_one_plus_h: float
-    picard_reports: list | None = None
 
 
 def _sampled_state(run: CoupledRun | LimitRun, idx: int, gamma: float) -> TwoPhaseState:
@@ -359,11 +353,9 @@ def _sampled_state(run: CoupledRun | LimitRun, idx: int, gamma: float) -> TwoPha
     return TwoPhaseState(rho=run.rho[idx], u=run.u[idx], fluid=fluid, t=run.times[idx])
 
 
-def run_limit(config: ExperimentConfig, picard: bool = False) -> LimitRun:
-    """March the relaxed two-phase system on the same sampling cadence as the
-    coupled runs: directly, or by config.picard_iters fixed-point iterates
-    when picard is set. A fixed-point run of more than MAX_STEPS time levels
-    in all is a ConfigError."""
+def run_limit(config: ExperimentConfig) -> LimitRun:
+    """March the relaxed two-phase system directly, on the same sampling
+    cadence as the coupled runs."""
     grid = config.grid()
     _, _, st = make_well_prepared(config)
 
@@ -371,50 +363,31 @@ def run_limit(config: ExperimentConfig, picard: bool = False) -> LimitRun:
         grid.dx / (float(np.abs(st.u).max()) + 1.0),
         grid.dx / float((np.abs(st.fluid.v) + sound_speed(st.fluid.n, config.gamma)).max()),
     ))
-    if picard and config.picard_iters * nt > MAX_STEPS:
-        raise ConfigError(
-            f"picard_iters = {config.picard_iters} iterates of {nt} steps each exceed "
-            f"MAX_STEPS = {MAX_STEPS} time levels"
-        )
-    picard_reports = None
+    times, rho, u, n, v = _sample_arrays(config, grid)
     max_asym = 0.0
-    if picard:
-        setup = PicardSetup(grid=grid, t_final=config.t_final, nt=nt, gamma=config.gamma)
-        try:
-            traj, picard_reports = picard_solve(to_symhyp(st, grid), setup, max_iter=config.picard_iters)
-        except PicardError as exc:
-            last = asdict(exc.trajectory)
-            raise dump_failure_state(config, exc, last, "iterate", exc.iterate, config.t_final) from exc
-        rows = SymHypState(g=traj.g[::per], u=traj.u[::per], h=traj.h[::per], v=traj.v[::per])
-        sampled = from_symhyp(rows, grid, config.gamma)
-        times = np.arange(config.n_samples + 1) * per * dt
-        rho, u, n, v = sampled.rho, sampled.u, sampled.fluid.n, sampled.fluid.v
-    else:
-        times, rho, u, n, v = _sample_arrays(config, grid)
 
-        def sample(idx, st):
-            times[idx] = st.t
-            rho[idx] = st.rho
-            u[idx] = st.u
-            n[idx] = st.fluid.n
-            v[idx] = st.fluid.v
+    def sample(idx, st):
+        times[idx] = st.t
+        rho[idx] = st.rho
+        u[idx] = st.u
+        n[idx] = st.fluid.n
+        v[idx] = st.fluid.v
 
-        sample(0, st)
-        try:
-            for step in range(nt):
-                st, dpp, dpf = _two_phase_substeps(st, dt, grid)
-                max_asym = max(max_asym, abs(dpp + dpf))
-                if (step + 1) % per == 0:
-                    sample((step + 1) // per, st)
-        except SolverError as exc:
-            arrays = {"rho": st.rho, "u": st.u, "n": st.fluid.n, "v": st.fluid.v}
-            raise dump_failure_state(config, exc, arrays, "step", step, st.t) from exc
+    sample(0, st)
+    try:
+        for step in range(nt):
+            st, dpp, dpf = _two_phase_substeps(st, dt, grid)
+            max_asym = max(max_asym, abs(dpp + dpf))
+            if (step + 1) % per == 0:
+                sample((step + 1) // per, st)
+    except SolverError as exc:
+        arrays = {"rho": st.rho, "u": st.u, "n": st.fluid.n, "v": st.fluid.v}
+        raise dump_failure_state(config, exc, arrays, step, st.t) from exc
 
     return LimitRun(
         times=times, rho=rho, u=u, n=n, v=v, mass_rho=np.array([quad_x(r, grid) for r in rho]),
         max_exchange_asym=max_asym, dt=dt,
         min_one_plus_h=float(n.min()),
-        picard_reports=picard_reports,
     )
 
 
@@ -565,16 +538,12 @@ def load_state(descriptor_path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, desc.get("meta", {})
 
 
-def dump_failure_state(
-    config: ExperimentConfig, exc: SolverError, arrays: dict, kind: str, index: int, t: float
-) -> SolverError:
-    """Save the arrays that the failing step or fixed-point iterate `index`
-    started from as failure_<kind>_<index> in the output directory and
-    return the SolverError that reports exc and the dump. A step's arrays
-    are the state at time t; an iterate's are the (g, u, h, v) trajectory of
-    the last completed iterate, t its horizon."""
-    dump = save_state(Path(config.output_dir) / f"failure_{kind}_{index}", arrays, meta={kind: index, "t": t})
-    return SolverError(f"{kind} {index}: {exc} (state dumped to {dump})")
+def dump_failure_state(config: ExperimentConfig, exc: SolverError, arrays: dict, step: int, t: float) -> SolverError:
+    """Save the arrays of the state at time t that the failing step started
+    from as failure_step_<step> in the output directory and return the
+    SolverError that reports exc and the dump."""
+    dump = save_state(Path(config.output_dir) / f"failure_step_{step}", arrays, meta={"step": step, "t": t})
+    return SolverError(f"step {step}: {exc} (state dumped to {dump})")
 
 
 def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:

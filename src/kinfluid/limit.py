@@ -1,12 +1,14 @@
 """Two-phase relaxation limit: isothermal particle gas coupled to the
-isentropic viscous gas, plus a linearized fixed-point solve mode.
+isentropic viscous gas, and the linearized fixed-point iteration of the
+limit system's existence argument.
 
-Direct mode advances the conservative system with Strang-split Rusanov
-updates and one joint, exactly antisymmetric drag exchange per step.
-The fixed-point mode freezes coefficients at the previous iterate and
-integrates the resulting linear symmetric-hyperbolic/parabolic system with
-first-order upwinding on its characteristic fields, reporting the L2 Cauchy
-distance between consecutive iterates.
+The limit runs march the conservative system directly, with Strang-split
+Rusanov updates and one joint, exactly antisymmetric drag exchange per step.
+The fixed-point iteration (picard_solve) is a library routine that no run
+uses: it freezes coefficients at the previous iterate, integrates the
+resulting linear symmetric-hyperbolic/parabolic system with first-order
+upwinding on its characteristic fields, and reports the L2 Cauchy distance
+between consecutive iterates; acceptance criterion 9 checks its contraction.
 """
 import math
 from dataclasses import dataclass
@@ -19,7 +21,6 @@ from .core import (
     FluidState,
     PhaseGrid,
     PositivityError,
-    SolverError,
     TwoPhaseState,
     VacuumError,
     quad_x,
@@ -279,29 +280,16 @@ def picard_iterate(prev: PicardTrajectory, setup: PicardSetup) -> tuple[PicardTr
     return PicardTrajectory(g=g, u=u, h=h, v=v), IterationReport(m=-1, cauchy_l2=cauchy)
 
 
-class PicardError(SolverError):
-    """Fixed-point iterate `iterate` failed; carries the trajectory it
-    started from, the last completed iterate (iterate 0 is the initial data
-    held constant)."""
-
-    def __init__(self, message: str, iterate: int, trajectory: PicardTrajectory):
-        super().__init__(message)
-        self.iterate = iterate
-        self.trajectory = trajectory
-
-
 def picard_solve(init: SymHypState, setup: PicardSetup, max_iter: int = 12):
     """Run max_iter fixed-point iterations from the constant-in-time iterate 0.
 
     Returns the last trajectory and the list of IterationReports with
-    contraction ratios filled in; a failed iterate raises PicardError."""
+    contraction ratios filled in; a failed iterate's CFLError or
+    PositivityError propagates."""
     traj = initial_trajectory(init, setup)
     reports: list[IterationReport] = []
     for m in range(1, max_iter + 1):
-        try:
-            traj, rep = picard_iterate(traj, setup)
-        except SolverError as exc:
-            raise PicardError(str(exc), m, traj) from exc
+        traj, rep = picard_iterate(traj, setup)
         rep.m = m
         if reports and reports[-1].cauchy_l2 > 0:
             rep.contraction_ratio = rep.cauchy_l2 / reports[-1].cauchy_l2

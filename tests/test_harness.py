@@ -32,7 +32,6 @@ from kinfluid.harness import (
     load_state,
     make_well_prepared,
     run_coupled,
-    run_limit,
     save_state,
 )
 
@@ -233,17 +232,6 @@ def test_shifted_domain_conservation_and_transform():
     np.testing.assert_allclose(back.rho, st.rho, rtol=1e-14)
 
 
-def test_limit_run_modes_agree():
-    cfg = ExperimentConfig(nx=64, nv=2, t_final=0.2, eps_list=[0.5], n_samples=4, picard_iters=10)
-    direct = run_limit(cfg)
-    pic = run_limit(cfg, picard=True)
-    assert pic.picard_reports is not None
-    gap = np.abs(direct.n[-1] - pic.n[-1]).max() + np.abs(direct.u[-1] - pic.u[-1]).max()
-    assert gap <= 10 * (direct.dt + cfg.grid().dx)
-    assert direct.min_one_plus_h > 0
-    assert pic.min_one_plus_h > 0
-
-
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
@@ -358,7 +346,8 @@ def test_cli_simulate_kinetic_coarse_velocity_grid(tmp_path, capsys):
     assert "entropy_budget_slack=0 " in capsys.readouterr().out
 
 
-def test_cli_config_error_exit_code(tmp_path, capsys):
+def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default output directory "out" lands here
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"nx": 8, "mystery": True}))
     assert main_simulate_kinetic(["--config", str(p)]) == EXIT_CONFIG
@@ -416,19 +405,43 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main_simulate_kinetic(["--config", str(cold), "--out", str(tmp_path / "cold")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
-    # no fixed-point iterate, and an audit tolerance no run can meet
-    no_iterate = _write_cfg(tmp_path, picard_iters=0)
+    # an audit tolerance no run can meet, and the retired fixed-point iterate count
     out = ["--out", str(tmp_path / "never")]
-    assert main_simulate_limit(["--config", str(no_iterate), "--mode", "picard", *out]) == EXIT_CONFIG
     negative_tol = _write_cfg(tmp_path, audit_tolerance=-1.0)
     assert main_simulate_kinetic(["--config", str(negative_tol), *out]) == EXIT_CONFIG
-    # 782 fixed-point iterates of nt = 128 steps: more than MAX_STEPS time levels
-    many_iterates = _write_cfg(tmp_path, nx=64, nv=2, t_final=0.5, n_samples=32, picard_iters=782)
     capsys.readouterr()
-    assert main_simulate_limit(["--config", str(many_iterates), "--mode", "picard", *out]) == EXIT_CONFIG
+    assert main_simulate_limit(["--config", str(_write_cfg(tmp_path, picard_iters=10)), *out]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: picard_iters = 782 iterates of 128 steps") and err.count("\n") == 1, err
+    assert err.startswith("config error: unknown config keys") and err.count("\n") == 1, err
+    # usage errors are config errors too, not argparse's exit 2 (a solver failure)
+    cfg = str(_write_cfg(tmp_path))
+    usage_errors = [
+        (main_simulate_kinetic, ["--config", cfg, "--eps", "abc"]),
+        (main_simulate_kinetic, []),
+        (main_check_entropy, []),
+        (main_simulate_limit, ["--config", cfg, "--mode", "picard", *out]),
+        (main_converge, ["--config", cfg, "--bogus"]),
+    ]
+    # an output path that cannot hold a directory, found before the run
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(harness, "_two_phase_substeps", None)  # no run may start
+    monkeypatch.setattr(harness, "kinetic_step", None)
+    unusable_out = [
+        (main_simulate_kinetic, ["--config", cfg, "--out", str(tmp_path / "file")]),
+        (main_simulate_limit, ["--config", cfg, "--out", str(tmp_path / "file")]),
+        (main_converge, ["--config", cfg, "--out", str(tmp_path / "file")]),
+        (main_simulate_kinetic, ["--config", cfg, "--out", str(tmp_path / "file" / "below")]),
+    ]
+    for main, argv in usage_errors + unusable_out:
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG, (main.__name__, argv)
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
     assert not (tmp_path / "never").exists()
+    # --help still exits 0
+    with pytest.raises(SystemExit) as exit_info:
+        main_simulate_limit(["--help"])
+    assert exit_info.value.code == 0
 
 
 _DROP = "<drop>"
@@ -522,20 +535,16 @@ def test_cli_converge_writes_outputs(tmp_path):
     assert len(meta["local_slopes"]) == 2
 
 
-def test_cli_simulate_limit_both_modes(tmp_path, capsys):
+def test_cli_simulate_limit(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, nx=32, nv=2)
-    for mode in ("direct", "picard"):
-        out = tmp_path / f"lim_{mode}"
-        rc = main_simulate_limit(["--config", str(cfg), "--mode", mode, "--out", str(out)])
-        assert rc == EXIT_OK
-        assert (out / "limit_series.json").exists()
-    # without --mode the run is the direct march
-    capsys.readouterr()
-    assert main_simulate_limit(["--config", str(cfg), "--out", str(tmp_path / "lim_default")]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("mode=direct ")
-    for name in ("rho", "u", "n", "v"):
-        default = (tmp_path / "lim_default" / f"limit_series__{name}.bin").read_bytes()
-        assert default == (tmp_path / "lim_direct" / f"limit_series__{name}.bin").read_bytes()
+    out = tmp_path / "lim"
+    assert main_simulate_limit(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    line = capsys.readouterr().out
+    arrays, meta = load_state(out / "limit_series.json")
+    assert line == f"dt={meta['dt']:g} min(1+h)={meta['min_one_plus_h']:g} -> {out}\n"
+    assert set(arrays) == {"times", "rho", "u", "n", "v", "mass_rho"}
+    assert arrays["times"].shape == (5,) and arrays["n"].shape == (5, 32)
+    assert meta["min_one_plus_h"] == arrays["n"].min() > 0
 
 
 def test_cli_check_entropy_rejects_non_run(tmp_path):
@@ -621,8 +630,7 @@ def test_solver_failure_dumps_state_and_exit_code(tmp_path, monkeypatch):
 
 
 def _lean_bubble_state(tmp_path):
-    """nx = 32 custom data whose particle density is 1e-9 on cells 12-19:
-    the fixed-point iterates outgrow the speeds that fix the picard dt."""
+    """nx = 32 custom data whose particle density is 1e-9 on cells 12-19."""
     x = (np.arange(32) + 0.5) / 32
     rho0 = np.ones(32)
     rho0[12:20] = 1e-9
@@ -633,19 +641,10 @@ def _lean_bubble_state(tmp_path):
 def test_limit_run_failure_dumps_state(tmp_path, monkeypatch):
     desc = _lean_bubble_state(tmp_path)
     cfg = _write_cfg(tmp_path, nx=32, nv=16, t_final=0.2, initial_profile="custom", custom_state=str(desc))
-    out = tmp_path / "picard"
-    assert main_simulate_limit(["--config", str(cfg), "--mode", "picard", "--out", str(out)]) == EXIT_SOLVER
-    # iterate 2 fails; its input, the last completed iterate, is dumped with
-    # one row per time level
-    (dump,) = out.glob("failure_iterate_*.json")
-    arrays, meta = load_state(dump)
-    assert dump.name == "failure_iterate_2.json" and meta == {"iterate": 2, "t": 0.2}
-    assert set(arrays) == {"g", "u", "h", "v"}
-    assert arrays["g"].shape[1] == 32 and np.isfinite(arrays["g"]).all()
-    assert main_simulate_limit(["--config", str(cfg), "--mode", "direct", "--out", str(tmp_path / "d")]) == EXIT_OK
+    assert main_simulate_limit(["--config", str(cfg), "--out", str(tmp_path / "d")]) == EXIT_OK
     dt = load_state(tmp_path / "d" / "limit_series.json")[1]["dt"]
 
-    # direct mode dumps the state before the failing step
+    # a failing step dumps the state it started from
     real = harness._two_phase_substeps
 
     def fail_at_step_2(st, dt, grid):
@@ -655,7 +654,7 @@ def test_limit_run_failure_dumps_state(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "_two_phase_substeps", fail_at_step_2)
     out = tmp_path / "direct"
-    assert main_simulate_limit(["--config", str(cfg), "--mode", "direct", "--out", str(out)]) == EXIT_SOLVER
+    assert main_simulate_limit(["--config", str(cfg), "--out", str(out)]) == EXIT_SOLVER
     arrays, meta = load_state(out / "failure_step_2.json")
     assert meta["step"] == 2 and meta["t"] == pytest.approx(2 * dt)
     assert set(arrays) == {"rho", "u", "n", "v"} and arrays["n"].shape == (32,)
