@@ -34,7 +34,7 @@ from .entropy import (
     relative_entropy,
 )
 from .fluid import momentum_exchange, ns_step, sound_speed
-from .kinetic import kinetic_step, wall_kernels
+from .kinetic import KineticWork, kinetic_step, wall_kernels
 from .limit import _two_phase_substeps
 from .moments import compute_moments, maxwellian, maxwellian_profile
 
@@ -280,6 +280,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     if grid.nv < 4:
         raise ConfigError("coupled runs need nv >= 4 (the entropy diagnostics' velocity stencil)")
     walls = wall_kernels(config.boundary, grid, config.wall_temperature)
+    work = KineticWork(grid)
     kin, fl, _ = make_well_prepared(config)
     dt, nt, per = _pick_dt(config, grid, fl)
 
@@ -309,7 +310,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     ck_min = sample(0, kin, fl, mom)
     try:
         for step in range(nt):
-            kin_new, krep = kinetic_step(kin, fl, dt, grid, eps, walls)
+            kin_new, krep = kinetic_step(kin, fl, dt, grid, eps, walls, work)
             fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
             dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
             kin, fl = kin_new, fl_new

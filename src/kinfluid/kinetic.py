@@ -88,11 +88,27 @@ def _wall_traces(farr, ghost_lo, ghost_hi, grid) -> tuple[float, float]:
     return -s_lo, s_hi
 
 
-def _transport_raw(farr, grid, dt, walls):
+class KineticWork:
+    """The work arrays of kinetic_step for one grid, built once per run: the
+    state between sub-steps, the two drift parts of the drag, and four flat
+    scratch arrays that each sub-step's kernel runs in (the relaxation
+    assembles its matrix in three of them). Seven arrays of nx*nv doubles,
+    the scratch ones a row longer for the transport's interface differences."""
+
+    def __init__(self, grid: PhaseGrid):
+        shape = (grid.nx, grid.nv)
+        self.f = np.empty(shape)
+        self.a_pos = np.empty(shape)
+        self.a_neg = np.empty(shape)
+        self.scratch = tuple(np.empty((grid.nx + 1) * grid.nv) for _ in range(4))
+
+
+def _transport_raw(farr, grid, dt, walls, out=None, scratch=None):
     """Conservative upwind advection in x with wall ghost cells from the
     scattering matrices walls = (k_lo, k_hi) of wall_kernels; returns
     (f, trace_lo, trace_hi). The mass change equals
-    -dt*(trace_lo + trace_hi) exactly (conservative telescoping)."""
+    -dt*(trace_lo + trace_hi) exactly (conservative telescoping). out and
+    scratch (KineticWork.scratch) are the kernel's out and work arrays."""
     ximax = grid.v_max - 0.5 * grid.dv  # largest cell-center speed
     if dt * ximax / grid.dx > CFL_SLACK:
         raise CFLError(f"transport CFL violated: dt*ximax/dx = {dt * ximax / grid.dx:g}")
@@ -100,16 +116,31 @@ def _transport_raw(farr, grid, dt, walls):
     ghost_lo = farr[0] @ k_lo
     ghost_hi = farr[-1] @ k_hi
     trace_lo, trace_hi = _wall_traces(farr, ghost_lo, ghost_hi, grid)
-    fnew = _kernels.upwind_transport(farr, grid.xi, dt / grid.dx, ghost_lo, ghost_hi)
+    work = scratch[:2] if scratch else None
+    fnew = _kernels.upwind_transport(farr, grid.xi, dt / grid.dx, ghost_lo, ghost_hi, out=out, work=work)
     return fnew, trace_lo, trace_hi
 
 
-def _drag_raw(farr, fluid_v, dt, grid):
+def _drift_parts(fluid_v, grid, out=None):
+    """(max(a, 0), min(a, 0)) of the drag's drift a = v - xi_{j+1/2} at the
+    upper interface of each cell, as (nx, nv) arrays whose last column, the
+    velocity cut, is 0."""
+    v = np.asarray(fluid_v, dtype=float)
+    a_pos, a_neg = out if out else (np.empty((grid.nx, grid.nv)), np.empty((grid.nx, grid.nv)))
+    np.subtract.outer(v, grid.xi_edges[1:], out=a_pos)
+    a_pos[:, -1] = 0.0
+    np.minimum(a_pos, 0.0, out=a_neg)
+    np.maximum(a_pos, 0.0, out=a_pos)
+    return a_pos, a_neg
+
+
+def _drag_raw(farr, fluid_v, dt, grid, drift=None, out=None, scratch=None):
     """Upwind advection in velocity with per-cell drift v - xi.
 
     Zero flux is imposed at the velocity cut; the would-be outflow there is
     returned as the suppressed-leak diagnostic (zero unless |v| exceeds
-    v_max)."""
+    v_max). drift: the _drift_parts of fluid_v, built here when None; out
+    and scratch (KineticWork.scratch) are the kernel's out and work arrays."""
     v = np.asarray(fluid_v, dtype=float)
     edges = grid.xi_edges
     # the interior edges are symmetric about 0, so max |v - edge| over
@@ -122,11 +153,13 @@ def _drag_raw(farr, fluid_v, dt, grid):
     leak = dt * grid.dx * grid.dv * float(
         np.sum(np.maximum(a_top, 0.0) * farr[:, -1] + np.maximum(-a_bot, 0.0) * farr[:, 0])
     )
-    fnew = _kernels.upwind_drag(farr, v[:, None] - edges[None, :], dt / grid.dv)
+    a_pos, a_neg = _drift_parts(v, grid) if drift is None else drift
+    work = scratch[:2] if scratch else None
+    fnew = _kernels.upwind_drag(farr, a_pos, a_neg, dt / grid.dv, out=out, work=work)
     return fnew, leak
 
 
-def _fp_raw(farr, u, dt, grid, eps):
+def _fp_raw(farr, u, dt, grid, eps, out=None, scratch=None):
     """Backward-Euler solve of the velocity diffusion-drift relaxation
     toward the local Maxwellian M_{rho,u}, with u frozen over the sub-step.
 
@@ -135,8 +168,9 @@ def _fp_raw(farr, u, dt, grid, eps):
     system matrix is an M-matrix (positivity) and its columns sum to one
     (exact per-cell mass conservation).
 
-    The coefficients are assembled velocity-major, (nv, nx), the layout the
-    tridiagonal kernel works in, and passed as transposed views."""
+    The coefficients are assembled in the kernel's (nx, nv) layout, in three
+    of the scratch arrays (KineticWork.scratch) when given, which the solve
+    then runs in; out may be farr."""
     if not eps > 0:  # written so that NaN fails too
         raise ValueError(f"eps must be positive, got {eps!r}")
     dv = grid.dv
@@ -144,20 +178,26 @@ def _fp_raw(farr, u, dt, grid, eps):
     a = dt / scale if scale > 0.0 else math.inf
     if not math.isfinite(a):
         raise SolverError(f"relaxation coefficient dt/(eps dv^2) overflows at eps = {eps:g}")
-    # exp(+-dv (xi_{j+1/2} - u) / 2) as the outer product of a velocity factor
-    # and a spatial factor, with the factor -a folded into the first
+    nx, nv = farr.shape
+    size = nx * nv
+    if not scratch:
+        scratch = tuple(np.empty(size) for _ in range(4))
+    flat_l, flat_d, flat_u = (w[:size] for w in scratch[:3])
+    lower, diag, upper = (w.reshape(nx, nv) for w in (flat_l, flat_d, flat_u))
+    # exp(+-dv (xi_{j+1/2} - u) / 2) as the outer product of a spatial factor
+    # and a velocity factor, with the factor -a folded into the second and
+    # the corner entries lower[:, 0] and upper[:, -1] padded as 0
     half = 0.5 * dv
     edges = grid.xi_edges[1:-1]
     u = np.asarray(u, dtype=float)
-    nx, nv = farr.shape
-    lower = np.zeros((nv, nx))
-    upper = np.zeros((nv, nx))
-    np.multiply((-a * np.exp(-half * edges))[:, None], np.exp(half * u), out=lower[1:])
-    np.multiply((-a * np.exp(half * edges))[:, None], np.exp(-half * u), out=upper[:-1])
-    diag = np.ones((nv, nx))
-    diag[:-1] -= lower[1:]
-    diag[1:] -= upper[:-1]
-    return _kernels.thomas_batch(lower.T, diag.T, upper.T, farr)
+    np.multiply.outer(np.exp(half * u), np.concatenate(([0.0], -a * np.exp(-half * edges))), out=lower)
+    np.multiply.outer(np.exp(-half * u), np.concatenate((-a * np.exp(half * edges), [0.0])), out=upper)
+    # diag_j = (1 - lower_{j+1}) - upper_{j-1}; across a row end the shifts
+    # read a zero corner entry
+    np.subtract(1.0, flat_l[1:], out=flat_d[:-1])
+    flat_d[-1] = 1.0
+    flat_d[1:] -= flat_u[:-1]
+    return _kernels.thomas_batch(lower, diag, upper, farr, out=out, work=scratch)
 
 
 def kinetic_step(
@@ -167,17 +207,26 @@ def kinetic_step(
     grid: PhaseGrid,
     eps: float,
     walls: tuple[np.ndarray, np.ndarray],
+    work: KineticWork | None = None,
 ) -> tuple[KineticState, KineticStepReport]:
     """One Strang-split step of the full kinetic equation; walls are the
-    scattering matrices (k_lo, k_hi) of wall_kernels."""
+    scattering matrices (k_lo, k_hi) of wall_kernels and work the run's
+    KineticWork (a fresh one when None). Between the sub-steps the state
+    lives in work.f; the only phase-space array the kernels allocate is the
+    returned state."""
+    if work is None:
+        work = KineticWork(grid)
     half = 0.5 * dt
+    scratch = work.scratch
 
-    farr, tr_lo1, tr_hi1 = _transport_raw(f.f, grid, half, walls)
-    farr, leak1 = _drag_raw(farr, fluid.v, half, grid)
+    farr, tr_lo1, tr_hi1 = _transport_raw(f.f, grid, half, walls, out=work.f, scratch=scratch)
+    # both drag half-steps see the same fluid velocity
+    drift = _drift_parts(fluid.v, grid, out=(work.a_pos, work.a_neg))
+    farr, leak1 = _drag_raw(farr, fluid.v, half, grid, drift, out=farr, scratch=scratch)
     u = compute_moments(farr, grid).u
-    farr = _fp_raw(farr, u, dt, grid, eps)
-    farr, leak2 = _drag_raw(farr, fluid.v, half, grid)
-    farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, walls)
+    farr = _fp_raw(farr, u, dt, grid, eps, out=farr, scratch=scratch)
+    farr, leak2 = _drag_raw(farr, fluid.v, half, grid, drift, out=farr, scratch=scratch)
+    farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, walls, scratch=scratch)
     rep = KineticStepReport(
         max_wall_flux=max(abs(tr_lo1), abs(tr_hi1), abs(tr_lo2), abs(tr_hi2)),
         truncation_leak=leak1 + leak2,

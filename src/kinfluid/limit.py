@@ -221,7 +221,8 @@ def _checked_sound_speed(big_h, um, vm, k0, setup):
     cfl = dt * np.where(speed_u > speed_v, speed_u, speed_v) / dx
     over = cfl > CFL_SLACK
     if over.any():
-        raise CFLError(f"fixed-point CFL violated: {cfl[np.argmax(over)]:g}")
+        i = int(np.argmax(over))
+        raise CFLError(f"fixed-point CFL violated at iterate level {k0 + i}: {cfl[i]:g}")
     if n_ok < len(positive):
         raise PositivityError(f"1 + h lost positivity at iterate level {k0 + n_ok}")
     return c

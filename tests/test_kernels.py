@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,10 +51,10 @@ def test_upwind_transport_matches_loop(rng):
     xi = np.linspace(-4, 4, nv)
     lo = rng.random(nv)
     hi = rng.random(nv)
-    np.testing.assert_allclose(
+    # the same arithmetic, operation by operation
+    np.testing.assert_array_equal(
         _kernels.upwind_transport(f, xi, 0.05, lo, hi),
         loop_upwind_transport(f, xi, 0.05, lo, hi),
-        rtol=1e-14, atol=1e-15,
     )
 
 
@@ -62,10 +63,11 @@ def test_upwind_drag_matches_loop(rng):
     f = rng.random((nx, nv)) + 0.1
     drift = rng.standard_normal((nx, nv + 1))
     drift[:, 0] = drift[:, -1] = 0.0
-    np.testing.assert_allclose(
-        _kernels.upwind_drag(f, drift, 0.05),
+    # the kernel takes the drift at each cell's upper interface, split by sign
+    a = drift[:, 1:]
+    np.testing.assert_array_equal(
+        _kernels.upwind_drag(f, np.maximum(a, 0.0), np.minimum(a, 0.0), 0.05),
         loop_upwind_drag(f, drift, 0.05),
-        rtol=1e-14, atol=1e-15,
     )
 
 
@@ -90,6 +92,59 @@ def test_thomas_batch_matches_dense_solve(rng):
             upper[:, -1] = np.nan
             out = _kernels.thomas_batch(lower, diag, upper, rhs)
             np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-13, err_msg=f"shape {(nx, n)}")
+
+
+@pytest.mark.parametrize("n, exact", [(16, True), (64, True), (128, True), (30, False), (34, False)])
+def test_thomas_batch_matches_rows_solved_alone(rng, n, exact):
+    """The batch is one block-diagonal system: for a power-of-two n its levels
+    stop at the block size and repeat each row's own elimination bit for
+    bit; otherwise they reduce across blocks, exact up to rounding."""
+    nx = 37
+    lower = -rng.random((nx, n))
+    upper = -rng.random((nx, n))
+    diag = 2.0 + rng.random((nx, n))
+    rhs = rng.standard_normal((nx, n))
+    out = _kernels.thomas_batch(lower, diag, upper, rhs)
+    alone = np.concatenate([
+        _kernels.thomas_batch(lower[i : i + 1], diag[i : i + 1], upper[i : i + 1], rhs[i : i + 1])
+        for i in range(nx)
+    ])
+    if exact:
+        np.testing.assert_array_equal(out, alone)
+    else:
+        np.testing.assert_allclose(out, alone, rtol=1e-14, atol=1e-14 * np.abs(alone).max())
+
+
+def test_kernels_run_in_given_work_arrays(rng):
+    """With out= and work= arrays given, each kernel returns out, holding what
+    it returns without them; out may be its input."""
+    nx, nv = 8, 16
+    f = rng.random((nx, nv)) + 0.1
+    work = tuple(np.empty((nx + 1) * nv) for _ in range(4))
+    xi = np.linspace(-4, 4, nv)
+    lo, hi = rng.random(nv), rng.random(nv)
+    out = np.empty_like(f)
+    res = _kernels.upwind_transport(f, xi, 0.05, lo, hi, out=out, work=work[:2])
+    assert res is out
+    np.testing.assert_array_equal(out, _kernels.upwind_transport(f, xi, 0.05, lo, hi))
+    a = rng.standard_normal((nx, nv))
+    a[:, -1] = 0.0
+    a_pos, a_neg = np.maximum(a, 0.0), np.minimum(a, 0.0)
+    g = f.copy()
+    assert _kernels.upwind_drag(g, a_pos, a_neg, 0.05, out=g, work=work[:2]) is g
+    np.testing.assert_array_equal(g, _kernels.upwind_drag(f, a_pos, a_neg, 0.05))
+    lower, upper = -rng.random((nx, nv)), -rng.random((nx, nv))
+    diag = 2.0 + rng.random((nx, nv))
+    expected = _kernels.thomas_batch(lower, diag, upper, f)
+    # coefficients already in the work arrays the solve runs in
+    coef = [w[: nx * nv].reshape(nx, nv) for w in work[:3]]
+    for w, arr in zip(coef, (lower, diag, upper)):
+        w[...] = arr
+    g = f.copy()
+    assert _kernels.thomas_batch(*coef, g, out=g, work=work) is g
+    np.testing.assert_array_equal(g, expected)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _kernels.thomas_batch(lower, diag, upper, f, out=np.empty((nv, nx)).T)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

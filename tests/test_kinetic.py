@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kinfluid.core import (
 )
 from kinfluid.entropy import maxwellian_gap
 from kinfluid.kinetic import (
+    KineticWork,
     _drag_raw,
     _fp_raw,
     _transport_raw,
@@ -272,6 +274,31 @@ def test_kinetic_step_mass_conservation(rng, grid):
         assert rep.truncation_leak == 0.0
     assert phase_mass(f.f, grid) == pytest.approx(m0, abs=1e-12)
     assert f.f.min() >= -1e-14
+
+
+def test_kinetic_step_in_run_work_arrays_allocates_only_its_result(rng):
+    """Given the run's work arrays, a step allocates the state it returns
+    and little else, leaves its input alone and returns the same bits as a
+    step with a fresh work set, step after step."""
+    grid = PhaseGrid(nx=64, nv=64, v_max=8.0)
+    walls = wall_kernels("diffuse", grid, 1.3)
+    fl = FluidState(n=np.ones(grid.nx), v=0.3 * np.sin(2 * np.pi * grid.x))
+    dt = 0.4 * grid.dx / grid.v_max
+    work = KineticWork(grid)
+    f = KineticState(f=random_positive_f(rng, grid))
+    for _ in range(3):
+        before = f.f.copy()
+        fresh, rep_fresh = kinetic_step(f, fl, dt, grid, 0.1, walls)
+        tracemalloc.start()
+        try:
+            out, rep = kinetic_step(f, fl, dt, grid, 0.1, walls, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * f.f.nbytes
+        assert np.array_equal(f.f, before)
+        assert np.array_equal(out.f, fresh.f) and rep == rep_fresh
+        f = out
 
 
 def test_kinetic_step_homogeneous_relaxation_monotone(rng):

@@ -265,7 +265,7 @@ def test_picard_blocks_leave_bits_unchanged(monkeypatch, nt):
     "cfl_level, error, match",
     [
         (None, PositivityError, "level 20"),
-        (18, CFLError, "fixed-point CFL violated"),
+        (18, CFLError, "fixed-point CFL violated at iterate level 18: "),
         (20, PositivityError, "level 20"),  # at one level, 1 + h is checked first
         (25, PositivityError, "level 20"),
     ],
@@ -280,6 +280,19 @@ def test_picard_iterate_raises_at_the_first_failing_level(xgrid, cfl_level, erro
         prev.v[cfl_level] = 100.0
     with pytest.raises(error, match=match):
         picard_iterate(prev, setup)
+
+
+def test_picard_solve_cfl_error_names_the_level():
+    """A particle bump drags the gas faster than it starts: a dt at the
+    initial CFL bound is overrun by the first iterate, from level 7 on,
+    which the second iterate's check names."""
+    grid = PhaseGrid(nx=64, nv=2)
+    z = np.zeros(grid.nx)
+    init = SymHypState(g=np.exp(-(((grid.x - 0.5) / 0.1) ** 2)), u=z, h=z.copy(), v=z.copy())
+    nt = 20
+    dt = 0.999 * grid.dx / math.sqrt(2.0)  # sound speed sqrt(gamma) at h = 0
+    with pytest.raises(CFLError, match=r"fixed-point CFL violated at iterate level 7: 1\.00"):
+        picard_solve(init, PicardSetup(grid=grid, t_final=nt * dt, nt=nt), max_iter=3)
 
 
 # ---------------------------------------------------------------------------
