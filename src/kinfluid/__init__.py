@@ -15,7 +15,6 @@ from .core import (
     VacuumError,
     l1_distance,
     l2_distance,
-    phase_mass,
     quad_v,
     quad_x,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "l1_distance",
     "l2_distance",
     "maxwellian",
-    "phase_mass",
     "quad_v",
     "quad_x",
     "__version__",

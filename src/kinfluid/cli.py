@@ -148,6 +148,7 @@ def main_check_entropy(argv=None) -> int:
     audit, tol = reaudit_run(args.run)
     print(
         f"entropy_budget_slack={audit.slack_entropy_budget:.6g} at t={audit.slack_at:g} "
+        f"slack_after_start={audit.slack_after_start:.6g} "
         f"inferred_modified_constant={audit.inferred_modified_constant:.6g}"
     )
     if not audit.passes(tol):

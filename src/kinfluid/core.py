@@ -167,11 +167,6 @@ def quad_x(field: np.ndarray, grid: PhaseGrid) -> float:
     return float(grid.dx * field.sum())
 
 
-def phase_mass(f: np.ndarray, grid: PhaseGrid) -> float:
-    """Total mass of a phase-space density."""
-    return quad_x(quad_v(f, grid), grid)
-
-
 def _weighted_gap(a: np.ndarray, b: np.ndarray, grid: PhaseGrid) -> tuple[float, np.ndarray]:
     """The quadrature weight of two fields of one shape, 1-D (spatial) or 2-D
     (phase space), and their difference a - b."""

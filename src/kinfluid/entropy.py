@@ -5,6 +5,7 @@ Conventions: f*log(f) is 0 at f = 0; velocity pairs with an f below 1e-300
 add nothing to the dissipation D1; velocity space is 1-D, so the Maxwellian
 normalization is (2*pi)^(-1/2).
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,14 +15,15 @@ from .core import (
     KineticState,
     PhaseGrid,
     TwoPhaseState,
-    phase_mass,
-    quad_v,
     quad_x,
 )
-from .fluid import dirichlet_grad_sq, fluid_energy
-from .moments import MomentSet, maxwellian_profile
+from .fluid import dirichlet_grad_sq
+from .kinetic import KineticWork
+from .moments import _MAXWELLIAN_NORM, MomentSet, maxwellian_profile
 
 _F_FLOOR = 1e-300
+_TINY = 5e-324  # the smallest subnormal double
+_LOG_NORM = math.log(_MAXWELLIAN_NORM)
 
 
 @dataclass(frozen=True)
@@ -44,20 +46,6 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     pos = x > 0
     out[pos] = x[pos] * np.log(x[pos])
     return out
-
-
-def kinetic_entropy(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
-    """Combined entropy: int f (log f + xi^2/2) + int (n v^2/2 + n^gamma/(gamma-1))."""
-    farr = f.f
-    xi = grid.xi
-    return quad_x(quad_v(_xlogx(farr) + 0.5 * xi * xi * farr, grid), grid) + fluid_energy(fl, grid)
-
-
-def dissipation_d2(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
-    """Drag + viscous dissipation int |v - xi|^2 f + int |dv/dx|^2."""
-    dev = fl.v[:, None] - grid.xi[None, :]
-    drag = quad_x(quad_v(dev * dev * f.f, grid), grid)
-    return drag + dirichlet_grad_sq(fl.v, grid)
 
 
 def _bregman_args(name: str, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +104,63 @@ def macroscopic_entropy(st: TwoPhaseState, grid: PhaseGrid) -> float:
     return quad_x(dens, grid)
 
 
+def _maxwellian_passes(farr, rho, u, grid: PhaseGrid, work: KineticWork) -> tuple[float, float, float, float]:
+    """(P(f|M), D1, ||f - M||_1, int f log(f/M)) of f against M = M_{rho,u},
+    in flat passes over the ravel of f and the arrays of work. The first
+    three are defined in maxwellian_gap; the last takes the unfloored M."""
+    nx, nv = farr.shape
+    size = nx * nv
+    cell = grid.dx * grid.dv
+    flat_f = np.ravel(farr)
+    m = maxwellian_profile(rho, u, grid, out=work.f)
+    # M falls off away from u, so each row's smallest entry sits at a velocity cut
+    floored = float(m[:, :: nv - 1].min()) < _F_FLOOR
+    flat_m = np.ravel(m)
+    z, w = np.ravel(work.a_pos), np.ravel(work.a_neg)
+    log_z, t, d = (s[:size] for s in work.scratch[:3])
+
+    np.subtract(flat_f, flat_m, out=t)
+    l1_gap = cell * float(np.abs(t, out=t).sum())
+    if floored:
+        np.maximum(flat_m, _F_FLOOR, out=flat_m)
+    np.divide(flat_f, flat_m, out=z)
+    np.subtract(z, 1.0, out=w)
+    # log z: log1p(w) from z = 1/2 on, where w = z - 1 is exact, so phi keeps
+    # its small values accurate; log(2z) + log1p(-1/2) below. The clip keeps
+    # log(2z) finite at z = 0 and 0 from z = 1/2 on.
+    np.maximum(w, -0.5, out=t)
+    np.log1p(t, out=t)
+    np.multiply(z, 2.0, out=log_z)
+    np.clip(log_z, _TINY, 1.0, out=log_z)
+    np.log(log_z, out=log_z)
+    log_z += t
+    # phi(z) = z log z - w, as 1 + w == z wherever |w| < 1/2
+    np.multiply(z, log_z, out=t)
+    t -= w
+    t *= flat_m
+    p_f_m = cell * float(t.sum())
+    np.multiply(flat_f, log_z, out=t)
+    f_log_ratio = cell * float(t.sum())
+    if floored:  # log(f/M) = log z + log(_F_FLOOR / M) where M is floored
+        rows, cols = np.nonzero(m <= _F_FLOOR)
+        dev = grid.xi[cols] - u[rows]
+        log_m = np.log(rho[rows]) + _LOG_NORM - 0.5 * dev * dev
+        f_log_ratio += cell * float(np.sum(farr[rows, cols] * (math.log(_F_FLOOR) - log_m)))
+
+    # D1 over the flat pairs (k, k+1), with weight 0 where a pair spans two rows
+    pairs = size - 1
+    flux, d = t[:pairs], d[:pairs]
+    np.multiply(flat_m[:-1], flat_m[1:], out=flux)
+    np.sqrt(flux, out=flux)
+    flux[nv - 1 :: nv] = 0.0
+    flux *= np.subtract(z[1:], z[:-1], out=d)
+    flux *= np.subtract(log_z[1:], log_z[:-1], out=d)
+    if float(flat_f.min()) <= _F_FLOOR:
+        above = flat_f > _F_FLOOR
+        flux[~(above[:-1] & above[1:])] = 0.0
+    return p_f_m, grid.dx * float(flux.sum()) / grid.dv, l1_gap, f_log_ratio
+
+
 def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float, float]:
     """(P(f|M), D1, ||f - M||_1) of f against the local Maxwellian M = M_{rho,u},
     all from one evaluation of M. ||f - M||_1 is taken from M itself; P(f|M)
@@ -129,25 +174,7 @@ def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, flo
     rho = np.asarray(rho, dtype=float)
     if not np.all(rho > 0):
         raise ValueError("needs rho > 0")
-    m = maxwellian_profile(rho, u, grid)
-    farr = f.f
-    l1_gap = quad_x(quad_v(np.abs(farr - m), grid), grid)
-    np.maximum(m, _F_FLOOR, out=m)
-    z = farr / m
-    w = z - 1.0
-    # log z through log1p where z ~ 1, so the cancellation in phi stays at
-    # the size of the true value; z = 0 keeps a finite log z, and z log z = 0
-    near = np.abs(w) < 0.5
-    w_near = np.clip(w, -0.5, 0.5)
-    log_z = np.log1p(w_near)
-    np.log(z, out=log_z, where=~near & (z > 0))
-    phi = np.where(near, (1.0 + w_near) * log_z - w_near, z * log_z - w)
-    p_f_m = quad_x(quad_v(m * phi, grid), grid)
-
-    pair = (farr[:, 1:] > _F_FLOOR) & (farr[:, :-1] > _F_FLOOR)
-    flux = np.sqrt(m[:, 1:] * m[:, :-1]) * (z[:, 1:] - z[:, :-1])
-    d1 = np.where(pair, flux * (log_z[:, 1:] - log_z[:, :-1]), 0.0)
-    return p_f_m, quad_x(d1.sum(axis=1), grid) / grid.dv, l1_gap
+    return _maxwellian_passes(f.f, rho, np.asarray(u, dtype=float), grid, KineticWork(grid))[:3]
 
 
 def csiszar_kullback_margin(report: EntropyReport, l1_gap: float) -> float:
@@ -159,24 +186,34 @@ def csiszar_kullback_margin(report: EntropyReport, l1_gap: float) -> float:
 
 
 def evaluate_entropy_report(
-    f: KineticState, fl: FluidState, mom: MomentSet, grid: PhaseGrid
+    f: KineticState, fl: FluidState, mom: MomentSet, grid: PhaseGrid, work: KineticWork | None = None
 ) -> tuple[EntropyReport, float]:
     """All functionals at one time level, and ||f - M||_1 for the
     Csiszar-Kullback margin, from the one local Maxwellian M of the moments
-    mom of f. The moments supply the bulk velocity and the macroscopic
-    entropy; a cell with rho <= 0 is a VacuumError, raised by the two-phase
-    state of the moments."""
+    mom of f. The phase-space passes run in work, the run's KineticWork (a
+    fresh one when None); F and D2 take the rest from the moments. Per cell,
+    int f (log f + xi^2/2) dxi is int f log(f/M) dxi plus the particle part of
+    E's density, - rho log(2 pi)/2 and u (mom - rho u), and int (xi - v)^2 f dxi
+    is v^2 rho - 2 v mom + int xi^2 f dxi. A cell with rho <= 0 is a
+    VacuumError, raised by the two-phase state of the moments."""
     moment_state = TwoPhaseState(rho=mom.rho, u=mom.u, fluid=fl, t=f.t)
-    p_f_m, d1, l1_gap = maxwellian_gap(f, mom.rho, mom.u, grid)
+    rho, u, v = mom.rho, mom.u, fl.v
+    p_f_m, d1, l1_gap, f_log_ratio = _maxwellian_passes(
+        f.f, rho, u, grid, KineticWork(grid) if work is None else work
+    )
+    xi_sq_f = grid.dx * grid.dv * float(np.einsum("ij,j->", f.f, grid.xi * grid.xi))
+    grad_v_sq = dirichlet_grad_sq(v, grid)
+    e = macroscopic_entropy(moment_state, grid)
+    mass = quad_x(rho, grid)
     report = EntropyReport(
-        F=kinetic_entropy(f, fl, grid),
+        F=e + f_log_ratio + _LOG_NORM * mass + quad_x(u * (mom.mom - rho * u), grid),
         D1=d1,
-        D2=dissipation_d2(f, fl, grid),
-        E=macroscopic_entropy(moment_state, grid),
+        D2=quad_x(v * (v * rho - 2.0 * mom.mom), grid) + xi_sq_f + grad_v_sq,
+        E=e,
         P_f_M=p_f_m,
-        grad_v_sq=dirichlet_grad_sq(fl.v, grid),
-        drag_mismatch=quad_x(mom.rho * (mom.u - fl.v) ** 2, grid),
-        mass=phase_mass(f.f, grid),
+        grad_v_sq=grad_v_sq,
+        drag_mismatch=quad_x(rho * (u - v) ** 2, grid),
+        mass=mass,
     )
     return report, l1_gap
 
@@ -187,13 +224,16 @@ class AuditRecord:
 
     slack_entropy_budget: min over samples of
         F(0) + 3 t mass(0) - F(t) - int_0^t (D1 + D2),
-    the certified budget (nonnegative up to scheme error). The modified
+    the certified budget (nonnegative up to scheme error), and
+    slack_after_start the min over every sample after the first (NaN when
+    there is none), as the slack at the first is 0 by construction. The modified
     budget with the stiff weight, F(t) + (1/(2 eps)) int D1 + int rho|u-v|^2
     + int |dv/dx|^2 <= F(0) + C eps, has a non-constructive constant; its
     inferred value (overshoot / eps) is reported, not asserted."""
 
     slack_entropy_budget: float
     slack_at: float
+    slack_after_start: float
     inferred_modified_constant: float
     entropy_initial: float  # F(0), the scale of the pass tolerance
     slacks: np.ndarray
@@ -228,6 +268,7 @@ def entropy_inequality_audit(times, reports, eps: float) -> AuditRecord:
     return AuditRecord(
         slack_entropy_budget=float(slacks[k]),
         slack_at=float(times[k]),
+        slack_after_start=float(slacks[1:].min()) if len(slacks) > 1 else math.nan,
         inferred_modified_constant=max(overshoot, 0.0) / eps,
         entropy_initial=float(f_arr[0]),
         slacks=slacks,

@@ -87,11 +87,6 @@ def momentum_exchange(drag_rho, drag_u, v, dt, grid: PhaseGrid) -> tuple[float, 
     return -dp_fluid, dp_fluid
 
 
-def fluid_energy(fl: FluidState, grid: PhaseGrid) -> float:
-    """Total mechanical + internal energy of the gas phase."""
-    return quad_x(0.5 * fl.n * fl.v**2 + fl.n**fl.gamma / (fl.gamma - 1.0), grid)
-
-
 def dirichlet_grad_sq(v: np.ndarray, grid: PhaseGrid) -> float:
     """Discrete int |dv/dx|^2 with the mirror-negated wall ghost convention,
     matched to the implicit viscous solve so the viscous sub-step dissipates

@@ -300,13 +300,13 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
         n[idx] = fl.n
         v[idx] = fl.v
         mass_flu[idx] = quad_x(fl.n, grid)
-        report, l1_gap = evaluate_entropy_report(kin, fl, mom, grid)
+        report, l1_gap = evaluate_entropy_report(kin, fl, mom, grid, work)
         reports.append(report)
         mass_kin[idx] = report.mass
         return csiszar_kullback_margin(report, l1_gap)
 
     # the moments of the current kin: sampled, then the next step's gas drag
-    mom = compute_moments(kin, grid)
+    mom = compute_moments(kin, grid, work.f)
     ck_min = sample(0, kin, fl, mom)
     try:
         for step in range(nt):
@@ -314,7 +314,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
             dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
             kin, fl = kin_new, fl_new
-            mom = compute_moments(kin, grid)
+            mom = compute_moments(kin, grid, work.f)
             max_asym = max(max_asym, abs(dpk + dpf))
             max_wall = max(max_wall, krep.max_wall_flux)
             leak += krep.truncation_leak
@@ -566,6 +566,7 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
         "audit": {
             "slack_entropy_budget": run.audit.slack_entropy_budget,
             "slack_at": run.audit.slack_at,
+            "slack_after_start": run.audit.slack_after_start,
             "inferred_modified_constant": run.audit.inferred_modified_constant,
         },
         "max_wall_flux": run.max_wall_flux,

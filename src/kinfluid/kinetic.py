@@ -93,7 +93,9 @@ class KineticWork:
     state between sub-steps, the two drift parts of the drag, and four flat
     scratch arrays that each sub-step's kernel runs in (the relaxation
     assembles its matrix in three of them). Seven arrays of nx*nv doubles,
-    the scratch ones a row longer for the transport's interface differences."""
+    the scratch ones a row longer for the transport's interface differences.
+    Between steps they hold nothing, and the moments and the entropy report
+    of a sample run in them."""
 
     def __init__(self, grid: PhaseGrid):
         shape = (grid.nx, grid.nv)
@@ -223,7 +225,7 @@ def kinetic_step(
     # both drag half-steps see the same fluid velocity
     drift = _drift_parts(fluid.v, grid, out=(work.a_pos, work.a_neg))
     farr, leak1 = _drag_raw(farr, fluid.v, half, grid, drift, out=farr, scratch=scratch)
-    u = compute_moments(farr, grid).u
+    u = compute_moments(farr, grid, scratch[0][: farr.size].reshape(farr.shape)).u
     farr = _fp_raw(farr, u, dt, grid, eps, out=farr, scratch=scratch)
     farr, leak2 = _drag_raw(farr, fluid.v, half, grid, drift, out=farr, scratch=scratch)
     farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, walls, scratch=scratch)

@@ -21,22 +21,33 @@ class MomentSet:
     u: np.ndarray
 
 
-def compute_moments(f: KineticState | np.ndarray, grid: PhaseGrid) -> MomentSet:
+def compute_moments(f: KineticState | np.ndarray, grid: PhaseGrid, work: np.ndarray | None = None) -> MomentSet:
+    """The moments of f; work, an (nx, nv) array, takes the products f * xi."""
     farr = f.f if isinstance(f, KineticState) else np.asarray(f)
     rho = quad_v(farr, grid)
-    mom = quad_v(farr * grid.xi, grid)
+    mom = quad_v(np.multiply(farr, grid.xi, out=work), grid)
     return MomentSet(rho=rho, mom=mom, u=mom / (rho + _VEL_FLOOR))
 
 
 _MAXWELLIAN_NORM = (2.0 * math.pi) ** -0.5  # 1-D velocity space
 
 
-def maxwellian_profile(rho: np.ndarray, u: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """Raw (nx, nv) array of the local Maxwellian rho*(2*pi)^(-1/2)*exp(-|xi-u|^2/2)."""
+def maxwellian_profile(
+    rho: np.ndarray, u: np.ndarray, grid: PhaseGrid, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Raw (nx, nv) array of the local Maxwellian rho*(2*pi)^(-1/2)*exp(-|xi-u|^2/2),
+    written into out when given."""
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
-    dev = grid.xi[None, :] - u[:, None]
-    return rho[:, None] * _MAXWELLIAN_NORM * np.exp(-0.5 * dev * dev)
+    if out is None:
+        out = np.empty((u.shape[0], grid.nv))
+    np.copyto(out, u[:, None])  # a broadcast copy takes no iterator buffer
+    np.subtract(grid.xi, out, out=out)
+    out *= out
+    out *= -0.5  # exact, so -|xi-u|^2/2 is rounded once
+    np.exp(out, out=out)
+    out *= (rho * _MAXWELLIAN_NORM)[:, None]
+    return out
 
 
 def maxwellian(rho: np.ndarray, u: np.ndarray, grid: PhaseGrid) -> KineticState:

@@ -1,20 +1,98 @@
 """Oracles for the paper's lemmas that no solver calls: the relative-pressure
 lower bounds (criterion 5), the convexity form of the relative entropy
 (criterion 6), the relative-flux bound, the density representation along
-characteristics (criterion 10) and the well-preparedness residuals."""
+characteristics (criterion 10) and the well-preparedness residuals; and the
+entropy report's functionals as direct, array-by-array formulas."""
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from kinfluid.core import FluidState, KineticState, PhaseGrid, TwoPhaseState, phase_mass, quad_x
-from kinfluid.entropy import kinetic_entropy, macroscopic_entropy, relative_pressure, relative_pressure_tilde
+from kinfluid.core import FluidState, KineticState, PhaseGrid, TwoPhaseState, quad_v, quad_x
+from kinfluid.entropy import EntropyReport, macroscopic_entropy, relative_pressure, relative_pressure_tilde
+from kinfluid.fluid import dirichlet_grad_sq
 from kinfluid.harness import ExperimentConfig
-from kinfluid.moments import compute_moments
+from kinfluid.moments import MomentSet, compute_moments, maxwellian_profile
 
 # (1/2) log(2 pi): the per-unit-mass entropy offset between a 1-D local
 # Maxwellian and its macroscopic counterpart
 MAXWELLIAN_OFFSET = 0.5 * math.log(2.0 * math.pi)
+
+
+_F_FLOOR = 1e-300
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = x[pos] * np.log(x[pos])
+    return out
+
+
+def phase_mass(f: np.ndarray, grid: PhaseGrid) -> float:
+    """Total mass of a phase-space density."""
+    return quad_x(quad_v(f, grid), grid)
+
+
+def fluid_energy(fl: FluidState, grid: PhaseGrid) -> float:
+    """Total mechanical + internal energy of the gas phase."""
+    return quad_x(0.5 * fl.n * fl.v**2 + fl.n**fl.gamma / (fl.gamma - 1.0), grid)
+
+
+def kinetic_entropy(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
+    """Combined entropy: int f (log f + xi^2/2) + int (n v^2/2 + n^gamma/(gamma-1))."""
+    farr = f.f
+    xi = grid.xi
+    return quad_x(quad_v(_xlogx(farr) + 0.5 * xi * xi * farr, grid), grid) + fluid_energy(fl, grid)
+
+
+def dissipation_d2(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
+    """Drag + viscous dissipation int |v - xi|^2 f + int |dv/dx|^2."""
+    dev = fl.v[:, None] - grid.xi[None, :]
+    drag = quad_x(quad_v(dev * dev * f.f, grid), grid)
+    return drag + dirichlet_grad_sq(fl.v, grid)
+
+
+def maxwellian_gap_direct(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float, float]:
+    """(P(f|M), D1, ||f - M||_1) as entropy.maxwellian_gap defines them, on
+    (nx, nv) arrays row by row: log z by log1p where |z - 1| < 1/2 and by log
+    elsewhere, phi chosen by np.where, D1 over the pairs of each row."""
+    m = maxwellian_profile(np.asarray(rho, dtype=float), u, grid)
+    farr = f.f
+    l1_gap = quad_x(quad_v(np.abs(farr - m), grid), grid)
+    np.maximum(m, _F_FLOOR, out=m)
+    z = farr / m
+    w = z - 1.0
+    near = np.abs(w) < 0.5
+    w_near = np.clip(w, -0.5, 0.5)
+    log_z = np.log1p(w_near)
+    np.log(z, out=log_z, where=~near & (z > 0))
+    phi = np.where(near, (1.0 + w_near) * log_z - w_near, z * log_z - w)
+    p_f_m = quad_x(quad_v(m * phi, grid), grid)
+    pair = (farr[:, 1:] > _F_FLOOR) & (farr[:, :-1] > _F_FLOOR)
+    flux = np.sqrt(m[:, 1:] * m[:, :-1]) * (z[:, 1:] - z[:, :-1])
+    d1 = np.where(pair, flux * (log_z[:, 1:] - log_z[:, :-1]), 0.0)
+    return p_f_m, quad_x(d1.sum(axis=1), grid) / grid.dv, l1_gap
+
+
+def entropy_report_direct(
+    f: KineticState, fl: FluidState, mom: MomentSet, grid: PhaseGrid
+) -> tuple[EntropyReport, float]:
+    """The entropy report and ||f - M||_1, each functional from its own
+    phase-space arrays."""
+    p_f_m, d1, l1_gap = maxwellian_gap_direct(f, mom.rho, mom.u, grid)
+    moment_state = TwoPhaseState(rho=mom.rho, u=mom.u, fluid=fl, t=f.t)
+    report = EntropyReport(
+        F=kinetic_entropy(f, fl, grid),
+        D1=d1,
+        D2=dissipation_d2(f, fl, grid),
+        E=macroscopic_entropy(moment_state, grid),
+        P_f_M=p_f_m,
+        grad_v_sq=dirichlet_grad_sq(fl.v, grid),
+        drag_mismatch=quad_x(mom.rho * (mom.u - fl.v) ** 2, grid),
+        mass=phase_mass(f.f, grid),
+    )
+    return report, l1_gap
 
 
 @dataclass(frozen=True)

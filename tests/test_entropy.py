@@ -1,16 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from kinfluid.core import FluidState, KineticState, PhaseGrid, TwoPhaseState, phase_mass, quad_x
+from kinfluid.core import FluidState, KineticState, PhaseGrid, TwoPhaseState, quad_x
 from kinfluid.entropy import (
+    EntropyReport,
     csiszar_kullback_margin,
-    dissipation_d2,
     entropy_inequality_audit,
     evaluate_entropy_report,
-    kinetic_entropy,
     macroscopic_entropy,
     maxwellian_gap,
     relative_entropy,
@@ -18,12 +18,16 @@ from kinfluid.entropy import (
     relative_pressure_tilde,
 )
 from kinfluid.harness import ExperimentConfig, run_coupled
-from kinfluid.kinetic import _fp_raw
+from kinfluid.kinetic import KineticWork, _fp_raw
 from kinfluid.moments import compute_moments, maxwellian
 
 from conftest import random_positive_f
 from paper_checks import (
     check_pressure_bounds,
+    dissipation_d2,
+    entropy_report_direct,
+    kinetic_entropy,
+    phase_mass,
     rel_flux_entropy_constant,
     relative_entropy_bregman,
     relative_flux_l1,
@@ -32,6 +36,10 @@ from paper_checks import (
 
 def _unit_fluid(grid, gamma=2.0):
     return FluidState(n=np.ones(grid.nx), v=np.zeros(grid.nx), gamma=gamma)
+
+
+def _report(f, fl, grid):
+    return evaluate_entropy_report(f, fl, compute_moments(f, grid), grid)[0]
 
 
 def random_two_phase(rng, grid, gamma=2.0):
@@ -52,9 +60,9 @@ def test_kinetic_entropy_of_unit_maxwellian(grid):
     # oracle: int M (log M + xi^2/2) dxi = -log(2 pi)/2 per unit mass (d = 1),
     # plus the gas internal term 1/(gamma-1) = 1
     f = maxwellian(np.ones(grid.nx), np.zeros(grid.nx), grid)
-    val = kinetic_entropy(f, _unit_fluid(grid), grid)
     expect = 1.0 - 0.5 * math.log(2 * math.pi)
-    assert val == pytest.approx(expect, abs=1e-8)
+    for val in (kinetic_entropy(f, _unit_fluid(grid), grid), _report(f, _unit_fluid(grid), grid).F):
+        assert val == pytest.approx(expect, abs=1e-8)
     assert expect == pytest.approx(0.0811, abs=5e-4)
 
 
@@ -67,8 +75,8 @@ def test_kinetic_entropy_velocity_sign_invariance(rng, grid):
     f = KineticState(f=random_positive_f(rng, grid))
     v = 0.3 * np.sin(2 * np.pi * grid.x)
     n = 1.0 + 0.1 * np.cos(2 * np.pi * grid.x)
-    a = kinetic_entropy(f, FluidState(n=n, v=v), grid)
-    b = kinetic_entropy(f, FluidState(n=n, v=-v), grid)
+    a = _report(f, FluidState(n=n, v=v), grid).F
+    b = _report(f, FluidState(n=n, v=-v), grid).F
     assert a == pytest.approx(b, rel=1e-14)
 
 
@@ -124,17 +132,17 @@ def test_dissipations_of_zero_density(grid):
 def test_d2_drag_part_gaussian_second_moment(grid):
     # oracle: int xi^2 M_{1,0} dxi = 1 per unit mass
     f = maxwellian(np.ones(grid.nx), np.zeros(grid.nx), grid)
-    d2 = dissipation_d2(f, _unit_fluid(grid), grid)
-    assert d2 == pytest.approx(1.0, abs=1e-8)
+    for d2 in (dissipation_d2(f, _unit_fluid(grid), grid), _report(f, _unit_fluid(grid), grid).D2):
+        assert d2 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_dissipations_nonnegative_random(rng, grid):
     for _ in range(5):
         f = KineticState(f=random_positive_f(rng, grid))
         fl = FluidState(n=0.5 + rng.random(grid.nx), v=rng.standard_normal(grid.nx))
-        mom = compute_moments(f, grid)
-        assert maxwellian_gap(f, mom.rho, mom.u, grid)[1] >= 0.0
-        assert dissipation_d2(f, fl, grid) >= 0.0
+        rep = _report(f, fl, grid)
+        assert rep.D1 >= 0.0
+        assert rep.D2 >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +318,75 @@ def test_report_quantities_nonnegative(rng, grid):
             assert getattr(rep, name) >= -1e-13, name
 
 
+def _oracle_cases():
+    """(name, f, grid) triples: random f at three velocity resolutions, f
+    with exact zeros, a discrete Maxwellian, and at v_max = 40, where M
+    underflows the floor, a Maxwellian whose tail underflows to 0 and one
+    with a heavier tail that stays above it."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for nv in (8, 30, 64):
+        grid = PhaseGrid(nx=12, nv=nv, v_max=8.0)
+        cases.append((f"random nv={nv}", random_positive_f(rng, grid), grid))
+    grid = PhaseGrid(nx=12, nv=32, v_max=8.0)
+    f = random_positive_f(rng, grid)
+    f[:, :5] = 0.0
+    f[3, 10:14] = 0.0
+    f[7, ::3] = 0.0
+    cases.append(("exact zeros", f, grid))
+    grid = PhaseGrid(nx=8, nv=256, v_max=8.0)
+    rho = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
+    u = 0.1 * np.cos(2 * np.pi * grid.x)
+    cases.append(("discrete Maxwellian", maxwellian(rho, u, grid).f, grid))
+    grid = PhaseGrid(nx=8, nv=64, v_max=40.0)
+    m = maxwellian(1.0 + 0.2 * np.sin(2 * np.pi * grid.x), 0.1 * np.cos(2 * np.pi * grid.x), grid).f
+    cases.append(("underflowing tail", m, grid))
+    cases.append(("heavy tail", m + 1e-3 * np.exp(-0.125 * np.abs(grid.xi)), grid))
+    return cases
+
+
+@pytest.mark.parametrize("name, farr, grid", _oracle_cases(), ids=[c[0] for c in _oracle_cases()])
+def test_entropy_report_matches_direct_formulas(name, farr, grid):
+    # the flat passes against each functional's own phase-space arrays
+    f = KineticState(f=farr)
+    x = grid.x
+    fl = FluidState(n=1.0 + 0.3 * np.cos(2 * np.pi * x), v=0.4 * np.sin(2 * np.pi * x))
+    mom = compute_moments(f, grid)
+    report, l1_gap = evaluate_entropy_report(f, fl, mom, grid)
+    direct, l1_direct = entropy_report_direct(f, fl, mom, grid)
+    for field in EntropyReport.__dataclass_fields__:
+        got, want = getattr(report, field), getattr(direct, field)
+        assert abs(got - want) <= 1e-13 * abs(want), (field, got, want)
+    assert abs(l1_gap - l1_direct) <= 1e-13 * l1_direct
+    if name == "discrete Maxwellian":
+        assert report.D1 < 1e-20
+
+
+def test_entropy_report_in_run_work_arrays_allocates_little(rng):
+    """One sample in the run's work arrays allocates no phase-space array,
+    leaves f alone and gives the bits of a sample with a fresh work set."""
+    grid = PhaseGrid(nx=64, nv=64, v_max=8.0)
+    f = KineticState(f=random_positive_f(rng, grid))
+    before = f.f.copy()
+    fl = FluidState(n=np.ones(grid.nx), v=0.3 * np.sin(2 * np.pi * grid.x))
+    mom = compute_moments(f, grid)
+    work = KineticWork(grid)
+    fresh = evaluate_entropy_report(f, fl, mom, grid)
+    evaluate_entropy_report(f, fl, mom, grid, work)
+    tracemalloc.start()
+    try:
+        in_work = evaluate_entropy_report(f, fl, mom, grid, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 1.07 with numpy 2.4: the iterator buffer of a broadcast operand
+    # that builds M, one state array in size at 64^2 (direct formulas take
+    # about ten state arrays)
+    assert peak <= 1.25 * f.f.nbytes
+    assert in_work == fresh
+    assert np.array_equal(f.f, before)
+
+
 # ---------------------------------------------------------------------------
 # budget audits
 # ---------------------------------------------------------------------------
@@ -344,4 +421,5 @@ def test_audit_reports_nonnegative_dissipations(rng, grid):
     reps = [evaluate_entropy_report(f, fl, compute_moments(f, grid), grid)[0] for _ in range(3)]
     rec = entropy_inequality_audit([0.0, 0.1, 0.2], reps, 0.5)
     assert rec.slacks.shape == (3,)
+    assert rec.slack_after_start == min(rec.slacks[1:])
     assert all(r.D1 >= 0 and r.D2 >= 0 for r in reps)

@@ -4,12 +4,13 @@ import pytest
 from kinfluid.core import CFLError, FluidState, PhaseGrid, VacuumError, quad_x
 from kinfluid.fluid import (
     dirichlet_grad_sq,
-    fluid_energy,
     gas_substep,
     momentum_exchange,
     ns_step,
     pressure,
 )
+
+from paper_checks import fluid_energy
 
 
 @pytest.fixture

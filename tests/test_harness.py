@@ -346,6 +346,21 @@ def test_cli_simulate_kinetic_coarse_velocity_grid(tmp_path, capsys):
     assert "entropy_budget_slack=0 " in capsys.readouterr().out
 
 
+def test_cli_reports_the_slack_after_start(tmp_path, capsys):
+    # the worst slack includes the 0 at t = 0; the run also records, and
+    # check-entropy prints, the smallest slack over the later samples
+    cfg = _write_cfg(tmp_path, nx=8, nv=8, t_final=0.02, n_samples=2)
+    out = tmp_path / "run"
+    assert main_simulate_kinetic(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    recorded = json.loads((out / "run_meta.json").read_text())["audit"]["slack_after_start"]
+    audit, _ = harness.reaudit_run(out)
+    assert recorded == audit.slack_after_start == float(audit.slacks[1:].min())
+    assert recorded != 0.0 and audit.slack_entropy_budget == 0.0
+    capsys.readouterr()
+    assert main_check_entropy(["--run", str(out)]) == EXIT_OK
+    assert f"slack_after_start={recorded:.6g} " in capsys.readouterr().out
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the default output directory "out" lands here
     p = tmp_path / "bad.json"
@@ -596,8 +611,8 @@ def test_mid_run_vacuum_dumps_state_and_exit_code(tmp_path, monkeypatch, capsys)
     real = harness.compute_moments
     calls = []
 
-    def thinned(f, grid):
-        mom = real(f, grid)
+    def thinned(f, grid, *work):
+        mom = real(f, grid, *work)
         calls.append(1)
         if len(calls) > 1:
             mom.rho[3] = 0.0

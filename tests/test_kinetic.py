@@ -10,7 +10,6 @@ from kinfluid.core import (
     KineticState,
     PhaseGrid,
     l1_distance,
-    phase_mass,
     quad_v,
 )
 from kinfluid.entropy import maxwellian_gap
@@ -25,6 +24,7 @@ from kinfluid.kinetic import (
 from kinfluid.moments import compute_moments, maxwellian
 
 from conftest import random_positive_f
+from paper_checks import phase_mass
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,9 @@ def test_kinetic_step_in_run_work_arrays_allocates_only_its_result(rng):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * f.f.nbytes
+        # measured 2.15 with numpy 2.4: the result plus the iterator buffer
+        # of a broadcast operand, which at 64^2 is one state array in size
+        assert peak <= 2.25 * f.f.nbytes
         assert np.array_equal(f.f, before)
         assert np.array_equal(out.f, fresh.f) and rep == rep_fresh
         f = out
