@@ -83,6 +83,7 @@ def main_simulate_kinetic(argv=None) -> int:
     print(
         f"eps={eps:g} steps_dt={run.dt:g} wall={run.wall_seconds:.2f}s "
         f"entropy_budget_slack={run.audit.slack_entropy_budget:.6g} "
+        f"slack_after_start={run.audit.slack_after_start:.6g} "
         f"max_wall_flux={run.max_wall_flux:.3e} -> {out}"
     )
     if not run.audit.passes(cfg.audit_tolerance):
@@ -128,6 +129,7 @@ def main_converge(argv=None) -> int:
         "degenerate": result.degenerate,
         "wall_seconds": result.wall_seconds,
         "audit_slacks": [r.audit.slack_entropy_budget for r in result.runs],
+        "audit_slacks_after_start": [r.audit.slack_after_start for r in result.runs],
     }
     (out / "convergence_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     if result.degenerate:

@@ -225,7 +225,6 @@ class CoupledRun:
     v: np.ndarray
     f_final: KineticState
     fluid_final: FluidState
-    mass_kinetic: np.ndarray
     mass_fluid: np.ndarray
     max_wall_flux: float
     max_exchange_asym: float
@@ -285,7 +284,6 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     dt, nt, per = _pick_dt(config, grid, fl)
 
     times, rho, u, n, v = _sample_arrays(config, grid)
-    mass_kin = np.empty(len(times))
     mass_flu = np.empty(len(times))
     reports: list[EntropyReport] = []
     max_wall = 0.0
@@ -302,7 +300,6 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
         mass_flu[idx] = quad_x(fl.n, grid)
         report, l1_gap = evaluate_entropy_report(kin, fl, mom, grid, work)
         reports.append(report)
-        mass_kin[idx] = report.mass
         return csiszar_kullback_margin(report, l1_gap)
 
     # the moments of the current kin: sampled, then the next step's gas drag
@@ -328,7 +325,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
         eps=eps, times=times, reports=reports,
         rho=rho, u=u, n=n, v=v,
         f_final=kin, fluid_final=fl,
-        mass_kinetic=mass_kin, mass_fluid=mass_flu,
+        mass_fluid=mass_flu,
         max_wall_flux=max_wall, max_exchange_asym=max_asym,
         truncation_leak=leak, ck_margin_min=float(ck_min),
         audit=audit, dt=dt, wall_seconds=time.perf_counter() - t0,
@@ -553,7 +550,7 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     series = {name: np.array([getattr(r, name) for r in run.reports]) for name in _REPORT_FIELDS}
     series.update(
-        times=run.times, mass_kinetic=run.mass_kinetic, mass_fluid=run.mass_fluid,
+        times=run.times, mass_fluid=run.mass_fluid,
         rho=run.rho, u=run.u, n=run.n, v=run.v,
     )
     save_state(out / "series", series)

@@ -33,56 +33,53 @@ _WALL_TOL = 1e-12
 
 
 def wall_kernels(boundary: str, grid: PhaseGrid, wall_temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (nv, nv) scattering matrices (k_lo, k_hi) of the two walls, which
-    map a boundary cell's outgoing trace to its ghost row, f[0] @ k_lo and
-    f[-1] @ k_hi (Cercignani 1988, ch. III): the velocity reversal on the
-    incoming columns ("specular"), the rank-one dv |xi_out| (x) w with w the
-    wall Maxwellian at unit incoming mass flux ("diffuse"), or zero
-    ("dirichlet_zero", absorbing). Checked here, once: every non-absorbing
-    kernel returns the outgoing mass flux (k @ |xi| = |xi| on the outgoing
-    rows) and the diffuse one fixes its wall Maxwellian. k_hi is k_lo with
-    both axes reversed, as xi[::-1] == -xi exactly."""
-    xi = grid.xi
-    out = xi < 0  # outgoing at the left wall, outward normal -1
-    speed = np.abs(xi)
-    k_lo = np.zeros((grid.nv, grid.nv))
+    """The (nv/2, nv/2) scattering blocks (b_lo, b_hi) of the two walls: each
+    maps a boundary cell's outgoing half-row to the incoming half of its ghost
+    row, f[0, :nv/2] @ b_lo and f[-1, nv/2:] @ b_hi (Cercignani 1988, ch. III).
+    They are the velocity reversal ("specular"), the rank-one dv |xi_out| (x) w
+    with w the wall Maxwellian at unit incoming mass flux ("diffuse"), or zero
+    ("dirichlet_zero", absorbing). Checked here, once, with s = xi[nv/2:] the
+    incoming speeds at the left wall: every non-absorbing block returns the
+    outgoing mass flux (b @ s = s[::-1]) and the diffuse one fixes its wall
+    Maxwellian. b_hi is b_lo with both axes reversed, as xi[::-1] == -xi."""
+    h = grid.nv // 2
+    s = grid.xi[h:]
     if boundary == "specular":
-        incoming = np.flatnonzero(~out)
-        k_lo[grid.nv - 1 - incoming, incoming] = 1.0
+        b_lo = np.eye(h)[::-1].copy()
     elif boundary == "diffuse":
         if not wall_temperature > 0:
             raise ValueError("wall_temperature must be positive")
         with np.errstate(over="ignore"):  # a subnormal temperature gives mw = 0
-            mw = np.exp(-0.5 * xi * xi / wall_temperature)
-        z = grid.dv * float(np.sum(xi[~out] * mw[~out]))
+            mw = np.exp(-0.5 * s * s / wall_temperature)
+        z = grid.dv * float(np.sum(s * mw))
         if not z > 0:
             raise ValueError(
                 f"the diffuse wall Maxwellian at wall_temperature = {wall_temperature:g} "
                 "underflows to zero on every incoming velocity"
             )
-        k_lo = grid.dv * np.outer(np.where(out, speed, 0.0), np.where(out, 0.0, mw / z))
+        b_lo = grid.dv * np.outer(s[::-1], mw / z)
         # the wall Maxwellian's outgoing trace is re-emitted as itself
-        err = float(np.max(np.abs(mw @ k_lo - mw)[~out]))
+        err = float(np.max(np.abs(mw[::-1] @ b_lo - mw)))
         if not err <= _WALL_TOL * float(mw.max()):
             raise ValueError(f"diffuse kernel does not fix the wall Maxwellian (error {err:g})")
-    elif boundary != "dirichlet_zero":
+    elif boundary == "dirichlet_zero":
+        b_lo = np.zeros((h, h))
+    else:
         raise ValueError(f"boundary must be one of ('specular', 'diffuse', 'dirichlet_zero'), got {boundary!r}")
     if boundary != "dirichlet_zero":
-        err = float(np.max(np.abs(k_lo @ speed - speed)[out]))
+        err = float(np.max(np.abs(b_lo @ s - s[::-1])))
         if not err <= _WALL_TOL * grid.v_max:
             raise ValueError(f"{boundary} kernel does not return the outgoing mass flux (error {err:g})")
-    return k_lo, np.ascontiguousarray(k_lo[::-1, ::-1])
+    return b_lo, np.ascontiguousarray(b_lo[::-1, ::-1])
 
 
-def _wall_traces(farr, ghost_lo, ghost_hi, grid) -> tuple[float, float]:
+def _wall_traces(ghost_lo, ghost_hi, grid) -> tuple[float, float]:
     """Outward trace integrals int (xi.r) gamma_f dxi at the two walls,
-    evaluated from the upwind interface values. Summed over mirror pairs so
-    the specular identity cancels exactly in floating point."""
-    xi = grid.xi
-    up_lo = np.where(xi > 0, ghost_lo, farr[0])
-    up_hi = np.where(xi > 0, farr[-1], ghost_hi)
-    t_lo = xi * up_lo
-    t_hi = xi * up_hi
+    evaluated from the ghost rows, which are the upwind interface values.
+    Summed over mirror pairs so the specular identity cancels exactly in
+    floating point."""
+    t_lo = grid.xi * ghost_lo
+    t_hi = grid.xi * ghost_hi
     s_lo = 0.5 * grid.dv * float(np.sum(t_lo + t_lo[::-1]))
     s_hi = 0.5 * grid.dv * float(np.sum(t_hi + t_hi[::-1]))
     return -s_lo, s_hi
@@ -107,17 +104,20 @@ class KineticWork:
 
 def _transport_raw(farr, grid, dt, walls, out=None, scratch=None):
     """Conservative upwind advection in x with wall ghost cells from the
-    scattering matrices walls = (k_lo, k_hi) of wall_kernels; returns
+    scattering blocks walls = (b_lo, b_hi) of wall_kernels; returns
     (f, trace_lo, trace_hi). The mass change equals
     -dt*(trace_lo + trace_hi) exactly (conservative telescoping). out and
     scratch (KineticWork.scratch) are the kernel's out and work arrays."""
     ximax = grid.v_max - 0.5 * grid.dv  # largest cell-center speed
     if dt * ximax / grid.dx > CFL_SLACK:
         raise CFLError(f"transport CFL violated: dt*ximax/dx = {dt * ximax / grid.dx:g}")
-    k_lo, k_hi = walls
-    ghost_lo = farr[0] @ k_lo
-    ghost_hi = farr[-1] @ k_hi
-    trace_lo, trace_hi = _wall_traces(farr, ghost_lo, ghost_hi, grid)
+    # each ghost row is the upwind trace at its wall: the boundary row itself
+    # on the outgoing half (an exact 0 difference), scattered on the incoming
+    b_lo, b_hi = walls
+    h = grid.nv // 2
+    ghost_lo = np.concatenate((farr[0, :h], farr[0, :h] @ b_lo))
+    ghost_hi = np.concatenate((farr[-1, h:] @ b_hi, farr[-1, h:]))
+    trace_lo, trace_hi = _wall_traces(ghost_lo, ghost_hi, grid)
     work = scratch[:2] if scratch else None
     fnew = _kernels.upwind_transport(farr, grid.xi, dt / grid.dx, ghost_lo, ghost_hi, out=out, work=work)
     return fnew, trace_lo, trace_hi
@@ -212,7 +212,7 @@ def kinetic_step(
     work: KineticWork | None = None,
 ) -> tuple[KineticState, KineticStepReport]:
     """One Strang-split step of the full kinetic equation; walls are the
-    scattering matrices (k_lo, k_hi) of wall_kernels and work the run's
+    scattering blocks (b_lo, b_hi) of wall_kernels and work the run's
     KineticWork (a fresh one when None). Between the sub-steps the state
     lives in work.f; the only phase-space array the kernels allocate is the
     returned state."""

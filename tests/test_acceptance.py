@@ -87,7 +87,7 @@ def test_criterion_01_entropy_budget(wave_run):
 
 def test_criterion_02_conservation(wave_run, wave_limit):
     run, _, _ = wave_run
-    dk = abs(run.mass_kinetic[-1] - run.mass_kinetic[0])
+    dk = abs(run.reports[-1].mass - run.reports[0].mass)
     df = abs(run.mass_fluid[-1] - run.mass_fluid[0])
     dl = float(np.abs(wave_limit.mass_rho - wave_limit.mass_rho[0]).max())
     asym = max(run.max_exchange_asym, wave_limit.max_exchange_asym)

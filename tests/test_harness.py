@@ -134,14 +134,14 @@ def test_equilibrium_run_constant_macroscopic_states():
     assert np.abs(run.u).max() <= 1e-10
     assert np.abs(run.n - run.n[0]).max() <= 1e-10
     assert np.abs(run.v).max() <= 1e-10
-    assert abs(run.mass_kinetic[-1] - run.mass_kinetic[0]) <= 1e-10
+    assert abs(run.reports[-1].mass - run.reports[0].mass) <= 1e-10
     assert abs(run.mass_fluid[-1] - run.mass_fluid[0]) <= 1e-10
 
 
 def test_coupled_run_mass_books_and_audit():
     cfg = ExperimentConfig(nx=32, nv=32, t_final=1.0, eps_list=[0.5], n_samples=8)
     run = run_coupled(cfg, 0.5)
-    assert abs(run.mass_kinetic[-1] - run.mass_kinetic[0]) <= 1e-10
+    assert abs(run.reports[-1].mass - run.reports[0].mass) <= 1e-10
     assert abs(run.mass_fluid[-1] - run.mass_fluid[0]) <= 1e-10
     assert run.audit.slack_entropy_budget >= -1e-10
     assert run.max_wall_flux <= 1e-12
@@ -195,12 +195,14 @@ def test_equilibrium_sweep_reported_degenerate():
 
 
 def test_coupled_run_with_diffuse_walls():
-    cfg = ExperimentConfig(
-        nx=16, nv=32, t_final=0.05, eps_list=[0.5], n_samples=2,
-        boundary="diffuse", wall_temperature=1.0,
-    )
-    run = run_coupled(cfg, 0.5)
-    assert abs(run.mass_kinetic[-1] - run.mass_kinetic[0]) <= 1e-10
+    # a colder wall on a velocity grid that is not a power of two too
+    for nv, theta in ((32, 1.0), (30, 0.7)):
+        cfg = ExperimentConfig(
+            nx=16, nv=nv, t_final=0.05, eps_list=[0.5], n_samples=2,
+            boundary="diffuse", wall_temperature=theta,
+        )
+        run = run_coupled(cfg, 0.5)
+        assert abs(run.reports[-1].mass - run.reports[0].mass) <= 1e-10
 
 
 def test_coupled_run_with_outflow_walls_loses_mass_monotonically():
@@ -209,7 +211,7 @@ def test_coupled_run_with_outflow_walls_loses_mass_monotonically():
         boundary="dirichlet_zero",
     )
     run = run_coupled(cfg, 0.5)
-    assert np.all(np.diff(run.mass_kinetic) < 0)
+    assert np.all(np.diff([r.mass for r in run.reports]) < 0)
 
 
 def test_shifted_domain_conservation_and_transform():
@@ -217,7 +219,7 @@ def test_shifted_domain_conservation_and_transform():
         nx=24, nv=32, x_lo=2.0, x_hi=3.5, t_final=0.05, eps_list=[0.5], n_samples=2,
     )
     run = run_coupled(cfg, 0.5)
-    assert abs(run.mass_kinetic[-1] - run.mass_kinetic[0]) <= 1e-12
+    assert abs(run.reports[-1].mass - run.reports[0].mass) <= 1e-12
     # log-density transform respects the non-unit domain measure
     from kinfluid.limit import from_symhyp, to_symhyp
     from kinfluid.core import FluidState, TwoPhaseState
@@ -356,7 +358,7 @@ def test_cli_reports_the_slack_after_start(tmp_path, capsys):
     audit, _ = harness.reaudit_run(out)
     assert recorded == audit.slack_after_start == float(audit.slacks[1:].min())
     assert recorded != 0.0 and audit.slack_entropy_budget == 0.0
-    capsys.readouterr()
+    assert f"entropy_budget_slack=0 slack_after_start={recorded:.6g} " in capsys.readouterr().out
     assert main_check_entropy(["--run", str(out)]) == EXIT_OK
     assert f"slack_after_start={recorded:.6g} " in capsys.readouterr().out
 
@@ -547,6 +549,10 @@ def test_cli_converge_writes_outputs(tmp_path):
     assert (out / "convergence.csv").exists()
     meta = json.loads((out / "convergence_meta.json").read_text())
     assert "slope" in meta and "audit_slacks" in meta
+    # the slack at t = 0 is 0, so each worst slack is min(0, the slack after it)
+    after = meta["audit_slacks_after_start"]
+    assert len(after) == len(meta["audit_slacks"]) and all(s != 0.0 for s in after)
+    assert meta["audit_slacks"] == [min(0.0, s) for s in after]
     assert len(meta["local_slopes"]) == 2
 
 

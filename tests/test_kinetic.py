@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kinfluid import kinetic
 from kinfluid.core import (
     CFLError,
     FluidState,
@@ -94,30 +95,64 @@ def test_transport_mass_balance_matches_reported_flux(rng, grid):
         assert dm == pytest.approx(-dt * (tr_lo + tr_hi), abs=1e-13)
 
 
-def test_diffuse_kernel_discrete_conditions(grid):
-    # the builder's matrices: the outgoing mass flux is returned, the wall
-    # Maxwellian is re-emitted as itself, and the right wall mirrors the left
-    xi, speed = grid.xi, np.abs(grid.xi)
-    for theta in (0.5, 1.0, 2.3):
-        k_lo, k_hi = wall_kernels("diffuse", grid, theta)
-        mw = np.exp(-0.5 * xi * xi / theta)
-        for k, out in ((k_lo, xi < 0), (k_hi, xi > 0)):
-            np.testing.assert_allclose((k @ speed)[out], speed[out], rtol=1e-13)
-            np.testing.assert_array_equal(k[~out], 0.0)  # incoming rows scatter nothing
-            np.testing.assert_array_equal(k[:, out], 0.0)  # nothing is emitted outward
-            np.testing.assert_allclose((mw @ k)[~out], mw[~out], rtol=1e-13)
-        np.testing.assert_array_equal(k_hi, k_lo[::-1, ::-1])
-        assert k_hi.flags.c_contiguous
+def test_diffuse_kernel_discrete_conditions():
+    # the builder's blocks: the outgoing mass flux is returned, the wall
+    # Maxwellian is re-emitted as itself, and the right wall mirrors the left;
+    # s = xi[nv/2:] are the incoming speeds at the left wall, s[::-1] the
+    # outgoing ones
+    for nv in (30, 64):
+        grid = PhaseGrid(nx=8, nv=nv)
+        s = grid.xi[nv // 2:]
+        for theta in (0.5, 1.0, 2.3):
+            b_lo, b_hi = wall_kernels("diffuse", grid, theta)
+            mw = np.exp(-0.5 * s * s / theta)
+            assert b_lo.shape == b_hi.shape == (nv // 2, nv // 2)
+            np.testing.assert_allclose(b_lo @ s, s[::-1], rtol=1e-13)
+            np.testing.assert_allclose(b_hi @ s[::-1], s, rtol=1e-13)
+            np.testing.assert_allclose(mw[::-1] @ b_lo, mw, rtol=1e-13)
+            np.testing.assert_allclose(mw @ b_hi, mw[::-1], rtol=1e-13)
+            np.testing.assert_array_equal(b_hi, b_lo[::-1, ::-1])
+            assert b_lo.flags.c_contiguous and b_hi.flags.c_contiguous
 
 
 def test_specular_and_absorbing_kernels(grid):
-    k_lo, k_hi = specular(grid)
-    f = np.arange(1.0, grid.nv + 1.0)
-    for k, inc in ((k_lo, grid.xi > 0), (k_hi, grid.xi < 0)):
-        np.testing.assert_array_equal((f @ k)[inc], f[::-1][inc])
-        np.testing.assert_array_equal((f @ k)[~inc], 0.0)
-    for k in wall_kernels("dirichlet_zero", grid, 1.0):
-        np.testing.assert_array_equal(k, 0.0)
+    h = grid.nv // 2
+    f_out = np.arange(1.0, h + 1.0)
+    blocks = specular(grid)
+    for b in blocks:
+        assert b.shape == (h, h) and b.flags.c_contiguous
+        np.testing.assert_array_equal(f_out @ b, f_out[::-1])
+    np.testing.assert_array_equal(blocks[1], blocks[0][::-1, ::-1])
+    for b in wall_kernels("dirichlet_zero", grid, 1.0):
+        assert b.shape == (h, h)
+        np.testing.assert_array_equal(f_out @ b, 0.0)
+
+
+@pytest.mark.parametrize("boundary", ["specular", "diffuse", "dirichlet_zero"])
+def test_transport_ghost_rows_are_the_upwind_wall_traces(rng, grid, boundary, monkeypatch):
+    # the outgoing half of each ghost row is the boundary row itself, so the
+    # outflow interface difference is an exact 0; the incoming half is the
+    # scattered outgoing half
+    seen = {}
+    upwind = kinetic._kernels.upwind_transport
+
+    def spy(f, xi, c, ghost_lo, ghost_hi, **kwargs):
+        seen.update(lo=ghost_lo, hi=ghost_hi)
+        return upwind(f, xi, c, ghost_lo, ghost_hi, **kwargs)
+
+    monkeypatch.setattr(kinetic._kernels, "upwind_transport", spy)
+    b_lo, b_hi = walls = wall_kernels(boundary, grid, 0.7)
+    f = random_positive_f(rng, grid)
+    h = grid.nv // 2
+    _, tr_lo, tr_hi = _transport_raw(f, grid, 0.5 * grid.dx / grid.v_max, walls)
+    np.testing.assert_array_equal(seen["lo"][:h], f[0, :h])
+    np.testing.assert_array_equal(seen["hi"][h:], f[-1, h:])
+    np.testing.assert_array_equal(seen["lo"][h:], f[0, :h] @ b_lo)
+    np.testing.assert_array_equal(seen["hi"][:h], f[-1, h:] @ b_hi)
+    if boundary == "dirichlet_zero":  # all outflow: both traces are positive
+        assert tr_lo > 0 and tr_hi > 0
+    else:
+        assert abs(tr_lo) + abs(tr_hi) <= 1e-12
 
 
 def test_wall_kernels_reject_bad_input(grid):
