@@ -132,7 +132,8 @@ class FluidState:
 
 @dataclass(frozen=True, eq=False)
 class TwoPhaseState:
-    """Relaxed two-phase fields: particle phase (rho, u) + fluid phase."""
+    """Relaxed two-phase fields: particle phase (rho, u) + fluid phase, at
+    one level (nx,) or as a stack of levels (K, nx)."""
 
     rho: np.ndarray
     u: np.ndarray
@@ -159,12 +160,17 @@ def quad_v(field: np.ndarray, grid: PhaseGrid) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def quad_x(field: np.ndarray, grid: PhaseGrid) -> float:
-    """Midpoint quadrature over the spatial grid."""
+def quad_x(field: np.ndarray, grid: PhaseGrid) -> np.ndarray | float:
+    """Midpoint quadrature over the spatial axis (last axis).
+
+    1-D input returns a float; a (K, nx) stack of levels returns one value
+    per level, each with the bits of that level's own quadrature.
+    """
     field = np.asarray(field)
-    if field.shape[0] != grid.nx:
-        raise ValueError(f"first axis must have nx={grid.nx} entries")
-    return float(grid.dx * field.sum())
+    if field.shape[-1] != grid.nx:
+        raise ValueError(f"last axis must have nx={grid.nx} entries")
+    out = grid.dx * field.sum(axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _weighted_gap(a: np.ndarray, b: np.ndarray, grid: PhaseGrid) -> tuple[float, np.ndarray]:

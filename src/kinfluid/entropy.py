@@ -83,8 +83,9 @@ def _pointwise_relative_entropy(bar: TwoPhaseState, ref: TwoPhaseState) -> np.nd
     )
 
 
-def relative_entropy(bar: TwoPhaseState, ref: TwoPhaseState, grid: PhaseGrid) -> float:
-    """int [ rho_bar/2 |u-u_bar|^2 + n_bar/2 |v-v_bar|^2 + P(rho_bar|rho) + Pt(n_bar|n) ]."""
+def relative_entropy(bar: TwoPhaseState, ref: TwoPhaseState, grid: PhaseGrid) -> np.ndarray | float:
+    """int [ rho_bar/2 |u-u_bar|^2 + n_bar/2 |v-v_bar|^2 + P(rho_bar|rho) + Pt(n_bar|n) ];
+    a float for one level, one value per level for two (K, nx) stacks."""
     if float(ref.rho.min()) <= 0 or float(ref.fluid.n.min()) <= 0:
         raise ValueError("reference state must have positive densities")
     return quad_x(_pointwise_relative_entropy(bar, ref), grid)
@@ -105,9 +106,17 @@ def macroscopic_entropy(st: TwoPhaseState, grid: PhaseGrid) -> float:
 
 
 def _maxwellian_passes(farr, rho, u, grid: PhaseGrid, work: KineticWork) -> tuple[float, float, float, float]:
-    """(P(f|M), D1, ||f - M||_1, int f log(f/M)) of f against M = M_{rho,u},
-    in flat passes over the ravel of f and the arrays of work. The first
-    three are defined in maxwellian_gap; the last takes the unfloored M."""
+    """(P(f|M), D1, ||f - M||_1, int f log(f/M)) of f against the local
+    Maxwellian M = M_{rho,u}, all from one evaluation of M, in flat passes
+    over the ravel of f and the arrays of work. ||f - M||_1 and int f log(f/M)
+    are taken from M itself; P(f|M) and D1 from M floored at _F_FLOOR, one
+    z = f/M and one log z: P(f|M) = int M phi(z), phi(z) = z log z - z + 1 >= 0,
+    and the dissipation of the relaxation solve's own flux
+    sqrt(M_j M_{j+1}) (z_{j+1} - z_j) (Chang & Cooper 1970),
+        D1 = sum_x dx sum_j sqrt(M_j M_{j+1}) / dv (z_{j+1} - z_j)(log z_{j+1} - log z_j).
+    D1 >= 0 vanishes exactly when f/M is constant in velocity, and a relaxation
+    step f0 -> f1 at bulk velocity u obeys P(f1|M) - P(f0|M) <= -(dt/eps) D1(f1).
+    A velocity pair with an f below _F_FLOOR adds 0 to D1."""
     nx, nv = farr.shape
     size = nx * nv
     cell = grid.dx * grid.dv
@@ -159,22 +168,6 @@ def _maxwellian_passes(farr, rho, u, grid: PhaseGrid, work: KineticWork) -> tupl
         above = flat_f > _F_FLOOR
         flux[~(above[:-1] & above[1:])] = 0.0
     return p_f_m, grid.dx * float(flux.sum()) / grid.dv, l1_gap, f_log_ratio
-
-
-def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float, float]:
-    """(P(f|M), D1, ||f - M||_1) of f against the local Maxwellian M = M_{rho,u},
-    all from one evaluation of M. ||f - M||_1 is taken from M itself; P(f|M)
-    and D1 from M floored at _F_FLOOR, one z = f/M and one log z: P(f|M) = int M phi(z),
-    phi(z) = z log z - z + 1 >= 0, and the dissipation of the relaxation
-    solve's own flux sqrt(M_j M_{j+1}) (z_{j+1} - z_j) (Chang & Cooper 1970),
-        D1 = sum_x dx sum_j sqrt(M_j M_{j+1}) / dv (z_{j+1} - z_j)(log z_{j+1} - log z_j).
-    D1 >= 0 vanishes exactly when f/M is constant in velocity, and a relaxation
-    step f0 -> f1 at bulk velocity u obeys P(f1|M) - P(f0|M) <= -(dt/eps) D1(f1).
-    A velocity pair with an f below _F_FLOOR adds 0 to D1."""
-    rho = np.asarray(rho, dtype=float)
-    if not np.all(rho > 0):
-        raise ValueError("needs rho > 0")
-    return _maxwellian_passes(f.f, rho, np.asarray(u, dtype=float), grid, KineticWork(grid))[:3]
 
 
 def csiszar_kullback_margin(report: EntropyReport, l1_gap: float) -> float:
@@ -244,15 +237,15 @@ class AuditRecord:
         return self.slack_entropy_budget >= -tolerance * abs(self.entropy_initial)
 
 
-def entropy_inequality_audit(times, reports, eps: float) -> AuditRecord:
-    """Trapezoidal audit of the entropy budgets on a uniformly sampled run."""
+def entropy_inequality_audit(times, series, eps: float) -> AuditRecord:
+    """Trapezoidal audit of the entropy budgets on a uniformly sampled run;
+    series maps each EntropyReport field to its (K,) array over the samples
+    (fields the budgets do not read may be absent or extra)."""
     times = np.asarray(times, dtype=float)
-    f_arr = np.array([r.F for r in reports])
-    d1 = np.array([r.D1 for r in reports])
-    d2 = np.array([r.D2 for r in reports])
-    drag_uv = np.array([r.drag_mismatch for r in reports])
-    gradv = np.array([r.grad_v_sq for r in reports])
-    mass0 = reports[0].mass
+    f_arr, d1, d2, drag_uv, gradv, mass = (
+        np.asarray(series[name], dtype=float) for name in ("F", "D1", "D2", "drag_mismatch", "grad_v_sq", "mass")
+    )
+    mass0 = mass[0]
 
     def cumtrap(y):
         out = np.zeros_like(y)

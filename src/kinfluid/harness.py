@@ -235,6 +235,14 @@ class CoupledRun:
     wall_seconds: float
 
 
+_REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))  # one series per field
+
+
+def _report_series(reports: list[EntropyReport]) -> dict[str, np.ndarray]:
+    """The (K,) series of each EntropyReport field over a run's samples."""
+    return {name: np.array([getattr(r, name) for r in reports]) for name in _REPORT_FIELDS}
+
+
 def _cadence(config: ExperimentConfig, dt_target: float) -> tuple[float, int, int]:
     """Round dt_target down so that n_samples divides the step count and
     nt*dt = t_final exactly; returns (dt, nt, steps per sample). A run of
@@ -284,7 +292,6 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     dt, nt, per = _pick_dt(config, grid, fl)
 
     times, rho, u, n, v = _sample_arrays(config, grid)
-    mass_flu = np.empty(len(times))
     reports: list[EntropyReport] = []
     max_wall = 0.0
     max_asym = 0.0
@@ -297,7 +304,6 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
         u[idx] = mom.u
         n[idx] = fl.n
         v[idx] = fl.v
-        mass_flu[idx] = quad_x(fl.n, grid)
         report, l1_gap = evaluate_entropy_report(kin, fl, mom, grid, work)
         reports.append(report)
         return csiszar_kullback_margin(report, l1_gap)
@@ -320,12 +326,12 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     except SolverError as exc:
         raise dump_failure_state(config, exc, {"f": kin.f, "n": fl.n, "v": fl.v}, step, kin.t) from exc
 
-    audit = entropy_inequality_audit(times, reports, eps)
+    audit = entropy_inequality_audit(times, _report_series(reports), eps)
     return CoupledRun(
         eps=eps, times=times, reports=reports,
         rho=rho, u=u, n=n, v=v,
         f_final=kin, fluid_final=fl,
-        mass_fluid=mass_flu,
+        mass_fluid=quad_x(n, grid),
         max_wall_flux=max_wall, max_exchange_asym=max_asym,
         truncation_leak=leak, ck_margin_min=float(ck_min),
         audit=audit, dt=dt, wall_seconds=time.perf_counter() - t0,
@@ -342,18 +348,12 @@ class LimitRun:
     mass_rho: np.ndarray
     max_exchange_asym: float
     dt: float
-    min_one_plus_h: float
-
-
-def _sampled_state(run: CoupledRun | LimitRun, idx: int, gamma: float) -> TwoPhaseState:
-    """The two-phase state (rho, u, n, v) of sample idx of a coupled or limit run."""
-    fluid = FluidState(n=run.n[idx], v=run.v[idx], gamma=gamma)
-    return TwoPhaseState(rho=run.rho[idx], u=run.u[idx], fluid=fluid, t=run.times[idx])
+    min_one_plus_h: float  # over t = 0 and every step, not only the samples
 
 
 def run_limit(config: ExperimentConfig) -> LimitRun:
     """March the relaxed two-phase system directly, on the same sampling
-    cadence as the coupled runs."""
+    cadence as the coupled runs, keeping the smallest n = 1 + h of every step."""
     grid = config.grid()
     _, _, st = make_well_prepared(config)
 
@@ -372,10 +372,12 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         v[idx] = st.fluid.v
 
     sample(0, st)
+    min_n = float(st.fluid.n.min())
     try:
         for step in range(nt):
             st, dpp, dpf = _two_phase_substeps(st, dt, grid)
             max_asym = max(max_asym, abs(dpp + dpf))
+            min_n = min(min_n, float(st.fluid.n.min()))
             if (step + 1) % per == 0:
                 sample((step + 1) // per, st)
     except SolverError as exc:
@@ -383,9 +385,8 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         raise dump_failure_state(config, exc, arrays, step, st.t) from exc
 
     return LimitRun(
-        times=times, rho=rho, u=u, n=n, v=v, mass_rho=np.array([quad_x(r, grid) for r in rho]),
-        max_exchange_asym=max_asym, dt=dt,
-        min_one_plus_h=float(n.min()),
+        times=times, rho=rho, u=u, n=n, v=v, mass_rho=quad_x(rho, grid),
+        max_exchange_asym=max_asym, dt=dt, min_one_plus_h=min_n,
     )
 
 
@@ -417,28 +418,27 @@ class ConvergenceResult:
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
-    """For each eps: coupled run vs the single limit trajectory, compared
-    sample by sample (both runs share the sampling cadence); sup-in-time
-    relative entropy and L1 gaps; log-log slope fit of sup_H against eps, and
-    the slope between each consecutive pair of eps values."""
+    """For each eps: coupled run vs the single limit trajectory, compared as
+    (K, nx) sample stacks, level by level (both runs share the sampling
+    cadence); sup-in-time relative entropy and L1 gaps; log-log slope fit of
+    sup_H against eps, and the slope between each consecutive pair of eps
+    values."""
     if len(config.eps_list) < 3:
         raise ConfigError("eps sweep needs at least 3 values")
     t0 = time.perf_counter()
     grid = config.grid()
     limit = run_limit(config)
-    samples = range(len(limit.times))
-    gamma = config.gamma
+    ref = TwoPhaseState(rho=limit.rho, u=limit.u, fluid=FluidState(n=limit.n, v=limit.v, gamma=config.gamma))
+    m_end = maxwellian_profile(limit.rho[-1], limit.u[-1], grid)
 
     rows = []
     runs = []
     for eps in config.eps_list:
         run = run_coupled(config, eps)
-        sup_h = max(
-            relative_entropy(_sampled_state(run, k, gamma), _sampled_state(limit, k, gamma), grid) for k in samples
-        )
-        sup_rho = max(l1_distance(run.rho[k], limit.rho[k], grid) for k in samples)
-        sup_n = max(l1_distance(run.n[k], limit.n[k], grid) for k in samples)
-        m_end = maxwellian_profile(limit.rho[-1], limit.u[-1], grid)
+        bar = TwoPhaseState(rho=run.rho, u=run.u, fluid=FluidState(n=run.n, v=run.v, gamma=config.gamma))
+        sup_h = float(relative_entropy(bar, ref, grid).max())
+        sup_rho = float(quad_x(np.abs(run.rho - limit.rho), grid).max())
+        sup_n = float(quad_x(np.abs(run.n - limit.n), grid).max())
         f_gap = l1_distance(run.f_final.f, m_end, grid)
         rows.append(ConvergenceRow(eps=eps, sup_H=sup_h, sup_L1_rho=sup_rho, sup_L1_n=sup_n, f_to_M_l1=f_gap))
         runs.append(run)
@@ -466,8 +466,6 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
-
-_REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))  # one series per field
 
 CSV_COLUMNS = ("eps", "sup_H", "sup_L1_rho", "sup_L1_n", "f_to_M_l1")
 
@@ -548,7 +546,7 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     """Emit a coupled run: sampled series + final state + metadata sidecar."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series = {name: np.array([getattr(r, name) for r in run.reports]) for name in _REPORT_FIELDS}
+    series = _report_series(run.reports)
     series.update(
         times=run.times, mass_fluid=run.mass_fluid,
         rho=run.rho, u=run.u, n=run.n, v=run.v,
@@ -598,9 +596,4 @@ def reaudit_run(run_dir) -> tuple[AuditRecord, float]:
     times = arrays["times"]
     if len({arrays[name].shape for name in names}) != 1 or times.ndim != 1 or not times.size:
         raise ConfigError(f"{run_dir}/series.json: the series must be 1-D, non-empty and of one length")
-    reports = [
-        EntropyReport(**{name: float(arrays[name][k]) for name in _REPORT_FIELDS})
-        for k in range(times.shape[0])
-    ]
-    audit = entropy_inequality_audit(times, reports, meta["eps"])
-    return audit, tol
+    return entropy_inequality_audit(times, arrays, meta["eps"]), tol

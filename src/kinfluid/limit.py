@@ -5,10 +5,12 @@ limit system's existence argument.
 The limit runs march the conservative system directly, with Strang-split
 Rusanov updates and one joint, exactly antisymmetric drag exchange per step.
 The fixed-point iteration (picard_solve) is a library routine that no run
-uses: it freezes coefficients at the previous iterate, integrates the
-resulting linear symmetric-hyperbolic/parabolic system with first-order
-upwinding on its characteristic fields, and reports the L2 Cauchy distance
-between consecutive iterates; acceptance criterion 9 checks its contraction.
+uses. Each iterate is one SymHypState whose fields are (nt+1, nx) stacks, a
+row per time level of the whole horizon. An iteration freezes coefficients
+at the previous iterate, integrates the resulting linear
+symmetric-hyperbolic/parabolic system with first-order upwinding on its
+characteristic fields, and returns the L2 Cauchy distance between
+consecutive iterates; acceptance criterion 9 checks its contraction.
 """
 import math
 from dataclasses import dataclass
@@ -89,7 +91,8 @@ def two_phase_step(st: TwoPhaseState, dt: float, grid: PhaseGrid) -> TwoPhaseSta
 @dataclass(frozen=True, eq=False)
 class SymHypState:
     """Reformulated fields g = log(M*rho) with M = |domain|, h = n - 1,
-    plus the two velocities."""
+    plus the two velocities, at one level (nx,) or as a stack of levels:
+    a fixed-point iterate is the (nt+1, nx) stack of its whole horizon."""
 
     g: np.ndarray
     u: np.ndarray
@@ -141,32 +144,11 @@ class PicardSetup:
         return self.t_final / self.nt
 
 
-@dataclass(frozen=True, eq=False)
-class PicardTrajectory:
-    """Full-horizon trajectory of one iterate: arrays of shape (nt+1, nx)."""
-
-    g: np.ndarray
-    u: np.ndarray
-    h: np.ndarray
-    v: np.ndarray
-
-
 @dataclass
 class IterationReport:
     m: int
     cauchy_l2: float
     contraction_ratio: float = math.nan
-
-
-def initial_trajectory(init: SymHypState, setup: PicardSetup) -> PicardTrajectory:
-    """Iterate 0: the initial data held constant in time."""
-    nt = setup.nt
-    return PicardTrajectory(
-        g=np.tile(init.g, (nt + 1, 1)),
-        u=np.tile(init.u, (nt + 1, 1)),
-        h=np.tile(init.h, (nt + 1, 1)),
-        v=np.tile(init.v, (nt + 1, 1)),
-    )
 
 
 # time levels whose frozen coefficients picard_iterate builds in one
@@ -228,10 +210,10 @@ def _checked_sound_speed(big_h, um, vm, k0, setup):
     return c
 
 
-def picard_iterate(prev: PicardTrajectory, setup: PicardSetup) -> tuple[PicardTrajectory, IterationReport]:
+def picard_iterate(prev: SymHypState, setup: PicardSetup) -> tuple[SymHypState, float]:
     """Advance the linearized system over the whole horizon with every
-    coefficient frozen at the previous iterate; report the sup-in-time L2
-    distance to that iterate.
+    coefficient frozen at the previous iterate, an (nt+1, nx) stack; return
+    the new stack and its sup-in-time L2 distance to the previous one.
 
     The frozen coefficients depend on prev only, so they are built for a
     block of _BLOCK levels at a time; the march then loops over the levels
@@ -278,21 +260,22 @@ def picard_iterate(prev: PicardTrajectory, setup: PicardSetup) -> tuple[PicardTr
         for a, b in ((g, prev.g), (u, prev.u), (h, prev.h), (v, prev.v))
     ]
     cauchy = max([0.0] + [math.sqrt(dg**2 + du**2 + dh**2 + dv**2) for dg, du, dh, dv in zip(*dist)])
-    return PicardTrajectory(g=g, u=u, h=h, v=v), IterationReport(m=-1, cauchy_l2=cauchy)
+    return SymHypState(g=g, u=u, h=h, v=v), cauchy
 
 
 def picard_solve(init: SymHypState, setup: PicardSetup, max_iter: int = 12):
-    """Run max_iter fixed-point iterations from the constant-in-time iterate 0.
+    """Run max_iter fixed-point iterations from iterate 0, the initial level
+    init held constant in time.
 
-    Returns the last trajectory and the list of IterationReports with
-    contraction ratios filled in; a failed iterate's CFLError or
-    PositivityError propagates."""
-    traj = initial_trajectory(init, setup)
+    Returns the last iterate's (nt+1, nx) stack and the list of
+    IterationReports with contraction ratios filled in; a failed iterate's
+    CFLError or PositivityError propagates."""
+    traj = SymHypState(*(np.tile(a, (setup.nt + 1, 1)) for a in (init.g, init.u, init.h, init.v)))
     reports: list[IterationReport] = []
     for m in range(1, max_iter + 1):
-        traj, rep = picard_iterate(traj, setup)
-        rep.m = m
+        traj, cauchy = picard_iterate(traj, setup)
+        rep = IterationReport(m=m, cauchy_l2=cauchy)
         if reports and reports[-1].cauchy_l2 > 0:
-            rep.contraction_ratio = rep.cauchy_l2 / reports[-1].cauchy_l2
+            rep.contraction_ratio = cauchy / reports[-1].cauchy_l2
         reports.append(rep)
     return traj, reports

@@ -1,17 +1,26 @@
 """Oracles for the paper's lemmas that no solver calls: the relative-pressure
 lower bounds (criterion 5), the convexity form of the relative entropy
 (criterion 6), the relative-flux bound, the density representation along
-characteristics (criterion 10) and the well-preparedness residuals; and the
-entropy report's functionals as direct, array-by-array formulas."""
+characteristics (criterion 10) and the well-preparedness residuals; the
+entropy report's functionals as direct, array-by-array formulas; and the
+sweep's comparison with the limit, sample by sample."""
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from kinfluid.core import FluidState, KineticState, PhaseGrid, TwoPhaseState, quad_v, quad_x
-from kinfluid.entropy import EntropyReport, macroscopic_entropy, relative_pressure, relative_pressure_tilde
+from kinfluid.core import FluidState, KineticState, PhaseGrid, TwoPhaseState, l1_distance, quad_v, quad_x
+from kinfluid.entropy import (
+    EntropyReport,
+    _maxwellian_passes,
+    macroscopic_entropy,
+    relative_entropy,
+    relative_pressure,
+    relative_pressure_tilde,
+)
 from kinfluid.fluid import dirichlet_grad_sq
-from kinfluid.harness import ExperimentConfig
+from kinfluid.harness import ConvergenceResult, ConvergenceRow, ExperimentConfig
+from kinfluid.kinetic import KineticWork
 from kinfluid.moments import MomentSet, compute_moments, maxwellian_profile
 
 # (1/2) log(2 pi): the per-unit-mass entropy offset between a 1-D local
@@ -53,8 +62,15 @@ def dissipation_d2(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
     return drag + dirichlet_grad_sq(fl.v, grid)
 
 
+def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float, float]:
+    """(P(f|M), D1, ||f - M||_1) of f against M = M_{rho,u}, as the entropy
+    report computes them (entropy._maxwellian_passes), in a fresh KineticWork."""
+    rho, u = np.asarray(rho, dtype=float), np.asarray(u, dtype=float)
+    return _maxwellian_passes(f.f, rho, u, grid, KineticWork(grid))[:3]
+
+
 def maxwellian_gap_direct(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float, float]:
-    """(P(f|M), D1, ||f - M||_1) as entropy.maxwellian_gap defines them, on
+    """(P(f|M), D1, ||f - M||_1) as entropy._maxwellian_passes defines them, on
     (nx, nv) arrays row by row: log z by log1p where |z - 1| < 1/2 and by log
     elsewhere, phi chosen by np.where, D1 over the pairs of each row."""
     m = maxwellian_profile(np.asarray(rho, dtype=float), u, grid)
@@ -93,6 +109,32 @@ def entropy_report_direct(
         mass=phase_mass(f.f, grid),
     )
     return report, l1_gap
+
+
+def convergence_rows_per_sample(result: ConvergenceResult, config: ExperimentConfig) -> list[ConvergenceRow]:
+    """The sweep's rows by their definition sample by sample: one
+    single-level two-phase state per sample of each coupled run and of the
+    limit run, the relative entropy and the L1 gaps of each pair of equal
+    index, and their maxima over the samples."""
+    grid = config.grid()
+    limit = result.limit
+
+    def state(run, k):
+        fluid = FluidState(n=run.n[k], v=run.v[k], gamma=config.gamma)
+        return TwoPhaseState(rho=run.rho[k], u=run.u[k], fluid=fluid, t=run.times[k])
+
+    samples = range(len(limit.times))
+    m_end = maxwellian_profile(limit.rho[-1], limit.u[-1], grid)
+    return [
+        ConvergenceRow(
+            eps=run.eps,
+            sup_H=max(relative_entropy(state(run, k), state(limit, k), grid) for k in samples),
+            sup_L1_rho=max(l1_distance(run.rho[k], limit.rho[k], grid) for k in samples),
+            sup_L1_n=max(l1_distance(run.n[k], limit.n[k], grid) for k in samples),
+            f_to_M_l1=l1_distance(run.f_final.f, m_end, grid),
+        )
+        for run in result.runs
+    ]
 
 
 @dataclass(frozen=True)

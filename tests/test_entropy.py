@@ -12,7 +12,6 @@ from kinfluid.entropy import (
     entropy_inequality_audit,
     evaluate_entropy_report,
     macroscopic_entropy,
-    maxwellian_gap,
     relative_entropy,
     relative_pressure,
     relative_pressure_tilde,
@@ -27,6 +26,7 @@ from paper_checks import (
     dissipation_d2,
     entropy_report_direct,
     kinetic_entropy,
+    maxwellian_gap,
     phase_mass,
     rel_flux_entropy_constant,
     relative_entropy_bregman,
@@ -229,6 +229,23 @@ def test_relative_entropy_equals_bregman_identity(rng, grid):
         assert a == pytest.approx(b, abs=1e-12, rel=1e-12)
 
 
+@pytest.mark.parametrize("nx, gamma", [(24, 2.0), (300, 1.4)])
+def test_relative_entropy_of_stacks_is_one_value_per_level(rng, nx, gamma):
+    # a (K, nx) stack gives, level by level, the bits of K single-level calls
+    grid = PhaseGrid(nx=nx, nv=2)
+    levels = [(random_two_phase(rng, grid, gamma), random_two_phase(rng, grid, gamma)) for _ in range(7)]
+
+    def stack(states):
+        fluid = FluidState(n=np.array([s.fluid.n for s in states]), v=np.array([s.fluid.v for s in states]),
+                           gamma=gamma)
+        return TwoPhaseState(rho=np.array([s.rho for s in states]), u=np.array([s.u for s in states]), fluid=fluid)
+
+    stacked = relative_entropy(stack([b for b, _ in levels]), stack([r for _, r in levels]), grid)
+    assert stacked.shape == (7,)
+    assert stacked.tolist() == [relative_entropy(bar, ref, grid) for bar, ref in levels]
+    assert isinstance(relative_entropy(*levels[0], grid), float)
+
+
 def test_macroscopic_entropy_values(grid):
     st = TwoPhaseState(
         rho=np.ones(grid.nx), u=np.zeros(grid.nx), fluid=_unit_fluid(grid)
@@ -419,7 +436,8 @@ def test_audit_reports_nonnegative_dissipations(rng, grid):
     f = KineticState(f=random_positive_f(rng, grid))
     fl = _unit_fluid(grid)
     reps = [evaluate_entropy_report(f, fl, compute_moments(f, grid), grid)[0] for _ in range(3)]
-    rec = entropy_inequality_audit([0.0, 0.1, 0.2], reps, 0.5)
+    series = {name: np.array([getattr(r, name) for r in reps]) for name in EntropyReport.__dataclass_fields__}
+    rec = entropy_inequality_audit([0.0, 0.1, 0.2], series, 0.5)
     assert rec.slacks.shape == (3,)
     assert rec.slack_after_start == min(rec.slacks[1:])
     assert all(r.D1 >= 0 and r.D2 >= 0 for r in reps)

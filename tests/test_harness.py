@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import kinfluid.entropy as entropy
 import kinfluid.harness as harness
 import kinfluid.kinetic as kinetic
-from kinfluid.core import ConfigError, SolverError
+from kinfluid.core import ConfigError, PhaseGrid, SolverError
 from kinfluid.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
@@ -35,7 +35,9 @@ from kinfluid.harness import (
     save_state,
 )
 
-from paper_checks import well_prepared_residuals
+from kinfluid.limit import two_phase_step
+
+from paper_checks import convergence_rows_per_sample, well_prepared_residuals
 
 
 def tiny_config(**kw):
@@ -318,6 +320,25 @@ def test_run_determinism_bitwise(tmp_path):
         assert csvs[0] == csvs[1]
 
 
+@pytest.mark.parametrize("kw", [{}, dict(nx=136, nv=16, t_final=0.02, boundary="diffuse")])
+def test_sweep_rows_match_their_per_sample_definition(kw):
+    # the sweep compares whole sample stacks; its rows carry the bits of the
+    # comparison of single-level states, sample by sample
+    cfg = tiny_config(**kw)
+    res = harness.run_convergence(cfg)
+    assert res.rows == convergence_rows_per_sample(res, cfg)
+
+
+def test_reaudit_of_an_emitted_run_equals_the_run_audit(tmp_path):
+    cfg = tiny_config(boundary="diffuse")
+    run = run_coupled(cfg, 0.2)
+    harness.save_run_series(run, tmp_path / "run", cfg)
+    audit, tol = harness.reaudit_run(tmp_path / "run")
+    assert tol == cfg.audit_tolerance
+    for f in fields(entropy.AuditRecord):
+        np.testing.assert_array_equal(getattr(audit, f.name), getattr(run.audit, f.name), err_msg=f.name)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -565,7 +586,27 @@ def test_cli_simulate_limit(tmp_path, capsys):
     assert line == f"dt={meta['dt']:g} min(1+h)={meta['min_one_plus_h']:g} -> {out}\n"
     assert set(arrays) == {"times", "rho", "u", "n", "v", "mass_rho"}
     assert arrays["times"].shape == (5,) and arrays["n"].shape == (5, 32)
-    assert meta["min_one_plus_h"] == arrays["n"].min() > 0
+    # the samples are a subset of the steps the minimum runs over
+    assert 0 < meta["min_one_plus_h"] <= arrays["n"].min()
+
+
+def test_limit_run_min_one_plus_h_reads_every_step(tmp_path):
+    # the gas rarefies deepest between t = 0 and the one sample at t_final;
+    # the run's minimum has the bits of a direct step-by-step march
+    grid = PhaseGrid(nx=64, nv=16)
+    ones = np.ones(grid.nx)
+    v0 = -0.5 * np.sin(2 * np.pi * grid.x) * np.sin(np.pi * grid.x) ** 2
+    state = save_state(tmp_path / "wave", {"rho0": ones, "u0": 0.0 * ones, "n0": ones, "v0": v0})
+    cfg = ExperimentConfig(nx=64, nv=16, t_final=0.3, n_samples=1, initial_profile="custom",
+                           custom_state=str(state), output_dir=str(tmp_path / "out"))
+    run = harness.run_limit(cfg)
+    st = make_well_prepared(cfg)[2]
+    lows = [float(st.fluid.n.min())]
+    for _ in range(round(cfg.t_final / run.dt)):
+        st = two_phase_step(st, run.dt, grid)
+        lows.append(float(st.fluid.n.min()))
+    assert run.min_one_plus_h == min(lows)
+    assert round(run.min_one_plus_h, 5) == 0.95544 and round(float(run.n.min()), 5) == 0.97363
 
 
 def test_cli_check_entropy_rejects_non_run(tmp_path):

@@ -13,7 +13,6 @@ from kinfluid.core import (
     l1_distance,
     quad_v,
 )
-from kinfluid.entropy import maxwellian_gap
 from kinfluid.kinetic import (
     KineticWork,
     _drag_raw,
@@ -25,7 +24,7 @@ from kinfluid.kinetic import (
 from kinfluid.moments import compute_moments, maxwellian
 
 from conftest import random_positive_f
-from paper_checks import phase_mass
+from paper_checks import maxwellian_gap, phase_mass
 
 
 # ---------------------------------------------------------------------------

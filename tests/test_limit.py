@@ -11,7 +11,6 @@ from kinfluid.limit import (
     drag_exchange,
     euler_step,
     from_symhyp,
-    initial_trajectory,
     picard_iterate,
     picard_solve,
     to_symhyp,
@@ -24,6 +23,11 @@ from paper_checks import density_positivity_check
 @pytest.fixture
 def xgrid():
     return PhaseGrid(nx=64, nv=2, x_lo=0.0, x_hi=1.0)
+
+
+def constant_iterate(init, setup):
+    """Iterate 0 of picard_solve: the level init held over all nt + 1 levels."""
+    return SymHypState(*(np.tile(a, (setup.nt + 1, 1)) for a in (init.g, init.u, init.h, init.v)))
 
 
 def small_two_phase(grid, amp=0.04):
@@ -233,12 +237,39 @@ def test_picard_iterate_requires_positive_density(xgrid):
     setup = _picard_setup(xgrid)
     z = np.zeros(xgrid.nx)
     init = SymHypState(g=z, u=z.copy(), h=z.copy(), v=z.copy())
-    traj = initial_trajectory(init, setup)
+    traj = constant_iterate(init, setup)
     traj.h[0] = -1.0 + 1e-9  # legal but respecting invariant
-    bad = initial_trajectory(init, setup)
+    bad = constant_iterate(init, setup)
     bad.h[:] = -2.0
     with pytest.raises(PositivityError):
         picard_iterate(bad, setup)
+
+
+def test_picard_iterates_are_level_stacks(xgrid):
+    setup = _picard_setup(xgrid)
+    init = to_symhyp(small_two_phase(xgrid), xgrid)
+    prev = constant_iterate(init, setup)
+    nxt, cauchy = picard_iterate(prev, setup)
+    assert isinstance(nxt, SymHypState) and isinstance(cauchy, float) and cauchy > 0
+    for name in ("g", "u", "h", "v"):
+        assert getattr(nxt, name).shape == (setup.nt + 1, xgrid.nx)
+        np.testing.assert_array_equal(getattr(nxt, name)[0], getattr(init, name))
+    traj, reps = picard_solve(init, setup, max_iter=2)
+    assert [r.m for r in reps] == [1, 2] and reps[0].cauchy_l2 == cauchy
+    assert math.isnan(reps[0].contraction_ratio)
+    assert reps[1].contraction_ratio == reps[1].cauchy_l2 / cauchy
+
+
+def test_picard_iterate_rejects_an_iterate_that_loses_positivity(xgrid, monkeypatch):
+    # every level of prev passes its checks; the new iterate's h is pushed
+    # below -1, which building its SymHypState rejects
+    setup = _picard_setup(xgrid)
+    z = np.zeros(xgrid.nx)
+    prev = constant_iterate(SymHypState(g=z, u=z.copy(), h=z.copy(), v=z.copy()), setup)
+    increments = limit._upwind_increments
+    monkeypatch.setattr(limit, "_upwind_increments", lambda *a: (increments(*a)[0] - 0.1, increments(*a)[1]))
+    with pytest.raises(PositivityError, match="1 \\+ h must stay positive"):
+        picard_iterate(prev, setup)
 
 
 @pytest.mark.parametrize("nt", [1, 15, 16, 17, 40])
@@ -274,7 +305,7 @@ def test_picard_iterate_raises_at_the_first_failing_level(xgrid, cfl_level, erro
     setup = _picard_setup(xgrid)
     assert setup.nt > 32 and limit._BLOCK < 20
     z = np.zeros(xgrid.nx)
-    prev = initial_trajectory(SymHypState(g=z, u=z.copy(), h=z.copy(), v=z.copy()), setup)
+    prev = constant_iterate(SymHypState(g=z, u=z.copy(), h=z.copy(), v=z.copy()), setup)
     prev.h[20] = -1.5
     if cfl_level is not None:
         prev.v[cfl_level] = 100.0
