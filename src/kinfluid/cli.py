@@ -30,8 +30,8 @@ EXIT_AUDIT = 3
 
 
 def _exit_codes(main):
-    """A ConfigError raised in main exits 1 and a SolverError exits 2, each
-    with one line on stderr."""
+    """A ConfigError raised in main, or an output file that cannot be
+    written, exits 1 and a SolverError exits 2, each with one line on stderr."""
 
     @functools.wraps(main)
     def wrapped(argv=None) -> int:
@@ -39,6 +39,9 @@ def _exit_codes(main):
             return main(argv)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:  # every read of an input is a ConfigError already
+            print(f"config error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except SolverError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
@@ -66,6 +69,11 @@ def _output_dir(path) -> Path:
     return out
 
 
+def _book(book: dict) -> str:
+    """A run's books as key=value pairs for its summary line."""
+    return " ".join(f"{key}={value:.6g}" for key, value in book.items())
+
+
 @_exit_codes
 def main_simulate_kinetic(argv=None) -> int:
     ap = _Parser(prog="simulate-kinetic", description="Run the coupled kinetic/gas system at one eps.")
@@ -84,7 +92,7 @@ def main_simulate_kinetic(argv=None) -> int:
         f"eps={eps:g} steps_dt={run.dt:g} wall={run.wall_seconds:.2f}s "
         f"entropy_budget_slack={run.audit.slack_entropy_budget:.6g} "
         f"slack_after_start={run.audit.slack_after_start:.6g} "
-        f"max_wall_flux={run.max_wall_flux:.3e} -> {out}"
+        f"{_book(run.book)} -> {out}"
     )
     if not run.audit.passes(cfg.audit_tolerance):
         print("entropy audit failed", file=sys.stderr)
@@ -104,9 +112,9 @@ def main_simulate_limit(argv=None) -> int:
     save_state(
         out / "limit_series",
         {"times": run.times, "rho": run.rho, "u": run.u, "n": run.n, "v": run.v, "mass_rho": run.mass_rho},
-        meta={"config": asdict(cfg), "dt": run.dt, "min_one_plus_h": run.min_one_plus_h},
+        meta={"config": asdict(cfg), "dt": run.dt, **run.book},
     )
-    print(f"dt={run.dt:g} min(1+h)={run.min_one_plus_h:g} -> {out}")
+    print(f"dt={run.dt:g} {_book(run.book)} -> {out}")
     return EXIT_OK
 
 

@@ -214,11 +214,16 @@ def make_well_prepared(config: ExperimentConfig) -> tuple[KineticState, FluidSta
 # ---------------------------------------------------------------------------
 
 
+# one (K,) record array of a run's sampled EntropyReports: a row reads
+# reports[k].F, a column reports.F
+_REPORT_DTYPE = np.dtype([(f.name, float) for f in fields(EntropyReport)])
+
+
 @dataclass
 class CoupledRun:
     eps: float
     times: np.ndarray
-    reports: list[EntropyReport]
+    reports: np.recarray  # of _REPORT_DTYPE
     rho: np.ndarray  # (K, nx) sampled moment fields
     u: np.ndarray
     n: np.ndarray
@@ -226,21 +231,11 @@ class CoupledRun:
     f_final: KineticState
     fluid_final: FluidState
     mass_fluid: np.ndarray
-    max_wall_flux: float
-    max_exchange_asym: float
-    truncation_leak: float
+    book: dict[str, float]  # max_wall_flux, truncation_leak, max_exchange_asym
     ck_margin_min: float
     audit: AuditRecord
     dt: float
     wall_seconds: float
-
-
-_REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))  # one series per field
-
-
-def _report_series(reports: list[EntropyReport]) -> dict[str, np.ndarray]:
-    """The (K,) series of each EntropyReport field over a run's samples."""
-    return {name: np.array([getattr(r, name) for r in reports]) for name in _REPORT_FIELDS}
 
 
 def _cadence(config: ExperimentConfig, dt_target: float) -> tuple[float, int, int]:
@@ -292,10 +287,8 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     dt, nt, per = _pick_dt(config, grid, fl)
 
     times, rho, u, n, v = _sample_arrays(config, grid)
-    reports: list[EntropyReport] = []
-    max_wall = 0.0
-    max_asym = 0.0
-    leak = 0.0
+    reports = np.recarray(len(times), dtype=_REPORT_DTYPE)
+    book = {"max_wall_flux": 0.0, "truncation_leak": 0.0, "max_exchange_asym": 0.0}
 
     def sample(idx, kin, fl, mom):
         """Record time level idx; mom are the moments of kin."""
@@ -305,7 +298,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
         n[idx] = fl.n
         v[idx] = fl.v
         report, l1_gap = evaluate_entropy_report(kin, fl, mom, grid, work)
-        reports.append(report)
+        reports[idx] = tuple(vars(report).values())
         return csiszar_kullback_margin(report, l1_gap)
 
     # the moments of the current kin: sampled, then the next step's gas drag
@@ -318,22 +311,20 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
             kin, fl = kin_new, fl_new
             mom = compute_moments(kin, grid, work.f)
-            max_asym = max(max_asym, abs(dpk + dpf))
-            max_wall = max(max_wall, krep.max_wall_flux)
-            leak += krep.truncation_leak
+            book["max_wall_flux"] = max(book["max_wall_flux"], krep.max_wall_flux)
+            book["truncation_leak"] += krep.truncation_leak
+            book["max_exchange_asym"] = max(book["max_exchange_asym"], abs(dpk + dpf))
             if (step + 1) % per == 0:
                 ck_min = min(ck_min, sample((step + 1) // per, kin, fl, mom))
     except SolverError as exc:
         raise dump_failure_state(config, exc, {"f": kin.f, "n": fl.n, "v": fl.v}, step, kin.t) from exc
 
-    audit = entropy_inequality_audit(times, _report_series(reports), eps)
+    audit = entropy_inequality_audit(times, reports, eps)
     return CoupledRun(
         eps=eps, times=times, reports=reports,
         rho=rho, u=u, n=n, v=v,
         f_final=kin, fluid_final=fl,
-        mass_fluid=quad_x(n, grid),
-        max_wall_flux=max_wall, max_exchange_asym=max_asym,
-        truncation_leak=leak, ck_margin_min=float(ck_min),
+        mass_fluid=quad_x(n, grid), book=book, ck_margin_min=float(ck_min),
         audit=audit, dt=dt, wall_seconds=time.perf_counter() - t0,
     )
 
@@ -346,9 +337,9 @@ class LimitRun:
     n: np.ndarray
     v: np.ndarray
     mass_rho: np.ndarray
-    max_exchange_asym: float
+    # max_exchange_asym, and min_one_plus_h over t = 0 and every step, not only the samples
+    book: dict[str, float]
     dt: float
-    min_one_plus_h: float  # over t = 0 and every step, not only the samples
 
 
 def run_limit(config: ExperimentConfig) -> LimitRun:
@@ -362,7 +353,7 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         grid.dx / float((np.abs(st.fluid.v) + sound_speed(st.fluid.n, config.gamma)).max()),
     ))
     times, rho, u, n, v = _sample_arrays(config, grid)
-    max_asym = 0.0
+    book = {"max_exchange_asym": 0.0, "min_one_plus_h": float(st.fluid.n.min())}
 
     def sample(idx, st):
         times[idx] = st.t
@@ -372,12 +363,11 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         v[idx] = st.fluid.v
 
     sample(0, st)
-    min_n = float(st.fluid.n.min())
     try:
         for step in range(nt):
             st, dpp, dpf = _two_phase_substeps(st, dt, grid)
-            max_asym = max(max_asym, abs(dpp + dpf))
-            min_n = min(min_n, float(st.fluid.n.min()))
+            book["max_exchange_asym"] = max(book["max_exchange_asym"], abs(dpp + dpf))
+            book["min_one_plus_h"] = min(book["min_one_plus_h"], float(st.fluid.n.min()))
             if (step + 1) % per == 0:
                 sample((step + 1) // per, st)
     except SolverError as exc:
@@ -385,8 +375,7 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         raise dump_failure_state(config, exc, arrays, step, st.t) from exc
 
     return LimitRun(
-        times=times, rho=rho, u=u, n=n, v=v, mass_rho=quad_x(rho, grid),
-        max_exchange_asym=max_asym, dt=dt, min_one_plus_h=min_n,
+        times=times, rho=rho, u=u, n=n, v=v, mass_rho=quad_x(rho, grid), book=book, dt=dt,
     )
 
 
@@ -546,7 +535,7 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     """Emit a coupled run: sampled series + final state + metadata sidecar."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series = _report_series(run.reports)
+    series = {name: run.reports[name] for name in _REPORT_DTYPE.names}
     series.update(
         times=run.times, mass_fluid=run.mass_fluid,
         rho=run.rho, u=run.u, n=run.n, v=run.v,
@@ -564,10 +553,8 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
             "slack_after_start": run.audit.slack_after_start,
             "inferred_modified_constant": run.audit.inferred_modified_constant,
         },
-        "max_wall_flux": run.max_wall_flux,
-        "max_exchange_asym": run.max_exchange_asym,
-        "truncation_leak": run.truncation_leak,
         "ck_margin_min": run.ck_margin_min,
+        **run.book,
     }
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     return out
@@ -589,7 +576,7 @@ def reaudit_run(run_dir) -> tuple[AuditRecord, float]:
     tol = config.get("audit_tolerance") if isinstance(config, dict) else None
     if not (_is_real(tol) and tol >= 0):
         raise ConfigError(f"{run_dir}/run_meta.json: config needs a nonnegative audit_tolerance")
-    names = ("times", *_REPORT_FIELDS)
+    names = ("times", *_REPORT_DTYPE.names)
     missing = [name for name in names if name not in arrays]
     if missing:
         raise ConfigError(f"{run_dir}/series.json misses {missing}")

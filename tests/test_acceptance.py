@@ -90,15 +90,15 @@ def test_criterion_02_conservation(wave_run, wave_limit):
     dk = abs(run.reports[-1].mass - run.reports[0].mass)
     df = abs(run.mass_fluid[-1] - run.mass_fluid[0])
     dl = float(np.abs(wave_limit.mass_rho - wave_limit.mass_rho[0]).max())
-    asym = max(run.max_exchange_asym, wave_limit.max_exchange_asym)
+    asym = max(run.book["max_exchange_asym"], wave_limit.book["max_exchange_asym"])
     ok = dk <= 1e-10 and df <= 1e-10 and dl <= 1e-10 and asym <= 1e-12
     _report(2, "conservation", ok, f"kinetic {dk:.2e}, fluid {df:.2e}, limit {dl:.2e}, exchange asym {asym:.2e}")
 
 
 def test_criterion_03_specular_zero_flux(wave_run):
     run, _, _ = wave_run
-    ok = run.max_wall_flux <= 1e-12
-    _report(3, "specular zero flux", ok, f"max wall trace {run.max_wall_flux:.2e}")
+    ok = run.book["max_wall_flux"] <= 1e-12
+    _report(3, "specular zero flux", ok, f"max wall trace {run.book['max_wall_flux']:.2e}")
 
 
 def test_criterion_04_maxwellian_stationarity():
@@ -208,7 +208,7 @@ def test_criterion_09_picard_contraction(picard_result):
 
 def test_criterion_10_density_positivity(sweep, picard_result):
     grid, _, setup, traj, _ = picard_result
-    min_limit = sweep.limit.min_one_plus_h
+    min_limit = sweep.limit.book["min_one_plus_h"]
     min_picard = float((1.0 + traj.h).min())
 
     # uniform-compression hook: prescribed v = -(x - 1/2)

@@ -146,7 +146,7 @@ def test_coupled_run_mass_books_and_audit():
     assert abs(run.reports[-1].mass - run.reports[0].mass) <= 1e-10
     assert abs(run.mass_fluid[-1] - run.mass_fluid[0]) <= 1e-10
     assert run.audit.slack_entropy_budget >= -1e-10
-    assert run.max_wall_flux <= 1e-12
+    assert run.book["max_wall_flux"] <= 1e-12
 
 
 def test_coupled_run_makes_one_diagnostics_pass(monkeypatch):
@@ -337,6 +337,11 @@ def test_reaudit_of_an_emitted_run_equals_the_run_audit(tmp_path):
     assert tol == cfg.audit_tolerance
     for f in fields(entropy.AuditRecord):
         np.testing.assert_array_equal(getattr(audit, f.name), getattr(run.audit, f.name), err_msg=f.name)
+    # each report row carries the bits of the emitted series, field by field
+    for f in fields(entropy.EntropyReport):
+        emitted = np.fromfile(tmp_path / "run" / f"series__{f.name}.bin", dtype="<f8")
+        rows = np.array([getattr(run.reports[k], f.name) for k in range(len(run.reports))])
+        assert rows.tobytes() == emitted.tobytes() == run.reports[f.name].tobytes(), f.name
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +356,19 @@ def _write_cfg(tmp_path, **kw):
     return p
 
 
-def test_cli_simulate_kinetic_and_check_entropy(tmp_path):
+def test_cli_simulate_kinetic_and_check_entropy(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "run"
     rc = main_simulate_kinetic(["--config", str(cfg), "--eps", "0.3", "--out", str(out)])
     assert rc == EXIT_OK
-    assert (out / "run_meta.json").exists()
     assert (out / "series.json").exists()
+    # every book of the run is in its sidecar and on its summary line
+    line = capsys.readouterr().out
+    meta = json.loads((out / "run_meta.json").read_text())
+    run = run_coupled(ExperimentConfig.from_json(cfg), 0.3)
+    assert set(run.book) == {"max_wall_flux", "truncation_leak", "max_exchange_asym"}
+    for key, value in run.book.items():
+        assert meta[key] == value and f" {key}={value:.6g} " in line, key
     rc2 = main_check_entropy(["--run", str(out)])
     assert rc2 == EXIT_OK
 
@@ -583,7 +594,10 @@ def test_cli_simulate_limit(tmp_path, capsys):
     assert main_simulate_limit(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     line = capsys.readouterr().out
     arrays, meta = load_state(out / "limit_series.json")
-    assert line == f"dt={meta['dt']:g} min(1+h)={meta['min_one_plus_h']:g} -> {out}\n"
+    books = f"max_exchange_asym={meta['max_exchange_asym']:.6g} min_one_plus_h={meta['min_one_plus_h']:.6g}"
+    assert line == f"dt={meta['dt']:g} {books} -> {out}\n"
+    run = harness.run_limit(ExperimentConfig.from_json(cfg))
+    assert run.book == {key: meta[key] for key in ("max_exchange_asym", "min_one_plus_h")}
     assert set(arrays) == {"times", "rho", "u", "n", "v", "mass_rho"}
     assert arrays["times"].shape == (5,) and arrays["n"].shape == (5, 32)
     # the samples are a subset of the steps the minimum runs over
@@ -605,8 +619,31 @@ def test_limit_run_min_one_plus_h_reads_every_step(tmp_path):
     for _ in range(round(cfg.t_final / run.dt)):
         st = two_phase_step(st, run.dt, grid)
         lows.append(float(st.fluid.n.min()))
-    assert run.min_one_plus_h == min(lows)
-    assert round(run.min_one_plus_h, 5) == 0.95544 and round(float(run.n.min()), 5) == 0.97363
+    assert run.book["min_one_plus_h"] == min(lows)
+    assert round(run.book["min_one_plus_h"], 5) == 0.95544 and round(float(run.n.min()), 5) == 0.97363
+
+
+@pytest.mark.parametrize(
+    "main, blocked, argv",
+    [
+        (main_simulate_kinetic, "series.json", []),
+        (main_converge, "convergence.csv", []),
+        (main_simulate_limit, "limit_series.json", []),
+        # the failure-state dump of a run whose relaxation coefficient overflows
+        (main_simulate_kinetic, "failure_step_0.json", ["--eps", "1e-320"]),
+    ],
+    ids=["simulate-kinetic", "converge", "simulate-limit", "failure-dump"],
+)
+def test_cli_unwritable_output_file_exit_code(tmp_path, capsys, main, blocked, argv):
+    # a directory where an output file goes: exit 1 with one stderr line
+    # naming that file, not a traceback
+    cfg = _write_cfg(tmp_path, nv=8, t_final=0.02, n_samples=2)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["--config", str(cfg), "--out", str(out), *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and err.count("\n") == 1, err
+    assert str(out / blocked) in err
 
 
 def test_cli_check_entropy_rejects_non_run(tmp_path):
