@@ -70,7 +70,7 @@ def _output_dir(path) -> Path:
 
 
 def _book(book: dict) -> str:
-    """A run's books as key=value pairs for its summary line."""
+    """A run's books or audit summary as key=value pairs for its summary line."""
     return " ".join(f"{key}={value:.6g}" for key, value in book.items())
 
 
@@ -90,9 +90,7 @@ def main_simulate_kinetic(argv=None) -> int:
     save_run_series(run, out, cfg)
     print(
         f"eps={eps:g} steps_dt={run.dt:g} wall={run.wall_seconds:.2f}s "
-        f"entropy_budget_slack={run.audit.slack_entropy_budget:.6g} "
-        f"slack_after_start={run.audit.slack_after_start:.6g} "
-        f"{_book(run.book)} -> {out}"
+        f"{_book(run.audit.summary)} {_book(run.book)} -> {out}"
     )
     if not run.audit.passes(cfg.audit_tolerance):
         print("entropy audit failed", file=sys.stderr)
@@ -130,9 +128,9 @@ def main_converge(argv=None) -> int:
     csv_path = emit_csv(result.rows, out / "convergence.csv")
     meta = {
         "config": asdict(cfg),
-        "slope": None if result.degenerate else result.slope,
-        "prefactor": None if result.degenerate else result.prefactor,
-        "local_slopes": None if result.degenerate else result.local_slopes,
+        "slope": result.slope,
+        "prefactor": result.prefactor,
+        "local_slopes": result.local_slopes,
         "monotone": result.monotone,
         "degenerate": result.degenerate,
         "wall_seconds": result.wall_seconds,
@@ -156,11 +154,7 @@ def main_check_entropy(argv=None) -> int:
     ap.add_argument("--run", required=True)
     args = ap.parse_args(argv)
     audit, tol = reaudit_run(args.run)
-    print(
-        f"entropy_budget_slack={audit.slack_entropy_budget:.6g} at t={audit.slack_at:g} "
-        f"slack_after_start={audit.slack_after_start:.6g} "
-        f"inferred_modified_constant={audit.inferred_modified_constant:.6g}"
-    )
+    print(_book(audit.summary))
     if not audit.passes(tol):
         print("entropy audit failed", file=sys.stderr)
         return EXIT_AUDIT

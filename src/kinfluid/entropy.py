@@ -6,7 +6,7 @@ add nothing to the dissipation D1; velocity space is 1-D, so the Maxwellian
 normalization is (2*pi)^(-1/2).
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -231,6 +231,12 @@ class AuditRecord:
     entropy_initial: float  # F(0), the scale of the pass tolerance
     slacks: np.ndarray
     times: np.ndarray
+
+    @property
+    def summary(self) -> dict[str, float]:
+        """The scalar fields by name, as run_meta.json and the summary lines
+        carry them."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.type is float}
 
     def passes(self, tolerance: float) -> bool:
         """The certified budget holds up to tolerance * |F(0)|."""

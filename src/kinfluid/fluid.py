@@ -2,9 +2,10 @@
 
 The hyperbolic part is a local Lax-Friedrichs (Rusanov) finite-volume update
 of (n, n v) with reflective wall ghosts (mirror density, negated momentum),
-which makes the wall mass flux vanish identically. Viscosity (mu = 1) is an
-implicit Dirichlet solve for v; the drag source relaxes v toward a given
-carrier velocity implicitly.
+which makes the wall mass flux vanish identically. The same update at
+gamma = 1 (p = n, sound speed 1) is the isothermal particle gas of the limit
+system. Viscosity (mu = 1) is an implicit Dirichlet solve for v; the drag
+source relaxes v toward a given carrier velocity implicitly.
 """
 import numpy as np
 
@@ -33,14 +34,15 @@ def sound_speed(n: np.ndarray, gamma: float) -> np.ndarray:
     return np.sqrt(gamma * np.asarray(n, dtype=float) ** (gamma - 1.0))
 
 
-def rusanov_step(dens, mom, dt, grid, p_fn, c_fn):
-    """One conservative Rusanov update of (density, momentum) with
-    mirror-density / negated-momentum wall ghosts (zero wall mass flux)."""
+def rusanov_step(dens, mom, dt, grid, gamma):
+    """One conservative Rusanov update of (density, momentum) of the gas
+    p = density**gamma, with mirror-density / negated-momentum wall ghosts
+    (zero wall mass flux)."""
     d = np.concatenate(([dens[0]], dens, [dens[-1]]))
     m = np.concatenate(([-mom[0]], mom, [-mom[-1]]))
     u = m / d
-    p = p_fn(d)
-    c = c_fn(d)
+    p = pressure(d, gamma)
+    c = sound_speed(d, gamma)
     speed = np.abs(u) + c
     if dt * float(speed[1:-1].max()) / grid.dx > CFL_SLACK:
         raise CFLError(f"hyperbolic CFL violated: {dt * speed[1:-1].max() / grid.dx:g}")
@@ -59,9 +61,7 @@ def gas_substep(n, v, dt, grid: PhaseGrid, gamma: float):
     """One gas sub-step without drag: the Rusanov update to (n1, m1), the
     vacuum check, then the implicit unit-viscosity solve n1*v1 - dt*Lap(v1) = m1
     with v1 = 0 at the walls. Returns (n1, v1)."""
-    n1, m1 = rusanov_step(
-        n, n * v, dt, grid, lambda d: pressure(d, gamma), lambda d: sound_speed(d, gamma)
-    )
+    n1, m1 = rusanov_step(n, n * v, dt, grid, gamma)
     if not float(n1.min()) > N_FLOOR:
         raise VacuumError(f"fluid density hit the vacuum floor (min {n1.min():g})")
     v1 = tridiag_dirichlet_solve(n1, dt / grid.dx**2, m1)

@@ -384,21 +384,18 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConvergenceRow:
-    eps: float
-    sup_H: float
-    sup_L1_rho: float
-    sup_L1_n: float
-    f_to_M_l1: float
+# one (len(eps_list),) record array of the sweep table, a row per eps; its
+# fields are the columns of convergence.csv
+_SWEEP_DTYPE = np.dtype([(name, float) for name in ("eps", "sup_H", "sup_L1_rho", "sup_L1_n", "f_to_M_l1")])
 
 
 @dataclass
 class ConvergenceResult:
-    rows: list[ConvergenceRow]
-    slope: float
-    prefactor: float  # empirical: sup_H ~ prefactor * eps**slope (reported, never asserted)
-    local_slopes: list[float]  # of each consecutive eps pair; sup_H is not one power law
+    rows: np.recarray  # of _SWEEP_DTYPE
+    # None for a degenerate sweep, as in convergence_meta.json
+    slope: float | None
+    prefactor: float | None  # empirical: sup_H ~ prefactor * eps**slope (reported, never asserted)
+    local_slopes: list[float] | None  # of each consecutive eps pair; sup_H is not one power law
     monotone: bool
     degenerate: bool
     runs: list[CoupledRun]
@@ -420,31 +417,30 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     ref = TwoPhaseState(rho=limit.rho, u=limit.u, fluid=FluidState(n=limit.n, v=limit.v, gamma=config.gamma))
     m_end = maxwellian_profile(limit.rho[-1], limit.u[-1], grid)
 
-    rows = []
+    rows = np.recarray(len(config.eps_list), dtype=_SWEEP_DTYPE)
     runs = []
-    for eps in config.eps_list:
+    for k, eps in enumerate(config.eps_list):
         run = run_coupled(config, eps)
         bar = TwoPhaseState(rho=run.rho, u=run.u, fluid=FluidState(n=run.n, v=run.v, gamma=config.gamma))
-        sup_h = float(relative_entropy(bar, ref, grid).max())
-        sup_rho = float(quad_x(np.abs(run.rho - limit.rho), grid).max())
-        sup_n = float(quad_x(np.abs(run.n - limit.n), grid).max())
-        f_gap = l1_distance(run.f_final.f, m_end, grid)
-        rows.append(ConvergenceRow(eps=eps, sup_H=sup_h, sup_L1_rho=sup_rho, sup_L1_n=sup_n, f_to_M_l1=f_gap))
+        rows[k] = (
+            eps,
+            relative_entropy(bar, ref, grid).max(),
+            quad_x(np.abs(run.rho - limit.rho), grid).max(),
+            quad_x(np.abs(run.n - limit.n), grid).max(),
+            l1_distance(run.f_final.f, m_end, grid),
+        )
         runs.append(run)
 
-    sup_hs = np.array([r.sup_H for r in rows])
     # gaps at the double-precision quadrature floor carry no rate information
-    degenerate = bool(np.any(sup_hs <= 1e-20))
-    if degenerate:
-        slope = prefactor = math.nan
-        local_slopes = [math.nan] * (len(rows) - 1)
-    else:
-        log_eps, log_h = np.log(config.eps_list), np.log(sup_hs)
+    degenerate = bool(np.any(rows.sup_H <= 1e-20))
+    slope = prefactor = local_slopes = None
+    if not degenerate:
+        log_eps, log_h = np.log(rows.eps), np.log(rows.sup_H)
         coeffs = np.polyfit(log_eps, log_h, 1)
         slope = float(coeffs[0])
         prefactor = float(math.exp(coeffs[1]))
         local_slopes = (np.diff(log_h) / np.diff(log_eps)).tolist()
-    monotone = bool(np.all(np.diff(sup_hs) < 0))  # eps_list descends, so sup_H must too
+    monotone = bool(np.all(np.diff(rows.sup_H) < 0))  # eps_list descends, so sup_H must too
     return ConvergenceResult(
         rows=rows, slope=slope, prefactor=prefactor, local_slopes=local_slopes, monotone=monotone,
         degenerate=degenerate, runs=runs, limit=limit,
@@ -456,16 +452,16 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 # emission
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = ("eps", "sup_H", "sup_L1_rho", "sup_L1_n", "f_to_M_l1")
+CSV_COLUMNS = _SWEEP_DTYPE.names
 
 
-def emit_csv(rows: list[ConvergenceRow], path) -> Path:
+def emit_csv(rows: np.ndarray, path) -> Path:
     """Fixed-column CSV, 17 significant digits, C-locale decimal points."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(",".join(f"{getattr(r, c):.17g}" for c in CSV_COLUMNS))
+        lines.append(",".join(f"{r[c]:.17g}" for c in CSV_COLUMNS))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     return path
 
@@ -547,12 +543,7 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
         "eps": run.eps,
         "dt": run.dt,
         "wall_seconds": run.wall_seconds,
-        "audit": {
-            "slack_entropy_budget": run.audit.slack_entropy_budget,
-            "slack_at": run.audit.slack_at,
-            "slack_after_start": run.audit.slack_after_start,
-            "inferred_modified_constant": run.audit.inferred_modified_constant,
-        },
+        "audit": run.audit.summary,
         "ck_margin_min": run.ck_margin_min,
         **run.book,
     }
@@ -570,12 +561,14 @@ def reaudit_run(run_dir) -> tuple[AuditRecord, float]:
         arrays, _ = load_state(run_dir / "series.json")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{run_dir} is not a run directory: {exc}") from exc
-    if not isinstance(meta, dict) or not _is_real(meta.get("eps")) or not meta["eps"] > 0:
-        raise ConfigError(f"{run_dir}/run_meta.json has no positive eps")
+    # as ExperimentConfig and --eps check them: JSON's Infinity is no eps or tolerance
+    eps = meta.get("eps") if isinstance(meta, dict) else None
+    if not (_is_real(eps) and math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"{run_dir}/run_meta.json has no finite positive eps")
     config = meta.get("config", {})
     tol = config.get("audit_tolerance") if isinstance(config, dict) else None
-    if not (_is_real(tol) and tol >= 0):
-        raise ConfigError(f"{run_dir}/run_meta.json: config needs a nonnegative audit_tolerance")
+    if not (_is_real(tol) and math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"{run_dir}/run_meta.json: config needs a finite nonnegative audit_tolerance")
     names = ("times", *_REPORT_DTYPE.names)
     missing = [name for name in names if name not in arrays]
     if missing:
@@ -583,4 +576,4 @@ def reaudit_run(run_dir) -> tuple[AuditRecord, float]:
     times = arrays["times"]
     if len({arrays[name].shape for name in names}) != 1 or times.ndim != 1 or not times.size:
         raise ConfigError(f"{run_dir}/series.json: the series must be 1-D, non-empty and of one length")
-    return entropy_inequality_audit(times, arrays, meta["eps"]), tol
+    return entropy_inequality_audit(times, arrays, eps), tol

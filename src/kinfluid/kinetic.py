@@ -129,7 +129,10 @@ def _drift_parts(fluid_v, grid, out=None):
     velocity cut, is 0."""
     v = np.asarray(fluid_v, dtype=float)
     a_pos, a_neg = out if out else (np.empty((grid.nx, grid.nv)), np.empty((grid.nx, grid.nv)))
-    np.subtract.outer(v, grid.xi_edges[1:], out=a_pos)
+    # the per-cell v copied, then the per-velocity edges taken off in place:
+    # one iterator buffer, where np.subtract.outer takes two
+    np.copyto(a_pos, v[:, None])
+    a_pos -= grid.xi_edges[1:]
     a_pos[:, -1] = 0.0
     np.minimum(a_pos, 0.0, out=a_neg)
     np.maximum(a_pos, 0.0, out=a_pos)
@@ -186,14 +189,17 @@ def _fp_raw(farr, u, dt, grid, eps, out=None, scratch=None):
         scratch = tuple(np.empty(size) for _ in range(4))
     flat_l, flat_d, flat_u = (w[:size] for w in scratch[:3])
     lower, diag, upper = (w.reshape(nx, nv) for w in (flat_l, flat_d, flat_u))
-    # exp(+-dv (xi_{j+1/2} - u) / 2) as the outer product of a spatial factor
-    # and a velocity factor, with the factor -a folded into the second and
-    # the corner entries lower[:, 0] and upper[:, -1] padded as 0
+    # exp(+-dv (xi_{j+1/2} - u) / 2) as the outer product of a spatial factor,
+    # copied per cell as in _drift_parts, and a velocity factor applied in
+    # place, with the factor -a folded into the second and the corner entries
+    # lower[:, 0] and upper[:, -1] padded as 0
     half = 0.5 * dv
     edges = grid.xi_edges[1:-1]
     u = np.asarray(u, dtype=float)
-    np.multiply.outer(np.exp(half * u), np.concatenate(([0.0], -a * np.exp(-half * edges))), out=lower)
-    np.multiply.outer(np.exp(-half * u), np.concatenate((-a * np.exp(half * edges), [0.0])), out=upper)
+    np.copyto(lower, np.exp(half * u)[:, None])
+    lower *= np.concatenate(([0.0], -a * np.exp(-half * edges)))
+    np.copyto(upper, np.exp(-half * u)[:, None])
+    upper *= np.concatenate((-a * np.exp(half * edges), [0.0]))
     # diag_j = (1 - lower_{j+1}) - upper_{j-1}; across a row end the shifts
     # read a zero corner entry
     np.subtract(1.0, flat_l[1:], out=flat_d[:-1])

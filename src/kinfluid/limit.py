@@ -28,15 +28,15 @@ from .core import (
     quad_x,
     tridiag_dirichlet_solve,
 )
-from .fluid import N_FLOOR, gas_substep, rusanov_step
+from .fluid import N_FLOOR, gas_substep, rusanov_step, sound_speed
 
 
 def euler_step(rho, u, dt, grid):
-    """Isothermal Rusanov update of (rho, rho*u) with kinematic wall ghosts
-    (mirror rho, negate u)."""
+    """Isothermal (gamma = 1) Rusanov update of (rho, rho*u) with kinematic
+    wall ghosts (mirror rho, negate u)."""
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
-    rho1, m1 = rusanov_step(rho, rho * u, dt, grid, lambda d: d, np.ones_like)
+    rho1, m1 = rusanov_step(rho, rho * u, dt, grid, 1.0)
     if not float(rho1.min()) > N_FLOOR:
         raise VacuumError(f"particle density hit the vacuum floor (min {rho1.min():g})")
     return rho1, m1 / rho1
@@ -196,7 +196,7 @@ def _checked_sound_speed(big_h, um, vm, k0, setup):
     dt, dx, gamma = setup.dt, setup.grid.dx, setup.gamma
     positive = big_h.min(axis=1) > 0.0  # NaN fails
     n_ok = len(positive) if positive.all() else int(np.argmin(positive))
-    c = np.sqrt(gamma * big_h[:n_ok] ** (gamma - 1.0))
+    c = sound_speed(big_h[:n_ok], gamma)
     speed_v = (np.abs(vm[:n_ok]) + c).max(axis=1)
     speed_u = (np.abs(um[:n_ok]) + 1.0).max(axis=1)
     # max(speed_v, speed_u) as Python's max takes it, a NaN in speed_u ignored

@@ -19,7 +19,7 @@ from kinfluid.entropy import (
     relative_pressure_tilde,
 )
 from kinfluid.fluid import dirichlet_grad_sq
-from kinfluid.harness import ConvergenceResult, ConvergenceRow, ExperimentConfig
+from kinfluid.harness import CSV_COLUMNS, ConvergenceResult, ExperimentConfig
 from kinfluid.kinetic import KineticWork
 from kinfluid.moments import MomentSet, compute_moments, maxwellian_profile
 
@@ -111,11 +111,12 @@ def entropy_report_direct(
     return report, l1_gap
 
 
-def convergence_rows_per_sample(result: ConvergenceResult, config: ExperimentConfig) -> list[ConvergenceRow]:
+def convergence_rows_per_sample(result: ConvergenceResult, config: ExperimentConfig) -> np.recarray:
     """The sweep's rows by their definition sample by sample: one
     single-level two-phase state per sample of each coupled run and of the
     limit run, the relative entropy and the L1 gaps of each pair of equal
-    index, and their maxima over the samples."""
+    index, and their maxima over the samples; a record array with the CSV
+    columns as fields."""
     grid = config.grid()
     limit = result.limit
 
@@ -125,16 +126,17 @@ def convergence_rows_per_sample(result: ConvergenceResult, config: ExperimentCon
 
     samples = range(len(limit.times))
     m_end = maxwellian_profile(limit.rho[-1], limit.u[-1], grid)
-    return [
-        ConvergenceRow(
-            eps=run.eps,
-            sup_H=max(relative_entropy(state(run, k), state(limit, k), grid) for k in samples),
-            sup_L1_rho=max(l1_distance(run.rho[k], limit.rho[k], grid) for k in samples),
-            sup_L1_n=max(l1_distance(run.n[k], limit.n[k], grid) for k in samples),
-            f_to_M_l1=l1_distance(run.f_final.f, m_end, grid),
+    rows = [
+        (
+            run.eps,
+            max(relative_entropy(state(run, k), state(limit, k), grid) for k in samples),
+            max(l1_distance(run.rho[k], limit.rho[k], grid) for k in samples),
+            max(l1_distance(run.n[k], limit.n[k], grid) for k in samples),
+            l1_distance(run.f_final.f, m_end, grid),
         )
         for run in result.runs
     ]
+    return np.rec.fromrecords(rows, names=CSV_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from kinfluid.cli import (
     main_simulate_limit,
 )
 from kinfluid.harness import (
-    ConvergenceRow,
     CSV_COLUMNS,
     ExperimentConfig,
     emit_csv,
@@ -192,7 +191,7 @@ def test_equilibrium_sweep_reported_degenerate():
     cfg = tiny_config(initial_profile="equilibrium")
     res = run_convergence(cfg)
     assert res.degenerate
-    assert math.isnan(res.slope)
+    assert res.slope is None and res.prefactor is None and res.local_slopes is None
     assert all(r.sup_H <= 1e-20 for r in res.rows)
 
 
@@ -246,7 +245,7 @@ def test_emit_empty_table_header_only(tmp_path):
 
 
 def test_emit_csv_formatting(tmp_path):
-    rows = [ConvergenceRow(eps=1 / 3, sup_H=math.pi * 1e-4, sup_L1_rho=1.0, sup_L1_n=0.0, f_to_M_l1=2.0)]
+    rows = np.rec.fromrecords([(1 / 3, math.pi * 1e-4, 1.0, 0.0, 2.0)], names=CSV_COLUMNS)
     p = emit_csv(rows, tmp_path / "t.csv")
     lines = p.read_text().strip().split("\n")
     assert lines[0] == "eps,sup_H,sup_L1_rho,sup_L1_n,f_to_M_l1"
@@ -326,7 +325,9 @@ def test_sweep_rows_match_their_per_sample_definition(kw):
     # comparison of single-level states, sample by sample
     cfg = tiny_config(**kw)
     res = harness.run_convergence(cfg)
-    assert res.rows == convergence_rows_per_sample(res, cfg)
+    per_sample = convergence_rows_per_sample(res, cfg)
+    assert per_sample.dtype == res.rows.dtype
+    np.testing.assert_array_equal(res.rows, per_sample)
 
 
 def test_reaudit_of_an_emitted_run_equals_the_run_audit(tmp_path):
@@ -369,15 +370,20 @@ def test_cli_simulate_kinetic_and_check_entropy(tmp_path, capsys):
     assert set(run.book) == {"max_wall_flux", "truncation_leak", "max_exchange_asym"}
     for key, value in run.book.items():
         assert meta[key] == value and f" {key}={value:.6g} " in line, key
+    # and so is its audit summary, which check-entropy prints too
+    assert meta["audit"] == run.audit.summary
     rc2 = main_check_entropy(["--run", str(out)])
     assert rc2 == EXIT_OK
+    check_line = f" {capsys.readouterr().out.strip()} "
+    for key, value in run.audit.summary.items():
+        assert f" {key}={value:.6g} " in line and f" {key}={value:.6g} " in check_line, key
 
 
 def test_cli_simulate_kinetic_coarse_velocity_grid(tmp_path, capsys):
     # dv = 2: the entropy budget holds with the relaxation scheme's own D1
     cfg = _write_cfg(tmp_path, nx=8, nv=8, t_final=0.02, n_samples=2)
     assert main_simulate_kinetic(["--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_OK
-    assert "entropy_budget_slack=0 " in capsys.readouterr().out
+    assert " slack_entropy_budget=0 " in capsys.readouterr().out
 
 
 def test_cli_reports_the_slack_after_start(tmp_path, capsys):
@@ -390,7 +396,7 @@ def test_cli_reports_the_slack_after_start(tmp_path, capsys):
     audit, _ = harness.reaudit_run(out)
     assert recorded == audit.slack_after_start == float(audit.slacks[1:].min())
     assert recorded != 0.0 and audit.slack_entropy_budget == 0.0
-    assert f"entropy_budget_slack=0 slack_after_start={recorded:.6g} " in capsys.readouterr().out
+    assert f" slack_entropy_budget=0 slack_at=0 slack_after_start={recorded:.6g} " in capsys.readouterr().out
     assert main_check_entropy(["--run", str(out)]) == EXIT_OK
     assert f"slack_after_start={recorded:.6g} " in capsys.readouterr().out
 
@@ -657,8 +663,9 @@ def test_cli_check_entropy_rejects_non_run(tmp_path):
     assert main_simulate_kinetic(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     meta = json.loads((out / "run_meta.json").read_text())
     bad_tols = ({**meta, "config": {"audit_tolerance": "x"}}, {**meta, "config": {"audit_tolerance": -1.0}},
-                {**meta, "config": {}})
-    for bad in ({}, {"eps": "0.1"}, {**meta, "config": 1}, *bad_tols):
+                {**meta, "config": {}}, {**meta, "config": {"audit_tolerance": math.inf}})
+    # json writes math.inf as Infinity, which json reads back as inf
+    for bad in ({}, {"eps": "0.1"}, {**meta, "eps": math.inf}, {**meta, "config": 1}, *bad_tols):
         (out / "run_meta.json").write_text(json.dumps(bad))
         assert main_check_entropy(["--run", str(out)]) == EXIT_CONFIG
 
