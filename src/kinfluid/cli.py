@@ -109,7 +109,7 @@ def main_simulate_limit(argv=None) -> int:
     run = run_limit(cfg)
     save_state(
         out / "limit_series",
-        {"times": run.times, "rho": run.rho, "u": run.u, "n": run.n, "v": run.v, "mass_rho": run.mass_rho},
+        {name: run.samples[name] for name in run.samples.dtype.names},
         meta={"config": asdict(cfg), "dt": run.dt, **run.book},
     )
     print(f"dt={run.dt:g} {_book(run.book)} -> {out}")

@@ -243,13 +243,14 @@ class AuditRecord:
         return self.slack_entropy_budget >= -tolerance * abs(self.entropy_initial)
 
 
-def entropy_inequality_audit(times, series, eps: float) -> AuditRecord:
+def entropy_inequality_audit(series, eps: float) -> AuditRecord:
     """Trapezoidal audit of the entropy budgets on a uniformly sampled run;
-    series maps each EntropyReport field to its (K,) array over the samples
+    series maps times and each EntropyReport field to its (K,) array over
+    the samples, as a run's sample record or its loaded series.json does
     (fields the budgets do not read may be absent or extra)."""
-    times = np.asarray(times, dtype=float)
-    f_arr, d1, d2, drag_uv, gradv, mass = (
-        np.asarray(series[name], dtype=float) for name in ("F", "D1", "D2", "drag_mismatch", "grad_v_sq", "mass")
+    times, f_arr, d1, d2, drag_uv, gradv, mass = (
+        np.asarray(series[name], dtype=float)
+        for name in ("times", "F", "D1", "D2", "drag_mismatch", "grad_v_sq", "mass")
     )
     mass0 = mass[0]
 

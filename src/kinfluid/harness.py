@@ -214,23 +214,29 @@ def make_well_prepared(config: ExperimentConfig) -> tuple[KineticState, FluidSta
 # ---------------------------------------------------------------------------
 
 
-# one (K,) record array of a run's sampled EntropyReports: a row reads
-# reports[k].F, a column reports.F
-_REPORT_DTYPE = np.dtype([(f.name, float) for f in fields(EntropyReport)])
+_REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))
+
+
+def _sample_record(config: ExperimentConfig, scalars) -> np.recarray:
+    """The (n_samples + 1,) record array of a run's samples, a row per time
+    level: times, the sampled fields rho, u, n and v as (nx,) fields, then
+    the run's per-sample scalars. A row reads rec[k].F, a column rec.F, and
+    rec.rho is the (K, nx) stack of the samples."""
+    dtype = [
+        ("times", float),
+        *((name, float, (config.nx,)) for name in ("rho", "u", "n", "v")),
+        *((name, float) for name in scalars),
+    ]
+    return np.recarray(config.n_samples + 1, dtype=dtype)
 
 
 @dataclass
 class CoupledRun:
     eps: float
-    times: np.ndarray
-    reports: np.recarray  # of _REPORT_DTYPE
-    rho: np.ndarray  # (K, nx) sampled moment fields
-    u: np.ndarray
-    n: np.ndarray
-    v: np.ndarray
+    # a _sample_record whose scalars are every EntropyReport field and mass_fluid
+    reports: np.recarray
     f_final: KineticState
     fluid_final: FluidState
-    mass_fluid: np.ndarray
     book: dict[str, float]  # max_wall_flux, truncation_leak, max_exchange_asym
     ck_margin_min: float
     audit: AuditRecord
@@ -252,13 +258,6 @@ def _cadence(config: ExperimentConfig, dt_target: float) -> tuple[float, int, in
     per = max(1, math.ceil(ratio))
     nt = per * config.n_samples
     return config.t_final / nt, nt, per
-
-
-def _sample_arrays(config: ExperimentConfig, grid: PhaseGrid):
-    """Sample buffers shared by coupled and limit runs: times (K,) and
-    rho, u, n, v (K, nx), with K = n_samples + 1."""
-    k = config.n_samples + 1
-    return (np.empty(k), *(np.empty((k, grid.nx)) for _ in range(4)))
 
 
 def _pick_dt(config: ExperimentConfig, grid: PhaseGrid, fl) -> tuple[float, int, int]:
@@ -286,19 +285,13 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     kin, fl, _ = make_well_prepared(config)
     dt, nt, per = _pick_dt(config, grid, fl)
 
-    times, rho, u, n, v = _sample_arrays(config, grid)
-    reports = np.recarray(len(times), dtype=_REPORT_DTYPE)
+    reports = _sample_record(config, (*_REPORT_FIELDS, "mass_fluid"))
     book = {"max_wall_flux": 0.0, "truncation_leak": 0.0, "max_exchange_asym": 0.0}
 
     def sample(idx, kin, fl, mom):
         """Record time level idx; mom are the moments of kin."""
-        times[idx] = kin.t
-        rho[idx] = mom.rho
-        u[idx] = mom.u
-        n[idx] = fl.n
-        v[idx] = fl.v
         report, l1_gap = evaluate_entropy_report(kin, fl, mom, grid, work)
-        reports[idx] = tuple(vars(report).values())
+        reports[idx] = (kin.t, mom.rho, mom.u, fl.n, fl.v, *vars(report).values(), quad_x(fl.n, grid))
         return csiszar_kullback_margin(report, l1_gap)
 
     # the moments of the current kin: sampled, then the next step's gas drag
@@ -319,24 +312,16 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     except SolverError as exc:
         raise dump_failure_state(config, exc, {"f": kin.f, "n": fl.n, "v": fl.v}, step, kin.t) from exc
 
-    audit = entropy_inequality_audit(times, reports, eps)
     return CoupledRun(
-        eps=eps, times=times, reports=reports,
-        rho=rho, u=u, n=n, v=v,
-        f_final=kin, fluid_final=fl,
-        mass_fluid=quad_x(n, grid), book=book, ck_margin_min=float(ck_min),
-        audit=audit, dt=dt, wall_seconds=time.perf_counter() - t0,
+        eps=eps, reports=reports, f_final=kin, fluid_final=fl,
+        book=book, ck_margin_min=float(ck_min), audit=entropy_inequality_audit(reports, eps),
+        dt=dt, wall_seconds=time.perf_counter() - t0,
     )
 
 
 @dataclass
 class LimitRun:
-    times: np.ndarray
-    rho: np.ndarray
-    u: np.ndarray
-    n: np.ndarray
-    v: np.ndarray
-    mass_rho: np.ndarray
+    samples: np.recarray  # a _sample_record whose one scalar is mass_rho
     # max_exchange_asym, and min_one_plus_h over t = 0 and every step, not only the samples
     book: dict[str, float]
     dt: float
@@ -352,15 +337,11 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         grid.dx / (float(np.abs(st.u).max()) + 1.0),
         grid.dx / float((np.abs(st.fluid.v) + sound_speed(st.fluid.n, config.gamma)).max()),
     ))
-    times, rho, u, n, v = _sample_arrays(config, grid)
+    samples = _sample_record(config, ("mass_rho",))
     book = {"max_exchange_asym": 0.0, "min_one_plus_h": float(st.fluid.n.min())}
 
     def sample(idx, st):
-        times[idx] = st.t
-        rho[idx] = st.rho
-        u[idx] = st.u
-        n[idx] = st.fluid.n
-        v[idx] = st.fluid.v
+        samples[idx] = (st.t, st.rho, st.u, st.fluid.n, st.fluid.v, quad_x(st.rho, grid))
 
     sample(0, st)
     try:
@@ -374,9 +355,7 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         arrays = {"rho": st.rho, "u": st.u, "n": st.fluid.n, "v": st.fluid.v}
         raise dump_failure_state(config, exc, arrays, step, st.t) from exc
 
-    return LimitRun(
-        times=times, rho=rho, u=u, n=n, v=v, mass_rho=quad_x(rho, grid), book=book, dt=dt,
-    )
+    return LimitRun(samples=samples, book=book, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +382,12 @@ class ConvergenceResult:
     wall_seconds: float
 
 
+def _stacked_state(samples: np.recarray, gamma: float) -> TwoPhaseState:
+    """The two-phase state whose fields are the (K, nx) stacks of a sample
+    record."""
+    return TwoPhaseState(rho=samples.rho, u=samples.u, fluid=FluidState(n=samples.n, v=samples.v, gamma=gamma))
+
+
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """For each eps: coupled run vs the single limit trajectory, compared as
     (K, nx) sample stacks, level by level (both runs share the sampling
@@ -414,19 +399,20 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     t0 = time.perf_counter()
     grid = config.grid()
     limit = run_limit(config)
-    ref = TwoPhaseState(rho=limit.rho, u=limit.u, fluid=FluidState(n=limit.n, v=limit.v, gamma=config.gamma))
-    m_end = maxwellian_profile(limit.rho[-1], limit.u[-1], grid)
+    lim = limit.samples
+    ref = _stacked_state(lim, config.gamma)
+    m_end = maxwellian_profile(lim.rho[-1], lim.u[-1], grid)
 
     rows = np.recarray(len(config.eps_list), dtype=_SWEEP_DTYPE)
     runs = []
     for k, eps in enumerate(config.eps_list):
         run = run_coupled(config, eps)
-        bar = TwoPhaseState(rho=run.rho, u=run.u, fluid=FluidState(n=run.n, v=run.v, gamma=config.gamma))
+        samples = run.reports
         rows[k] = (
             eps,
-            relative_entropy(bar, ref, grid).max(),
-            quad_x(np.abs(run.rho - limit.rho), grid).max(),
-            quad_x(np.abs(run.n - limit.n), grid).max(),
+            relative_entropy(_stacked_state(samples, config.gamma), ref, grid).max(),
+            quad_x(np.abs(samples.rho - lim.rho), grid).max(),
+            quad_x(np.abs(samples.n - lim.n), grid).max(),
             l1_distance(run.f_final.f, m_end, grid),
         )
         runs.append(run)
@@ -436,9 +422,11 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     slope = prefactor = local_slopes = None
     if not degenerate:
         log_eps, log_h = np.log(rows.eps), np.log(rows.sup_H)
-        coeffs = np.polyfit(log_eps, log_h, 1)
-        slope = float(coeffs[0])
-        prefactor = float(math.exp(coeffs[1]))
+        # least squares in closed form: np.polyfit's LAPACK solve rounds by
+        # the BLAS kernel picked for the CPU
+        d_eps = log_eps - log_eps.mean()
+        slope = float(np.sum(d_eps * (log_h - log_h.mean())) / np.sum(d_eps * d_eps))
+        prefactor = math.exp(log_h.mean() - slope * log_eps.mean())
         local_slopes = (np.diff(log_h) / np.diff(log_eps)).tolist()
     monotone = bool(np.all(np.diff(rows.sup_H) < 0))  # eps_list descends, so sup_H must too
     return ConvergenceResult(
@@ -472,9 +460,10 @@ def save_state(prefix, arrays: dict[str, np.ndarray], meta: dict | None = None) 
     prefix.parent.mkdir(parents=True, exist_ok=True)
     desc = {"arrays": {}, "meta": meta or {}}
     for name, arr in arrays.items():
+        # one contiguous copy at most (of a record's field), written from its buffer
         arr = np.ascontiguousarray(np.asarray(arr), dtype="<f8")
         bin_path = prefix.with_name(prefix.name + f"__{name}.bin")
-        bin_path.write_bytes(arr.tobytes())
+        arr.tofile(bin_path)
         desc["arrays"][name] = {"file": bin_path.name, "shape": list(arr.shape), "dtype": "<f8"}
     json_path = prefix.with_suffix(".json")
     json_path.write_text(json.dumps(desc, indent=2, sort_keys=True))
@@ -531,12 +520,7 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     """Emit a coupled run: sampled series + final state + metadata sidecar."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series = {name: run.reports[name] for name in _REPORT_DTYPE.names}
-    series.update(
-        times=run.times, mass_fluid=run.mass_fluid,
-        rho=run.rho, u=run.u, n=run.n, v=run.v,
-    )
-    save_state(out / "series", series)
+    save_state(out / "series", {name: run.reports[name] for name in run.reports.dtype.names})
     save_state(out / "state_final", {"f": run.f_final.f, "n": run.fluid_final.n, "v": run.fluid_final.v})
     meta = {
         "config": asdict(config),
@@ -569,11 +553,11 @@ def reaudit_run(run_dir) -> tuple[AuditRecord, float]:
     tol = config.get("audit_tolerance") if isinstance(config, dict) else None
     if not (_is_real(tol) and math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"{run_dir}/run_meta.json: config needs a finite nonnegative audit_tolerance")
-    names = ("times", *_REPORT_DTYPE.names)
+    names = ("times", *_REPORT_FIELDS)
     missing = [name for name in names if name not in arrays]
     if missing:
         raise ConfigError(f"{run_dir}/series.json misses {missing}")
     times = arrays["times"]
     if len({arrays[name].shape for name in names}) != 1 or times.ndim != 1 or not times.size:
         raise ConfigError(f"{run_dir}/series.json: the series must be 1-D, non-empty and of one length")
-    return entropy_inequality_audit(times, arrays, eps), tol
+    return entropy_inequality_audit(arrays, eps), tol

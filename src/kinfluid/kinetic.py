@@ -112,11 +112,13 @@ def _transport_raw(farr, grid, dt, walls, out=None, scratch=None):
     if dt * ximax / grid.dx > CFL_SLACK:
         raise CFLError(f"transport CFL violated: dt*ximax/dx = {dt * ximax / grid.dx:g}")
     # each ghost row is the upwind trace at its wall: the boundary row itself
-    # on the outgoing half (an exact 0 difference), scattered on the incoming
+    # on the outgoing half (an exact 0 difference), scattered on the incoming.
+    # The products are einsum's, not BLAS's: BLAS picks its kernel by CPU at
+    # load time, and its kernels round the same product differently
     b_lo, b_hi = walls
     h = grid.nv // 2
-    ghost_lo = np.concatenate((farr[0, :h], farr[0, :h] @ b_lo))
-    ghost_hi = np.concatenate((farr[-1, h:] @ b_hi, farr[-1, h:]))
+    ghost_lo = np.concatenate((farr[0, :h], np.einsum("j,jk->k", farr[0, :h], b_lo)))
+    ghost_hi = np.concatenate((np.einsum("j,jk->k", farr[-1, h:], b_hi), farr[-1, h:]))
     trace_lo, trace_hi = _wall_traces(ghost_lo, ghost_hi, grid)
     work = scratch[:2] if scratch else None
     fnew = _kernels.upwind_transport(farr, grid.xi, dt / grid.dx, ghost_lo, ghost_hi, out=out, work=work)

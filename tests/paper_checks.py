@@ -118,20 +118,20 @@ def convergence_rows_per_sample(result: ConvergenceResult, config: ExperimentCon
     index, and their maxima over the samples; a record array with the CSV
     columns as fields."""
     grid = config.grid()
-    limit = result.limit
+    limit = result.limit.samples
 
-    def state(run, k):
-        fluid = FluidState(n=run.n[k], v=run.v[k], gamma=config.gamma)
-        return TwoPhaseState(rho=run.rho[k], u=run.u[k], fluid=fluid, t=run.times[k])
+    def state(record, k):
+        fluid = FluidState(n=record.n[k], v=record.v[k], gamma=config.gamma)
+        return TwoPhaseState(rho=record.rho[k], u=record.u[k], fluid=fluid, t=record.times[k])
 
-    samples = range(len(limit.times))
+    samples = range(len(limit))
     m_end = maxwellian_profile(limit.rho[-1], limit.u[-1], grid)
     rows = [
         (
             run.eps,
-            max(relative_entropy(state(run, k), state(limit, k), grid) for k in samples),
-            max(l1_distance(run.rho[k], limit.rho[k], grid) for k in samples),
-            max(l1_distance(run.n[k], limit.n[k], grid) for k in samples),
+            max(relative_entropy(state(run.reports, k), state(limit, k), grid) for k in samples),
+            max(l1_distance(run.reports.rho[k], limit.rho[k], grid) for k in samples),
+            max(l1_distance(run.reports.n[k], limit.n[k], grid) for k in samples),
             l1_distance(run.f_final.f, m_end, grid),
         )
         for run in result.runs

@@ -88,8 +88,9 @@ def test_criterion_01_entropy_budget(wave_run):
 def test_criterion_02_conservation(wave_run, wave_limit):
     run, _, _ = wave_run
     dk = abs(run.reports[-1].mass - run.reports[0].mass)
-    df = abs(run.mass_fluid[-1] - run.mass_fluid[0])
-    dl = float(np.abs(wave_limit.mass_rho - wave_limit.mass_rho[0]).max())
+    df = abs(run.reports[-1].mass_fluid - run.reports[0].mass_fluid)
+    mass_rho = wave_limit.samples.mass_rho
+    dl = float(np.abs(mass_rho - mass_rho[0]).max())
     asym = max(run.book["max_exchange_asym"], wave_limit.book["max_exchange_asym"])
     ok = dk <= 1e-10 and df <= 1e-10 and dl <= 1e-10 and asym <= 1e-12
     _report(2, "conservation", ok, f"kinetic {dk:.2e}, fluid {df:.2e}, limit {dl:.2e}, exchange asym {asym:.2e}")

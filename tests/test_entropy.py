@@ -437,7 +437,7 @@ def test_audit_reports_nonnegative_dissipations(rng, grid):
     fl = _unit_fluid(grid)
     reps = [evaluate_entropy_report(f, fl, compute_moments(f, grid), grid)[0] for _ in range(3)]
     series = {name: np.array([getattr(r, name) for r in reps]) for name in EntropyReport.__dataclass_fields__}
-    rec = entropy_inequality_audit([0.0, 0.1, 0.2], series, 0.5)
+    rec = entropy_inequality_audit({"times": [0.0, 0.1, 0.2], **series}, 0.5)
     assert rec.slacks.shape == (3,)
     assert rec.slack_after_start == min(rec.slacks[1:])
     assert all(r.D1 >= 0 and r.D2 >= 0 for r in reps)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import fields
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kinfluid
 import kinfluid.entropy as entropy
 import kinfluid.harness as harness
 import kinfluid.kinetic as kinetic
@@ -130,20 +135,20 @@ def test_equilibrium_run_constant_macroscopic_states():
         nx=24, nv=64, t_final=1.0, eps_list=[0.5], n_samples=8,
         initial_profile="equilibrium",
     )
-    run = run_coupled(cfg, 0.5)
-    assert np.abs(run.rho - run.rho[0]).max() <= 1e-10
-    assert np.abs(run.u).max() <= 1e-10
-    assert np.abs(run.n - run.n[0]).max() <= 1e-10
-    assert np.abs(run.v).max() <= 1e-10
-    assert abs(run.reports[-1].mass - run.reports[0].mass) <= 1e-10
-    assert abs(run.mass_fluid[-1] - run.mass_fluid[0]) <= 1e-10
+    samples = run_coupled(cfg, 0.5).reports
+    assert np.abs(samples.rho - samples.rho[0]).max() <= 1e-10
+    assert np.abs(samples.u).max() <= 1e-10
+    assert np.abs(samples.n - samples.n[0]).max() <= 1e-10
+    assert np.abs(samples.v).max() <= 1e-10
+    assert abs(samples[-1].mass - samples[0].mass) <= 1e-10
+    assert abs(samples[-1].mass_fluid - samples[0].mass_fluid) <= 1e-10
 
 
 def test_coupled_run_mass_books_and_audit():
     cfg = ExperimentConfig(nx=32, nv=32, t_final=1.0, eps_list=[0.5], n_samples=8)
     run = run_coupled(cfg, 0.5)
     assert abs(run.reports[-1].mass - run.reports[0].mass) <= 1e-10
-    assert abs(run.mass_fluid[-1] - run.mass_fluid[0]) <= 1e-10
+    assert abs(run.reports[-1].mass_fluid - run.reports[0].mass_fluid) <= 1e-10
     assert run.audit.slack_entropy_budget >= -1e-10
     assert run.book["max_wall_flux"] <= 1e-12
 
@@ -185,7 +190,7 @@ def test_cadence_bounds_the_step_count():
         tiny_config(n_samples=harness.MAX_STEPS + 1)
 
 
-def test_equilibrium_sweep_reported_degenerate():
+def test_equilibrium_sweep_reported_degenerate(tmp_path, capsys):
     from kinfluid.harness import run_convergence
 
     cfg = tiny_config(initial_profile="equilibrium")
@@ -193,6 +198,13 @@ def test_equilibrium_sweep_reported_degenerate():
     assert res.degenerate
     assert res.slope is None and res.prefactor is None and res.local_slopes is None
     assert all(r.sup_H <= 1e-20 for r in res.rows)
+    # converge says so on its line and writes null for the fit
+    out = tmp_path / "sweep"
+    assert main_converge(["--config", str(_write_cfg(tmp_path, initial_profile="equilibrium")),
+                          "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("sup_H degenerate (zero gap); no slope fitted -> ")
+    meta_text = (out / "convergence_meta.json").read_text()
+    assert '"slope": null' in meta_text and json.loads(meta_text)["degenerate"] is True
 
 
 def test_coupled_run_with_diffuse_walls():
@@ -499,6 +511,60 @@ def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     assert exit_info.value.code == 0
 
 
+_INPUT_CHECKS = [
+    "not_an_object", "cfl_0", "cfl_2", "custom_without_state", "state_misses_array", "state_nan",
+    "state_n0_zero", "descriptor_file_not_string", "series_misses_D1", "series_unequal_lengths",
+]
+
+
+def _checked_input(tmp: Path, case: str):
+    """The entry point and argv of one input that a check rejects."""
+    out = ["--out", str(tmp / "out")]
+    if case == "not_an_object":
+        cfg = tmp / "config.json"
+        cfg.write_text("[16, 32]")
+        return main_simulate_kinetic, ["--config", str(cfg), *out]
+    if case.startswith("cfl_"):
+        return main_simulate_kinetic, ["--config", str(_write_cfg(tmp, cfl=int(case[-1]))), *out]
+    if case == "custom_without_state":
+        return main_simulate_kinetic, ["--config", str(_write_cfg(tmp, initial_profile="custom")), *out]
+    if case.startswith("series_"):
+        run = tmp / "run"
+        cfg = _write_cfg(tmp, nx=8, nv=8, t_final=0.02, n_samples=2)
+        assert main_simulate_kinetic(["--config", str(cfg), "--out", str(run)]) == EXIT_OK
+        arrays, _ = load_state(run / "series.json")
+        if case == "series_misses_D1":
+            del arrays["D1"]
+        else:
+            arrays["D1"] = arrays["D1"][:-1]
+        save_state(run / "series", arrays)
+        return main_check_entropy, ["--run", str(run)]
+    ones = np.ones(16)
+    arrays = {"rho0": ones, "u0": 0.0 * ones, "n0": ones.copy(), "v0": 0.0 * ones}
+    if case == "state_misses_array":
+        del arrays["v0"]
+    elif case == "state_nan":
+        arrays["n0"][3] = math.nan
+    elif case == "state_n0_zero":
+        arrays["n0"][3] = 0.0
+    desc = save_state(tmp / "init", arrays)
+    if case == "descriptor_file_not_string":
+        info = json.loads(desc.read_text())
+        info["arrays"]["n0"]["file"] = 7
+        desc.write_text(json.dumps(info))
+    cfg = _write_cfg(tmp, initial_profile="custom", custom_state=str(desc))
+    return main_simulate_kinetic, ["--config", str(cfg), *out]
+
+
+@pytest.mark.parametrize("case", _INPUT_CHECKS)
+def test_cli_input_checks_exit_with_one_line(tmp_path, capsys, case):
+    main, argv = _checked_input(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
 _DROP = "<drop>"
 _BAD_VALUES = [_DROP, None, True, "x", [], {}, -1, 0, 1, 2, -0.5, 0.5, 1e300, math.nan, math.inf, -math.inf]
 # a huge count only where it cannot size an array before the checks see it
@@ -626,7 +692,7 @@ def test_limit_run_min_one_plus_h_reads_every_step(tmp_path):
         st = two_phase_step(st, run.dt, grid)
         lows.append(float(st.fluid.n.min()))
     assert run.book["min_one_plus_h"] == min(lows)
-    assert round(run.book["min_one_plus_h"], 5) == 0.95544 and round(float(run.n.min()), 5) == 0.97363
+    assert round(run.book["min_one_plus_h"], 5) == 0.95544 and round(float(run.samples.n.min()), 5) == 0.97363
 
 
 @pytest.mark.parametrize(
@@ -764,6 +830,71 @@ def test_limit_run_failure_dumps_state(tmp_path, monkeypatch):
     arrays, meta = load_state(out / "failure_step_2.json")
     assert meta["step"] == 2 and meta["t"] == pytest.approx(2 * dt)
     assert set(arrays) == {"rho", "u", "n", "v"} and arrays["n"].shape == (32,)
+
+
+def test_cli_simulate_kinetic_audit_failure(tmp_path, capsys):
+    # a hot diffuse wall heats the gas faster than the certified budget
+    # allows; with no tolerance the run's own audit fails, and so does the
+    # re-audit of the directory it wrote
+    cfg = _write_cfg(tmp_path, nx=16, nv=16, t_final=0.1, n_samples=4, eps_list=[0.4],
+                     boundary="diffuse", wall_temperature=20.0, audit_tolerance=0.0)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main_simulate_kinetic(["--config", str(cfg), "--out", str(out)]) == EXIT_AUDIT
+    assert capsys.readouterr().err == "entropy audit failed\n"
+    assert {"series.json", "state_final.json", "run_meta.json"} <= {p.name for p in out.iterdir()}
+    assert json.loads((out / "run_meta.json").read_text())["audit"]["slack_entropy_budget"] < 0
+    assert main_check_entropy(["--run", str(out)]) == EXIT_AUDIT
+
+
+# a plain BLAS product, which shows whether the core types differ, then a
+# tiny simulate-kinetic and converge on the config in the working directory
+_CORETYPE_RUN = """
+import pathlib, sys
+import numpy as np
+from kinfluid import cli
+rng = np.random.default_rng(0)
+pathlib.Path("probe.bin").write_bytes((rng.random(64) @ rng.random((64, 64))).tobytes())
+codes = [cli.main_simulate_kinetic(["--config", "config.json", "--out", "run"]),
+         cli.main_converge(["--config", "config.json", "--out", "sweep"])]
+sys.exit(max(codes))
+"""
+
+
+def _comparable(path: Path):
+    """A file's bytes, or a JSON sidecar without its wall time."""
+    if path.suffix != ".json":
+        return path.read_bytes()
+    data = json.loads(path.read_text())
+    data.pop("wall_seconds", None)
+    return data
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 OpenBLAS core types")
+def test_outputs_keep_their_bytes_across_blas_kernels(tmp_path):
+    # OpenBLAS picks its kernels by CPU when it loads, and its kernels round
+    # one product differently; no output may depend on that choice. Prescott
+    # and Nehalem run on any x86-64 CPU; None is the CPU's own choice.
+    src = str(Path(kinfluid.__file__).parents[1])
+    config = dict(nx=8, nv=32, t_final=0.05, n_samples=2, eps_list=[0.4, 0.2, 0.1],
+                  boundary="diffuse", wall_temperature=1.3)
+    outputs = {}
+    for coretype in (None, "Prescott", "Nehalem"):
+        env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env.update(PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))), OPENBLAS_NUM_THREADS="1")
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        cwd = tmp_path / str(coretype)
+        cwd.mkdir()
+        (cwd / "config.json").write_text(json.dumps(config))
+        subprocess.run([sys.executable, "-c", _CORETYPE_RUN], cwd=cwd, env=env, check=True, timeout=120)
+        outputs[coretype] = {p.relative_to(cwd): _comparable(p) for p in cwd.rglob("*") if p.is_file()}
+    if len({files.pop(Path("probe.bin")) for files in outputs.values()}) == 1:
+        pytest.skip("x @ b has the same bits under every core type tried")
+    first = outputs[None]
+    for coretype, files in outputs.items():
+        assert files.keys() == first.keys(), coretype
+        assert [str(p) for p in files if files[p] != first[p]] == [], coretype
 
 
 def test_cli_audit_failure_exit_code(tmp_path):
