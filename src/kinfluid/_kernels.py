@@ -3,10 +3,12 @@ upwind sweeps and the batched tridiagonal solve.
 
 Every pass works on a C-contiguous (nx, nv) array or on its 1-D ravel, so
 numpy runs one inner loop per operation rather than one per row. Each
-kernel takes an optional out= array for its result and an optional work=
-tuple of flat float64 scratch arrays. With both given a kernel allocates
-no array of its own; only numpy's iterator still takes a transient buffer
-of at most 64 KiB for the transport's broadcast per-column speeds.
+kernel takes an optional out= array for its result and an optional work=:
+a tuple of flat float64 scratch arrays for the upwind sweeps, and for the
+solve a CyclicReduction, which holds every level of the reduction and its
+views. With both given a kernel allocates no array of its own; only numpy's
+iterator still takes a transient buffer of at most 64 KiB for the
+transport's broadcast per-column speeds.
 """
 import numpy as np
 
@@ -76,6 +78,68 @@ def upwind_drag(f, a_pos, a_neg, dt_over_dv, out=None, work=None):
     return out
 
 
+def _level_views(a, b, c, a1, b1, c1, x1, t):
+    """The views of one reduction level that stay fixed: of its coefficients
+    a, b, c, of the next level's a1, b1, c1 and x1, which hold its even
+    equations, and of the product scratch t."""
+    h, k = len(a) // 2, len(a1) - 1  # odd entries; odd entries with an even one to their right
+    ao, bo, co = a[1::2], b[1::2], c[1::2]
+    return (
+        bo, bo[:k], ao, ao[:k], co[:k], a[2::2], b[2::2], c[: 2 * h : 2], b,
+        a1[1:], b1[1:], c1[:h], b1[:h], c1[:k], b1, x1, x1[1:], x1[:h],
+        t[:k], t[:h], t[h : h + k],
+    )
+
+
+def _x_views(x):
+    """The views of one level's right-hand side x, which the back
+    substitution turns into the level's solution."""
+    xo = x[1::2]
+    return x, xo, xo[: (len(x) - 1) // 2], x[2::2], x[::2]
+
+
+class CyclicReduction:
+    """The levels of thomas_batch's cyclic reduction for one (batch, n)
+    shape, and the views that the solve reads and writes, built once per run.
+
+    Level 0 is the raveled batch. Its coefficients a, b and c are the first
+    batch*n entries of three of the four flat work arrays, which take copies
+    of lower, diag and upper; self.lower, self.diag and self.upper are their
+    (batch, n) views, and a caller that assembles its matrix in them makes
+    that copy a no-op. The fourth array, t, holds a level's products. Level
+    k + 1 is the reduced system of the even equations of level k, written
+    contiguously, so every level reads its inputs at stride 2. The levels
+    above 0 take about four more arrays of batch*n doubles, in one packed
+    buffer. Level 0's right-hand side is the solve's out array, so its few
+    views are the only ones a solve builds. work: four flat arrays of at
+    least batch*n entries; fresh ones when None.
+    """
+
+    def __init__(self, batch, n, work=None):
+        size = batch * n
+        if work is None:
+            work = tuple(np.empty(size) for _ in range(4))
+        a, b, c, t = (_flat(w, size) for w in work)
+        self.shape = (batch, n)
+        self.lower, self.diag, self.upper = (w.reshape(batch, n) for w in (a, b, c))
+        self.corners = (a[::n], c[n - 1 :: n])
+        # a power-of-two n stops at one unknown per block, any other at one in all
+        top = n if n & (n - 1) == 0 else 1 << (size - 1).bit_length()
+        sizes = [size]
+        while len(sizes) < top.bit_length():
+            sizes.append((sizes[-1] + 1) // 2)
+        # (a, b, c, x) of each level; level 0's x is the solve's out
+        levels = [(a, b, c, None)]
+        packed = np.empty((4, sum(sizes[1:])))
+        start = 0
+        for m in sizes[1:]:
+            levels.append(tuple(packed[:, start : start + m]))
+            start += m
+        self.levels = [_level_views(*lo[:3], *hi, t) for lo, hi in zip(levels, levels[1:])]
+        self.x_views = [_x_views(x) for _, _, _, x in levels[1:-1]]
+        self.b_top, self.x_top = levels[-1][1::2]  # x_top is None when the top is level 0
+
+
 def thomas_batch(lower, diag, upper, rhs, out=None, work=None):
     """Solve one tridiagonal system per row by odd-even cyclic reduction
     (Hockney 1965; Buzbee, Golub & Nielson 1970). lower[:,0] / upper[:,-1] are never read.
@@ -90,58 +154,59 @@ def thomas_batch(lower, diag, upper, rhs, out=None, work=None):
     The batch is solved as one block-diagonal system of size batch*n on the
     raveled arrays, with the corner entries zeroed: every coupling between two
     blocks then carries an exact zero factor through all levels (0 * finite
-    = 0), so the blocks stay decoupled, and every level is a few 1-D strided
-    passes over the whole batch. The level with stride s works in place on
-    the entries j*s, whose odd ones keep what the back substitution needs
-    (diag there is replaced by -1/diag). When n is a power of two the levels
-    stop at stride n, with one unknown left per block: element by element,
-    the same arithmetic as solving each row alone. Otherwise they run to the
-    top, one unknown left in all.
+    = 0), so the blocks stay decoupled, and every level is a few 1-D passes
+    over the whole batch. Each level writes the reduced system of its even
+    equations into the next level's contiguous arrays and keeps, in its odd
+    entries, what the back substitution needs (diag there is replaced by
+    -1/diag); the back substitution writes each level's solution into the
+    even entries of the level below. When n is a power of two the levels
+    stop at one unknown per block: element by element, the same arithmetic
+    as solving each row alone. Otherwise they run to the top, one unknown
+    left in all.
 
-    work: four flat arrays (a, b, c, t) of at least batch*n entries; a, b, c
-    take copies of lower, diag, upper (a work array already holding its input
-    makes that copy a no-op) and t holds the products of a level. out may be
-    rhs. Without work the inputs stay untouched.
+    work: the CyclicReduction of the batch's shape, which holds every level
+    (a fresh one when None); out may be rhs. The inputs stay untouched unless
+    they are work's own level-0 arrays or out.
     """
     batch, n = rhs.shape
-    size = batch * n
     if work is None:
-        work = tuple(np.empty(size) for _ in range(4))
-    a, b, c, t = (_flat(w, size) for w in work)
+        work = CyclicReduction(batch, n)
+    elif work.shape != (batch, n):
+        raise ValueError(f"reduction built for shape {work.shape}, not {(batch, n)}")
     if out is None:
         out = np.empty_like(rhs)
-    x = _flat(out, size)
-    for flat, arr in zip((a, b, c, x), (lower, diag, upper, rhs)):
-        np.copyto(flat.reshape(batch, n), arr)
-    a[::n] = 0.0
-    c[n - 1 :: n] = 0.0
-    top = n if n & (n - 1) == 0 else 1 << (size - 1).bit_length()
-    strides = [1 << k for k in range(top.bit_length() - 1)]
-    for s in strides:
-        ae, be, ce, xe = (arr[:: 2 * s] for arr in (a, b, c, x))
-        ao, bo, co, xo = (arr[s :: 2 * s] for arr in (a, b, c, x))
-        h = len(bo)  # odd entries, each with an even entry to its left
-        k = len(be) - 1  # odd entries with an even entry to their right
-        tk, th = t[:k], t[:h]
+    flat_x = _flat(out, batch * n)
+    for dst, src in zip((work.lower, work.diag, work.upper, flat_x.reshape(batch, n)), (lower, diag, upper, rhs)):
+        np.copyto(dst, src)
+    for corner in work.corners:
+        corner.fill(0.0)
+    levels = work.levels
+    # level 0's right-hand side is out, so its views are the only ones built here
+    x_views = [_x_views(flat_x), *work.x_views]
+    for (bo, bok, ao, aok, cok, ae, be, ce, b, left, b1l, right, b1h, right_k, b1, x1, x1l, x1h, tk, th, _), (
+        x, xo, xok, xe, _
+    ) in zip(levels, x_views):
         np.divide(-1.0, bo, out=bo)
-        left = np.multiply(ae[1:], bo[:k], out=ae[1:])  # -lower_i / diag_{i-1}
-        right = np.multiply(ce[:h], bo, out=ce[:h])  # -upper_i / diag_{i+1}
-        be[1:] += np.multiply(left, co[:k], out=tk)
-        be[:h] += np.multiply(right, ao, out=th)
-        xe[1:] += np.multiply(left, xo[:k], out=tk)
-        xe[:h] += np.multiply(right, xo, out=th)
-        left *= ao[:k]
-        right[:k] *= co[:k]
-    x[::top] /= b[::top]
-    for s in reversed(strides):
-        xe = x[:: 2 * s]
-        ao, bo, co, xo = (arr[s :: 2 * s] for arr in (a, b, c, x))
-        m = len(xo)
-        k = len(xe) - 1
+        np.multiply(ae, bok, out=left)  # -lower_i / diag_{i-1}
+        np.multiply(ce, bo, out=right)  # -upper_i / diag_{i+1}
+        np.add(be, np.multiply(left, cok, out=tk), out=b1l)
+        b1[0] = b[0]
+        b1h += np.multiply(right, ao, out=th)
+        np.add(xe, np.multiply(left, xok, out=tk), out=x1l)
+        x1[0] = x[0]
+        x1h += np.multiply(right, xo, out=th)
+        left *= aok
+        right_k *= cok
+    x_top = flat_x if work.x_top is None else work.x_top
+    x_top /= work.b_top
+    for (bo, _, ao, _, cok, _, _, _, _, _, _, _, _, _, _, x1, x1l, x1h, tk, th, tb), (_, xo, _, _, x_all) in zip(
+        reversed(levels), reversed(x_views)
+    ):
         # odd entry j: x_j = (rhs_j - lower_j x_{j-1} - upper_j x_{j+1}) / diag_j
-        tm, tk = t[:m], t[m : m + k]
-        np.multiply(ao, xe[:m], out=tm)
-        tm[:k] += np.multiply(co[:k], xe[1:], out=tk)
-        tm -= xo
-        np.multiply(tm, bo, out=xo)
+        np.multiply(ao, x1h, out=th)
+        tk += np.multiply(cok, x1l, out=tb)
+        th -= xo
+        np.multiply(th, bo, out=xo)
+        # the even entries: the next level's solution
+        np.copyto(x_all, x1)
     return out

@@ -139,7 +139,7 @@ def main_converge(argv=None) -> int:
     }
     (out / "convergence_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     if result.degenerate:
-        print(f"sup_H degenerate (zero gap); no slope fitted -> {csv_path}")
+        print(f"sup_H degenerate ({result.degeneracy}); no slope fitted -> {csv_path}")
     else:
         local = ",".join(f"{k:.4f}" for k in result.local_slopes)
         print(f"fitted slope={result.slope:.4f} local slopes={local} monotone={result.monotone} -> {csv_path}")

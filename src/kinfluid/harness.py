@@ -237,7 +237,9 @@ class CoupledRun:
     reports: np.recarray
     f_final: KineticState
     fluid_final: FluidState
-    book: dict[str, float]  # max_wall_flux, truncation_leak, max_exchange_asym
+    # max_wall_flux, truncation_leak, max_exchange_asym, and min_n over t = 0
+    # and every step, not only the samples
+    book: dict[str, float]
     ck_margin_min: float
     audit: AuditRecord
     dt: float
@@ -286,7 +288,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     dt, nt, per = _pick_dt(config, grid, fl)
 
     reports = _sample_record(config, (*_REPORT_FIELDS, "mass_fluid"))
-    book = {"max_wall_flux": 0.0, "truncation_leak": 0.0, "max_exchange_asym": 0.0}
+    book = {"max_wall_flux": 0.0, "truncation_leak": 0.0, "max_exchange_asym": 0.0, "min_n": float(fl.n.min())}
 
     def sample(idx, kin, fl, mom):
         """Record time level idx; mom are the moments of kin."""
@@ -307,6 +309,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             book["max_wall_flux"] = max(book["max_wall_flux"], krep.max_wall_flux)
             book["truncation_leak"] += krep.truncation_leak
             book["max_exchange_asym"] = max(book["max_exchange_asym"], abs(dpk + dpf))
+            book["min_n"] = min(book["min_n"], float(fl.n.min()))
             if (step + 1) % per == 0:
                 ck_min = min(ck_min, sample((step + 1) // per, kin, fl, mom))
     except SolverError as exc:
@@ -376,10 +379,15 @@ class ConvergenceResult:
     prefactor: float | None  # empirical: sup_H ~ prefactor * eps**slope (reported, never asserted)
     local_slopes: list[float] | None  # of each consecutive eps pair; sup_H is not one power law
     monotone: bool
-    degenerate: bool
+    # why no slope is fitted ("zero gap" or "no eps dependence"); None when one is
+    degeneracy: str | None
     runs: list[CoupledRun]
     limit: LimitRun
     wall_seconds: float
+
+    @property
+    def degenerate(self) -> bool:
+        return self.degeneracy is not None
 
 
 def _stacked_state(samples: np.recarray, gamma: float) -> TwoPhaseState:
@@ -417,10 +425,16 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
         )
         runs.append(run)
 
-    # gaps at the double-precision quadrature floor carry no rate information
-    degenerate = bool(np.any(rows.sup_H <= 1e-20))
+    # gaps at the double-precision quadrature floor carry no rate information,
+    # and neither do gaps that do not move with eps (a quadrature error of the
+    # initial data that every run inherits)
+    degeneracy = None
+    if np.any(rows.sup_H <= 1e-20):
+        degeneracy = "zero gap"
+    elif np.ptp(rows.sup_H) <= 1e-9 * rows.sup_H.max():
+        degeneracy = "no eps dependence"
     slope = prefactor = local_slopes = None
-    if not degenerate:
+    if degeneracy is None:
         log_eps, log_h = np.log(rows.eps), np.log(rows.sup_H)
         # least squares in closed form: np.polyfit's LAPACK solve rounds by
         # the BLAS kernel picked for the CPU
@@ -431,7 +445,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     monotone = bool(np.all(np.diff(rows.sup_H) < 0))  # eps_list descends, so sup_H must too
     return ConvergenceResult(
         rows=rows, slope=slope, prefactor=prefactor, local_slopes=local_slopes, monotone=monotone,
-        degenerate=degenerate, runs=runs, limit=limit,
+        degeneracy=degeneracy, runs=runs, limit=limit,
         wall_seconds=time.perf_counter() - t0,
     )
 

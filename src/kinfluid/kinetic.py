@@ -87,12 +87,14 @@ def _wall_traces(ghost_lo, ghost_hi, grid) -> tuple[float, float]:
 
 class KineticWork:
     """The work arrays of kinetic_step for one grid, built once per run: the
-    state between sub-steps, the two drift parts of the drag, and four flat
-    scratch arrays that each sub-step's kernel runs in (the relaxation
-    assembles its matrix in three of them). Seven arrays of nx*nv doubles,
-    the scratch ones a row longer for the transport's interface differences.
-    Between steps they hold nothing, and the moments and the entropy report
-    of a sample run in them."""
+    state between sub-steps, the two drift parts of the drag, four flat
+    scratch arrays that each sub-step's kernel runs in, and the relaxation's
+    _kernels.CyclicReduction. Seven arrays of nx*nv doubles, the scratch ones
+    a row longer for the transport's interface differences. The reduction's
+    first level is the scratch arrays, where the relaxation assembles its
+    matrix; its higher levels take about four arrays more, and the views of
+    every level are built here, once. Between steps they hold nothing, and
+    the moments and the entropy report of a sample run in them."""
 
     def __init__(self, grid: PhaseGrid):
         shape = (grid.nx, grid.nv)
@@ -100,6 +102,7 @@ class KineticWork:
         self.a_pos = np.empty(shape)
         self.a_neg = np.empty(shape)
         self.scratch = tuple(np.empty((grid.nx + 1) * grid.nv) for _ in range(4))
+        self.reduction = _kernels.CyclicReduction(grid.nx, grid.nv, self.scratch)
 
 
 def _transport_raw(farr, grid, dt, walls, out=None, scratch=None):
@@ -166,7 +169,7 @@ def _drag_raw(farr, fluid_v, dt, grid, drift=None, out=None, scratch=None):
     return fnew, leak
 
 
-def _fp_raw(farr, u, dt, grid, eps, out=None, scratch=None):
+def _fp_raw(farr, u, dt, grid, eps, out=None, work=None):
     """Backward-Euler solve of the velocity diffusion-drift relaxation
     toward the local Maxwellian M_{rho,u}, with u frozen over the sub-step.
 
@@ -175,9 +178,9 @@ def _fp_raw(farr, u, dt, grid, eps, out=None, scratch=None):
     system matrix is an M-matrix (positivity) and its columns sum to one
     (exact per-cell mass conservation).
 
-    The coefficients are assembled in the kernel's (nx, nv) layout, in three
-    of the scratch arrays (KineticWork.scratch) when given, which the solve
-    then runs in; out may be farr."""
+    The coefficients are assembled in the level-0 arrays of work, the run's
+    _kernels.CyclicReduction (KineticWork.reduction; a fresh one when None),
+    which the solve then runs in; out may be farr."""
     if not eps > 0:  # written so that NaN fails too
         raise ValueError(f"eps must be positive, got {eps!r}")
     dv = grid.dv
@@ -185,12 +188,10 @@ def _fp_raw(farr, u, dt, grid, eps, out=None, scratch=None):
     a = dt / scale if scale > 0.0 else math.inf
     if not math.isfinite(a):
         raise SolverError(f"relaxation coefficient dt/(eps dv^2) overflows at eps = {eps:g}")
-    nx, nv = farr.shape
-    size = nx * nv
-    if not scratch:
-        scratch = tuple(np.empty(size) for _ in range(4))
-    flat_l, flat_d, flat_u = (w[:size] for w in scratch[:3])
-    lower, diag, upper = (w.reshape(nx, nv) for w in (flat_l, flat_d, flat_u))
+    if work is None:
+        work = _kernels.CyclicReduction(*farr.shape)
+    lower, diag, upper = work.lower, work.diag, work.upper
+    flat_l, flat_d, flat_u = (w.reshape(-1) for w in (lower, diag, upper))
     # exp(+-dv (xi_{j+1/2} - u) / 2) as the outer product of a spatial factor,
     # copied per cell as in _drift_parts, and a velocity factor applied in
     # place, with the factor -a folded into the second and the corner entries
@@ -207,7 +208,7 @@ def _fp_raw(farr, u, dt, grid, eps, out=None, scratch=None):
     np.subtract(1.0, flat_l[1:], out=flat_d[:-1])
     flat_d[-1] = 1.0
     flat_d[1:] -= flat_u[:-1]
-    return _kernels.thomas_batch(lower, diag, upper, farr, out=out, work=scratch)
+    return _kernels.thomas_batch(lower, diag, upper, farr, out=out, work=work)
 
 
 def kinetic_step(
@@ -234,7 +235,7 @@ def kinetic_step(
     drift = _drift_parts(fluid.v, grid, out=(work.a_pos, work.a_neg))
     farr, leak1 = _drag_raw(farr, fluid.v, half, grid, drift, out=farr, scratch=scratch)
     u = compute_moments(farr, grid, scratch[0][: farr.size].reshape(farr.shape)).u
-    farr = _fp_raw(farr, u, dt, grid, eps, out=farr, scratch=scratch)
+    farr = _fp_raw(farr, u, dt, grid, eps, out=farr, work=work.reduction)
     farr, leak2 = _drag_raw(farr, fluid.v, half, grid, drift, out=farr, scratch=scratch)
     farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, walls, scratch=scratch)
     rep = KineticStepReport(

@@ -207,6 +207,25 @@ def test_equilibrium_sweep_reported_degenerate(tmp_path, capsys):
     assert '"slope": null' in meta_text and json.loads(meta_text)["degenerate"] is True
 
 
+def test_sweep_without_eps_dependence_reported_degenerate(tmp_path, capsys):
+    """At nv = 8 the equilibrium data's discrete Maxwellian misses its mass by
+    a quadrature error that every eps run inherits: sup_H is the same nonzero
+    value at each eps, which carries no rate either."""
+    res = harness.run_convergence(tiny_config(nx=8, nv=8, t_final=0.02, n_samples=2, initial_profile="equilibrium"))
+    assert res.degenerate and res.degeneracy == "no eps dependence"
+    assert res.slope is None and res.local_slopes is None
+    assert res.rows.sup_H.min() > 1e-5
+    assert np.ptp(res.rows.sup_H) <= 1e-9 * res.rows.sup_H.max()
+    out = tmp_path / "sweep"
+    cfg = _write_cfg(tmp_path, nx=8, nv=8, t_final=0.02, n_samples=2, initial_profile="equilibrium")
+    assert main_converge(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("sup_H degenerate (no eps dependence); no slope fitted -> ")
+    assert "not monotone" not in captured.err
+    meta = json.loads((out / "convergence_meta.json").read_text())
+    assert meta["degenerate"] is True and meta["slope"] is None
+
+
 def test_coupled_run_with_diffuse_walls():
     # a colder wall on a velocity grid that is not a power of two too
     for nv, theta in ((32, 1.0), (30, 0.7)):
@@ -379,7 +398,7 @@ def test_cli_simulate_kinetic_and_check_entropy(tmp_path, capsys):
     line = capsys.readouterr().out
     meta = json.loads((out / "run_meta.json").read_text())
     run = run_coupled(ExperimentConfig.from_json(cfg), 0.3)
-    assert set(run.book) == {"max_wall_flux", "truncation_leak", "max_exchange_asym"}
+    assert set(run.book) == {"max_wall_flux", "truncation_leak", "max_exchange_asym", "min_n"}
     for key, value in run.book.items():
         assert meta[key] == value and f" {key}={value:.6g} " in line, key
     # and so is its audit summary, which check-entropy prints too
@@ -693,6 +712,29 @@ def test_limit_run_min_one_plus_h_reads_every_step(tmp_path):
         lows.append(float(st.fluid.n.min()))
     assert run.book["min_one_plus_h"] == min(lows)
     assert round(run.book["min_one_plus_h"], 5) == 0.95544 and round(float(run.samples.n.min()), 5) == 0.97363
+
+
+def test_coupled_run_min_n_reads_every_step(tmp_path):
+    # the same rarefying gas as above, coupled to a kinetic phase at rest:
+    # the run's min_n has the bits of a step-by-step march and lies below
+    # both samples
+    grid = PhaseGrid(nx=64, nv=16)
+    ones = np.ones(grid.nx)
+    v0 = -0.5 * np.sin(2 * np.pi * grid.x) * np.sin(np.pi * grid.x) ** 2
+    state = save_state(tmp_path / "wave", {"rho0": ones, "u0": 0.0 * ones, "n0": ones, "v0": v0})
+    cfg = ExperimentConfig(nx=64, nv=16, t_final=0.3, n_samples=1, initial_profile="custom",
+                           custom_state=str(state), output_dir=str(tmp_path / "out"))
+    run = harness.run_coupled(cfg, 0.1)
+    kin, fl, _ = make_well_prepared(cfg)
+    walls = kinetic.wall_kernels(cfg.boundary, grid, cfg.wall_temperature)
+    lows = [float(fl.n.min())]
+    for _ in range(round(cfg.t_final / run.dt)):
+        mom = kinfluid.compute_moments(kin, grid)
+        kin, _ = kinetic.kinetic_step(kin, fl, run.dt, grid, 0.1, walls)
+        fl = harness.ns_step(fl, mom.rho, mom.u, run.dt, grid)
+        lows.append(float(fl.n.min()))
+    assert run.book["min_n"] == min(lows)
+    assert round(run.book["min_n"], 5) == 0.9557 and round(float(run.reports.n.min()), 5) == 0.97381
 
 
 @pytest.mark.parametrize(

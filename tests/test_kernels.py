@@ -71,6 +71,47 @@ def test_upwind_drag_matches_loop(rng):
     )
 
 
+def strided_thomas_batch(lower, diag, upper, rhs):
+    """The cyclic reduction of thomas_batch as it was before its levels were
+    packed: each level works in place on every 2^k-th entry of four flat
+    arrays. The same operations in the same order, so the same bits."""
+    batch, n = rhs.shape
+    size = batch * n
+    a, b, c, x = (np.array(arr, dtype=float).reshape(-1) for arr in (lower, diag, upper, rhs))
+    t = np.empty(size)
+    a[::n] = 0.0
+    c[n - 1 :: n] = 0.0
+    top = n if n & (n - 1) == 0 else 1 << (size - 1).bit_length()
+    strides = [1 << k for k in range(top.bit_length() - 1)]
+    for s in strides:
+        ae, be, ce, xe = (arr[:: 2 * s] for arr in (a, b, c, x))
+        ao, bo, co, xo = (arr[s :: 2 * s] for arr in (a, b, c, x))
+        h = len(bo)
+        k = len(be) - 1
+        tk, th = t[:k], t[:h]
+        np.divide(-1.0, bo, out=bo)
+        left = np.multiply(ae[1:], bo[:k], out=ae[1:])
+        right = np.multiply(ce[:h], bo, out=ce[:h])
+        be[1:] += np.multiply(left, co[:k], out=tk)
+        be[:h] += np.multiply(right, ao, out=th)
+        xe[1:] += np.multiply(left, xo[:k], out=tk)
+        xe[:h] += np.multiply(right, xo, out=th)
+        left *= ao[:k]
+        right[:k] *= co[:k]
+    x[::top] /= b[::top]
+    for s in reversed(strides):
+        xe = x[:: 2 * s]
+        ao, bo, co, xo = (arr[s :: 2 * s] for arr in (a, b, c, x))
+        m = len(xo)
+        k = len(xe) - 1
+        tm, tk = t[:m], t[m : m + k]
+        np.multiply(ao, xe[:m], out=tm)
+        tm[:k] += np.multiply(co[:k], xe[1:], out=tk)
+        tm -= xo
+        np.multiply(tm, bo, out=xo)
+    return x.reshape(batch, n)
+
+
 def dense_solve_rows(lower, diag, upper, rhs):
     out = np.empty_like(rhs)
     for i in range(rhs.shape[0]):
@@ -115,6 +156,24 @@ def test_thomas_batch_matches_rows_solved_alone(rng, n, exact):
         np.testing.assert_allclose(out, alone, rtol=1e-14, atol=1e-14 * np.abs(alone).max())
 
 
+@pytest.mark.parametrize(
+    "nx, n", [(1, 1), (3, 2), (5, 4), (37, 16), (37, 30), (33, 34), (128, 128), (256, 64)]
+)
+def test_thomas_batch_matches_strided_reduction(rng, nx, n):
+    """Packing each level contiguously changes only where the levels are
+    stored: the bits are those of the strided in-place reduction, for
+    power-of-two and other n alike, with a fresh reduction or a reused one."""
+    lower = -rng.random((nx, n))
+    upper = -rng.random((nx, n))
+    diag = 2.0 + rng.random((nx, n))
+    rhs = rng.standard_normal((nx, n))
+    expected = strided_thomas_batch(lower, diag, upper, rhs)
+    assert np.array_equal(_kernels.thomas_batch(lower, diag, upper, rhs), expected)
+    work = _kernels.CyclicReduction(nx, n)
+    for _ in range(2):
+        assert np.array_equal(_kernels.thomas_batch(lower, diag, upper, rhs, work=work), expected)
+
+
 def test_kernels_run_in_given_work_arrays(rng):
     """With out= and work= arrays given, each kernel returns out, holding what
     it returns without them; out may be its input."""
@@ -136,15 +195,18 @@ def test_kernels_run_in_given_work_arrays(rng):
     lower, upper = -rng.random((nx, nv)), -rng.random((nx, nv))
     diag = 2.0 + rng.random((nx, nv))
     expected = _kernels.thomas_batch(lower, diag, upper, f)
-    # coefficients already in the work arrays the solve runs in
-    coef = [w[: nx * nv].reshape(nx, nv) for w in work[:3]]
-    for w, arr in zip(coef, (lower, diag, upper)):
+    # the reduction's first level in the same work arrays, the coefficients
+    # already assembled in it
+    reduction = _kernels.CyclicReduction(nx, nv, work)
+    for w, arr in zip((reduction.lower, reduction.diag, reduction.upper), (lower, diag, upper)):
         w[...] = arr
     g = f.copy()
-    assert _kernels.thomas_batch(*coef, g, out=g, work=work) is g
+    assert _kernels.thomas_batch(reduction.lower, reduction.diag, reduction.upper, g, out=g, work=reduction) is g
     np.testing.assert_array_equal(g, expected)
     with pytest.raises(ValueError, match="C-contiguous"):
         _kernels.thomas_batch(lower, diag, upper, f, out=np.empty((nv, nx)).T)
+    with pytest.raises(ValueError, match="reduction built for shape"):
+        _kernels.thomas_batch(lower[1:], diag[1:], upper[1:], f[1:], work=reduction)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
