@@ -2,13 +2,13 @@
 upwind sweeps and the batched tridiagonal solve.
 
 Every pass works on a C-contiguous (nx, nv) array or on its 1-D ravel, so
-numpy runs one inner loop per operation rather than one per row. Each
-kernel takes an optional out= array for its result and an optional work=:
-a tuple of flat float64 scratch arrays for the upwind sweeps, and for the
-solve a CyclicReduction, which holds every level of the reduction and its
-views. With both given a kernel allocates no array of its own; only numpy's
-iterator still takes a transient buffer of at most 64 KiB for the
-transport's broadcast per-column speeds.
+numpy runs one inner loop per operation rather than one per row; the
+transport takes its per-column speeds as a full flat array, so none of its
+passes broadcasts. Each kernel takes an optional out= array for its result
+and an optional work=: a tuple of flat float64 scratch arrays for the upwind
+sweeps, and for the solve a CyclicReduction, which holds every level of the
+reduction and its views. With both given a kernel allocates no array of its
+own.
 """
 import numpy as np
 
@@ -20,32 +20,37 @@ def _flat(arr, size):
     return arr.reshape(-1)[:size]
 
 
-def upwind_transport(f, xi, dt_over_dx, ghost_lo, ghost_hi, out=None, work=None):
-    """First-order upwind advection in x, one constant speed per column.
+def upwind_transport(f, c, in_lo, in_hi, out=None, work=None):
+    """First-order upwind advection in x, one constant speed per column,
+    negative on the first nv/2 columns and positive on the rest.
 
-    ghost_lo/ghost_hi are the wall ghost rows, one value per column; they
-    must be finite, as both rows enter every column's update (the one on a
-    column's outflow side times an exact zero). work: two flat arrays of at
-    least (nx+1)*nv and nx*nv entries.
+    c: the Courant numbers xi*dt/dx of every cell, nx*nv of them (each row
+    the same). in_lo/in_hi: the incoming halves of the two wall interfaces,
+    nv/2 entries each (the scattered f[0, :nv/2] and f[-1, nv/2:]). work: two
+    flat arrays of at least (nx+1)*nv and nx*nv entries. On return the first
+    holds the nx+1 interface rows Q, each the upwind value of its interface,
+    so Q's first and last rows are the two wall traces.
     """
     nx, nv = f.shape
+    h = nv // 2
     size = nx * nv
     if work is None:
         work = (np.empty(size + nv), np.empty(size))
-    d, t = _flat(work[0], size + nv), _flat(work[1], size)
+    q, t = _flat(work[0], size + nv), _flat(work[1], size)
     if out is None:
         out = np.empty_like(f)
-    flat_f, flat_out = np.ravel(f), _flat(out, size)
-    # d holds the nx+1 interface differences of [ghost_lo; f; ghost_hi]
-    np.subtract(f[0], ghost_lo, out=d[:nv])
-    np.subtract(flat_f[nv:], flat_f[:-nv], out=d[nv:size])
-    np.subtract(ghost_hi, f[-1], out=d[size:])
-    c = xi * dt_over_dx
-    # c >= 0 reads the backward difference, c < 0 the forward one
-    np.multiply(d[:size].reshape(nx, nv), np.maximum(c, 0.0), out=t.reshape(nx, nv))
-    np.subtract(flat_f, t, out=flat_out)
-    np.multiply(d[nv:].reshape(nx, nv), np.minimum(c, 0.0), out=t.reshape(nx, nv))
-    flat_out -= t
+    # row r of Q is interface r, between cells r-1 and r: cell r's value on
+    # the negative-speed half, cell r-1's on the positive one
+    rows = q.reshape(nx + 1, nv)
+    np.copyto(rows[:nx, :h], f[:, :h])
+    np.copyto(rows[1:, h:], f[:, h:])
+    rows[0, h:] = in_lo
+    rows[nx, :h] = in_hi
+    # the one upwind difference of each cell, the backward one where c >= 0
+    # and the forward one where c < 0
+    np.subtract(q[nv:], q[:size], out=t)
+    t *= np.ravel(c)
+    np.subtract(np.ravel(f), t, out=_flat(out, size))
     return out
 
 

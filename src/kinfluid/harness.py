@@ -237,8 +237,9 @@ class CoupledRun:
     reports: np.recarray
     f_final: KineticState
     fluid_final: FluidState
-    # max_wall_flux, truncation_leak, max_exchange_asym, and min_n over t = 0
-    # and every step, not only the samples
+    # max_wall_flux, truncation_leak, max_exchange_asym, the CFL ratios
+    # max_cfl_transport and max_cfl_drag, and min_n over t = 0 and every
+    # step, not only the samples
     book: dict[str, float]
     ck_margin_min: float
     audit: AuditRecord
@@ -288,7 +289,10 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     dt, nt, per = _pick_dt(config, grid, fl)
 
     reports = _sample_record(config, (*_REPORT_FIELDS, "mass_fluid"))
-    book = {"max_wall_flux": 0.0, "truncation_leak": 0.0, "max_exchange_asym": 0.0, "min_n": float(fl.n.min())}
+    book = {
+        "max_wall_flux": 0.0, "truncation_leak": 0.0, "max_exchange_asym": 0.0,
+        "max_cfl_transport": 0.0, "max_cfl_drag": 0.0, "min_n": float(fl.n.min()),
+    }
 
     def sample(idx, kin, fl, mom):
         """Record time level idx; mom are the moments of kin."""
@@ -309,6 +313,8 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             book["max_wall_flux"] = max(book["max_wall_flux"], krep.max_wall_flux)
             book["truncation_leak"] += krep.truncation_leak
             book["max_exchange_asym"] = max(book["max_exchange_asym"], abs(dpk + dpf))
+            book["max_cfl_transport"] = max(book["max_cfl_transport"], krep.cfl_transport)
+            book["max_cfl_drag"] = max(book["max_cfl_drag"], krep.cfl_drag)
             book["min_n"] = min(book["min_n"], float(fl.n.min()))
             if (step + 1) % per == 0:
                 ck_min = min(ck_min, sample((step + 1) // per, kin, fl, mom))

@@ -23,10 +23,13 @@ from .moments import compute_moments
 @dataclass
 class KineticStepReport:
     """Mass books for one step: the largest instantaneous wall trace seen in
-    any sub-step and the diagnostic leak through the velocity cut at +-v_max."""
+    any sub-step and the diagnostic leak through the velocity cut at +-v_max;
+    and the CFL ratios of its transport and drag half-steps."""
 
     max_wall_flux: float = 0.0
     truncation_leak: float = 0.0
+    cfl_transport: float = 0.0
+    cfl_drag: float = 0.0
 
 
 _WALL_TOL = 1e-12
@@ -34,8 +37,9 @@ _WALL_TOL = 1e-12
 
 def wall_kernels(boundary: str, grid: PhaseGrid, wall_temperature: float) -> tuple[np.ndarray, np.ndarray]:
     """The (nv/2, nv/2) scattering blocks (b_lo, b_hi) of the two walls: each
-    maps a boundary cell's outgoing half-row to the incoming half of its ghost
-    row, f[0, :nv/2] @ b_lo and f[-1, nv/2:] @ b_hi (Cercignani 1988, ch. III).
+    maps a boundary cell's outgoing half-row to the incoming half of its wall
+    interface, f[0, :nv/2] @ b_lo and f[-1, nv/2:] @ b_hi (Cercignani 1988,
+    ch. III).
     They are the velocity reversal ("specular"), the rank-one dv |xi_out| (x) w
     with w the wall Maxwellian at unit incoming mass flux ("diffuse"), or zero
     ("dirichlet_zero", absorbing). Checked here, once, with s = xi[nv/2:] the
@@ -73,13 +77,13 @@ def wall_kernels(boundary: str, grid: PhaseGrid, wall_temperature: float) -> tup
     return b_lo, np.ascontiguousarray(b_lo[::-1, ::-1])
 
 
-def _wall_traces(ghost_lo, ghost_hi, grid) -> tuple[float, float]:
+def _wall_traces(row_lo, row_hi, grid) -> tuple[float, float]:
     """Outward trace integrals int (xi.r) gamma_f dxi at the two walls,
-    evaluated from the ghost rows, which are the upwind interface values.
-    Summed over mirror pairs so the specular identity cancels exactly in
-    floating point."""
-    t_lo = grid.xi * ghost_lo
-    t_hi = grid.xi * ghost_hi
+    evaluated from the wall interface rows, which hold the upwind interface
+    values. Summed over mirror pairs so the specular identity cancels
+    exactly in floating point."""
+    t_lo = grid.xi * row_lo
+    t_hi = grid.xi * row_hi
     s_lo = 0.5 * grid.dv * float(np.sum(t_lo + t_lo[::-1]))
     s_hi = 0.5 * grid.dv * float(np.sum(t_hi + t_hi[::-1]))
     return -s_lo, s_hi
@@ -90,41 +94,77 @@ class KineticWork:
     state between sub-steps, the two drift parts of the drag, four flat
     scratch arrays that each sub-step's kernel runs in, and the relaxation's
     _kernels.CyclicReduction. Seven arrays of nx*nv doubles, the scratch ones
-    a row longer for the transport's interface differences. The reduction's
-    first level is the scratch arrays, where the relaxation assembles its
-    matrix; its higher levels take about four arrays more, and the views of
-    every level are built here, once. Between steps they hold nothing, and
-    the moments and the entropy report of a sample run in them."""
+    a row longer for the transport's interface rows. The reduction's first
+    level is the scratch arrays, where the relaxation assembles its matrix;
+    its higher levels take about four arrays more, and the views of every
+    level are built here, once. Between steps they hold nothing, and the
+    moments and the entropy report of a sample run in them.
+
+    It also holds the run constants of one (dt, eps), which fill writes in
+    place: the transport half-step's Courant numbers as one more flat nx*nv
+    array, its CFL ratio, and the relaxation's two velocity-factor rows."""
 
     def __init__(self, grid: PhaseGrid):
         shape = (grid.nx, grid.nv)
+        self.grid = grid
         self.f = np.empty(shape)
         self.a_pos = np.empty(shape)
         self.a_neg = np.empty(shape)
         self.scratch = tuple(np.empty((grid.nx + 1) * grid.nv) for _ in range(4))
         self.reduction = _kernels.CyclicReduction(grid.nx, grid.nv, self.scratch)
+        self.speeds = np.empty(grid.nx * grid.nv)
+        self.fp_rows = (np.empty(grid.nv), np.empty(grid.nv))
+        self.cfl_transport = math.nan
+        self.filled_for = None
+
+    def fill(self, dt: float, eps: float) -> None:
+        """Write the run constants of steps of dt at eps in place, unless
+        they hold them already; their checks raise as the sub-steps' own."""
+        if self.filled_for == (dt, eps):
+            return
+        self.filled_for = None  # until every constant is written
+        self.cfl_transport, _ = _transport_speeds(0.5 * dt, self.grid, out=self.speeds)
+        _fp_rows(dt, self.grid, eps, out=self.fp_rows)
+        self.filled_for = (dt, eps)
 
 
-def _transport_raw(farr, grid, dt, walls, out=None, scratch=None):
-    """Conservative upwind advection in x with wall ghost cells from the
-    scattering blocks walls = (b_lo, b_hi) of wall_kernels; returns
-    (f, trace_lo, trace_hi). The mass change equals
-    -dt*(trace_lo + trace_hi) exactly (conservative telescoping). out and
-    scratch (KineticWork.scratch) are the kernel's out and work arrays."""
+def _transport_speeds(dt, grid, out=None):
+    """(cfl, speeds) of a transport sub-step of dt: its CFL ratio, a
+    CFLError above 1, and its Courant numbers xi*dt/dx as one flat array of
+    nx*nv entries, each row the same (in out when given)."""
     ximax = grid.v_max - 0.5 * grid.dv  # largest cell-center speed
-    if dt * ximax / grid.dx > CFL_SLACK:
-        raise CFLError(f"transport CFL violated: dt*ximax/dx = {dt * ximax / grid.dx:g}")
-    # each ghost row is the upwind trace at its wall: the boundary row itself
-    # on the outgoing half (an exact 0 difference), scattered on the incoming.
-    # The products are einsum's, not BLAS's: BLAS picks its kernel by CPU at
-    # load time, and its kernels round the same product differently
+    cfl = dt * ximax / grid.dx
+    if cfl > CFL_SLACK:
+        raise CFLError(f"transport CFL violated: dt*ximax/dx = {cfl:g}")
+    speeds = np.empty(grid.nx * grid.nv) if out is None else out
+    np.copyto(speeds.reshape(grid.nx, grid.nv), grid.xi * (dt / grid.dx))
+    return cfl, speeds
+
+
+def _transport_raw(farr, grid, dt, walls, out=None, scratch=None, speeds=None):
+    """Conservative upwind advection in x with the wall interfaces' incoming
+    halves scattered by the blocks walls = (b_lo, b_hi) of wall_kernels;
+    returns (f, trace_lo, trace_hi). The mass change equals
+    -dt*(trace_lo + trace_hi) exactly (conservative telescoping). out and
+    scratch (KineticWork.scratch) are the kernel's out and work arrays;
+    speeds are its Courant numbers for dt (KineticWork.speeds), built here,
+    with the CFL check, when None."""
+    if speeds is None:
+        _, speeds = _transport_speeds(dt, grid)
+    # each wall interface's incoming half is the boundary cell's outgoing
+    # half scattered. The products are einsum's, not BLAS's: BLAS picks its
+    # kernel by CPU at load time, and its kernels round the same product
+    # differently
     b_lo, b_hi = walls
-    h = grid.nv // 2
-    ghost_lo = np.concatenate((farr[0, :h], np.einsum("j,jk->k", farr[0, :h], b_lo)))
-    ghost_hi = np.concatenate((np.einsum("j,jk->k", farr[-1, h:], b_hi), farr[-1, h:]))
-    trace_lo, trace_hi = _wall_traces(ghost_lo, ghost_hi, grid)
-    work = scratch[:2] if scratch else None
-    fnew = _kernels.upwind_transport(farr, grid.xi, dt / grid.dx, ghost_lo, ghost_hi, out=out, work=work)
+    nx, nv = farr.shape
+    h = nv // 2
+    in_lo = np.einsum("j,jk->k", farr[0, :h], b_lo)
+    in_hi = np.einsum("j,jk->k", farr[-1, h:], b_hi)
+    work = scratch[:2] if scratch else (np.empty((nx + 1) * nv), np.empty(nx * nv))
+    fnew = _kernels.upwind_transport(farr, speeds, in_lo, in_hi, out=out, work=work)
+    # the kernel's first and last interface rows are the upwind wall traces
+    rows = work[0]
+    trace_lo, trace_hi = _wall_traces(rows[:nv], rows[nx * nv : (nx + 1) * nv], grid)
     return fnew, trace_lo, trace_hi
 
 
@@ -144,32 +184,66 @@ def _drift_parts(fluid_v, grid, out=None):
     return a_pos, a_neg
 
 
-def _drag_raw(farr, fluid_v, dt, grid, drift=None, out=None, scratch=None):
-    """Upwind advection in velocity with per-cell drift v - xi.
-
-    Zero flux is imposed at the velocity cut; the would-be outflow there is
-    returned as the suppressed-leak diagnostic (zero unless |v| exceeds
-    v_max). drift: the _drift_parts of fluid_v, built here when None; out
-    and scratch (KineticWork.scratch) are the kernel's out and work arrays."""
+def _drag_constants(fluid_v, dt, grid, out=None):
+    """What the drag sub-steps of dt under fluid velocity v share:
+    (cfl, drift, leak_weights), with the CFL ratio checked (a CFLError above
+    1), the _drift_parts of v (in out when given) and, per cell, the outflow
+    speeds max(v - xi_max, 0) and max(xi_min - v, 0) through the two
+    velocity cuts."""
     v = np.asarray(fluid_v, dtype=float)
     edges = grid.xi_edges
     # the interior edges are symmetric about 0, so max |v - edge| over
     # them is max |v| plus the largest interior edge, in floating point too
     amax = float(np.abs(v).max()) + edges[-2]
-    if dt * amax / grid.dv > CFL_SLACK:
-        raise CFLError(f"velocity-advection CFL violated: dt*|a|max/dv = {dt * amax / grid.dv:g}")
+    cfl = float(dt * amax / grid.dv)
+    if cfl > CFL_SLACK:
+        raise CFLError(f"velocity-advection CFL violated: dt*|a|max/dv = {cfl:g}")
     a_bot = v - edges[0]
     a_top = v - edges[-1]
-    leak = dt * grid.dx * grid.dv * float(
-        np.sum(np.maximum(a_top, 0.0) * farr[:, -1] + np.maximum(-a_bot, 0.0) * farr[:, 0])
-    )
-    a_pos, a_neg = _drift_parts(v, grid) if drift is None else drift
+    leak_weights = (np.maximum(a_top, 0.0), np.maximum(-a_bot, 0.0))
+    return cfl, _drift_parts(v, grid, out), leak_weights
+
+
+def _drag_raw(farr, fluid_v, dt, grid, consts=None, out=None, scratch=None):
+    """Upwind advection in velocity with per-cell drift v - xi.
+
+    Zero flux is imposed at the velocity cut; the would-be outflow there is
+    returned as the suppressed-leak diagnostic (zero unless |v| exceeds
+    v_max). consts: the _drag_constants of fluid_v and dt, built here, with
+    the CFL check, when None; out and scratch (KineticWork.scratch) are the
+    kernel's out and work arrays."""
+    _, (a_pos, a_neg), (w_top, w_bot) = _drag_constants(fluid_v, dt, grid) if consts is None else consts
+    leak = dt * grid.dx * grid.dv * float(np.sum(w_top * farr[:, -1] + w_bot * farr[:, 0]))
     work = scratch[:2] if scratch else None
     fnew = _kernels.upwind_drag(farr, a_pos, a_neg, dt / grid.dv, out=out, work=work)
     return fnew, leak
 
 
-def _fp_raw(farr, u, dt, grid, eps, out=None, work=None):
+def _fp_rows(dt, grid, eps, out=None):
+    """The velocity factors (lower, upper) of the relaxation's off-diagonals
+    for a sub-step of dt at eps: -a exp(-dv xi_{j+1/2} / 2) and
+    -a exp(+dv xi_{j+1/2} / 2) over the interior edges, with
+    a = dt/(eps dv^2), each padded with its corner entry 0 (first and last).
+    A ValueError for an eps that is not positive, a SolverError when a
+    overflows; out: two arrays of nv entries."""
+    if not eps > 0:  # written so that NaN fails too
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    dv = grid.dv
+    scale = eps * dv * dv  # 0 when eps is near the smallest double
+    a = dt / scale if scale > 0.0 else math.inf
+    if not math.isfinite(a):
+        raise SolverError(f"relaxation coefficient dt/(eps dv^2) overflows at eps = {eps:g}")
+    lower, upper = out if out else (np.empty(grid.nv), np.empty(grid.nv))
+    half = 0.5 * dv
+    edges = grid.xi_edges[1:-1]
+    lower[0] = 0.0
+    np.multiply(-a, np.exp(-half * edges), out=lower[1:])
+    np.multiply(-a, np.exp(half * edges), out=upper[:-1])
+    upper[-1] = 0.0
+    return lower, upper
+
+
+def _fp_raw(farr, u, dt, grid, eps, out=None, work=None, rows=None):
     """Backward-Euler solve of the velocity diffusion-drift relaxation
     toward the local Maxwellian M_{rho,u}, with u frozen over the sub-step.
 
@@ -180,29 +254,23 @@ def _fp_raw(farr, u, dt, grid, eps, out=None, work=None):
 
     The coefficients are assembled in the level-0 arrays of work, the run's
     _kernels.CyclicReduction (KineticWork.reduction; a fresh one when None),
-    which the solve then runs in; out may be farr."""
-    if not eps > 0:  # written so that NaN fails too
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    dv = grid.dv
-    scale = eps * dv * dv  # 0 when eps is near the smallest double
-    a = dt / scale if scale > 0.0 else math.inf
-    if not math.isfinite(a):
-        raise SolverError(f"relaxation coefficient dt/(eps dv^2) overflows at eps = {eps:g}")
+    which the solve then runs in; out may be farr. rows: the _fp_rows of dt
+    and eps (KineticWork.fp_rows), built here, with their checks, when None."""
+    lo_row, up_row = _fp_rows(dt, grid, eps) if rows is None else rows
     if work is None:
         work = _kernels.CyclicReduction(*farr.shape)
     lower, diag, upper = work.lower, work.diag, work.upper
     flat_l, flat_d, flat_u = (w.reshape(-1) for w in (lower, diag, upper))
     # exp(+-dv (xi_{j+1/2} - u) / 2) as the outer product of a spatial factor,
-    # copied per cell as in _drift_parts, and a velocity factor applied in
-    # place, with the factor -a folded into the second and the corner entries
-    # lower[:, 0] and upper[:, -1] padded as 0
-    half = 0.5 * dv
-    edges = grid.xi_edges[1:-1]
+    # copied per cell as in _drift_parts, and the velocity factor row applied
+    # in place, which carries the factor -a and the zero corner entries
+    # lower[:, 0] and upper[:, -1]
+    half = 0.5 * grid.dv
     u = np.asarray(u, dtype=float)
     np.copyto(lower, np.exp(half * u)[:, None])
-    lower *= np.concatenate(([0.0], -a * np.exp(-half * edges)))
+    lower *= lo_row
     np.copyto(upper, np.exp(-half * u)[:, None])
-    upper *= np.concatenate((-a * np.exp(half * edges), [0.0]))
+    upper *= up_row
     # diag_j = (1 - lower_{j+1}) - upper_{j-1}; across a row end the shifts
     # read a zero corner entry
     np.subtract(1.0, flat_l[1:], out=flat_d[:-1])
@@ -222,24 +290,27 @@ def kinetic_step(
 ) -> tuple[KineticState, KineticStepReport]:
     """One Strang-split step of the full kinetic equation; walls are the
     scattering blocks (b_lo, b_hi) of wall_kernels and work the run's
-    KineticWork (a fresh one when None). Between the sub-steps the state
-    lives in work.f; the only phase-space array the kernels allocate is the
-    returned state."""
+    KineticWork (a fresh one when None), whose run constants are filled for
+    (dt, eps) here. Between the sub-steps the state lives in work.f; the
+    only phase-space array the kernels allocate is the returned state."""
     if work is None:
         work = KineticWork(grid)
+    work.fill(dt, eps)
     half = 0.5 * dt
-    scratch = work.scratch
+    scratch, speeds = work.scratch, work.speeds
 
-    farr, tr_lo1, tr_hi1 = _transport_raw(f.f, grid, half, walls, out=work.f, scratch=scratch)
+    farr, tr_lo1, tr_hi1 = _transport_raw(f.f, grid, half, walls, out=work.f, scratch=scratch, speeds=speeds)
     # both drag half-steps see the same fluid velocity
-    drift = _drift_parts(fluid.v, grid, out=(work.a_pos, work.a_neg))
-    farr, leak1 = _drag_raw(farr, fluid.v, half, grid, drift, out=farr, scratch=scratch)
+    drag = _drag_constants(fluid.v, half, grid, out=(work.a_pos, work.a_neg))
+    farr, leak1 = _drag_raw(farr, fluid.v, half, grid, drag, out=farr, scratch=scratch)
     u = compute_moments(farr, grid, scratch[0][: farr.size].reshape(farr.shape)).u
-    farr = _fp_raw(farr, u, dt, grid, eps, out=farr, work=work.reduction)
-    farr, leak2 = _drag_raw(farr, fluid.v, half, grid, drift, out=farr, scratch=scratch)
-    farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, walls, scratch=scratch)
+    farr = _fp_raw(farr, u, dt, grid, eps, out=farr, work=work.reduction, rows=work.fp_rows)
+    farr, leak2 = _drag_raw(farr, fluid.v, half, grid, drag, out=farr, scratch=scratch)
+    farr, tr_lo2, tr_hi2 = _transport_raw(farr, grid, half, walls, scratch=scratch, speeds=speeds)
     rep = KineticStepReport(
         max_wall_flux=max(abs(tr_lo1), abs(tr_hi1), abs(tr_lo2), abs(tr_hi2)),
         truncation_leak=leak1 + leak2,
+        cfl_transport=work.cfl_transport,
+        cfl_drag=drag[0],
     )
     return KineticState(f=farr, t=f.t + dt), rep

@@ -398,7 +398,9 @@ def test_cli_simulate_kinetic_and_check_entropy(tmp_path, capsys):
     line = capsys.readouterr().out
     meta = json.loads((out / "run_meta.json").read_text())
     run = run_coupled(ExperimentConfig.from_json(cfg), 0.3)
-    assert set(run.book) == {"max_wall_flux", "truncation_leak", "max_exchange_asym", "min_n"}
+    assert set(run.book) == {
+        "max_wall_flux", "truncation_leak", "max_exchange_asym", "max_cfl_transport", "max_cfl_drag", "min_n"
+    }
     for key, value in run.book.items():
         assert meta[key] == value and f" {key}={value:.6g} " in line, key
     # and so is its audit summary, which check-entropy prints too
@@ -714,10 +716,10 @@ def test_limit_run_min_one_plus_h_reads_every_step(tmp_path):
     assert round(run.book["min_one_plus_h"], 5) == 0.95544 and round(float(run.samples.n.min()), 5) == 0.97363
 
 
-def test_coupled_run_min_n_reads_every_step(tmp_path):
-    # the same rarefying gas as above, coupled to a kinetic phase at rest:
-    # the run's min_n has the bits of a step-by-step march and lies below
-    # both samples
+def _rarefying_coupled_run(tmp_path):
+    """The same rarefying gas as above, coupled to a kinetic phase at rest:
+    the run, and the gas velocities and densities of a step-by-step march of
+    it, from t = 0 to the end."""
     grid = PhaseGrid(nx=64, nv=16)
     ones = np.ones(grid.nx)
     v0 = -0.5 * np.sin(2 * np.pi * grid.x) * np.sin(np.pi * grid.x) ** 2
@@ -727,14 +729,35 @@ def test_coupled_run_min_n_reads_every_step(tmp_path):
     run = harness.run_coupled(cfg, 0.1)
     kin, fl, _ = make_well_prepared(cfg)
     walls = kinetic.wall_kernels(cfg.boundary, grid, cfg.wall_temperature)
-    lows = [float(fl.n.min())]
+    gas = [fl]
     for _ in range(round(cfg.t_final / run.dt)):
         mom = kinfluid.compute_moments(kin, grid)
         kin, _ = kinetic.kinetic_step(kin, fl, run.dt, grid, 0.1, walls)
         fl = harness.ns_step(fl, mom.rho, mom.u, run.dt, grid)
-        lows.append(float(fl.n.min()))
-    assert run.book["min_n"] == min(lows)
+        gas.append(fl)
+    return grid, run, gas
+
+
+def test_coupled_run_min_n_reads_every_step(tmp_path):
+    # the run's min_n has the bits of a step-by-step march and lies below
+    # both samples
+    _, run, gas = _rarefying_coupled_run(tmp_path)
+    assert run.book["min_n"] == min(float(fl.n.min()) for fl in gas)
     assert round(run.book["min_n"], 5) == 0.9557 and round(float(run.reports.n.min()), 5) == 0.97381
+
+
+def test_coupled_run_cfl_book_reads_every_step(tmp_path):
+    # the largest CFL ratios of the run's transport and drag half-steps, the
+    # drag's from the gas velocity at the start of each step, recomputed here
+    # from dt, the grid and the march's v
+    grid, run, gas = _rarefying_coupled_run(tmp_path)
+    half = 0.5 * run.dt
+    assert run.book["max_cfl_transport"] == half * (grid.v_max - 0.5 * grid.dv) / grid.dx
+    drag = [half * (float(np.abs(fl.v).max()) + grid.xi_edges[-2]) / grid.dv for fl in gas[:-1]]
+    assert run.book["max_cfl_drag"] == max(drag)
+    assert min(drag) < max(drag)  # the gas speeds move, so the book reads every step
+    for key in ("max_cfl_transport", "max_cfl_drag"):
+        assert 0.0 < run.book[key] <= 1.0, key
 
 
 @pytest.mark.parametrize(

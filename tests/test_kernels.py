@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinfluid import _kernels
+from kinfluid.core import PhaseGrid
+from kinfluid.kinetic import KineticWork, _transport_raw, _wall_traces, wall_kernels
 
 
 # scalar-loop references for the two upwind sweeps, written cell by cell
@@ -47,15 +49,67 @@ def loop_upwind_drag(f, drift, dt_over_dv):
 
 def test_upwind_transport_matches_loop(rng):
     nx, nv = 12, 16
+    h = nv // 2
     f = rng.random((nx, nv)) + 0.1
     xi = np.linspace(-4, 4, nv)
-    lo = rng.random(nv)
-    hi = rng.random(nv)
+    in_lo, in_hi = rng.random(h), rng.random(h)
+    # the loop's ghost rows: the boundary row on the outgoing half, the
+    # incoming half given
+    lo = np.concatenate((f[0, :h], in_lo))
+    hi = np.concatenate((in_hi, f[-1, h:]))
     # the same arithmetic, operation by operation
     np.testing.assert_array_equal(
-        _kernels.upwind_transport(f, xi, 0.05, lo, hi),
+        _kernels.upwind_transport(f, np.tile(xi * 0.05, nx), in_lo, in_hi),
         loop_upwind_transport(f, xi, 0.05, lo, hi),
     )
+
+
+def two_difference_transport(f, xi, dt_over_dx, ghost_lo, ghost_hi):
+    """upwind_transport as it was before it built one difference per cell:
+    both one-sided differences of [ghost_lo; f; ghost_hi], each times the
+    speeds' part of its sign, broadcast per column, so one of the two
+    products is always an exact zero."""
+    nx, nv = f.shape
+    size = nx * nv
+    d = np.empty(size + nv)
+    t = np.empty(size)
+    out = np.empty_like(f)
+    flat_f, flat_out = np.ravel(f), out.reshape(-1)
+    np.subtract(f[0], ghost_lo, out=d[:nv])
+    np.subtract(flat_f[nv:], flat_f[:-nv], out=d[nv:size])
+    np.subtract(ghost_hi, f[-1], out=d[size:])
+    c = xi * dt_over_dx
+    np.multiply(d[:size].reshape(nx, nv), np.maximum(c, 0.0), out=t.reshape(nx, nv))
+    np.subtract(flat_f, t, out=flat_out)
+    np.multiply(d[nv:].reshape(nx, nv), np.minimum(c, 0.0), out=t.reshape(nx, nv))
+    flat_out -= t
+    return out
+
+
+@pytest.mark.parametrize("nv", [16, 30, 64, 128])
+@pytest.mark.parametrize("boundary", ["specular", "diffuse", "dirichlet_zero"])
+def test_transport_matches_two_difference_kernel(rng, nv, boundary):
+    """One upwind difference per cell gives the bits of the two-difference
+    kernel, state and wall traces, with fresh arrays and in a run's work
+    arrays and Courant numbers, half-step after half-step."""
+    grid = PhaseGrid(nx=37, nv=nv, v_max=8.0)
+    walls = wall_kernels(boundary, grid, 1.3)
+    dt = 0.9 * 2.0 * grid.dx / grid.v_max
+    half = 0.5 * dt
+    work = KineticWork(grid)
+    work.fill(dt, 0.1)
+    h = nv // 2
+    f = rng.random((grid.nx, nv)) + 0.1
+    for _ in range(3):
+        ghost_lo = np.concatenate((f[0, :h], np.einsum("j,jk->k", f[0, :h], walls[0])))
+        ghost_hi = np.concatenate((np.einsum("j,jk->k", f[-1, h:], walls[1]), f[-1, h:]))
+        expected = two_difference_transport(f, grid.xi, half / grid.dx, ghost_lo, ghost_hi)
+        traces = _wall_traces(ghost_lo, ghost_hi, grid)
+        out, *tr = _transport_raw(f, grid, half, walls)
+        assert np.array_equal(out, expected) and tuple(tr) == traces
+        out, *tr = _transport_raw(f, grid, half, walls, out=work.f, scratch=work.scratch, speeds=work.speeds)
+        assert out is work.f and np.array_equal(out, expected) and tuple(tr) == traces
+        f = out.copy()
 
 
 def test_upwind_drag_matches_loop(rng):
@@ -180,12 +234,12 @@ def test_kernels_run_in_given_work_arrays(rng):
     nx, nv = 8, 16
     f = rng.random((nx, nv)) + 0.1
     work = tuple(np.empty((nx + 1) * nv) for _ in range(4))
-    xi = np.linspace(-4, 4, nv)
-    lo, hi = rng.random(nv), rng.random(nv)
+    c = np.tile(np.linspace(-4, 4, nv) * 0.05, nx)
+    in_lo, in_hi = rng.random(nv // 2), rng.random(nv // 2)
     out = np.empty_like(f)
-    res = _kernels.upwind_transport(f, xi, 0.05, lo, hi, out=out, work=work[:2])
+    res = _kernels.upwind_transport(f, c, in_lo, in_hi, out=out, work=work[:2])
     assert res is out
-    np.testing.assert_array_equal(out, _kernels.upwind_transport(f, xi, 0.05, lo, hi))
+    np.testing.assert_array_equal(out, _kernels.upwind_transport(f, c, in_lo, in_hi))
     a = rng.standard_normal((nx, nv))
     a[:, -1] = 0.0
     a_pos, a_neg = np.maximum(a, 0.0), np.minimum(a, 0.0)
