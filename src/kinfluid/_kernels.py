@@ -9,8 +9,30 @@ and an optional work=: a tuple of flat float64 scratch arrays for the upwind
 sweeps, and for the solve a CyclicReduction, which holds every level of the
 reduction and its views. With both given a kernel allocates no array of its
 own.
+
+The drag builds one flux per interface, the drift a times the upwind value
+(f_j where a >= 0, f_{j+1} where a < 0), from a signed drift and a boolean
+mask of its negative entries, both built once per step by its caller.
+
+aligned_empty allocates arrays that start on a 64-byte boundary, as the run's
+work arrays and the reduction's levels do: the kernels' passes run up to a
+third slower at the 16-, 32- or 48-byte offsets numpy's heap may give.
 """
 import numpy as np
+
+# a cache line, and the width of an AVX-512 register
+_ALIGN = 64
+
+
+def aligned_empty(shape, dtype=float):
+    """An uninitialized C-contiguous array of shape and dtype whose first
+    entry sits on a 64-byte boundary: a view into a byte buffer 64 bytes
+    longer, sliced to the boundary (numpy has no aligned empty)."""
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    buf = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % _ALIGN
+    return buf[start : start + nbytes].view(dtype).reshape(shape)
 
 
 def _flat(arr, size):
@@ -54,15 +76,17 @@ def upwind_transport(f, c, in_lo, in_hi, out=None, work=None):
     return out
 
 
-def upwind_drag(f, a_pos, a_neg, dt_over_dv, out=None, work=None):
+def upwind_drag(f, a, upwind_next, dt_over_dv, out=None, work=None):
     """Conservative upwind advection along the velocity axis.
 
-    a_pos/a_neg are the parts max(a, 0) and min(a, 0) of the drift speed a
-    at the upper interface of each cell, (nx, nv) arrays whose last column
-    (the velocity cut) must be 0: the flux a_pos f_j + a_neg f_{j+1} is then
-    zero through both cuts, also where the ravel runs from one row into the
-    next. work: two flat arrays of at least nx*nv+1 and nx*nv entries. out
-    may be f.
+    a is the drift speed at the upper interface of each cell, an (nx, nv)
+    array whose last column (the velocity cut) must be 0, and upwind_next the
+    boolean mask a < 0 of the interfaces whose upwind value is the next
+    cell's. The flux a f_up is then zero through both cuts, also where the
+    ravel runs from one row into the next. It is a+ f_j + a- f_{j+1} with
+    the product that is always an exact zero left out. work: two flat arrays
+    of at least nx*nv+1 and nx*nv entries; on return the first holds the
+    flux through each cell's lower interface, 0 first. out may be f.
     """
     nx, nv = f.shape
     size = nx * nv
@@ -72,11 +96,12 @@ def upwind_drag(f, a_pos, a_neg, dt_over_dv, out=None, work=None):
     if out is None:
         out = np.empty_like(f)
     flat_f, flat_out = np.ravel(f), _flat(out, size)
-    # flux[k] is the flux through the lower interface of flat cell k
+    # flux[k] is the flux through the lower interface of flat cell k: the
+    # upwind value, f_j, or f_{j+1} where the mask is set, times the drift
     flux[0] = 0.0
-    np.multiply(np.ravel(a_pos), flat_f, out=flux[1:])
-    np.multiply(np.ravel(a_neg)[:-1], flat_f[1:], out=t[:-1])
-    flux[1:-1] += t[:-1]
+    np.copyto(flux[1:], flat_f)
+    np.copyto(flux[1:-1], flat_f[1:], where=np.ravel(upwind_next)[:-1])
+    flux[1:] *= np.ravel(a)
     np.subtract(flux[1:], flux[:-1], out=t)
     t *= dt_over_dv
     np.subtract(flat_f, t, out=flat_out)
@@ -115,15 +140,16 @@ class CyclicReduction:
     k + 1 is the reduced system of the even equations of level k, written
     contiguously, so every level reads its inputs at stride 2. The levels
     above 0 take about four more arrays of batch*n doubles, in one packed
-    buffer. Level 0's right-hand side is the solve's out array, so its few
-    views are the only ones a solve builds. work: four flat arrays of at
-    least batch*n entries; fresh ones when None.
+    buffer, each level starting on a 64-byte boundary. Level 0's right-hand
+    side is the solve's out array, so its few views are the only ones a
+    solve builds. work: four flat arrays of at least batch*n entries; fresh
+    aligned ones when None.
     """
 
     def __init__(self, batch, n, work=None):
         size = batch * n
         if work is None:
-            work = tuple(np.empty(size) for _ in range(4))
+            work = tuple(aligned_empty(size) for _ in range(4))
         a, b, c, t = (_flat(w, size) for w in work)
         self.shape = (batch, n)
         self.lower, self.diag, self.upper = (w.reshape(batch, n) for w in (a, b, c))
@@ -133,13 +159,15 @@ class CyclicReduction:
         sizes = [size]
         while len(sizes) < top.bit_length():
             sizes.append((sizes[-1] + 1) // 2)
-        # (a, b, c, x) of each level; level 0's x is the solve's out
+        # (a, b, c, x) of each level; level 0's x is the solve's out. Each
+        # level takes a multiple of 8 doubles, so each starts 64-byte aligned
         levels = [(a, b, c, None)]
-        packed = np.empty((4, sum(sizes[1:])))
+        spans = [-(-m // 8) * 8 for m in sizes[1:]]
+        packed = aligned_empty((4, sum(spans)))
         start = 0
-        for m in sizes[1:]:
+        for m, span in zip(sizes[1:], spans):
             levels.append(tuple(packed[:, start : start + m]))
-            start += m
+            start += span
         self.levels = [_level_views(*lo[:3], *hi, t) for lo, hi in zip(levels, levels[1:])]
         self.x_views = [_x_views(x) for _, _, _, x in levels[1:-1]]
         self.b_top, self.x_top = levels[-1][1::2]  # x_top is None when the top is level 0

@@ -143,8 +143,14 @@ def main_converge(argv=None) -> int:
     else:
         local = ",".join(f"{k:.4f}" for k in result.local_slopes)
         print(f"fitted slope={result.slope:.4f} local slopes={local} monotone={result.monotone} -> {csv_path}")
-        if not result.monotone:
-            print("warning: sup_H not monotone across eps", file=sys.stderr)
+    # each run is judged as simulate-kinetic judges it; a failed audit is the
+    # one stderr line, in place of the monotonicity warning
+    failed = [run.eps for run in result.runs if not run.audit.passes(cfg.audit_tolerance)]
+    if failed:
+        print(f"entropy audit failed at eps={','.join(f'{eps:g}' for eps in failed)}", file=sys.stderr)
+        return EXIT_AUDIT
+    if not (result.degenerate or result.monotone):
+        print("warning: sup_H not monotone across eps", file=sys.stderr)
     return EXIT_OK
 
 

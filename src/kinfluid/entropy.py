@@ -125,7 +125,7 @@ def _maxwellian_passes(farr, rho, u, grid: PhaseGrid, work: KineticWork) -> tupl
     # M falls off away from u, so each row's smallest entry sits at a velocity cut
     floored = float(m[:, :: nv - 1].min()) < _F_FLOOR
     flat_m = np.ravel(m)
-    z, w = np.ravel(work.a_pos), np.ravel(work.a_neg)
+    z, w = np.ravel(work.drift), work.scratch[3][:size]
     log_z, t, d = (s[:size] for s in work.scratch[:3])
 
     np.subtract(flat_f, flat_m, out=t)

@@ -64,6 +64,19 @@ _PROFILES = ("local_maxwellian_wave", "equilibrium", "custom")
 # CFL bound that would need more is a config error, not a run that never ends.
 MAX_STEPS = 100_000
 
+# Largest number of cells, nx * nv, of one run's phase space, and so of the
+# other blocks a run sizes before its first step: the two wall blocks of
+# (nv/2)^2 entries each, and the sample record of n_samples + 1 rows of four
+# (nx,) fields. A coupled run's KineticWork holds about 11 arrays of nx * nv
+# doubles (the state between sub-steps, the drift, four scratch arrays, the
+# Courant numbers and the relaxation's packed levels, about 4), and the run
+# two more states, so one of MAX_CELLS = 2^24 cells takes about 1.6 GiB, and
+# each of the other blocks at most 0.5 GiB: far above the runs the tests, CI
+# and the benchmark make (at most 2^14 cells, 128 x 128 and 256 x 64). A
+# grid above it is a config error, checked before any array is built, not
+# an allocation that fails or commits memory as the run goes.
+MAX_CELLS = 1 << 24
+
 
 @dataclass
 class ExperimentConfig:
@@ -106,6 +119,14 @@ class ExperimentConfig:
             raise ConfigError("gamma must exceed 1")
         if not self.audit_tolerance >= 0:
             raise ConfigError("audit_tolerance must be nonnegative (the slack at t = 0 is 0)")
+        sizes = {
+            "nx * nv": self.nx * self.nv,
+            "(nv/2)^2": (self.nv // 2) ** 2,
+            "(n_samples + 1) * nx": (self.n_samples + 1) * self.nx,
+        }
+        for name, size in sizes.items():
+            if size > MAX_CELLS:
+                raise ConfigError(f"{name} = {size} exceeds MAX_CELLS = {MAX_CELLS}")
         try:
             wall_kernels(self.boundary, self.grid(), self.wall_temperature)
         except ValueError as exc:

@@ -91,14 +91,17 @@ def _wall_traces(row_lo, row_hi, grid) -> tuple[float, float]:
 
 class KineticWork:
     """The work arrays of kinetic_step for one grid, built once per run: the
-    state between sub-steps, the two drift parts of the drag, four flat
-    scratch arrays that each sub-step's kernel runs in, and the relaxation's
-    _kernels.CyclicReduction. Seven arrays of nx*nv doubles, the scratch ones
-    a row longer for the transport's interface rows. The reduction's first
-    level is the scratch arrays, where the relaxation assembles its matrix;
-    its higher levels take about four arrays more, and the views of every
-    level are built here, once. Between steps they hold nothing, and the
-    moments and the entropy report of a sample run in them.
+    state between sub-steps, the drag's signed drift and its upwind mask,
+    four flat scratch arrays that each sub-step's kernel runs in, and the
+    relaxation's _kernels.CyclicReduction. Six arrays of nx*nv doubles and
+    one of nx*nv booleans, the scratch ones a row longer for the transport's
+    interface rows. The reduction's first level is the scratch arrays, where
+    the relaxation assembles its matrix; its higher levels take about four
+    arrays more, and the views of every level are built here, once. Between
+    steps they hold nothing, and the moments and the entropy report of a
+    sample run in them. Every phase-space array starts on a 64-byte
+    boundary (_kernels.aligned_empty), so the kernels' speed does not depend
+    on where the heap puts them.
 
     It also holds the run constants of one (dt, eps), which fill writes in
     place: the transport half-step's Courant numbers as one more flat nx*nv
@@ -106,13 +109,14 @@ class KineticWork:
 
     def __init__(self, grid: PhaseGrid):
         shape = (grid.nx, grid.nv)
+        size = grid.nx * grid.nv
         self.grid = grid
-        self.f = np.empty(shape)
-        self.a_pos = np.empty(shape)
-        self.a_neg = np.empty(shape)
-        self.scratch = tuple(np.empty((grid.nx + 1) * grid.nv) for _ in range(4))
+        self.f = _kernels.aligned_empty(shape)
+        self.drift = _kernels.aligned_empty(shape)
+        self.upwind = _kernels.aligned_empty(shape, bool)
+        self.scratch = tuple(_kernels.aligned_empty(size + grid.nv) for _ in range(4))
         self.reduction = _kernels.CyclicReduction(grid.nx, grid.nv, self.scratch)
-        self.speeds = np.empty(grid.nx * grid.nv)
+        self.speeds = _kernels.aligned_empty(size)
         self.fp_rows = (np.empty(grid.nv), np.empty(grid.nv))
         self.cfl_transport = math.nan
         self.filled_for = None
@@ -168,26 +172,26 @@ def _transport_raw(farr, grid, dt, walls, out=None, scratch=None, speeds=None):
     return fnew, trace_lo, trace_hi
 
 
-def _drift_parts(fluid_v, grid, out=None):
-    """(max(a, 0), min(a, 0)) of the drag's drift a = v - xi_{j+1/2} at the
-    upper interface of each cell, as (nx, nv) arrays whose last column, the
-    velocity cut, is 0."""
+def _drift(fluid_v, grid, out=None):
+    """(a, a < 0) of the drag's drift a = v - xi_{j+1/2} at the upper
+    interface of each cell: a as an (nx, nv) array whose last column, the
+    velocity cut, is 0, and the boolean mask of the interfaces whose upwind
+    value is the next cell's."""
     v = np.asarray(fluid_v, dtype=float)
-    a_pos, a_neg = out if out else (np.empty((grid.nx, grid.nv)), np.empty((grid.nx, grid.nv)))
+    a, upwind = out if out else (np.empty((grid.nx, grid.nv)), np.empty((grid.nx, grid.nv), dtype=bool))
     # the per-cell v copied, then the per-velocity edges taken off in place:
     # one iterator buffer, where np.subtract.outer takes two
-    np.copyto(a_pos, v[:, None])
-    a_pos -= grid.xi_edges[1:]
-    a_pos[:, -1] = 0.0
-    np.minimum(a_pos, 0.0, out=a_neg)
-    np.maximum(a_pos, 0.0, out=a_pos)
-    return a_pos, a_neg
+    np.copyto(a, v[:, None])
+    a -= grid.xi_edges[1:]
+    a[:, -1] = 0.0
+    np.less(a, 0.0, out=upwind)
+    return a, upwind
 
 
 def _drag_constants(fluid_v, dt, grid, out=None):
     """What the drag sub-steps of dt under fluid velocity v share:
     (cfl, drift, leak_weights), with the CFL ratio checked (a CFLError above
-    1), the _drift_parts of v (in out when given) and, per cell, the outflow
+    1), the _drift of v (in out when given) and, per cell, the outflow
     speeds max(v - xi_max, 0) and max(xi_min - v, 0) through the two
     velocity cuts."""
     v = np.asarray(fluid_v, dtype=float)
@@ -201,21 +205,23 @@ def _drag_constants(fluid_v, dt, grid, out=None):
     a_bot = v - edges[0]
     a_top = v - edges[-1]
     leak_weights = (np.maximum(a_top, 0.0), np.maximum(-a_bot, 0.0))
-    return cfl, _drift_parts(v, grid, out), leak_weights
+    return cfl, _drift(v, grid, out), leak_weights
 
 
 def _drag_raw(farr, fluid_v, dt, grid, consts=None, out=None, scratch=None):
-    """Upwind advection in velocity with per-cell drift v - xi.
+    """Upwind advection in velocity with per-cell drift v - xi: through
+    each interface the flux a f_up, the signed drift times the upwind value.
 
     Zero flux is imposed at the velocity cut; the would-be outflow there is
     returned as the suppressed-leak diagnostic (zero unless |v| exceeds
     v_max). consts: the _drag_constants of fluid_v and dt, built here, with
-    the CFL check, when None; out and scratch (KineticWork.scratch) are the
-    kernel's out and work arrays."""
-    _, (a_pos, a_neg), (w_top, w_bot) = _drag_constants(fluid_v, dt, grid) if consts is None else consts
+    the CFL check, when None; their drift and upwind mask live in
+    KineticWork.drift and KineticWork.upwind in a run. out and scratch
+    (KineticWork.scratch) are the kernel's out and work arrays."""
+    _, (a, upwind), (w_top, w_bot) = _drag_constants(fluid_v, dt, grid) if consts is None else consts
     leak = dt * grid.dx * grid.dv * float(np.sum(w_top * farr[:, -1] + w_bot * farr[:, 0]))
     work = scratch[:2] if scratch else None
-    fnew = _kernels.upwind_drag(farr, a_pos, a_neg, dt / grid.dv, out=out, work=work)
+    fnew = _kernels.upwind_drag(farr, a, upwind, dt / grid.dv, out=out, work=work)
     return fnew, leak
 
 
@@ -262,7 +268,7 @@ def _fp_raw(farr, u, dt, grid, eps, out=None, work=None, rows=None):
     lower, diag, upper = work.lower, work.diag, work.upper
     flat_l, flat_d, flat_u = (w.reshape(-1) for w in (lower, diag, upper))
     # exp(+-dv (xi_{j+1/2} - u) / 2) as the outer product of a spatial factor,
-    # copied per cell as in _drift_parts, and the velocity factor row applied
+    # copied per cell as in _drift, and the velocity factor row applied
     # in place, which carries the factor -a and the zero corner entries
     # lower[:, 0] and upper[:, -1]
     half = 0.5 * grid.dv
@@ -301,7 +307,7 @@ def kinetic_step(
 
     farr, tr_lo1, tr_hi1 = _transport_raw(f.f, grid, half, walls, out=work.f, scratch=scratch, speeds=speeds)
     # both drag half-steps see the same fluid velocity
-    drag = _drag_constants(fluid.v, half, grid, out=(work.a_pos, work.a_neg))
+    drag = _drag_constants(fluid.v, half, grid, out=(work.drift, work.upwind))
     farr, leak1 = _drag_raw(farr, fluid.v, half, grid, drag, out=farr, scratch=scratch)
     u = compute_moments(farr, grid, scratch[0][: farr.size].reshape(farr.shape)).u
     farr = _fp_raw(farr, u, dt, grid, eps, out=farr, work=work.reduction, rows=work.fp_rows)

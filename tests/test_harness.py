@@ -190,6 +190,34 @@ def test_cadence_bounds_the_step_count():
         tiny_config(n_samples=harness.MAX_STEPS + 1)
 
 
+@pytest.mark.parametrize(
+    "kw, name",
+    [
+        (dict(nx=64, nv=100_000_000), r"nx \* nv"),
+        (dict(nx=4_000_000_000, nv=64), r"nx \* nv"),
+        (dict(nx=2, nv=2**13 + 2), r"\(nv/2\)\^2"),
+        (dict(nx=2**18, nv=8, n_samples=64), r"\(n_samples \+ 1\) \* nx"),
+        (dict(nx=2**18 + 1, nv=64), r"nx \* nv"),
+    ],
+)
+def test_config_rejects_a_grid_above_max_cells(monkeypatch, kw, name):
+    """A grid whose phase space, wall blocks or sample record exceeds
+    MAX_CELLS is a ConfigError naming the bound, raised before any block of
+    that size is built: no wall block, no grid array."""
+
+    def no_block(*args):
+        raise AssertionError("wall_kernels reached")
+
+    monkeypatch.setattr(harness, "wall_kernels", no_block)
+    with pytest.raises(ConfigError, match=f"^{name} = [0-9]+ exceeds MAX_CELLS = {harness.MAX_CELLS}$"):
+        ExperimentConfig(**kw)
+
+
+def test_config_admits_a_grid_of_max_cells():
+    cfg = ExperimentConfig(nx=2**18, nv=64, n_samples=63)
+    assert cfg.nx * cfg.nv == (cfg.n_samples + 1) * cfg.nx == harness.MAX_CELLS
+
+
 def test_equilibrium_sweep_reported_degenerate(tmp_path, capsys):
     from kinfluid.harness import run_convergence
 
@@ -588,8 +616,10 @@ def test_cli_input_checks_exit_with_one_line(tmp_path, capsys, case):
 
 _DROP = "<drop>"
 _BAD_VALUES = [_DROP, None, True, "x", [], {}, -1, 0, 1, 2, -0.5, 0.5, 1e300, math.nan, math.inf, -math.inf]
-# a huge count only where it cannot size an array before the checks see it
+# a huge count only where it cannot size an array before the checks see it;
+# huge grids, which the MAX_CELLS check rejects before any array is built
 _HUGE_SAMPLES = ("n_samples", 10**12)
+_HUGE_GRIDS = [("nx", 4_000_000_000), ("nv", 100_000_000), ("nx", 2**24), ("nv", 2**13 + 2)]
 _BAD_EPS_LISTS = [[], [0.4], [0.1, 0.4], [0.4, 0.2, math.nan], [math.inf, 0.2, 0.1], [0.4, 0.2, -0.1], ["a"]]
 _BAD_STATES = ["missing", "directory", "not_json", "escaping", "short", "wrong_nx", "bad_walls"]
 
@@ -627,7 +657,8 @@ def _bad_custom_state(tmp: Path, kind: str) -> Path:
 _CONFIG_EDITS = st.fixed_dictionaries({
     "edits": st.lists(
         st.tuples(st.sampled_from([f.name for f in fields(ExperimentConfig)]), st.sampled_from(_BAD_VALUES))
-        | st.just(_HUGE_SAMPLES),
+        | st.just(_HUGE_SAMPLES)
+        | st.sampled_from(_HUGE_GRIDS),
         max_size=3,
     ),
     "eps_list": st.sampled_from([None, *_BAD_EPS_LISTS]),
@@ -659,6 +690,8 @@ def _edited_config(tmp: Path, case: dict) -> Path:
 @example(case={"edits": [("t_final", 1e300)], "eps_list": None, "custom_state": None})
 @example(case={"edits": [_HUGE_SAMPLES], "eps_list": None, "custom_state": None})
 @example(case={"edits": [("x_hi", 1e300)], "eps_list": None, "custom_state": None})
+@example(case={"edits": [("nx", 64), ("nv", 100_000_000)], "eps_list": None, "custom_state": None})
+@example(case={"edits": [("nx", 4_000_000_000), ("nv", 64)], "eps_list": None, "custom_state": None})
 def test_cli_fuzzed_config_exit_codes(case):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _edited_config(Path(tmp), case)
@@ -910,6 +943,24 @@ def test_cli_simulate_kinetic_audit_failure(tmp_path, capsys):
     assert {"series.json", "state_final.json", "run_meta.json"} <= {p.name for p in out.iterdir()}
     assert json.loads((out / "run_meta.json").read_text())["audit"]["slack_entropy_budget"] < 0
     assert main_check_entropy(["--run", str(out)]) == EXIT_AUDIT
+
+
+def test_cli_converge_audit_failure(tmp_path, capsys):
+    # the same hot wall in a sweep: every run's audit fails, so converge
+    # exits 3 after writing its outputs, with one stderr line naming each
+    # failing eps, and its table is the one run_convergence builds
+    cfg = _write_cfg(tmp_path, nx=16, nv=16, t_final=0.1, n_samples=4, eps_list=[0.4, 0.2, 0.1],
+                     boundary="diffuse", wall_temperature=20.0, audit_tolerance=0.0)
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert main_converge(["--config", str(cfg), "--out", str(out)]) == EXIT_AUDIT
+    captured = capsys.readouterr()
+    assert captured.err == "entropy audit failed at eps=0.4,0.2,0.1\n"
+    assert captured.out.startswith("fitted slope=")
+    assert all(s < 0 for s in json.loads((out / "convergence_meta.json").read_text())["audit_slacks"])
+    rows = harness.run_convergence(ExperimentConfig.from_json(cfg)).rows
+    expected = emit_csv(rows, tmp_path / "expected.csv")
+    assert (out / "convergence.csv").read_bytes() == expected.read_bytes()
 
 
 # a plain BLAS product, which shows whether the core types differ, then a

@@ -117,10 +117,11 @@ def test_upwind_drag_matches_loop(rng):
     f = rng.random((nx, nv)) + 0.1
     drift = rng.standard_normal((nx, nv + 1))
     drift[:, 0] = drift[:, -1] = 0.0
-    # the kernel takes the drift at each cell's upper interface, split by sign
+    # the kernel takes the drift at each cell's upper interface and the mask
+    # of the interfaces whose upwind value is the next cell's
     a = drift[:, 1:]
     np.testing.assert_array_equal(
-        _kernels.upwind_drag(f, np.maximum(a, 0.0), np.minimum(a, 0.0), 0.05),
+        _kernels.upwind_drag(f, a, a < 0.0, 0.05),
         loop_upwind_drag(f, drift, 0.05),
     )
 
@@ -242,10 +243,9 @@ def test_kernels_run_in_given_work_arrays(rng):
     np.testing.assert_array_equal(out, _kernels.upwind_transport(f, c, in_lo, in_hi))
     a = rng.standard_normal((nx, nv))
     a[:, -1] = 0.0
-    a_pos, a_neg = np.maximum(a, 0.0), np.minimum(a, 0.0)
     g = f.copy()
-    assert _kernels.upwind_drag(g, a_pos, a_neg, 0.05, out=g, work=work[:2]) is g
-    np.testing.assert_array_equal(g, _kernels.upwind_drag(f, a_pos, a_neg, 0.05))
+    assert _kernels.upwind_drag(g, a, a < 0.0, 0.05, out=g, work=work[:2]) is g
+    np.testing.assert_array_equal(g, _kernels.upwind_drag(f, a, a < 0.0, 0.05))
     lower, upper = -rng.random((nx, nv)), -rng.random((nx, nv))
     diag = 2.0 + rng.random((nx, nv))
     expected = _kernels.thomas_batch(lower, diag, upper, f)

@@ -15,8 +15,9 @@ from kinfluid.core import (
 )
 from kinfluid.kinetic import (
     KineticWork,
+    _drag_constants,
     _drag_raw,
-    _drift_parts,
+    _drift,
     _fp_raw,
     _transport_raw,
     kinetic_step,
@@ -231,6 +232,92 @@ def test_drag_cfl_violation_raises(grid):
         _drag_raw(np.ones((grid.nx, grid.nv)), np.zeros(grid.nx), 10 * grid.dv / grid.v_max, grid)
 
 
+def two_part_drift(v, grid):
+    """The drift as it was before the drag took one signed drift and one
+    upwind value per interface: its parts max(a, 0) and min(a, 0), each a
+    full (nx, nv) array whose cut column is 0."""
+    a_pos = np.empty((grid.nx, grid.nv))
+    np.copyto(a_pos, v[:, None])
+    a_pos -= grid.xi_edges[1:]
+    a_pos[:, -1] = 0.0
+    return np.maximum(a_pos, 0.0), np.minimum(a_pos, 0.0)
+
+
+def two_part_upwind_drag(f, a_pos, a_neg, dt_over_dv):
+    """upwind_drag as it was before: the flux a_pos f_j + a_neg f_{j+1}, one
+    of whose two products is always an exact zero."""
+    size = f.size
+    flux, t = np.empty(size + 1), np.empty(size)
+    flat_f = np.ravel(f)
+    flux[0] = 0.0
+    np.multiply(np.ravel(a_pos), flat_f, out=flux[1:])
+    np.multiply(np.ravel(a_neg)[:-1], flat_f[1:], out=t[:-1])
+    flux[1:-1] += t[:-1]
+    np.subtract(flux[1:], flux[:-1], out=t)
+    t *= dt_over_dv
+    return (flat_f - t).reshape(f.shape)
+
+
+def two_part_kinetic_step(f, v, dt, grid, eps, walls):
+    """kinetic_step's Strang composition with the two-part drag: (f, leak)."""
+    half = 0.5 * dt
+    _, _, (w_top, w_bot) = _drag_constants(v, half, grid)
+    parts = two_part_drift(v, grid)
+
+    def drag(f):
+        leak = half * grid.dx * grid.dv * float(np.sum(w_top * f[:, -1] + w_bot * f[:, 0]))
+        return two_part_upwind_drag(f, *parts, half / grid.dv), leak
+
+    f, leak1 = drag(_transport_raw(f, grid, half, walls)[0])
+    f, leak2 = drag(_fp_raw(f, compute_moments(f, grid).u, dt, grid, eps))
+    return _transport_raw(f, grid, half, walls)[0], leak1 + leak2
+
+
+@pytest.mark.parametrize("v_amp", [0.5, 9.0])
+@pytest.mark.parametrize("nv", [16, 30, 64, 128])
+@pytest.mark.parametrize("boundary", ["specular", "diffuse", "dirichlet_zero"])
+def test_kinetic_step_matches_two_part_drag(rng, boundary, nv, v_amp):
+    """One signed drift and one upwind value per interface give the bits of
+    the two-part drag, byte for byte (so also the sign of every zero), over
+    20 chained steps in a run's work arrays: on an f with exactly-zero
+    columns and rows, under a gas velocity of both signs, and with |v| above
+    v_max (v_amp 9), where the leak through the velocity cut is not 0."""
+    grid = PhaseGrid(nx=37, nv=nv, v_max=8.0)
+    walls = wall_kernels(boundary, grid, 1.3)
+    v = v_amp * np.sin(2 * np.pi * grid.x)
+    fl = FluidState(n=np.ones(grid.nx), v=v)
+    # both CFL ratios at most 0.8
+    dt = 0.8 * min(2.0 * grid.dx / grid.v_max, 2.0 * grid.dv / (v_amp + grid.v_max))
+    f = rng.random((grid.nx, nv)) + 0.1
+    f[:, [0, 1, 3, nv - 2, nv - 1]] = 0.0
+    f[[5, 6]] = 0.0
+    work = KineticWork(grid)
+    state, expected = KineticState(f=f), f
+    for _ in range(20):
+        expected, leak = two_part_kinetic_step(expected, v, dt, grid, 0.1, walls)
+        state, rep = kinetic_step(state, fl, dt, grid, 0.1, walls, work)
+        assert state.f.tobytes() == expected.tobytes()
+        assert rep.truncation_leak == leak
+        assert (rep.truncation_leak > 0.0) == (v_amp > grid.v_max)
+
+
+@pytest.mark.parametrize("nx, nv", [(128, 128), (256, 64), (37, 30), (33, 34)])
+def test_kinetic_work_arrays_are_64_byte_aligned(nx, nv):
+    """Every phase-space array of a run's work set and every packed level of
+    its reduction starts on a 64-byte boundary, whatever the grid."""
+    work = KineticWork(PhaseGrid(nx=nx, nv=nv))
+    starts = [arr.ctypes.data for arr in (work.f, work.drift, work.upwind, *work.scratch, work.speeds)]
+    for level in work.reduction.levels:
+        # the next level's a, c, b and x as _kernels._level_views holds
+        # them: a from its second entry on (left, empty on a last level of
+        # one entry), c, b and x from the first
+        left, right, b1, x1 = level[9], level[11], level[14], level[15]
+        starts += [right.ctypes.data, b1.ctypes.data, x1.ctypes.data]
+        if left.size:
+            starts.append(left.ctypes.data - left.itemsize)
+    assert all(start % 64 == 0 for start in starts)
+
+
 # ---------------------------------------------------------------------------
 # velocity relaxation solve
 # ---------------------------------------------------------------------------
@@ -373,8 +460,8 @@ def test_kinetic_work_refills_its_run_constants(rng, grid):
 
 
 def test_drift_parts_and_relaxation_in_run_work_arrays_allocate_little(rng):
-    """Built in the run's work arrays, the drag's drift parts and the
-    relaxation solve allocate well under one more state array each."""
+    """Built in the run's work arrays, the drag's drift and upwind mask and
+    the relaxation solve allocate well under one more state array each."""
     grid = PhaseGrid(nx=64, nv=64, v_max=8.0)
     work = KineticWork(grid)
     f = random_positive_f(rng, grid)
@@ -383,7 +470,7 @@ def test_drift_parts_and_relaxation_in_run_work_arrays_allocate_little(rng):
     dt = 0.4 * grid.dx / grid.v_max
     farr = f.copy()
     for sub_step in (
-        lambda: _drift_parts(v, grid, out=(work.a_pos, work.a_neg)),
+        lambda: _drift(v, grid, out=(work.drift, work.upwind)),
         lambda: _fp_raw(farr, u, dt, grid, 0.1, out=farr, work=work.reduction),
     ):
         tracemalloc.start()
@@ -392,7 +479,7 @@ def test_drift_parts_and_relaxation_in_run_work_arrays_allocate_little(rng):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 1.07 and 1.08 with numpy 2.4: the iterator buffer of the
+        # measured 1.04 and 1.08 with numpy 2.4: the iterator buffer of the
         # per-velocity row, one state array in size at 64^2
         assert peak <= 1.25 * f.nbytes
 
