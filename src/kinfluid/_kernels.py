@@ -4,11 +4,11 @@ upwind sweeps and the batched tridiagonal solve.
 Every pass works on a C-contiguous (nx, nv) array or on its 1-D ravel, so
 numpy runs one inner loop per operation rather than one per row; the
 transport takes its per-column speeds as a full flat array, so none of its
-passes broadcasts. Each kernel takes an optional out= array for its result
-and an optional work=: a tuple of flat float64 scratch arrays for the upwind
-sweeps, and for the solve a CyclicReduction, which holds every level of the
-reduction and its views. With both given a kernel allocates no array of its
-own.
+passes broadcasts. Each kernel writes its result into the out array it is
+given and runs in the work it is given: a tuple of flat float64 scratch
+arrays for the upwind sweeps, and for the solve a CyclicReduction, which
+holds every level of the reduction and its views. A kernel allocates no
+array of its own.
 
 The drag builds one flux per interface, the drift a times the upwind value
 (f_j where a >= 0, f_{j+1} where a < 0), from a signed drift and a boolean
@@ -42,7 +42,7 @@ def _flat(arr, size):
     return arr.reshape(-1)[:size]
 
 
-def upwind_transport(f, c, in_lo, in_hi, out=None, work=None):
+def upwind_transport(f, c, in_lo, in_hi, out, work):
     """First-order upwind advection in x, one constant speed per column,
     negative on the first nv/2 columns and positive on the rest.
 
@@ -51,16 +51,13 @@ def upwind_transport(f, c, in_lo, in_hi, out=None, work=None):
     nv/2 entries each (the scattered f[0, :nv/2] and f[-1, nv/2:]). work: two
     flat arrays of at least (nx+1)*nv and nx*nv entries. On return the first
     holds the nx+1 interface rows Q, each the upwind value of its interface,
-    so Q's first and last rows are the two wall traces.
+    so Q's first and last rows are the two wall traces. out: an (nx, nv)
+    C-contiguous array.
     """
     nx, nv = f.shape
     h = nv // 2
     size = nx * nv
-    if work is None:
-        work = (np.empty(size + nv), np.empty(size))
     q, t = _flat(work[0], size + nv), _flat(work[1], size)
-    if out is None:
-        out = np.empty_like(f)
     # row r of Q is interface r, between cells r-1 and r: cell r's value on
     # the negative-speed half, cell r-1's on the positive one
     rows = q.reshape(nx + 1, nv)
@@ -76,7 +73,7 @@ def upwind_transport(f, c, in_lo, in_hi, out=None, work=None):
     return out
 
 
-def upwind_drag(f, a, upwind_next, dt_over_dv, out=None, work=None):
+def upwind_drag(f, a, upwind_next, dt_over_dv, out, work):
     """Conservative upwind advection along the velocity axis.
 
     a is the drift speed at the upper interface of each cell, an (nx, nv)
@@ -86,15 +83,12 @@ def upwind_drag(f, a, upwind_next, dt_over_dv, out=None, work=None):
     ravel runs from one row into the next. It is a+ f_j + a- f_{j+1} with
     the product that is always an exact zero left out. work: two flat arrays
     of at least nx*nv+1 and nx*nv entries; on return the first holds the
-    flux through each cell's lower interface, 0 first. out may be f.
+    flux through each cell's lower interface, 0 first. out: an (nx, nv)
+    C-contiguous array, which may be f.
     """
     nx, nv = f.shape
     size = nx * nv
-    if work is None:
-        work = (np.empty(size + 1), np.empty(size))
     flux, t = _flat(work[0], size + 1), _flat(work[1], size)
-    if out is None:
-        out = np.empty_like(f)
     flat_f, flat_out = np.ravel(f), _flat(out, size)
     # flux[k] is the flux through the lower interface of flat cell k: the
     # upwind value, f_j, or f_{j+1} where the mask is set, times the drift
@@ -142,14 +136,12 @@ class CyclicReduction:
     above 0 take about four more arrays of batch*n doubles, in one packed
     buffer, each level starting on a 64-byte boundary. Level 0's right-hand
     side is the solve's out array, so its few views are the only ones a
-    solve builds. work: four flat arrays of at least batch*n entries; fresh
-    aligned ones when None.
+    solve builds. work: four C-contiguous float64 arrays of at least batch*n
+    entries each.
     """
 
-    def __init__(self, batch, n, work=None):
+    def __init__(self, batch, n, work):
         size = batch * n
-        if work is None:
-            work = tuple(aligned_empty(size) for _ in range(4))
         a, b, c, t = (_flat(w, size) for w in work)
         self.shape = (batch, n)
         self.lower, self.diag, self.upper = (w.reshape(batch, n) for w in (a, b, c))
@@ -173,7 +165,7 @@ class CyclicReduction:
         self.b_top, self.x_top = levels[-1][1::2]  # x_top is None when the top is level 0
 
 
-def thomas_batch(lower, diag, upper, rhs, out=None, work=None):
+def thomas_batch(lower, diag, upper, rhs, out, work):
     """Solve one tridiagonal system per row by odd-even cyclic reduction
     (Hockney 1965; Buzbee, Golub & Nielson 1970). lower[:,0] / upper[:,-1] are never read.
 
@@ -197,17 +189,13 @@ def thomas_batch(lower, diag, upper, rhs, out=None, work=None):
     as solving each row alone. Otherwise they run to the top, one unknown
     left in all.
 
-    work: the CyclicReduction of the batch's shape, which holds every level
-    (a fresh one when None); out may be rhs. The inputs stay untouched unless
-    they are work's own level-0 arrays or out.
+    work: the CyclicReduction of the batch's shape, which holds every level;
+    out: a C-contiguous array of rhs's shape, which may be rhs. The inputs
+    stay untouched unless they are work's own level-0 arrays or out.
     """
     batch, n = rhs.shape
-    if work is None:
-        work = CyclicReduction(batch, n)
-    elif work.shape != (batch, n):
+    if work.shape != (batch, n):
         raise ValueError(f"reduction built for shape {work.shape}, not {(batch, n)}")
-    if out is None:
-        out = np.empty_like(rhs)
     flat_x = _flat(out, batch * n)
     for dst, src in zip((work.lower, work.diag, work.upper, flat_x.reshape(batch, n)), (lower, diag, upper, rhs)):
         np.copyto(dst, src)

@@ -134,15 +134,16 @@ def main_converge(argv=None) -> int:
         "monotone": result.monotone,
         "degenerate": result.degenerate,
         "wall_seconds": result.wall_seconds,
-        "audit_slacks": [r.audit.slack_entropy_budget for r in result.runs],
-        "audit_slacks_after_start": [r.audit.slack_after_start for r in result.runs],
+        "runs": [run.record for run in result.runs],
     }
     (out / "convergence_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     if result.degenerate:
-        print(f"sup_H degenerate ({result.degeneracy}); no slope fitted -> {csv_path}")
+        head = f"sup_H degenerate ({result.degeneracy}); no slope fitted"
     else:
         local = ",".join(f"{k:.4f}" for k in result.local_slopes)
-        print(f"fitted slope={result.slope:.4f} local slopes={local} monotone={result.monotone} -> {csv_path}")
+        head = f"fitted slope={result.slope:.4f} local slopes={local} monotone={result.monotone}"
+    worst = min(run.audit.slack_entropy_budget for run in result.runs)
+    print(f"{head} worst_slack={worst:.6g} -> {csv_path}")
     # each run is judged as simulate-kinetic judges it; a failed audit is the
     # one stderr line, in place of the monotonicity warning
     failed = [run.eps for run in result.runs if not run.audit.passes(cfg.audit_tolerance)]

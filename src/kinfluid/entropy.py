@@ -105,7 +105,7 @@ def macroscopic_entropy(st: TwoPhaseState, grid: PhaseGrid) -> float:
     return quad_x(dens, grid)
 
 
-def _maxwellian_passes(farr, rho, u, grid: PhaseGrid, work: KineticWork) -> tuple[float, float, float, float]:
+def _maxwellian_passes(farr, rho, u, work: KineticWork) -> tuple[float, float, float, float]:
     """(P(f|M), D1, ||f - M||_1, int f log(f/M)) of f against the local
     Maxwellian M = M_{rho,u}, all from one evaluation of M, in flat passes
     over the ravel of f and the arrays of work. ||f - M||_1 and int f log(f/M)
@@ -117,6 +117,7 @@ def _maxwellian_passes(farr, rho, u, grid: PhaseGrid, work: KineticWork) -> tupl
     D1 >= 0 vanishes exactly when f/M is constant in velocity, and a relaxation
     step f0 -> f1 at bulk velocity u obeys P(f1|M) - P(f0|M) <= -(dt/eps) D1(f1).
     A velocity pair with an f below _F_FLOOR adds 0 to D1."""
+    grid = work.grid
     nx, nv = farr.shape
     size = nx * nv
     cell = grid.dx * grid.dv
@@ -179,21 +180,19 @@ def csiszar_kullback_margin(report: EntropyReport, l1_gap: float) -> float:
 
 
 def evaluate_entropy_report(
-    f: KineticState, fl: FluidState, mom: MomentSet, grid: PhaseGrid, work: KineticWork | None = None
+    f: KineticState, fl: FluidState, mom: MomentSet, work: KineticWork
 ) -> tuple[EntropyReport, float]:
     """All functionals at one time level, and ||f - M||_1 for the
     Csiszar-Kullback margin, from the one local Maxwellian M of the moments
-    mom of f. The phase-space passes run in work, the run's KineticWork (a
-    fresh one when None); F and D2 take the rest from the moments. Per cell,
+    mom of f. The phase-space passes run in work, the run's KineticWork, on
+    its grid; F and D2 take the rest from the moments. Per cell,
     int f (log f + xi^2/2) dxi is int f log(f/M) dxi plus the particle part of
     E's density, - rho log(2 pi)/2 and u (mom - rho u), and int (xi - v)^2 f dxi
     is v^2 rho - 2 v mom + int xi^2 f dxi. A cell with rho <= 0 is a
     VacuumError, raised by the two-phase state of the moments."""
     moment_state = TwoPhaseState(rho=mom.rho, u=mom.u, fluid=fl, t=f.t)
-    rho, u, v = mom.rho, mom.u, fl.v
-    p_f_m, d1, l1_gap, f_log_ratio = _maxwellian_passes(
-        f.f, rho, u, grid, KineticWork(grid) if work is None else work
-    )
+    rho, u, v, grid = mom.rho, mom.u, fl.v, work.grid
+    p_f_m, d1, l1_gap, f_log_ratio = _maxwellian_passes(f.f, rho, u, work)
     xi_sq_f = grid.dx * grid.dv * float(np.einsum("ij,j->", f.f, grid.xi * grid.xi))
     grad_v_sq = dirichlet_grad_sq(v, grid)
     e = macroscopic_entropy(moment_state, grid)

@@ -258,14 +258,23 @@ class CoupledRun:
     reports: np.recarray
     f_final: KineticState
     fluid_final: FluidState
-    # max_wall_flux, truncation_leak, max_exchange_asym, the CFL ratios
-    # max_cfl_transport and max_cfl_drag, and min_n over t = 0 and every
-    # step, not only the samples
+    # max_wall_flux, wall_outflow, truncation_leak, max_exchange_asym, the
+    # CFL ratios max_cfl_transport and max_cfl_drag, and min_n over t = 0 and
+    # every step, not only the samples
     book: dict[str, float]
     ck_margin_min: float
     audit: AuditRecord
     dt: float
     wall_seconds: float
+
+    @property
+    def record(self) -> dict:
+        """The run's scalars by name, as run_meta.json and each runs entry
+        of convergence_meta.json carry them."""
+        return {
+            "eps": self.eps, "dt": self.dt, "wall_seconds": self.wall_seconds,
+            "audit": self.audit.summary, "ck_margin_min": self.ck_margin_min, **self.book,
+        }
 
 
 def _cadence(config: ExperimentConfig, dt_target: float) -> tuple[float, int, int]:
@@ -305,33 +314,35 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     if grid.nv < 4:
         raise ConfigError("coupled runs need nv >= 4 (the entropy diagnostics' velocity stencil)")
     walls = wall_kernels(config.boundary, grid, config.wall_temperature)
-    work = KineticWork(grid)
     kin, fl, _ = make_well_prepared(config)
     dt, nt, per = _pick_dt(config, grid, fl)
 
     reports = _sample_record(config, (*_REPORT_FIELDS, "mass_fluid"))
     book = {
-        "max_wall_flux": 0.0, "truncation_leak": 0.0, "max_exchange_asym": 0.0,
+        "max_wall_flux": 0.0, "wall_outflow": 0.0, "truncation_leak": 0.0, "max_exchange_asym": 0.0,
         "max_cfl_transport": 0.0, "max_cfl_drag": 0.0, "min_n": float(fl.n.min()),
     }
 
     def sample(idx, kin, fl, mom):
         """Record time level idx; mom are the moments of kin."""
-        report, l1_gap = evaluate_entropy_report(kin, fl, mom, grid, work)
+        report, l1_gap = evaluate_entropy_report(kin, fl, mom, work)
         reports[idx] = (kin.t, mom.rho, mom.u, fl.n, fl.v, *vars(report).values(), quad_x(fl.n, grid))
         return csiszar_kullback_margin(report, l1_gap)
 
-    # the moments of the current kin: sampled, then the next step's gas drag
-    mom = compute_moments(kin, grid, work.f)
-    ck_min = sample(0, kin, fl, mom)
+    step = 0  # a failure before the first step, such as a run constant failing its check, dumps t = 0
     try:
+        work = KineticWork(grid, dt, eps)
+        # the moments of the current kin: sampled, then the next step's gas drag
+        mom = compute_moments(kin, grid, work.f)
+        ck_min = sample(0, kin, fl, mom)
         for step in range(nt):
-            kin_new, krep = kinetic_step(kin, fl, dt, grid, eps, walls, work)
+            kin_new, krep = kinetic_step(kin, fl, walls, work)
             fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
             dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
             kin, fl = kin_new, fl_new
             mom = compute_moments(kin, grid, work.f)
             book["max_wall_flux"] = max(book["max_wall_flux"], krep.max_wall_flux)
+            book["wall_outflow"] += krep.wall_outflow
             book["truncation_leak"] += krep.truncation_leak
             book["max_exchange_asym"] = max(book["max_exchange_asym"], abs(dpk + dpf))
             book["max_cfl_transport"] = max(book["max_cfl_transport"], krep.cfl_transport)
@@ -563,15 +574,7 @@ def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     save_state(out / "series", {name: run.reports[name] for name in run.reports.dtype.names})
     save_state(out / "state_final", {"f": run.f_final.f, "n": run.fluid_final.n, "v": run.fluid_final.v})
-    meta = {
-        "config": asdict(config),
-        "eps": run.eps,
-        "dt": run.dt,
-        "wall_seconds": run.wall_seconds,
-        "audit": run.audit.summary,
-        "ck_margin_min": run.ck_margin_min,
-        **run.book,
-    }
+    meta = {"config": asdict(config), **run.record}
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     return out
 

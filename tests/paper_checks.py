@@ -20,8 +20,9 @@ from kinfluid.entropy import (
 )
 from kinfluid.fluid import dirichlet_grad_sq
 from kinfluid.harness import CSV_COLUMNS, ConvergenceResult, ExperimentConfig
-from kinfluid.kinetic import KineticWork
 from kinfluid.moments import MomentSet, compute_moments, maxwellian_profile
+
+from conftest import kinetic_work
 
 # (1/2) log(2 pi): the per-unit-mass entropy offset between a 1-D local
 # Maxwellian and its macroscopic counterpart
@@ -64,9 +65,9 @@ def dissipation_d2(f: KineticState, fl: FluidState, grid: PhaseGrid) -> float:
 
 def maxwellian_gap(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float, float]:
     """(P(f|M), D1, ||f - M||_1) of f against M = M_{rho,u}, as the entropy
-    report computes them (entropy._maxwellian_passes), in a fresh KineticWork."""
+    report computes them (entropy._maxwellian_passes), in a new KineticWork."""
     rho, u = np.asarray(rho, dtype=float), np.asarray(u, dtype=float)
-    return _maxwellian_passes(f.f, rho, u, grid, KineticWork(grid))[:3]
+    return _maxwellian_passes(f.f, rho, u, kinetic_work(grid))[:3]
 
 
 def maxwellian_gap_direct(f: KineticState, rho, u, grid: PhaseGrid) -> tuple[float, float, float]:

@@ -28,6 +28,7 @@ from kinfluid.limit import (
 )
 from kinfluid.moments import maxwellian
 
+from conftest import kinetic_work
 from paper_checks import check_pressure_bounds, density_positivity_check, relative_entropy_bregman
 
 
@@ -109,7 +110,7 @@ def test_criterion_04_maxwellian_stationarity():
     worst = 0.0
     for eps in (1.0, 0.1, 0.01):
         f = maxwellian(rho, u, grid).f
-        out = _fp_raw(f, u, 1e-3, grid, eps)
+        out = _fp_raw(f, u, kinetic_work(grid, 1e-3, eps), np.empty_like(f))
         worst = max(worst, float(np.abs(out - f).max()))
     ok = worst <= 1e-10
     _report(4, "Maxwellian stationarity", ok, f"worst per-step drift {worst:.2e}")

@@ -17,10 +17,10 @@ from kinfluid.entropy import (
     relative_pressure_tilde,
 )
 from kinfluid.harness import ExperimentConfig, run_coupled
-from kinfluid.kinetic import KineticWork, _fp_raw
+from kinfluid.kinetic import KineticWork, _fp_raw, kinetic_step, wall_kernels
 from kinfluid.moments import compute_moments, maxwellian
 
-from conftest import random_positive_f
+from conftest import kinetic_work, random_positive_f
 from paper_checks import (
     check_pressure_bounds,
     dissipation_d2,
@@ -39,7 +39,7 @@ def _unit_fluid(grid, gamma=2.0):
 
 
 def _report(f, fl, grid):
-    return evaluate_entropy_report(f, fl, compute_moments(f, grid), grid)[0]
+    return evaluate_entropy_report(f, fl, compute_moments(f, grid), kinetic_work(grid))[0]
 
 
 def random_two_phase(rng, grid, gamma=2.0):
@@ -114,7 +114,7 @@ def test_relaxation_step_dissipates_d1(rng, nv, eps):
     dt = 0.01
     f0 = random_positive_f(rng, grid)
     mom = compute_moments(f0, grid)
-    f1 = _fp_raw(f0, mom.u, dt, grid, eps)
+    f1 = _fp_raw(f0, mom.u, kinetic_work(grid, dt, eps), np.empty_like(f0))
     p0, _, _ = maxwellian_gap(KineticState(f=f0), mom.rho, mom.u, grid)
     p1, d1, _ = maxwellian_gap(KineticState(f=f1), mom.rho, mom.u, grid)
     assert d1 > 0.0
@@ -322,7 +322,7 @@ def test_csiszar_kullback_margin_nonnegative(rng, grid):
     for _ in range(10):
         f = KineticState(f=random_positive_f(rng, grid))
         mom = compute_moments(f, grid)
-        report, l1_gap = evaluate_entropy_report(f, _unit_fluid(grid), mom, grid)
+        report, l1_gap = evaluate_entropy_report(f, _unit_fluid(grid), mom, kinetic_work(grid))
         assert csiszar_kullback_margin(report, l1_gap) >= 0.0
 
 
@@ -330,7 +330,7 @@ def test_report_quantities_nonnegative(rng, grid):
     for _ in range(5):
         f = KineticState(f=random_positive_f(rng, grid))
         fl = FluidState(n=0.5 + rng.random(grid.nx), v=0.5 * rng.standard_normal(grid.nx))
-        rep, _ = evaluate_entropy_report(f, fl, compute_moments(f, grid), grid)
+        rep, _ = evaluate_entropy_report(f, fl, compute_moments(f, grid), kinetic_work(grid))
         for name in ("D1", "D2", "P_f_M", "grad_v_sq", "drag_mismatch"):
             assert getattr(rep, name) >= -1e-13, name
 
@@ -369,7 +369,7 @@ def test_entropy_report_matches_direct_formulas(name, farr, grid):
     x = grid.x
     fl = FluidState(n=1.0 + 0.3 * np.cos(2 * np.pi * x), v=0.4 * np.sin(2 * np.pi * x))
     mom = compute_moments(f, grid)
-    report, l1_gap = evaluate_entropy_report(f, fl, mom, grid)
+    report, l1_gap = evaluate_entropy_report(f, fl, mom, kinetic_work(grid))
     direct, l1_direct = entropy_report_direct(f, fl, mom, grid)
     for field in EntropyReport.__dataclass_fields__:
         got, want = getattr(report, field), getattr(direct, field)
@@ -381,27 +381,34 @@ def test_entropy_report_matches_direct_formulas(name, farr, grid):
 
 def test_entropy_report_in_run_work_arrays_allocates_little(rng):
     """One sample in the run's work arrays allocates no phase-space array,
-    leaves f alone and gives the bits of a sample with a fresh work set."""
+    leaves f alone and gives the bits of the same sample in a new work set,
+    sample after sample, with a step in the same arrays between the
+    samples, as a run interleaves them."""
     grid = PhaseGrid(nx=64, nv=64, v_max=8.0)
-    f = KineticState(f=random_positive_f(rng, grid))
-    before = f.f.copy()
+    walls = wall_kernels("specular", grid, 1.0)
     fl = FluidState(n=np.ones(grid.nx), v=0.3 * np.sin(2 * np.pi * grid.x))
-    mom = compute_moments(f, grid)
-    work = KineticWork(grid)
-    fresh = evaluate_entropy_report(f, fl, mom, grid)
-    evaluate_entropy_report(f, fl, mom, grid, work)
-    tracemalloc.start()
-    try:
-        in_work = evaluate_entropy_report(f, fl, mom, grid, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # measured 1.07 with numpy 2.4: the iterator buffer of a broadcast operand
-    # that builds M, one state array in size at 64^2 (direct formulas take
-    # about ten state arrays)
-    assert peak <= 1.25 * f.f.nbytes
-    assert in_work == fresh
-    assert np.array_equal(f.f, before)
+    dt = 0.4 * grid.dx / grid.v_max
+    work = KineticWork(grid, dt, 0.1)
+    f = KineticState(f=random_positive_f(rng, grid))
+    for _ in range(3):
+        f, _ = kinetic_step(f, fl, walls, work)
+        before = f.f.copy()
+        mom = compute_moments(f, grid)
+        new = evaluate_entropy_report(f, fl, mom, KineticWork(grid, dt, 0.1))
+        tracemalloc.start()
+        try:
+            in_work = evaluate_entropy_report(f, fl, mom, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 1.07 with numpy 2.4: the iterator buffer of a broadcast
+        # operand that builds M, one state array in size at 64^2 (direct
+        # formulas take about ten state arrays)
+        assert peak <= 1.25 * f.f.nbytes
+        assert np.array([*vars(in_work[0]).values(), in_work[1]]).tobytes() == (
+            np.array([*vars(new[0]).values(), new[1]]).tobytes()
+        )
+        assert np.array_equal(f.f, before)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +442,8 @@ def test_audit_modified_constant_bounded_under_eps_halving():
 def test_audit_reports_nonnegative_dissipations(rng, grid):
     f = KineticState(f=random_positive_f(rng, grid))
     fl = _unit_fluid(grid)
-    reps = [evaluate_entropy_report(f, fl, compute_moments(f, grid), grid)[0] for _ in range(3)]
+    work = kinetic_work(grid)
+    reps = [evaluate_entropy_report(f, fl, compute_moments(f, grid), work)[0] for _ in range(3)]
     series = {name: np.array([getattr(r, name) for r in reps]) for name in EntropyReport.__dataclass_fields__}
     rec = entropy_inequality_audit({"times": [0.0, 0.1, 0.2], **series}, 0.5)
     assert rec.slacks.shape == (3,)

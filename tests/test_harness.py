@@ -230,7 +230,7 @@ def test_equilibrium_sweep_reported_degenerate(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main_converge(["--config", str(_write_cfg(tmp_path, initial_profile="equilibrium")),
                           "--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("sup_H degenerate (zero gap); no slope fitted -> ")
+    assert capsys.readouterr().out.startswith("sup_H degenerate (zero gap); no slope fitted worst_slack=")
     meta_text = (out / "convergence_meta.json").read_text()
     assert '"slope": null' in meta_text and json.loads(meta_text)["degenerate"] is True
 
@@ -248,7 +248,7 @@ def test_sweep_without_eps_dependence_reported_degenerate(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, nx=8, nv=8, t_final=0.02, n_samples=2, initial_profile="equilibrium")
     assert main_converge(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     captured = capsys.readouterr()
-    assert captured.out.startswith("sup_H degenerate (no eps dependence); no slope fitted -> ")
+    assert captured.out.startswith("sup_H degenerate (no eps dependence); no slope fitted worst_slack=")
     assert "not monotone" not in captured.err
     meta = json.loads((out / "convergence_meta.json").read_text())
     assert meta["degenerate"] is True and meta["slope"] is None
@@ -263,6 +263,25 @@ def test_coupled_run_with_diffuse_walls():
         )
         run = run_coupled(cfg, 0.5)
         assert abs(run.reports[-1].mass - run.reports[0].mass) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "boundary, wall_temperature", [("specular", 1.0), ("diffuse", 0.7), ("diffuse", 1.3), ("dirichlet_zero", 1.0)]
+)
+def test_coupled_run_wall_outflow_books_the_mass_change(boundary, wall_temperature):
+    # mass(T) - mass(0) + wall_outflow = 0 up to rounding for every wall
+    # kind: the transport's mass change telescopes to its wall traces, and
+    # the drag and relaxation conserve mass; the absorbing walls lose a
+    # sizeable share of it
+    cfg = ExperimentConfig(nx=32, nv=32, t_final=0.25, eps_list=[0.1], n_samples=4,
+                           boundary=boundary, wall_temperature=wall_temperature)
+    run = run_coupled(cfg, 0.1)
+    mass0, outflow = run.reports[0].mass, run.book["wall_outflow"]
+    assert abs(run.reports[-1].mass - mass0 + outflow) <= 1e-13 * mass0
+    if boundary == "specular":
+        assert outflow == 0.0
+    elif boundary == "dirichlet_zero":
+        assert outflow > 0.1 * mass0
 
 
 def test_coupled_run_with_outflow_walls_loses_mass_monotonically():
@@ -427,7 +446,8 @@ def test_cli_simulate_kinetic_and_check_entropy(tmp_path, capsys):
     meta = json.loads((out / "run_meta.json").read_text())
     run = run_coupled(ExperimentConfig.from_json(cfg), 0.3)
     assert set(run.book) == {
-        "max_wall_flux", "truncation_leak", "max_exchange_asym", "max_cfl_transport", "max_cfl_drag", "min_n"
+        "max_wall_flux", "wall_outflow", "truncation_leak", "max_exchange_asym", "max_cfl_transport",
+        "max_cfl_drag", "min_n",
     }
     for key, value in run.book.items():
         assert meta[key] == value and f" {key}={value:.6g} " in line, key
@@ -699,19 +719,27 @@ def test_cli_fuzzed_config_exit_codes(case):
             assert main(["--config", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2, 3)
 
 
-def test_cli_converge_writes_outputs(tmp_path):
+def test_cli_converge_writes_outputs(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "sweep"
+    capsys.readouterr()
     rc = main_converge(["--config", str(cfg), "--out", str(out)])
     assert rc == EXIT_OK
     assert (out / "convergence.csv").exists()
     meta = json.loads((out / "convergence_meta.json").read_text())
-    assert "slope" in meta and "audit_slacks" in meta
+    assert "slope" in meta and len(meta["local_slopes"]) == 2
+    # one record per run, in eps_list order, with the keys of a run's
+    # run_meta.json other than its config
+    runs = meta["runs"]
+    assert [r["eps"] for r in runs] == [0.4, 0.2, 0.1]
+    book_keys = {"max_wall_flux", "wall_outflow", "truncation_leak", "max_exchange_asym", "max_cfl_transport",
+                 "max_cfl_drag", "min_n"}
+    assert all(set(r) == {"eps", "dt", "wall_seconds", "audit", "ck_margin_min", *book_keys} for r in runs)
     # the slack at t = 0 is 0, so each worst slack is min(0, the slack after it)
-    after = meta["audit_slacks_after_start"]
-    assert len(after) == len(meta["audit_slacks"]) and all(s != 0.0 for s in after)
-    assert meta["audit_slacks"] == [min(0.0, s) for s in after]
-    assert len(meta["local_slopes"]) == 2
+    slacks = [r["audit"]["slack_entropy_budget"] for r in runs]
+    after = [r["audit"]["slack_after_start"] for r in runs]
+    assert all(s != 0.0 for s in after) and slacks == [min(0.0, s) for s in after]
+    assert f" worst_slack={min(slacks):.6g} -> " in capsys.readouterr().out
 
 
 def test_cli_simulate_limit(tmp_path, capsys):
@@ -762,10 +790,11 @@ def _rarefying_coupled_run(tmp_path):
     run = harness.run_coupled(cfg, 0.1)
     kin, fl, _ = make_well_prepared(cfg)
     walls = kinetic.wall_kernels(cfg.boundary, grid, cfg.wall_temperature)
+    work = kinetic.KineticWork(grid, run.dt, 0.1)
     gas = [fl]
     for _ in range(round(cfg.t_final / run.dt)):
         mom = kinfluid.compute_moments(kin, grid)
-        kin, _ = kinetic.kinetic_step(kin, fl, run.dt, grid, 0.1, walls)
+        kin, _ = kinetic.kinetic_step(kin, fl, walls, work)
         fl = harness.ns_step(fl, mom.rho, mom.u, run.dt, grid)
         gas.append(fl)
     return grid, run, gas
@@ -957,7 +986,8 @@ def test_cli_converge_audit_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "entropy audit failed at eps=0.4,0.2,0.1\n"
     assert captured.out.startswith("fitted slope=")
-    assert all(s < 0 for s in json.loads((out / "convergence_meta.json").read_text())["audit_slacks"])
+    runs = json.loads((out / "convergence_meta.json").read_text())["runs"]
+    assert all(r["audit"]["slack_entropy_budget"] < 0 for r in runs)
     rows = harness.run_convergence(ExperimentConfig.from_json(cfg)).rows
     expected = emit_csv(rows, tmp_path / "expected.csv")
     assert (out / "convergence.csv").read_bytes() == expected.read_bytes()
@@ -978,11 +1008,13 @@ sys.exit(max(codes))
 
 
 def _comparable(path: Path):
-    """A file's bytes, or a JSON sidecar without its wall time."""
+    """A file's bytes, or a JSON sidecar without its wall times, its own and
+    those of the runs it records."""
     if path.suffix != ".json":
         return path.read_bytes()
     data = json.loads(path.read_text())
-    data.pop("wall_seconds", None)
+    for record in (data, *data.get("runs", [])):
+        record.pop("wall_seconds", None)
     return data
 
 

@@ -7,6 +7,26 @@ from kinfluid import _kernels
 from kinfluid.core import PhaseGrid
 from kinfluid.kinetic import KineticWork, _transport_raw, _wall_traces, wall_kernels
 
+from conftest import serve
+
+
+def transport(f, c, in_lo, in_hi):
+    """upwind_transport into a new array, in new scratch arrays."""
+    nx, nv = f.shape
+    return _kernels.upwind_transport(f, c, in_lo, in_hi, np.empty_like(f), (np.empty((nx + 1) * nv), np.empty(nx * nv)))
+
+
+def drag(f, a, upwind_next, dt_over_dv):
+    """upwind_drag into a new array, in new scratch arrays."""
+    return _kernels.upwind_drag(f, a, upwind_next, dt_over_dv, np.empty_like(f), (np.empty(f.size + 1), np.empty(f.size)))
+
+
+def solve(lower, diag, upper, rhs):
+    """thomas_batch into a new array, in a new reduction of rhs's shape."""
+    batch, n = rhs.shape
+    work = tuple(_kernels.aligned_empty(batch * n) for _ in range(4))
+    return _kernels.thomas_batch(lower, diag, upper, rhs, np.empty_like(rhs), _kernels.CyclicReduction(batch, n, work))
+
 
 # scalar-loop references for the two upwind sweeps, written cell by cell
 # from the same contracts as the vectorized kernels
@@ -59,7 +79,7 @@ def test_upwind_transport_matches_loop(rng):
     hi = np.concatenate((in_hi, f[-1, h:]))
     # the same arithmetic, operation by operation
     np.testing.assert_array_equal(
-        _kernels.upwind_transport(f, np.tile(xi * 0.05, nx), in_lo, in_hi),
+        transport(f, np.tile(xi * 0.05, nx), in_lo, in_hi),
         loop_upwind_transport(f, xi, 0.05, lo, hi),
     )
 
@@ -90,14 +110,14 @@ def two_difference_transport(f, xi, dt_over_dx, ghost_lo, ghost_hi):
 @pytest.mark.parametrize("boundary", ["specular", "diffuse", "dirichlet_zero"])
 def test_transport_matches_two_difference_kernel(rng, nv, boundary):
     """One upwind difference per cell gives the bits of the two-difference
-    kernel, state and wall traces, with fresh arrays and in a run's work
-    arrays and Courant numbers, half-step after half-step."""
+    kernel, state and wall traces, in a new work set and in a run's work
+    set that has served steps and entropy reports, half-step after
+    half-step."""
     grid = PhaseGrid(nx=37, nv=nv, v_max=8.0)
     walls = wall_kernels(boundary, grid, 1.3)
     dt = 0.9 * 2.0 * grid.dx / grid.v_max
     half = 0.5 * dt
-    work = KineticWork(grid)
-    work.fill(dt, 0.1)
+    work = serve(KineticWork(grid, dt, 0.1), walls)
     h = nv // 2
     f = rng.random((grid.nx, nv)) + 0.1
     for _ in range(3):
@@ -105,11 +125,12 @@ def test_transport_matches_two_difference_kernel(rng, nv, boundary):
         ghost_hi = np.concatenate((np.einsum("j,jk->k", f[-1, h:], walls[1]), f[-1, h:]))
         expected = two_difference_transport(f, grid.xi, half / grid.dx, ghost_lo, ghost_hi)
         traces = _wall_traces(ghost_lo, ghost_hi, grid)
-        out, *tr = _transport_raw(f, grid, half, walls)
-        assert np.array_equal(out, expected) and tuple(tr) == traces
-        out, *tr = _transport_raw(f, grid, half, walls, out=work.f, scratch=work.scratch, speeds=work.speeds)
-        assert out is work.f and np.array_equal(out, expected) and tuple(tr) == traces
+        out, *tr = _transport_raw(f, walls, KineticWork(grid, dt, 0.1), np.empty_like(f))
+        assert out.tobytes() == expected.tobytes() and tuple(tr) == traces
+        out, *tr = _transport_raw(f, walls, work, work.f)
+        assert out is work.f and out.tobytes() == expected.tobytes() and tuple(tr) == traces
         f = out.copy()
+        serve(work, walls)
 
 
 def test_upwind_drag_matches_loop(rng):
@@ -121,7 +142,7 @@ def test_upwind_drag_matches_loop(rng):
     # of the interfaces whose upwind value is the next cell's
     a = drift[:, 1:]
     np.testing.assert_array_equal(
-        _kernels.upwind_drag(f, a, a < 0.0, 0.05),
+        drag(f, a, a < 0.0, 0.05),
         loop_upwind_drag(f, drift, 0.05),
     )
 
@@ -186,7 +207,7 @@ def test_thomas_batch_matches_dense_solve(rng):
             # the two corner entries lie outside the matrices and are never read
             lower[:, 0] = np.nan
             upper[:, -1] = np.nan
-            out = _kernels.thomas_batch(lower, diag, upper, rhs)
+            out = solve(lower, diag, upper, rhs)
             np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-13, err_msg=f"shape {(nx, n)}")
 
 
@@ -200,9 +221,9 @@ def test_thomas_batch_matches_rows_solved_alone(rng, n, exact):
     upper = -rng.random((nx, n))
     diag = 2.0 + rng.random((nx, n))
     rhs = rng.standard_normal((nx, n))
-    out = _kernels.thomas_batch(lower, diag, upper, rhs)
+    out = solve(lower, diag, upper, rhs)
     alone = np.concatenate([
-        _kernels.thomas_batch(lower[i : i + 1], diag[i : i + 1], upper[i : i + 1], rhs[i : i + 1])
+        solve(lower[i : i + 1], diag[i : i + 1], upper[i : i + 1], rhs[i : i + 1])
         for i in range(nx)
     ])
     if exact:
@@ -223,44 +244,50 @@ def test_thomas_batch_matches_strided_reduction(rng, nx, n):
     diag = 2.0 + rng.random((nx, n))
     rhs = rng.standard_normal((nx, n))
     expected = strided_thomas_batch(lower, diag, upper, rhs)
-    assert np.array_equal(_kernels.thomas_batch(lower, diag, upper, rhs), expected)
-    work = _kernels.CyclicReduction(nx, n)
+    assert np.array_equal(solve(lower, diag, upper, rhs), expected)
+    work = _kernels.CyclicReduction(nx, n, tuple(np.empty(nx * n) for _ in range(4)))
     for _ in range(2):
-        assert np.array_equal(_kernels.thomas_batch(lower, diag, upper, rhs, work=work), expected)
+        assert np.array_equal(_kernels.thomas_batch(lower, diag, upper, rhs, np.empty_like(rhs), work), expected)
 
 
 def test_kernels_run_in_given_work_arrays(rng):
-    """With out= and work= arrays given, each kernel returns out, holding what
-    it returns without them; out may be its input."""
-    nx, nv = 8, 16
-    f = rng.random((nx, nv)) + 0.1
-    work = tuple(np.empty((nx + 1) * nv) for _ in range(4))
+    """Each kernel returns the out array it is given, holding the bits of the
+    same call in a new work set, also in a run's work set that has served
+    steps and entropy reports between the calls; out may be its input."""
+    grid = PhaseGrid(nx=8, nv=16)
+    nx, nv = grid.nx, grid.nv
+    walls = wall_kernels("specular", grid, 1.0)
+    dt = 0.8 * grid.dx / grid.v_max
     c = np.tile(np.linspace(-4, 4, nv) * 0.05, nx)
-    in_lo, in_hi = rng.random(nv // 2), rng.random(nv // 2)
-    out = np.empty_like(f)
-    res = _kernels.upwind_transport(f, c, in_lo, in_hi, out=out, work=work[:2])
-    assert res is out
-    np.testing.assert_array_equal(out, _kernels.upwind_transport(f, c, in_lo, in_hi))
-    a = rng.standard_normal((nx, nv))
-    a[:, -1] = 0.0
-    g = f.copy()
-    assert _kernels.upwind_drag(g, a, a < 0.0, 0.05, out=g, work=work[:2]) is g
-    np.testing.assert_array_equal(g, _kernels.upwind_drag(f, a, a < 0.0, 0.05))
-    lower, upper = -rng.random((nx, nv)), -rng.random((nx, nv))
-    diag = 2.0 + rng.random((nx, nv))
-    expected = _kernels.thomas_batch(lower, diag, upper, f)
-    # the reduction's first level in the same work arrays, the coefficients
-    # already assembled in it
-    reduction = _kernels.CyclicReduction(nx, nv, work)
-    for w, arr in zip((reduction.lower, reduction.diag, reduction.upper), (lower, diag, upper)):
-        w[...] = arr
-    g = f.copy()
-    assert _kernels.thomas_batch(reduction.lower, reduction.diag, reduction.upper, g, out=g, work=reduction) is g
-    np.testing.assert_array_equal(g, expected)
+    work = KineticWork(grid, dt, 0.1)
+    for _ in range(3):
+        serve(work, walls)
+        new = KineticWork(grid, dt, 0.1)
+        f = rng.random((nx, nv)) + 0.1
+        in_lo, in_hi = rng.random(nv // 2), rng.random(nv // 2)
+        out = np.empty_like(f)
+        assert _kernels.upwind_transport(f, c, in_lo, in_hi, out, work.scratch[:2]) is out
+        expected = _kernels.upwind_transport(f, c, in_lo, in_hi, np.empty_like(f), new.scratch[:2])
+        assert out.tobytes() == expected.tobytes()
+        a = rng.standard_normal((nx, nv))
+        a[:, -1] = 0.0
+        g = f.copy()
+        assert _kernels.upwind_drag(g, a, a < 0.0, 0.05, g, work.scratch[:2]) is g
+        assert g.tobytes() == _kernels.upwind_drag(f, a, a < 0.0, 0.05, np.empty_like(f), new.scratch[:2]).tobytes()
+        lower, upper = -rng.random((nx, nv)), -rng.random((nx, nv))
+        diag = 2.0 + rng.random((nx, nv))
+        expected = _kernels.thomas_batch(lower, diag, upper, f, np.empty_like(f), new.reduction)
+        # the coefficients already assembled in the reduction's first level
+        reduction = work.reduction
+        for w, arr in zip((reduction.lower, reduction.diag, reduction.upper), (lower, diag, upper)):
+            w[...] = arr
+        g = f.copy()
+        assert _kernels.thomas_batch(reduction.lower, reduction.diag, reduction.upper, g, g, reduction) is g
+        assert g.tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match="C-contiguous"):
-        _kernels.thomas_batch(lower, diag, upper, f, out=np.empty((nv, nx)).T)
+        _kernels.thomas_batch(lower, diag, upper, f, np.empty((nv, nx)).T, reduction)
     with pytest.raises(ValueError, match="reduction built for shape"):
-        _kernels.thomas_batch(lower[1:], diag[1:], upper[1:], f[1:], work=reduction)
+        _kernels.thomas_batch(lower[1:], diag[1:], upper[1:], f[1:], np.empty_like(f[1:]), reduction)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -287,7 +314,7 @@ def test_thomas_batch_column_dominant_property(nx, n, margin, seed, system_major
     if system_major:
         lower, diag, upper = (np.ascontiguousarray(arr.T).T for arr in (lower, diag, upper))
     inputs = [arr.copy() for arr in (lower, diag, upper, rhs)]
-    out = _kernels.thomas_batch(lower, diag, upper, rhs)
+    out = solve(lower, diag, upper, rhs)
     for before, after in zip(inputs, (lower, diag, upper, rhs)):
         assert np.array_equal(before, after)
     expected = dense_solve_rows(lower, diag, upper, rhs)
