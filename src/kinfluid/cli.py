@@ -90,7 +90,7 @@ def main_simulate_kinetic(argv=None) -> int:
     save_run_series(run, out, cfg)
     print(
         f"eps={eps:g} steps_dt={run.dt:g} wall={run.wall_seconds:.2f}s "
-        f"{_book(run.audit.summary)} {_book(run.book)} -> {out}"
+        f"{_book(run.audit.summary)} {_book(run.book)} {_book(run.cost)} -> {out}"
     )
     if not run.audit.passes(cfg.audit_tolerance):
         print("entropy audit failed", file=sys.stderr)
@@ -133,6 +133,7 @@ def main_converge(argv=None) -> int:
         "local_slopes": result.local_slopes,
         "monotone": result.monotone,
         "degenerate": result.degenerate,
+        "workers": result.workers,
         "wall_seconds": result.wall_seconds,
         "runs": [run.record for run in result.runs],
     }
@@ -143,7 +144,7 @@ def main_converge(argv=None) -> int:
         local = ",".join(f"{k:.4f}" for k in result.local_slopes)
         head = f"fitted slope={result.slope:.4f} local slopes={local} monotone={result.monotone}"
     worst = min(run.audit.slack_entropy_budget for run in result.runs)
-    print(f"{head} worst_slack={worst:.6g} -> {csv_path}")
+    print(f"{head} worst_slack={worst:.6g} workers={result.workers} -> {csv_path}")
     # each run is judged as simulate-kinetic judges it; a failed audit is the
     # one stderr line, in place of the monotonicity warning
     failed = [run.eps for run in result.runs if not run.audit.passes(cfg.audit_tolerance)]

@@ -8,8 +8,9 @@ follows eps_list order, so identical configs produce bit-identical CSVs.
 import json
 import math
 import numbers
+import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +73,11 @@ MAX_STEPS = 100_000
 # Courant numbers and the relaxation's packed levels, about 4), and the run
 # two more states, so one of MAX_CELLS = 2^24 cells takes about 1.6 GiB, and
 # each of the other blocks at most 0.5 GiB: far above the runs the tests, CI
-# and the benchmark make (at most 2^14 cells, 128 x 128 and 256 x 64). A
-# grid above it is a config error, checked before any array is built, not
-# an allocation that fails or commits memory as the run goes.
+# and the benchmark make (at most 2^14 cells, 128 x 128 and 256 x 64). An eps
+# sweep holds up to one such work set per worker process at once, so a sweep
+# at the bound takes about 1.6 GiB per worker. A grid above it is a config
+# error, checked before any array is built, not an allocation that fails or
+# commits memory as the run goes.
 MAX_CELLS = 1 << 24
 
 
@@ -266,13 +269,18 @@ class CoupledRun:
     audit: AuditRecord
     dt: float
     wall_seconds: float
+    # steps, and the seconds of the step loop's four parts: kinetic_seconds
+    # (kinetic_step), gas_seconds (ns_step and the momentum exchange),
+    # moments_seconds (compute_moments) and sample_seconds (the entropy
+    # report and margin of each sample, t = 0 included)
+    cost: dict[str, float]
 
     @property
     def record(self) -> dict:
         """The run's scalars by name, as run_meta.json and each runs entry
         of convergence_meta.json carry them."""
         return {
-            "eps": self.eps, "dt": self.dt, "wall_seconds": self.wall_seconds,
+            "eps": self.eps, "dt": self.dt, "wall_seconds": self.wall_seconds, **self.cost,
             "audit": self.audit.summary, "ck_margin_min": self.ck_margin_min, **self.book,
         }
 
@@ -329,18 +337,30 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
         reports[idx] = (kin.t, mom.rho, mom.u, fl.n, fl.v, *vars(report).values(), quad_x(fl.n, grid))
         return csiszar_kullback_margin(report, l1_gap)
 
+    clock = time.perf_counter
     step = 0  # a failure before the first step, such as a run constant failing its check, dumps t = 0
     try:
         work = KineticWork(grid, dt, eps)
         # the moments of the current kin: sampled, then the next step's gas drag
+        t_a = clock()
         mom = compute_moments(kin, grid, work.f)
+        t_b = clock()
         ck_min = sample(0, kin, fl, mom)
+        kinetic_s = gas_s = 0.0
+        moments_s, sample_s = t_b - t_a, clock() - t_b
         for step in range(nt):
+            t_a = clock()
             kin_new, krep = kinetic_step(kin, fl, walls, work)
+            t_b = clock()
             fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
             dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
+            t_c = clock()
             kin, fl = kin_new, fl_new
             mom = compute_moments(kin, grid, work.f)
+            t_d = clock()
+            kinetic_s += t_b - t_a
+            gas_s += t_c - t_b
+            moments_s += t_d - t_c
             book["max_wall_flux"] = max(book["max_wall_flux"], krep.max_wall_flux)
             book["wall_outflow"] += krep.wall_outflow
             book["truncation_leak"] += krep.truncation_leak
@@ -349,14 +369,20 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             book["max_cfl_drag"] = max(book["max_cfl_drag"], krep.cfl_drag)
             book["min_n"] = min(book["min_n"], float(fl.n.min()))
             if (step + 1) % per == 0:
+                t_a = clock()
                 ck_min = min(ck_min, sample((step + 1) // per, kin, fl, mom))
+                sample_s += clock() - t_a
     except SolverError as exc:
         raise dump_failure_state(config, exc, {"f": kin.f, "n": fl.n, "v": fl.v}, step, kin.t) from exc
 
+    cost = {
+        "steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": gas_s,
+        "moments_seconds": moments_s, "sample_seconds": sample_s,
+    }
     return CoupledRun(
         eps=eps, reports=reports, f_final=kin, fluid_final=fl,
         book=book, ck_margin_min=float(ck_min), audit=entropy_inequality_audit(reports, eps),
-        dt=dt, wall_seconds=time.perf_counter() - t0,
+        dt=dt, wall_seconds=time.perf_counter() - t0, cost=cost,
     )
 
 
@@ -421,6 +447,7 @@ class ConvergenceResult:
     degeneracy: str | None
     runs: list[CoupledRun]
     limit: LimitRun
+    workers: int  # the worker processes the coupled runs went to
     wall_seconds: float
 
     @property
@@ -434,14 +461,55 @@ def _stacked_state(samples: np.recarray, gamma: float) -> TwoPhaseState:
     return TwoPhaseState(rho=samples.rho, u=samples.u, fluid=FluidState(n=samples.n, v=samples.v, gamma=gamma))
 
 
+def _run_eps(config: ExperimentConfig, eps: float) -> CoupledRun:
+    """One coupled run of a sweep, in a worker process. run_coupled is looked
+    up here, in the worker, which inherits it from the sweep's process as
+    that process holds it: a run_coupled replaced by a wrapper, which may be
+    a closure that does not pickle, runs as replaced. Runs fail at the same
+    time, so each dumps a failure into its own directory, eps_<eps> under
+    the output directory."""
+    return run_coupled(replace(config, output_dir=str(Path(config.output_dir) / f"eps_{eps!r}")), eps)
+
+
+def _end_with(parent: int):
+    """Initializer of a sweep's worker: the kernel kills the worker when the
+    thread that forked it ends (Linux PR_SET_PDEATHSIG), so when the sweep's
+    process, pid parent, ends. A worker whose sweep's process was killed
+    would otherwise wait on its call queue for ever."""
+    import ctypes
+    import signal
+
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    if prctl(1, signal.SIGKILL) != 0:  # 1 = PR_SET_PDEATHSIG
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:  # the parent ended before the call
+        os._exit(1)
+
+
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """For each eps: coupled run vs the single limit trajectory, compared as
     (K, nx) sample stacks, level by level (both runs share the sampling
     cadence); sup-in-time relative entropy and L1 gaps; log-log slope fit of
     sup_H against eps, and the slope between each consecutive pair of eps
-    values."""
+    values.
+
+    The coupled runs share nothing, so they run at the same time, in
+    min(len(eps_list), CPUs available) worker processes forked from this
+    one; the limit march, the comparison and the fit run here. Each run is
+    deterministic on its own and the results are taken in eps_list order,
+    so the table does not depend on the worker count. A run that fails
+    cancels the runs that have not started, and the sweep raises the first
+    failure in eps_list order; a worker that ends abruptly is a
+    SolverError."""
     if len(config.eps_list) < 3:
         raise ConfigError("eps sweep needs at least 3 values")
+    # imported here, as in _end_with: at module level they would add to every
+    # CLI start
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
     t0 = time.perf_counter()
     grid = config.grid()
     limit = run_limit(config)
@@ -449,10 +517,27 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     ref = _stacked_state(lim, config.gamma)
     m_end = maxwellian_profile(lim.rho[-1], lim.u[-1], grid)
 
+    # forked, not spawned, a worker starts with numpy and kinfluid imported;
+    # fork is safe here, as the runs start no threads and call no BLAS
+    workers = min(len(config.eps_list), len(os.sched_getaffinity(0)))
+    pool = ProcessPoolExecutor(
+        workers, mp_context=get_context("fork"), initializer=_end_with, initargs=(os.getpid(),)
+    )
+    try:
+        futures = [pool.submit(_run_eps, config, eps) for eps in config.eps_list]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # waits for the runs under way and cancels the ones not started
+        pool.shutdown(cancel_futures=True)
+    # the runs start in eps_list order, so a failed run comes before every
+    # cancelled one, whose result() would raise CancelledError
+    try:
+        runs = [fut.result() for fut in futures]
+    except BrokenProcessPool as exc:  # a worker killed, say for want of memory
+        raise SolverError(f"a sweep worker process ended abruptly: {exc}") from exc
+
     rows = np.recarray(len(config.eps_list), dtype=_SWEEP_DTYPE)
-    runs = []
-    for k, eps in enumerate(config.eps_list):
-        run = run_coupled(config, eps)
+    for k, (eps, run) in enumerate(zip(config.eps_list, runs)):
         samples = run.reports
         rows[k] = (
             eps,
@@ -461,7 +546,6 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
             quad_x(np.abs(samples.n - lim.n), grid).max(),
             l1_distance(run.f_final.f, m_end, grid),
         )
-        runs.append(run)
 
     # gaps at the double-precision quadrature floor carry no rate information,
     # and neither do gaps that do not move with eps (a quadrature error of the
@@ -483,7 +567,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     monotone = bool(np.all(np.diff(rows.sup_H) < 0))  # eps_list descends, so sup_H must too
     return ConvergenceResult(
         rows=rows, slope=slope, prefactor=prefactor, local_slopes=local_slopes, monotone=monotone,
-        degeneracy=degeneracy, runs=runs, limit=limit,
+        degeneracy=degeneracy, runs=runs, limit=limit, workers=workers,
         wall_seconds=time.perf_counter() - t0,
     )
 

@@ -206,7 +206,7 @@ def _fp_rows(dt, grid, eps):
     -a exp(-dv xi_{j+1/2} / 2) and -a exp(+dv xi_{j+1/2} / 2) over the
     interior edges, with a = dt/(eps dv^2), each padded with its corner
     entry 0 (first and last). A ValueError for an eps that is not positive,
-    a SolverError when a overflows."""
+    a SolverError when a or a factor overflows."""
     if not eps > 0:  # written so that NaN fails too
         raise ValueError(f"eps must be positive, got {eps!r}")
     dv = grid.dv
@@ -218,9 +218,12 @@ def _fp_rows(dt, grid, eps):
     half = 0.5 * dv
     edges = grid.xi_edges[1:-1]
     lower[0] = 0.0
-    np.multiply(-a, np.exp(-half * edges), out=lower[1:])
-    np.multiply(-a, np.exp(half * edges), out=upper[:-1])
+    with np.errstate(over="ignore"):  # a finite a times exp(dv xi / 2) may not be
+        np.multiply(-a, np.exp(-half * edges), out=lower[1:])
+        np.multiply(-a, np.exp(half * edges), out=upper[:-1])
     upper[-1] = 0.0
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise SolverError(f"relaxation coefficient a exp(dv xi / 2) overflows at eps = {eps:g}")
     return lower, upper
 
 

@@ -1,10 +1,13 @@
 import json
 import math
+import multiprocessing.context
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -734,12 +737,21 @@ def test_cli_converge_writes_outputs(tmp_path, capsys):
     assert [r["eps"] for r in runs] == [0.4, 0.2, 0.1]
     book_keys = {"max_wall_flux", "wall_outflow", "truncation_leak", "max_exchange_asym", "max_cfl_transport",
                  "max_cfl_drag", "min_n"}
-    assert all(set(r) == {"eps", "dt", "wall_seconds", "audit", "ck_margin_min", *book_keys} for r in runs)
+    cost_keys = {"steps", "kinetic_seconds", "gas_seconds", "moments_seconds", "sample_seconds"}
+    assert all(set(r) == {"eps", "dt", "wall_seconds", "audit", "ck_margin_min", *book_keys, *cost_keys}
+               for r in runs)
+    # every run takes the same steps, and its loop's four parts fit in its wall time
+    assert {r["steps"] for r in runs} == {round(0.1 / runs[0]["dt"])}
+    for r in runs:
+        parts = [r[key] for key in cost_keys - {"steps"}]
+        assert all(t > 0 for t in parts) and sum(parts) < r["wall_seconds"]
     # the slack at t = 0 is 0, so each worst slack is min(0, the slack after it)
     slacks = [r["audit"]["slack_entropy_budget"] for r in runs]
     after = [r["audit"]["slack_after_start"] for r in runs]
     assert all(s != 0.0 for s in after) and slacks == [min(0.0, s) for s in after]
-    assert f" worst_slack={min(slacks):.6g} -> " in capsys.readouterr().out
+    workers = min(3, len(os.sched_getaffinity(0)))
+    assert meta["workers"] == workers
+    assert f" worst_slack={min(slacks):.6g} workers={workers} -> " in capsys.readouterr().out
 
 
 def test_cli_simulate_limit(tmp_path, capsys):
@@ -993,6 +1005,166 @@ def test_cli_converge_audit_failure(tmp_path, capsys):
     assert (out / "convergence.csv").read_bytes() == expected.read_bytes()
 
 
+def _untimed(record: dict) -> dict:
+    """A run or sweep record without its timings, the keys ending in
+    _seconds."""
+    return {key: value for key, value in record.items() if not key.endswith("_seconds")}
+
+
+def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
+    # the coupled runs of a sweep go to forked worker processes, at most one
+    # per eps and per CPU; the table and every run's record but its timings
+    # are the same with the default workers, with one worker, and with
+    # run_coupled replaced by a closure, as a profiler wraps it: a closure
+    # does not pickle, so each worker looks it up and runs it itself
+    cfg = _write_cfg(tmp_path, eps_list=[0.4, 0.2, 0.1, 0.05])
+    starts = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counted_start(process):
+        starts.append(process)
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted_start)
+
+    def sweep(tag):
+        out = tmp_path / tag
+        starts.clear()
+        assert main_converge(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        meta = json.loads((out / "convergence_meta.json").read_text())
+        assert len(starts) == meta["workers"]
+        return (out / "convergence.csv").read_bytes(), [_untimed(run) for run in meta["runs"]], meta["workers"]
+
+    default = sweep("default")
+    assert default[2] == min(4, len(os.sched_getaffinity(0)))
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = sweep("one")
+    assert one[2] == 1
+
+    real, pids = harness.run_coupled, tmp_path / "pids"
+    pids.mkdir()
+
+    def wrapped(config, eps):
+        (pids / str(os.getpid())).touch()
+        return real(config, eps)
+
+    monkeypatch.setattr(harness, "run_coupled", wrapped)
+    closure = sweep("closure")
+    ran_in = {int(p.name) for p in pids.iterdir()}
+    assert 1 <= len(ran_in) <= closure[2] and os.getpid() not in ran_in
+    assert default[:2] == one[:2] == closure[:2]
+
+
+def test_cli_converge_failing_run(tmp_path, capsys):
+    # a run that fails inside a sweep (at eps = 1e-310 the relaxation
+    # coefficient overflows) ends the sweep with exit 2 and one stderr line
+    # naming its dump, which lies in the run's own directory, and no table
+    # is written
+    cfg = _write_cfg(tmp_path, eps_list=[0.4, 0.2, 0.1, 1e-310])
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert main_converge(["--config", str(cfg), "--out", str(out)]) == EXIT_SOLVER
+    err = capsys.readouterr().err.splitlines()
+    dump = out / "eps_1e-310" / "failure_step_0.json"
+    assert len(err) == 1 and err[0].startswith("solver failure: step 0: relaxation coefficient"), err
+    assert err[0].endswith(f"at eps = 1e-310 (state dumped to {dump})") and dump.is_file()
+    assert not (out / "convergence.csv").exists()
+
+
+def test_cli_converge_worker_killed(tmp_path, monkeypatch, capsys):
+    # a worker that ends abruptly, as one killed for want of memory would,
+    # ends the sweep as a solver failure with one stderr line, not a traceback
+    def killed(config, eps):
+        os._exit(1)
+
+    monkeypatch.setattr(harness, "run_coupled", killed)
+    cfg = _write_cfg(tmp_path)
+    capsys.readouterr()
+    assert main_converge(["--config", str(cfg), "--out", str(tmp_path / "sweep")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: a sweep worker process ended abruptly:") and err.count("\n") == 1, err
+
+
+def test_sweep_runs_failing_together_keep_their_dumps(tmp_path, monkeypatch):
+    # runs that fail at the same step at the same time each dump the state
+    # they reached, not one another's, and the sweep raises the failure of
+    # the first failing eps
+    real = harness.kinetic_step
+
+    def fail_at_step_2(kin, fl, walls, work):
+        if kin.t > 1.5 * work.dt:
+            raise SolverError("forced failure")
+        return real(kin, fl, walls, work)
+
+    monkeypatch.setattr(harness, "kinetic_step", fail_at_step_2)
+    cfg = tiny_config(output_dir=str(tmp_path / "sweep"))
+    with pytest.raises(SolverError) as err:
+        harness.run_convergence(cfg)
+    first = tmp_path / "sweep" / "eps_0.4" / "failure_step_2.json"
+    assert str(err.value).endswith(f"(state dumped to {first})")
+    dumps = list((tmp_path / "sweep").glob("eps_*/failure_step_2.json"))
+    assert first in dumps
+    for dump in dumps:
+        eps = float(dump.parent.name.removeprefix("eps_"))
+        alone = tmp_path / f"alone_{eps!r}"
+        with pytest.raises(SolverError):
+            run_coupled(tiny_config(output_dir=str(alone)), eps)
+        assert load_state(dump)[0]["f"].tobytes() == load_state(alone / "failure_step_2.json")[0]["f"].tobytes()
+
+
+# a sweep whose runs never end, each in a worker that names itself in a
+# file in the working directory
+_ENDLESS_SWEEP = """
+import os, time
+from kinfluid import harness
+def endless(config, eps):
+    open(f"pid_{os.getpid()}", "w").close()
+    time.sleep(60)
+harness.run_coupled = endless
+harness.run_convergence(harness.ExperimentConfig(nx=8, nv=8, t_final=0.02, n_samples=2))
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _wait_for(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return condition()
+
+
+def test_sweep_workers_end_with_their_process(tmp_path):
+    # a sweep's process killed mid-sweep takes its workers with it, where a
+    # worker left waiting on its call queue would wait for ever
+    env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", _ENDLESS_SWEEP], cwd=tmp_path, env=env)
+    pids = []
+    try:
+        workers = min(4, len(os.sched_getaffinity(0)))
+
+        def all_named():
+            pids[:] = [int(p.name.removeprefix("pid_")) for p in tmp_path.glob("pid_*")]
+            return len(pids) == workers
+
+        assert _wait_for(all_named, 30)
+        proc.kill()
+        proc.wait(timeout=10)
+        assert _wait_for(lambda: not any(map(_alive, pids)), 10)
+    finally:
+        proc.kill()
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
 # a plain BLAS product, which shows whether the core types differ, then a
 # tiny simulate-kinetic and converge on the config in the working directory
 _CORETYPE_RUN = """
@@ -1008,13 +1180,13 @@ sys.exit(max(codes))
 
 
 def _comparable(path: Path):
-    """A file's bytes, or a JSON sidecar without its wall times, its own and
+    """A file's bytes, or a JSON sidecar without its timings, its own and
     those of the runs it records."""
     if path.suffix != ".json":
         return path.read_bytes()
-    data = json.loads(path.read_text())
-    for record in (data, *data.get("runs", [])):
-        record.pop("wall_seconds", None)
+    data = _untimed(json.loads(path.read_text()))
+    if "runs" in data:
+        data["runs"] = [_untimed(run) for run in data["runs"]]
     return data
 
 

@@ -500,6 +500,12 @@ def test_kinetic_work_checks_its_run_constants(grid):
     for eps in (1e-320, 5e-324):
         with pytest.raises(SolverError, match="overflows"):
             KineticWork(grid, dt, eps)
+    # on a coarse velocity grid a is finite at eps = 1e-310 and a exp(dv xi / 2)
+    # is not: refused as well, with no overflow warning
+    coarse = PhaseGrid(nx=grid.nx, nv=8, v_max=grid.v_max)
+    assert math.isfinite(dt / (1e-310 * coarse.dv**2))
+    with pytest.raises(SolverError, match="a exp\\(dv xi / 2\\) overflows at eps = 1e-310"):
+        KineticWork(coarse, dt, 1e-310)
 
 
 def test_drift_parts_and_relaxation_in_run_work_arrays_allocate_little(rng):
