@@ -15,7 +15,6 @@ from .core import (
     FluidState,
     PhaseGrid,
     VacuumError,
-    quad_x,
     tridiag_dirichlet_solve,
 )
 
@@ -76,15 +75,6 @@ def ns_step(fl: FluidState, drag_rho, drag_u, dt: float, grid: PhaseGrid) -> Flu
     drag_u = np.asarray(drag_u, dtype=float)
     v3 = (n1 * v2 + dt * drag_rho * drag_u) / (n1 + dt * drag_rho)
     return FluidState(n=n1, v=v3, gamma=fl.gamma)
-
-
-def momentum_exchange(drag_rho, drag_u, v, dt, grid: PhaseGrid) -> tuple[float, float]:
-    """Momentum bookkeeping of the implicit drag relaxation dv/dt = drag_rho*(drag_u - v):
-    returns (dP_kinetic, dP_fluid) with dP_kinetic = -dP_fluid."""
-    drag_rho = np.asarray(drag_rho, dtype=float)
-    dv = dt * drag_rho * (np.asarray(drag_u) - np.asarray(v)) / (1.0 + dt * drag_rho)
-    dp_fluid = quad_x(dv, grid)
-    return -dp_fluid, dp_fluid
 
 
 def dirichlet_grad_sq(v: np.ndarray, grid: PhaseGrid) -> float:

@@ -34,7 +34,7 @@ from .entropy import (
     evaluate_entropy_report,
     relative_entropy,
 )
-from .fluid import momentum_exchange, ns_step, sound_speed
+from .fluid import ns_step, sound_speed
 from .kinetic import KineticWork, kinetic_step, wall_kernels
 from .limit import _two_phase_substeps
 from .moments import compute_moments, maxwellian, maxwellian_profile
@@ -261,16 +261,16 @@ class CoupledRun:
     reports: np.recarray
     f_final: KineticState
     fluid_final: FluidState
-    # max_wall_flux, wall_outflow, truncation_leak, max_exchange_asym, the
-    # CFL ratios max_cfl_transport and max_cfl_drag, and min_n over t = 0 and
-    # every step, not only the samples
+    # max_wall_flux, wall_outflow and truncation_leak; the CFL ratios
+    # max_cfl_transport, a run constant, and max_cfl_drag; and min_n over
+    # t = 0 and every step, not only the samples
     book: dict[str, float]
     ck_margin_min: float
     audit: AuditRecord
     dt: float
     wall_seconds: float
     # steps, and the seconds of the step loop's four parts: kinetic_seconds
-    # (kinetic_step), gas_seconds (ns_step and the momentum exchange),
+    # (kinetic_step), gas_seconds (ns_step),
     # moments_seconds (compute_moments) and sample_seconds (the entropy
     # report and margin of each sample, t = 0 included)
     cost: dict[str, float]
@@ -326,10 +326,6 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     dt, nt, per = _pick_dt(config, grid, fl)
 
     reports = _sample_record(config, (*_REPORT_FIELDS, "mass_fluid"))
-    book = {
-        "max_wall_flux": 0.0, "wall_outflow": 0.0, "truncation_leak": 0.0, "max_exchange_asym": 0.0,
-        "max_cfl_transport": 0.0, "max_cfl_drag": 0.0, "min_n": float(fl.n.min()),
-    }
 
     def sample(idx, kin, fl, mom):
         """Record time level idx; mom are the moments of kin."""
@@ -341,6 +337,10 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     step = 0  # a failure before the first step, such as a run constant failing its check, dumps t = 0
     try:
         work = KineticWork(grid, dt, eps)
+        book = {
+            "max_wall_flux": 0.0, "wall_outflow": 0.0, "truncation_leak": 0.0,
+            "max_cfl_transport": work.cfl_transport, "max_cfl_drag": 0.0, "min_n": float(fl.n.min()),
+        }
         # the moments of the current kin: sampled, then the next step's gas drag
         t_a = clock()
         mom = compute_moments(kin, grid, work.f)
@@ -353,7 +353,6 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             kin_new, krep = kinetic_step(kin, fl, walls, work)
             t_b = clock()
             fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
-            dpk, dpf = momentum_exchange(mom.rho, mom.u, fl.v, dt, grid)
             t_c = clock()
             kin, fl = kin_new, fl_new
             mom = compute_moments(kin, grid, work.f)
@@ -364,8 +363,6 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             book["max_wall_flux"] = max(book["max_wall_flux"], krep.max_wall_flux)
             book["wall_outflow"] += krep.wall_outflow
             book["truncation_leak"] += krep.truncation_leak
-            book["max_exchange_asym"] = max(book["max_exchange_asym"], abs(dpk + dpf))
-            book["max_cfl_transport"] = max(book["max_cfl_transport"], krep.cfl_transport)
             book["max_cfl_drag"] = max(book["max_cfl_drag"], krep.cfl_drag)
             book["min_n"] = min(book["min_n"], float(fl.n.min()))
             if (step + 1) % per == 0:

@@ -25,13 +25,13 @@ class KineticStepReport:
     """Mass books for one step: the largest instantaneous wall trace seen in
     any sub-step, the mass that left through the walls, (dt/2)(trace_lo +
     trace_hi) summed over the two transport half-steps, and the diagnostic
-    leak through the velocity cut at +-v_max; and the CFL ratios of its
-    transport and drag half-steps."""
+    leak through the velocity cut at +-v_max; and the CFL ratio of its drag
+    half-steps, which move with the gas velocity. The transport's CFL ratio
+    is the run constant KineticWork.cfl_transport."""
 
     max_wall_flux: float
     wall_outflow: float
     truncation_leak: float
-    cfl_transport: float
     cfl_drag: float
 
 
@@ -283,7 +283,6 @@ def kinetic_step(
         max_wall_flux=max(abs(tr_lo1), abs(tr_hi1), abs(tr_lo2), abs(tr_hi2)),
         wall_outflow=work.half * (tr_lo1 + tr_hi1) + work.half * (tr_lo2 + tr_hi2),
         truncation_leak=leak1 + leak2,
-        cfl_transport=work.cfl_transport,
         cfl_drag=cfl_drag,
     )
     return KineticState(f=farr, t=f.t + work.dt), rep

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing.context
 import os
+import pickle
 import platform
 import signal
 import subprocess
@@ -21,7 +22,8 @@ import kinfluid
 import kinfluid.entropy as entropy
 import kinfluid.harness as harness
 import kinfluid.kinetic as kinetic
-from kinfluid.core import ConfigError, PhaseGrid, SolverError
+import kinfluid.limit as limit
+from kinfluid.core import ConfigError, PhaseGrid, SolverError, quad_x
 from kinfluid.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
@@ -449,8 +451,7 @@ def test_cli_simulate_kinetic_and_check_entropy(tmp_path, capsys):
     meta = json.loads((out / "run_meta.json").read_text())
     run = run_coupled(ExperimentConfig.from_json(cfg), 0.3)
     assert set(run.book) == {
-        "max_wall_flux", "wall_outflow", "truncation_leak", "max_exchange_asym", "max_cfl_transport",
-        "max_cfl_drag", "min_n",
+        "max_wall_flux", "wall_outflow", "truncation_leak", "max_cfl_transport", "max_cfl_drag", "min_n",
     }
     for key, value in run.book.items():
         assert meta[key] == value and f" {key}={value:.6g} " in line, key
@@ -735,8 +736,7 @@ def test_cli_converge_writes_outputs(tmp_path, capsys):
     # run_meta.json other than its config
     runs = meta["runs"]
     assert [r["eps"] for r in runs] == [0.4, 0.2, 0.1]
-    book_keys = {"max_wall_flux", "wall_outflow", "truncation_leak", "max_exchange_asym", "max_cfl_transport",
-                 "max_cfl_drag", "min_n"}
+    book_keys = {"max_wall_flux", "wall_outflow", "truncation_leak", "max_cfl_transport", "max_cfl_drag", "min_n"}
     cost_keys = {"steps", "kinetic_seconds", "gas_seconds", "moments_seconds", "sample_seconds"}
     assert all(set(r) == {"eps", "dt", "wall_seconds", "audit", "ck_margin_min", *book_keys, *cost_keys}
                for r in runs)
@@ -768,6 +768,22 @@ def test_cli_simulate_limit(tmp_path, capsys):
     assert arrays["times"].shape == (5,) and arrays["n"].shape == (5, 32)
     # the samples are a subset of the steps the minimum runs over
     assert 0 < meta["min_one_plus_h"] <= arrays["n"].min()
+
+
+def test_limit_run_exchange_book_measures_the_applied_momenta(monkeypatch):
+    # the book sums the momenta the drag exchange applies to the two phases:
+    # a fluid velocity off by delta leaves delta * int n unmatched each step
+    cfg = tiny_config(nx=32, nv=2)
+    assert harness.run_limit(cfg).book["max_exchange_asym"] <= 1e-12
+    delta, real = 1e-6, limit.drag_exchange
+
+    def offset(rho, u, n, v, dt):
+        u2, v2 = real(rho, u, n, v, dt)
+        return u2, v2 + delta
+
+    monkeypatch.setattr(limit, "drag_exchange", offset)
+    mass_n = quad_x(make_well_prepared(cfg)[2].fluid.n, cfg.grid())
+    assert harness.run_limit(cfg).book["max_exchange_asym"] >= 0.5 * delta * mass_n
 
 
 def test_limit_run_min_one_plus_h_reads_every_step(tmp_path):
@@ -821,9 +837,9 @@ def test_coupled_run_min_n_reads_every_step(tmp_path):
 
 
 def test_coupled_run_cfl_book_reads_every_step(tmp_path):
-    # the largest CFL ratios of the run's transport and drag half-steps, the
-    # drag's from the gas velocity at the start of each step, recomputed here
-    # from dt, the grid and the march's v
+    # the CFL ratios of the run's transport half-steps, a run constant, and
+    # the largest of its drag half-steps, from the gas velocity at the start
+    # of each step, recomputed here from dt, the grid and the march's v
     grid, run, gas = _rarefying_coupled_run(tmp_path)
     half = 0.5 * run.dt
     assert run.book["max_cfl_transport"] == half * (grid.v_max - 0.5 * grid.dv) / grid.dx
@@ -1054,6 +1070,30 @@ def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
     ran_in = {int(p.name) for p in pids.iterdir()}
     assert 1 <= len(ran_in) <= closure[2] and os.getpid() not in ran_in
     assert default[:2] == one[:2] == closure[:2]
+
+
+def test_sweep_submits_only_what_pickles(tmp_path, monkeypatch):
+    # a sweep hands its workers only module-level callables and picklable
+    # arguments, even with run_coupled replaced by a closure; each submit is
+    # pickled before it is made, so one that does not pickle fails here
+    # instead of leaving the pool waiting for ever in its shutdown
+    from concurrent.futures import ProcessPoolExecutor
+
+    real_run, real_submit, submitted = harness.run_coupled, ProcessPoolExecutor.submit, []
+
+    def wrapped(config, eps):
+        return real_run(config, eps)
+
+    def recorded(pool, fn, /, *args, **kwargs):
+        pickle.dumps((fn, args, kwargs))
+        submitted.append(fn)
+        return real_submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_coupled", wrapped)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    cfg = tiny_config(output_dir=str(tmp_path / "sweep"))
+    result = harness.run_convergence(cfg)
+    assert len(submitted) == len(cfg.eps_list) == len(result.runs)
 
 
 def test_cli_converge_failing_run(tmp_path, capsys):

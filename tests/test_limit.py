@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from kinfluid import limit
-from kinfluid.core import CFLError, FluidState, PhaseGrid, PositivityError, TwoPhaseState, l2_distance, quad_x
+from kinfluid.core import (
+    CFLError,
+    FluidState,
+    PhaseGrid,
+    PositivityError,
+    TwoPhaseState,
+    VacuumError,
+    l2_distance,
+    quad_x,
+)
+from kinfluid.fluid import N_FLOOR
 from kinfluid.limit import (
     PicardSetup,
     SymHypState,
@@ -57,6 +67,15 @@ def test_euler_mass_conservation(xgrid):
     for _ in range(100):
         rho, u = euler_step(rho, u, dt, xgrid)
         assert quad_x(rho, xgrid) == pytest.approx(m0, abs=1e-12)
+
+
+def test_euler_vacuum_floor(xgrid):
+    # particles at rest keep their uniform density through the Rusanov
+    # update, which then lies below the vacuum floor
+    rho = np.full(xgrid.nx, 1e-11)
+    assert 0.0 < rho[0] < N_FLOOR
+    with pytest.raises(VacuumError, match=r"^particle density hit the vacuum floor \(min 1e-11\)$"):
+        euler_step(rho, np.zeros(xgrid.nx), 1e-3, xgrid)
 
 
 def test_acoustic_pulse_speed_near_unity():
