@@ -110,9 +110,9 @@ def main_simulate_limit(argv=None) -> int:
     save_state(
         out / "limit_series",
         {name: run.samples[name] for name in run.samples.dtype.names},
-        meta={"config": asdict(cfg), "dt": run.dt, **run.book},
+        meta={"config": asdict(cfg), "dt": run.dt, **run.book, **run.cost},
     )
-    print(f"dt={run.dt:g} {_book(run.book)} -> {out}")
+    print(f"dt={run.dt:g} {_book(run.book)} {_book(run.cost)} -> {out}")
     return EXIT_OK
 
 
@@ -136,6 +136,7 @@ def main_converge(argv=None) -> int:
         "workers": result.workers,
         "wall_seconds": result.wall_seconds,
         "runs": [run.record for run in result.runs],
+        "limit": result.limit.cost,
     }
     (out / "convergence_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     if result.degenerate:

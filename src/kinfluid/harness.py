@@ -9,6 +9,7 @@ import json
 import math
 import numbers
 import os
+import pickle
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -37,7 +38,7 @@ from .entropy import (
 from .fluid import ns_step, sound_speed
 from .kinetic import KineticWork, kinetic_step, wall_kernels
 from .limit import _two_phase_substeps
-from .moments import compute_moments, maxwellian, maxwellian_profile
+from .moments import MomentSet, compute_moments, maxwellian, maxwellian_profile
 
 
 def _is_real(x) -> bool:
@@ -73,9 +74,11 @@ MAX_STEPS = 100_000
 # Courant numbers and the relaxation's packed levels, about 4), and the run
 # two more states, so one of MAX_CELLS = 2^24 cells takes about 1.6 GiB, and
 # each of the other blocks at most 0.5 GiB: far above the runs the tests, CI
-# and the benchmark make (at most 2^14 cells, 128 x 128 and 256 x 64). An eps
-# sweep holds up to one such work set per worker process at once, so a sweep
-# at the bound takes about 1.6 GiB per worker. A grid above it is a config
+# and the benchmark make (at most 2^14 cells, 128 x 128 and 256 x 64). The
+# run's sampler process writes six of the work arrays in its own copy, and
+# its ring holds SAMPLE_RING = 4 states, about 1.25 GiB more at the bound. An
+# eps sweep holds up to one such run per worker process at once, so a sweep
+# at the bound takes about 2.9 GiB per worker. A grid above it is a config
 # error, checked before any array is built, not an allocation that fails or
 # commits memory as the run goes.
 MAX_CELLS = 1 << 24
@@ -245,13 +248,17 @@ def _sample_record(config: ExperimentConfig, scalars) -> np.recarray:
     """The (n_samples + 1,) record array of a run's samples, a row per time
     level: times, the sampled fields rho, u, n and v as (nx,) fields, then
     the run's per-sample scalars. A row reads rec[k].F, a column rec.F, and
-    rec.rho is the (K, nx) stack of the samples."""
-    dtype = [
+    rec.rho is the (K, nx) stack of the samples. The record lies in an
+    anonymous shared mapping, so the rows that a process forked after it is
+    built writes, as a coupled run's sampler does, are read here."""
+    import mmap  # here, as in _end_with: at module level it would add to every CLI start
+
+    dtype = np.dtype([
         ("times", float),
         *((name, float, (config.nx,)) for name in ("rho", "u", "n", "v")),
         *((name, float) for name in scalars),
-    ]
-    return np.recarray(config.n_samples + 1, dtype=dtype)
+    ])
+    return np.recarray(config.n_samples + 1, dtype=dtype, buf=mmap.mmap(-1, (config.n_samples + 1) * dtype.itemsize))
 
 
 @dataclass
@@ -270,9 +277,11 @@ class CoupledRun:
     dt: float
     wall_seconds: float
     # steps, and the seconds of the step loop's four parts: kinetic_seconds
-    # (kinetic_step), gas_seconds (ns_step),
-    # moments_seconds (compute_moments) and sample_seconds (the entropy
-    # report and margin of each sample, t = 0 included)
+    # (kinetic_step), gas_seconds (ns_step), moments_seconds
+    # (compute_moments) and sample_seconds (the entropy report and margin of
+    # each sample, t = 0 included, timed in the sampler process); and
+    # sample_wait_seconds, the march's hand-off of every sample to the
+    # sampler and its wait for the last
     cost: dict[str, float]
 
     @property
@@ -314,9 +323,177 @@ def _pick_dt(config: ExperimentConfig, grid: PhaseGrid, fl) -> tuple[float, int,
     return _cadence(config, config.cfl * bound)
 
 
+# Samples in flight at once between a coupled run's march and its sampler
+# process: the slots of the ring that the march copies each sampled state
+# into. The march waits only when every slot is full. Four slots of a
+# 128 x 128 run take about 0.5 MiB.
+SAMPLE_RING = 4
+
+
+def _ring_slot(flat: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, ...]:
+    """The views (f, rho, u, mom, n, v, t) of one ring slot: a sampled state,
+    the moments of its f and its time, t as a (1,) array."""
+    nx, nv = grid.nx, grid.nv
+    f, *rest = np.split(flat, np.cumsum([nx * nv, nx, nx, nx, nx, nx]))
+    return f.reshape(nx, nv), *rest
+
+
+class _Sampler:
+    """A coupled run's sampler process, forked once the run's KineticWork is
+    built. It evaluates the entropy report and the Csiszar-Kullback margin
+    of each sample in its fork-inherited copy of the work set, while the
+    march goes on, and writes the sample's row into the run's record, which
+    lies in a shared mapping.
+
+    The march copies each sampled state into a free slot of a ring of
+    SAMPLE_RING slots in another shared mapping and sends the sample's index
+    down a pipe. The sampler answers each sample with one byte, b".", once
+    its slot is free again. It folds the margins with Python's min in
+    sample order, as a march that sampled in process would. When the march
+    closes the pipe, the sampler writes its smallest margin and its seconds
+    into the ring's header, sends b"=" and ends. A sample that fails ends it
+    with b"!" and the pickled failure: a SolverError names the dump of the
+    sample's state, failure_step_<k> for the sample after step k, which the
+    sampler writes from its slot. A sampler that ends without either, say
+    killed, is a SolverError."""
+
+    def __init__(self, config: ExperimentConfig, work: KineticWork, reports: np.recarray, per: int):
+        import mmap  # here, as in _end_with: at module level it would add to every CLI start
+
+        self.config, self.work, self.reports, self.per = config, work, reports, per
+        grid = work.grid
+        size = grid.nx * grid.nv + 5 * grid.nx + 1
+        stride = -(-size // 8) * 8  # each slot starts on a 64-byte boundary
+        ring = np.frombuffer(mmap.mmap(-1, 8 * (8 + SAMPLE_RING * stride)), dtype=float)
+        self.header = ring[:2]  # the smallest margin and the sampler's seconds
+        self.slots = [_ring_slot(ring[8 + k * stride :][:size], grid) for k in range(SAMPLE_RING)]
+        self.sent = self.freed = 0
+        self.wait_seconds = 0.0
+        self.ended = False  # the sampler's last message is read
+        self.failure = None
+        index_r, self.index_w = os.pipe()
+        self.answer_r, answer_w = os.pipe()
+        parent = os.getpid()
+        try:
+            self.pid = os.fork()
+        except OSError as exc:
+            for fd in (index_r, self.index_w, self.answer_r, answer_w):
+                os.close(fd)
+            raise SolverError(f"cannot start the sampler process: {exc}") from exc
+        if self.pid == 0:
+            self._serve(parent, index_r, answer_w)
+        os.close(index_r)
+        os.close(answer_w)
+
+    def _sample(self, idx: int) -> float:
+        """Write row idx of the run's record from its slot; returns the
+        sample's margin. A failing report dumps the slot's state."""
+        f, rho, u, mom, n, v, t = self.slots[idx % SAMPLE_RING]
+        t = float(t[0])
+        try:
+            kin = KineticState(f=f, t=t)
+            fl = FluidState(n=n, v=v, gamma=self.config.gamma)
+            report, l1_gap = evaluate_entropy_report(kin, fl, MomentSet(rho=rho, mom=mom, u=u), self.work)
+            self.reports[idx] = (t, rho, u, n, v, *vars(report).values(), quad_x(n, self.work.grid))
+            return csiszar_kullback_margin(report, l1_gap)
+        except SolverError as exc:
+            step = max(idx * self.per - 1, 0)  # sample idx > 0 follows step idx * per - 1
+            raise dump_failure_state(self.config, exc, {"f": f, "n": n, "v": v}, step, t) from exc
+
+    def _serve(self, parent: int, index_r: int, answer_w: int):
+        """The sampler process: sample until the march closes the pipe, then
+        end the process."""
+        status = 1
+        try:
+            os.close(self.index_w)
+            os.close(self.answer_r)
+            _end_with(parent)
+            ck_min, sample_s = None, 0.0
+            while message := os.read(index_r, 4):
+                t_a = time.perf_counter()
+                margin = self._sample(int.from_bytes(message, "little"))
+                ck_min = margin if ck_min is None else min(ck_min, margin)
+                sample_s += time.perf_counter() - t_a
+                os.write(answer_w, b".")
+            self.header[:] = math.nan if ck_min is None else ck_min, sample_s
+            os.write(answer_w, b"=")
+            status = 0
+        except Exception as exc:  # handed to the march, which raises it
+            message = b"!" + pickle.dumps(exc)
+            while message:
+                message = message[os.write(answer_w, message) :]
+        finally:
+            os._exit(status)
+
+    def _receive(self):
+        """Read what the sampler sent, waiting for it; once it has ended,
+        raise its failure, if any."""
+        data = os.read(self.answer_r, 1 << 16)
+        last = data.lstrip(b".")
+        self.freed += len(data) - len(last)
+        if data and not last:
+            return
+        while chunk := os.read(self.answer_r, 1 << 16):
+            last += chunk
+        self.ended = True
+        if last.startswith(b"!"):
+            self.failure = pickle.loads(last[1:])
+        elif last != b"=":
+            self.failure = SolverError("the sampler process ended abruptly")
+        if self.failure is not None:
+            raise self.failure
+
+    def put(self, idx: int, kin: KineticState, fl: FluidState, mom: MomentSet):
+        """Hand sample idx, the state (kin, fl) and the moments mom of kin, to
+        the sampler, once a slot is free."""
+        t_a = time.perf_counter()
+        while self.sent - self.freed >= SAMPLE_RING:
+            self._receive()
+        for slot, value in zip(self.slots[idx % SAMPLE_RING], (kin.f, mom.rho, mom.u, mom.mom, fl.n, fl.v, kin.t)):
+            slot[...] = value
+        try:
+            os.write(self.index_w, idx.to_bytes(4, "little"))
+        except BrokenPipeError:  # the sampler has ended
+            self.finish()
+        self.sent += 1
+        self.wait_seconds += time.perf_counter() - t_a
+
+    def finish(self) -> tuple[float, float]:
+        """Wait for the sampler to take every sample handed to it: its
+        smallest margin and its seconds, or its failure raised."""
+        t_a = time.perf_counter()
+        if self.index_w >= 0:
+            os.close(self.index_w)
+            self.index_w = -1
+        while not self.ended:
+            self._receive()
+        if self.failure is not None:
+            raise self.failure
+        self.wait_seconds += time.perf_counter() - t_a
+        return float(self.header[0]), float(self.header[1])
+
+    def stop(self):
+        """Reap the sampler, killed first unless it has ended, and close
+        the pipes."""
+        import signal
+
+        if not self.ended:
+            os.kill(self.pid, signal.SIGKILL)
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped already, under SIGCHLD set to SIG_IGN
+            pass
+        for fd in (self.index_w, self.answer_r):
+            if fd >= 0:
+                os.close(fd)
+
+
 def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     """Time-march the coupled kinetic/gas system, sampling entropy reports at
-    the configured cadence and auditing the run at the end."""
+    the configured cadence and auditing the run at the end. The reports are
+    made in the run's sampler process (_Sampler) while the march goes on.
+    When both fail, the failure at the earlier step is raised: the
+    sampler's, as it samples only steps the march has made."""
     t0 = time.perf_counter()
     grid = config.grid()
     if grid.nv < 4:
@@ -326,28 +503,22 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     dt, nt, per = _pick_dt(config, grid, fl)
 
     reports = _sample_record(config, (*_REPORT_FIELDS, "mass_fluid"))
-
-    def sample(idx, kin, fl, mom):
-        """Record time level idx; mom are the moments of kin."""
-        report, l1_gap = evaluate_entropy_report(kin, fl, mom, work)
-        reports[idx] = (kin.t, mom.rho, mom.u, fl.n, fl.v, *vars(report).values(), quad_x(fl.n, grid))
-        return csiszar_kullback_margin(report, l1_gap)
-
     clock = time.perf_counter
     step = 0  # a failure before the first step, such as a run constant failing its check, dumps t = 0
+    sampler = None
     try:
         work = KineticWork(grid, dt, eps)
         book = {
             "max_wall_flux": 0.0, "wall_outflow": 0.0, "truncation_leak": 0.0,
             "max_cfl_transport": work.cfl_transport, "max_cfl_drag": 0.0, "min_n": float(fl.n.min()),
         }
+        sampler = _Sampler(config, work, reports, per)
         # the moments of the current kin: sampled, then the next step's gas drag
         t_a = clock()
         mom = compute_moments(kin, grid, work.f)
-        t_b = clock()
-        ck_min = sample(0, kin, fl, mom)
         kinetic_s = gas_s = 0.0
-        moments_s, sample_s = t_b - t_a, clock() - t_b
+        moments_s = clock() - t_a
+        sampler.put(0, kin, fl, mom)
         for step in range(nt):
             t_a = clock()
             kin_new, krep = kinetic_step(kin, fl, walls, work)
@@ -366,19 +537,25 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             book["max_cfl_drag"] = max(book["max_cfl_drag"], krep.cfl_drag)
             book["min_n"] = min(book["min_n"], float(fl.n.min()))
             if (step + 1) % per == 0:
-                t_a = clock()
-                ck_min = min(ck_min, sample((step + 1) // per, kin, fl, mom))
-                sample_s += clock() - t_a
-    except SolverError as exc:
+                sampler.put((step + 1) // per, kin, fl, mom)
+        ck_min, sample_s = sampler.finish()
+    except Exception as exc:
+        if sampler is not None:
+            sampler.finish()  # raises the sampler's failure, from an earlier step
+        if not isinstance(exc, SolverError):
+            raise
         raise dump_failure_state(config, exc, {"f": kin.f, "n": fl.n, "v": fl.v}, step, kin.t) from exc
+    finally:
+        if sampler is not None:
+            sampler.stop()
 
     cost = {
         "steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": gas_s,
-        "moments_seconds": moments_s, "sample_seconds": sample_s,
+        "moments_seconds": moments_s, "sample_seconds": sample_s, "sample_wait_seconds": sampler.wait_seconds,
     }
     return CoupledRun(
         eps=eps, reports=reports, f_final=kin, fluid_final=fl,
-        book=book, ck_margin_min=float(ck_min), audit=entropy_inequality_audit(reports, eps),
+        book=book, ck_margin_min=ck_min, audit=entropy_inequality_audit(reports, eps),
         dt=dt, wall_seconds=time.perf_counter() - t0, cost=cost,
     )
 
@@ -389,6 +566,10 @@ class LimitRun:
     # max_exchange_asym, and min_one_plus_h over t = 0 and every step, not only the samples
     book: dict[str, float]
     dt: float
+    # steps, and the seconds of the step loop's two parts: substep_seconds
+    # (_two_phase_substeps) and sample_seconds (each sample's row, t = 0
+    # included)
+    cost: dict[str, float]
 
 
 def run_limit(config: ExperimentConfig) -> LimitRun:
@@ -404,22 +585,30 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
     samples = _sample_record(config, ("mass_rho",))
     book = {"max_exchange_asym": 0.0, "min_one_plus_h": float(st.fluid.n.min())}
 
-    def sample(idx, st):
-        samples[idx] = (st.t, st.rho, st.u, st.fluid.n, st.fluid.v, quad_x(st.rho, grid))
+    clock = time.perf_counter
 
-    sample(0, st)
+    def sample(idx, st):
+        """Record time level idx; returns the seconds it took."""
+        t_a = clock()
+        samples[idx] = (st.t, st.rho, st.u, st.fluid.n, st.fluid.v, quad_x(st.rho, grid))
+        return clock() - t_a
+
+    substep_s, sample_s = 0.0, sample(0, st)
     try:
         for step in range(nt):
+            t_a = clock()
             st, dpp, dpf = _two_phase_substeps(st, dt, grid)
+            substep_s += clock() - t_a
             book["max_exchange_asym"] = max(book["max_exchange_asym"], abs(dpp + dpf))
             book["min_one_plus_h"] = min(book["min_one_plus_h"], float(st.fluid.n.min()))
             if (step + 1) % per == 0:
-                sample((step + 1) // per, st)
+                sample_s += sample((step + 1) // per, st)
     except SolverError as exc:
         arrays = {"rho": st.rho, "u": st.u, "n": st.fluid.n, "v": st.fluid.v}
         raise dump_failure_state(config, exc, arrays, step, st.t) from exc
 
-    return LimitRun(samples=samples, book=book, dt=dt)
+    cost = {"steps": nt, "substep_seconds": substep_s, "sample_seconds": sample_s}
+    return LimitRun(samples=samples, book=book, dt=dt, cost=cost)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +658,11 @@ def _run_eps(config: ExperimentConfig, eps: float) -> CoupledRun:
 
 
 def _end_with(parent: int):
-    """Initializer of a sweep's worker: the kernel kills the worker when the
-    thread that forked it ends (Linux PR_SET_PDEATHSIG), so when the sweep's
-    process, pid parent, ends. A worker whose sweep's process was killed
-    would otherwise wait on its call queue for ever."""
+    """Initializer of a sweep's worker and of a run's sampler process: the
+    kernel kills the process when the thread that forked it ends (Linux
+    PR_SET_PDEATHSIG), so when its parent, pid parent, ends. A worker whose
+    sweep's process was killed would otherwise wait on its call queue for
+    ever, and a sampler busy with a sample would finish it first."""
     import ctypes
     import signal
 
@@ -493,9 +683,11 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 
     The coupled runs share nothing, so they run at the same time, in
     min(len(eps_list), CPUs available) worker processes forked from this
-    one; the limit march, the comparison and the fit run here. Each run is
-    deterministic on its own and the results are taken in eps_list order,
-    so the table does not depend on the worker count. A run that fails
+    one; the limit march runs here while they do, and the comparison and
+    the fit once they are done. Each run is deterministic on its own and the
+    results are taken in eps_list order, so the table does not depend on
+    the worker count. A failing limit march cancels the runs that have not
+    started and is raised once the runs under way end. A run that fails
     cancels the runs that have not started, and the sweep raises the first
     failure in eps_list order; a worker that ends abruptly is a
     SolverError."""
@@ -509,19 +701,17 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 
     t0 = time.perf_counter()
     grid = config.grid()
-    limit = run_limit(config)
-    lim = limit.samples
-    ref = _stacked_state(lim, config.gamma)
-    m_end = maxwellian_profile(lim.rho[-1], lim.u[-1], grid)
-
     # forked, not spawned, a worker starts with numpy and kinfluid imported;
-    # fork is safe here, as the runs start no threads and call no BLAS
+    # fork is safe here, as the runs start no threads and call no BLAS, and
+    # the workers are forked at the first submit, before the pool starts its
+    # own thread
     workers = min(len(config.eps_list), len(os.sched_getaffinity(0)))
     pool = ProcessPoolExecutor(
         workers, mp_context=get_context("fork"), initializer=_end_with, initargs=(os.getpid(),)
     )
     try:
         futures = [pool.submit(_run_eps, config, eps) for eps in config.eps_list]
+        limit = run_limit(config)
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         # waits for the runs under way and cancels the ones not started
@@ -532,6 +722,9 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
         runs = [fut.result() for fut in futures]
     except BrokenProcessPool as exc:  # a worker killed, say for want of memory
         raise SolverError(f"a sweep worker process ended abruptly: {exc}") from exc
+    lim = limit.samples
+    ref = _stacked_state(lim, config.gamma)
+    m_end = maxwellian_profile(lim.rho[-1], lim.u[-1], grid)
 
     rows = np.recarray(len(config.eps_list), dtype=_SWEEP_DTYPE)
     for k, (eps, run) in enumerate(zip(config.eps_list, runs)):

@@ -10,7 +10,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ import kinfluid.entropy as entropy
 import kinfluid.harness as harness
 import kinfluid.kinetic as kinetic
 import kinfluid.limit as limit
-from kinfluid.core import ConfigError, PhaseGrid, SolverError, quad_x
+from kinfluid.core import ConfigError, PhaseGrid, SolverError, VacuumError, quad_x
 from kinfluid.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
@@ -158,15 +158,18 @@ def test_coupled_run_mass_books_and_audit():
     assert run.book["max_wall_flux"] <= 1e-12
 
 
-def test_coupled_run_makes_one_diagnostics_pass(monkeypatch):
+def test_coupled_run_makes_one_diagnostics_pass(monkeypatch, tmp_path):
     # moments once per step after the step (shared by the sample and the next
     # gas drag) plus once inside each kinetic step; one local Maxwellian per
-    # sample, shared by P(f|M), D1 and the Csiszar-Kullback margin
-    calls = Counter()
+    # sample, shared by P(f|M), D1 and the Csiszar-Kullback margin. The
+    # samples are taken in the run's sampler process, so each call is
+    # counted as a line appended to one file, which both processes write.
+    log = tmp_path / "calls"
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with open(log, "a") as fh:
+                fh.write(name + "\n")
             return fn(*args, **kwargs)
         return wrapper
 
@@ -175,6 +178,7 @@ def test_coupled_run_makes_one_diagnostics_pass(monkeypatch):
     monkeypatch.setattr(entropy, "maxwellian_profile", counted("maxwellian", entropy.maxwellian_profile))
     cfg = tiny_config()
     run = run_coupled(cfg, 0.4)
+    calls = Counter(log.read_text().split())
     nt = round(cfg.t_final / run.dt)
     assert calls["moments"] == 2 * nt + 1
     assert calls["maxwellian"] == len(run.reports) == cfg.n_samples + 1
@@ -737,14 +741,23 @@ def test_cli_converge_writes_outputs(tmp_path, capsys):
     runs = meta["runs"]
     assert [r["eps"] for r in runs] == [0.4, 0.2, 0.1]
     book_keys = {"max_wall_flux", "wall_outflow", "truncation_leak", "max_cfl_transport", "max_cfl_drag", "min_n"}
-    cost_keys = {"steps", "kinetic_seconds", "gas_seconds", "moments_seconds", "sample_seconds"}
+    cost_keys = {
+        "steps", "kinetic_seconds", "gas_seconds", "moments_seconds", "sample_seconds", "sample_wait_seconds",
+    }
     assert all(set(r) == {"eps", "dt", "wall_seconds", "audit", "ck_margin_min", *book_keys, *cost_keys}
                for r in runs)
-    # every run takes the same steps, and its loop's four parts fit in its wall time
+    # every run takes the same steps, and the march's three parts and its
+    # hand-off to the sampler fit in its wall time; the sampler's seconds
+    # are spent in its own process
     assert {r["steps"] for r in runs} == {round(0.1 / runs[0]["dt"])}
     for r in runs:
-        parts = [r[key] for key in cost_keys - {"steps"}]
+        parts = [r[key] for key in cost_keys - {"steps", "sample_seconds"}]
         assert all(t > 0 for t in parts) and sum(parts) < r["wall_seconds"]
+        assert 0 < r["sample_seconds"] < r["wall_seconds"]
+    # and so does the limit march's
+    limit_cost = meta["limit"]
+    assert set(limit_cost) == {"steps", "substep_seconds", "sample_seconds"}
+    assert limit_cost["steps"] > 0 and limit_cost["substep_seconds"] > 0 and limit_cost["sample_seconds"] > 0
     # the slack at t = 0 is 0, so each worst slack is min(0, the slack after it)
     slacks = [r["audit"]["slack_entropy_budget"] for r in runs]
     after = [r["audit"]["slack_after_start"] for r in runs]
@@ -761,9 +774,12 @@ def test_cli_simulate_limit(tmp_path, capsys):
     line = capsys.readouterr().out
     arrays, meta = load_state(out / "limit_series.json")
     books = f"max_exchange_asym={meta['max_exchange_asym']:.6g} min_one_plus_h={meta['min_one_plus_h']:.6g}"
-    assert line == f"dt={meta['dt']:g} {books} -> {out}\n"
+    cost = " ".join(f"{key}={meta[key]:.6g}" for key in ("steps", "substep_seconds", "sample_seconds"))
+    assert line == f"dt={meta['dt']:g} {books} {cost} -> {out}\n"
     run = harness.run_limit(ExperimentConfig.from_json(cfg))
     assert run.book == {key: meta[key] for key in ("max_exchange_asym", "min_one_plus_h")}
+    assert set(run.cost) == {"steps", "substep_seconds", "sample_seconds"}
+    assert meta["steps"] == run.cost["steps"] == 12
     assert set(arrays) == {"times", "rho", "u", "n", "v", "mass_rho"}
     assert arrays["times"].shape == (5,) and arrays["n"].shape == (5, 32)
     # the samples are a subset of the steps the minimum runs over
@@ -1205,6 +1221,204 @@ def test_sweep_workers_end_with_their_process(tmp_path):
             os.kill(pid, signal.SIGKILL)
 
 
+# ---------------------------------------------------------------------------
+# the sampler process of a coupled run
+# ---------------------------------------------------------------------------
+
+
+def _children() -> list[int]:
+    """The pids of this process's children, zombies included."""
+    return [int(pid) for pid in Path(f"/proc/self/task/{os.getpid()}/children").read_text().split()]
+
+
+def _dense_config(tmp_path, **kw) -> Path:
+    """A tiny diffuse-wall config file sampled on every one of its steps."""
+    kw = dict(nx=16, nv=16, t_final=0.05, eps_list=[0.2], boundary="diffuse", wall_temperature=1.3, **kw)
+    steps = run_coupled(ExperimentConfig(**kw, n_samples=1), 0.2).cost["steps"]
+    return _write_cfg(tmp_path, **kw, n_samples=steps)
+
+
+def _report_failing_at(sample: int, how):
+    """harness.evaluate_entropy_report, with how() called in its place at
+    the given sample; the sampler process inherits it, and its own count of
+    calls, as the run forks it."""
+    real, calls = harness.evaluate_entropy_report, []
+
+    def wrapper(*args):
+        calls.append(1)
+        if len(calls) == sample + 1:
+            how()
+        return real(*args)
+
+    return wrapper
+
+
+def _forced_vacuum():
+    raise VacuumError("forced vacuum")
+
+
+def test_sampled_rows_match_reports_made_in_process(tmp_path):
+    # the sampler writes each row from its own copy of the run's work set;
+    # the first and the last row carry the bits of a report made here, on
+    # the initial state and, in a fresh work set, on the run's final state,
+    # and a run sampled at those two levels only has their smaller margin
+    cfg = ExperimentConfig.from_json(_dense_config(tmp_path))
+    run = run_coupled(cfg, 0.2)
+    assert run.cost["steps"] == cfg.n_samples
+    grid = cfg.grid()
+
+    def in_process(kin, fl):
+        work = kinetic.KineticWork(grid, run.dt, 0.2)
+        mom = harness.compute_moments(kin, grid, work.f)
+        report, l1_gap = entropy.evaluate_entropy_report(kin, fl, mom, work)
+        row = np.recarray(1, dtype=run.reports.dtype)
+        row[0] = (kin.t, mom.rho, mom.u, fl.n, fl.v, *vars(report).values(), quad_x(fl.n, grid))
+        return row, entropy.csiszar_kullback_margin(report, l1_gap)
+
+    kin, fl, _ = make_well_prepared(cfg)
+    first, first_margin = in_process(kin, fl)
+    last, last_margin = in_process(run.f_final, run.fluid_final)
+    assert run.reports[:1].tobytes() == first.tobytes()
+    assert run.reports[-1:].tobytes() == last.tobytes()
+    two_levels = run_coupled(replace(cfg, n_samples=1), 0.2)
+    assert two_levels.reports.tobytes() == run.reports[[0, -1]].tobytes()
+    assert two_levels.ck_margin_min == min(first_margin, last_margin)
+    assert run.ck_margin_min <= two_levels.ck_margin_min
+
+
+_RUN_ARGS = ["--config", "config.json", "--eps", "0.2", "--out", "run"]
+
+# a simulate-kinetic on the config in the working directory, on one CPU
+_ONE_CPU_RUN = f"""
+import os, sys
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+from kinfluid import cli
+sys.exit(cli.main_simulate_kinetic({_RUN_ARGS!r}))
+"""
+
+
+def test_sampled_run_keeps_its_bytes_on_one_cpu(tmp_path, monkeypatch):
+    # the march and its sampler share one CPU, so the march waits for free
+    # slots; the record, the smallest margin and every file keep their bytes
+    config = _dense_config(tmp_path).read_text()
+    for tag in ("default", "one"):
+        (tmp_path / tag).mkdir()
+        (tmp_path / tag / "config.json").write_text(config)
+    monkeypatch.chdir(tmp_path / "default")
+    assert main_simulate_kinetic(_RUN_ARGS) == EXIT_OK
+    env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", _ONE_CPU_RUN], cwd=tmp_path / "one", env=env, check=True, timeout=120)
+    default, one = (
+        {p.name: _comparable(p) for p in (tmp_path / tag / "run").iterdir()} for tag in ("default", "one")
+    )
+    assert default.keys() == one.keys() and "series__F.bin" in default
+    assert [name for name in default if default[name] != one[name]] == []
+
+
+def test_sample_failure_dumps_the_sampled_state(tmp_path, monkeypatch, capsys):
+    # a report that fails in the sampler exits 2 with the step of its
+    # sample and the dump of the sampled state, as a report made in the
+    # march would; no process outlives the run
+    cfgfile = _dense_config(tmp_path)
+    cfg = ExperimentConfig.from_json(cfgfile)
+    run = run_coupled(cfg, 0.2)
+    monkeypatch.setattr(harness, "evaluate_entropy_report", _report_failing_at(3, _forced_vacuum))
+    out = tmp_path / "failed"
+    capsys.readouterr()
+    assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", "0.2", "--out", str(out)]) == EXIT_SOLVER
+    dump = out / "failure_step_2.json"
+    assert capsys.readouterr().err == f"solver failure: step 2: forced vacuum (state dumped to {dump})\n"
+    arrays, meta = load_state(dump)
+    assert meta == {"step": 2, "t": run.reports.times[3]}
+    assert arrays["n"].tobytes() == run.reports.n[3].tobytes()
+    assert _children() == []
+
+
+def test_sample_failure_wins_over_a_later_march_failure(tmp_path, monkeypatch):
+    # the sample after step 0 fails in the sampler, then the march fails at
+    # step 2 before it learns of it: the earlier failure is raised, and the
+    # march dumps nothing
+    cfg = ExperimentConfig.from_json(_dense_config(tmp_path, output_dir=str(tmp_path / "out")))
+    real = harness.kinetic_step
+
+    def fail_at_step_2(kin, fl, walls, work):
+        if kin.t > 1.5 * work.dt:
+            raise SolverError("forced failure")
+        return real(kin, fl, walls, work)
+
+    monkeypatch.setattr(harness, "kinetic_step", fail_at_step_2)
+    monkeypatch.setattr(harness, "evaluate_entropy_report", _report_failing_at(1, _forced_vacuum))
+    with pytest.raises(SolverError) as err:
+        run_coupled(cfg, 0.2)
+    assert str(err.value).startswith("step 0: forced vacuum (state dumped to ")
+    assert sorted(p.name for p in (tmp_path / "out").glob("failure_step_*.json")) == ["failure_step_0.json"]
+    assert _children() == []
+
+
+class _Deadline(BaseException):
+    """Raised by SIGALRM in a test that would otherwise hang; a
+    BaseException, so no handler of the run takes it for the run's own
+    failure."""
+
+
+def _timed_out(signum, frame):
+    raise _Deadline("the run did not end")
+
+
+def test_killed_sampler_is_a_solver_failure(tmp_path, monkeypatch, capsys):
+    # a sampler that ends abruptly, as one killed for want of memory would,
+    # ends the run with exit 2 and one stderr line, not a hang
+    cfgfile = _dense_config(tmp_path)
+    monkeypatch.setattr(harness, "evaluate_entropy_report",
+                        _report_failing_at(2, lambda: os.kill(os.getpid(), signal.SIGKILL)))
+    capsys.readouterr()
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(60)
+    try:
+        code = main_simulate_kinetic(["--config", str(cfgfile), "--out", str(tmp_path / "run")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().err == "solver failure: the sampler process ended abruptly\n"
+    assert _children() == []
+
+
+# a coupled run whose sampler names itself in a file in the working
+# directory and then sleeps, away from its pipe
+_SLEEPING_SAMPLER = """
+import os, time
+from kinfluid import harness
+def sleeping(*args):
+    open(f"pid_{os.getpid()}", "w").close()
+    time.sleep(60)
+harness.evaluate_entropy_report = sleeping
+harness.run_coupled(harness.ExperimentConfig(nx=8, nv=8, t_final=0.02, n_samples=2), 0.4)
+"""
+
+
+def test_sampler_ends_with_its_run(tmp_path):
+    # a run's process killed while its sampler is busy takes the sampler
+    # with it
+    env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", _SLEEPING_SAMPLER], cwd=tmp_path, env=env)
+    pids = []
+    try:
+        def named():
+            pids[:] = [int(p.name.removeprefix("pid_")) for p in tmp_path.glob("pid_*")]
+            return len(pids) == 1
+
+        assert _wait_for(named, 30)
+        assert _alive(pids[0])
+        proc.kill()
+        proc.wait(timeout=10)
+        assert _wait_for(lambda: not _alive(pids[0]), 10)
+    finally:
+        proc.kill()
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
 # a plain BLAS product, which shows whether the core types differ, then a
 # tiny simulate-kinetic and converge on the config in the working directory
 _CORETYPE_RUN = """
@@ -1221,12 +1435,13 @@ sys.exit(max(codes))
 
 def _comparable(path: Path):
     """A file's bytes, or a JSON sidecar without its timings, its own and
-    those of the runs it records."""
+    those of the runs and the limit march it records."""
     if path.suffix != ".json":
         return path.read_bytes()
     data = _untimed(json.loads(path.read_text()))
     if "runs" in data:
         data["runs"] = [_untimed(run) for run in data["runs"]]
+        data["limit"] = _untimed(data["limit"])
     return data
 
 
