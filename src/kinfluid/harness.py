@@ -77,10 +77,10 @@ MAX_STEPS = 100_000
 # and the benchmark make (at most 2^14 cells, 128 x 128 and 256 x 64). The
 # run's sampler process writes six of the work arrays in its own copy, and
 # its ring holds SAMPLE_RING = 4 states, about 1.25 GiB more at the bound. An
-# eps sweep holds up to one such run per worker process at once, so a sweep
-# at the bound takes about 2.9 GiB per worker. A grid above it is a config
-# error, checked before any array is built, not an allocation that fails or
-# commits memory as the run goes.
+# eps sweep holds up to workers such runs at once, each in a child process,
+# so a sweep at the bound takes about 2.9 GiB per worker. A grid above it is
+# a config error, checked before any array is built, not an allocation that
+# fails or commits memory as the run goes.
 MAX_CELLS = 1 << 24
 
 
@@ -323,6 +323,96 @@ def _pick_dt(config: ExperimentConfig, grid: PhaseGrid, fl) -> tuple[float, int,
     return _cadence(config, config.cfl * bound)
 
 
+def _end_with(parent: int):
+    """The first call of each _Child: the kernel kills the process when the
+    thread that forked it ends (Linux PR_SET_PDEATHSIG), so when its parent,
+    pid parent, ends, where a sweep's run would run on to its end and a
+    sampler finish its sample."""
+    import ctypes
+    import signal
+
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    if prctl(1, signal.SIGKILL) != 0:  # 1 = PR_SET_PDEATHSIG
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:  # the parent ended before the call
+        os._exit(1)
+
+
+class _Child:
+    """A child process forked to run call(out) once, out the write end of
+    its one pipe to this process, on which call may send b"." bytes of its
+    own (a run's sampler answers with them). The child's last message is
+    b"=" and the pickled result, or b"!" and the pickled exception that call
+    raised; the pipe's end without either (the child killed, say) is
+    SolverError(abrupt). The child starts with _end_with and inherits all
+    that call uses, so nothing is pickled on the way in.
+
+    Fork only from the main thread, with no other Python thread started and
+    no BLAS call under way: a child copies the locks held at the fork, not
+    the threads that hold them. The one other thread at every fork here is
+    OpenBLAS's worker (/proc/self/status reads Threads: 2 once numpy is
+    imported); OpenBLAS's own fork handler stops it, and either process
+    starts it again at its next BLAS call. CPython 3.12 and later warn of
+    each such fork, as they count the kernel's threads."""
+
+    def __init__(self, call, abrupt: str):
+        self.fd, out = os.pipe()
+        self.abrupt, self.ended = abrupt, False  # ended: the last message is read
+        parent = os.getpid()
+        try:
+            self.pid = os.fork()
+        except OSError as exc:
+            for fd in (self.fd, out):
+                os.close(fd)
+            raise SolverError(f"cannot fork a child process: {exc}") from exc
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self.fd)
+                _end_with(parent)
+                try:
+                    message = b"=" + pickle.dumps(call(out))
+                except Exception as exc:  # raised again in the parent, by result()
+                    message = b"!" + pickle.dumps(exc)
+                while message:
+                    message = message[os.write(out, message) :]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(out)
+
+    def result(self, head: bytes = b""):
+        """The child's result, or its exception raised, once its last message
+        has come; head is what the caller read of that message, if anything."""
+        if not self.ended:
+            chunks = [head]
+            while chunk := os.read(self.fd, 1 << 16):
+                chunks.append(chunk)
+            self.ended, message = True, b"".join(chunks).lstrip(b".")
+            try:
+                self.outcome = message[:1], pickle.loads(message[1:])
+            except (EOFError, pickle.UnpicklingError):  # no last message, or a cut one
+                self.outcome = b"!", SolverError(self.abrupt)
+        kind, value = self.outcome
+        if kind != b"=":
+            raise value
+        return value
+
+    def stop(self):
+        """Reap the child, killed first unless its last message is read, and
+        close the pipe."""
+        import signal
+
+        if not self.ended:
+            os.kill(self.pid, signal.SIGKILL)
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped already, under SIGCHLD set to SIG_IGN
+            pass
+        os.close(self.fd)
+
+
 # Samples in flight at once between a coupled run's march and its sampler
 # process: the slots of the ring that the march copies each sampled state
 # into. The march waits only when every slot is full. Four slots of a
@@ -330,66 +420,42 @@ def _pick_dt(config: ExperimentConfig, grid: PhaseGrid, fl) -> tuple[float, int,
 SAMPLE_RING = 4
 
 
-def _ring_slot(flat: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, ...]:
-    """The views (f, rho, u, mom, n, v, t) of one ring slot: a sampled state,
-    the moments of its f and its time, t as a (1,) array."""
-    nx, nv = grid.nx, grid.nv
-    f, *rest = np.split(flat, np.cumsum([nx * nv, nx, nx, nx, nx, nx]))
-    return f.reshape(nx, nv), *rest
-
-
 class _Sampler:
-    """A coupled run's sampler process, forked once the run's KineticWork is
-    built. It evaluates the entropy report and the Csiszar-Kullback margin
-    of each sample in its fork-inherited copy of the work set, while the
-    march goes on, and writes the sample's row into the run's record, which
-    lies in a shared mapping.
-
-    The march copies each sampled state into a free slot of a ring of
-    SAMPLE_RING slots in another shared mapping and sends the sample's index
-    down a pipe. The sampler answers each sample with one byte, b".", once
-    its slot is free again. It folds the margins with Python's min in
-    sample order, as a march that sampled in process would. When the march
-    closes the pipe, the sampler writes its smallest margin and its seconds
-    into the ring's header, sends b"=" and ends. A sample that fails ends it
-    with b"!" and the pickled failure: a SolverError names the dump of the
-    sample's state, failure_step_<k> for the sample after step k, which the
-    sampler writes from its slot. A sampler that ends without either, say
-    killed, is a SolverError."""
+    """A coupled run's sampler process, a _Child forked once the run's
+    KineticWork is built. While the march goes on, it makes each sample's
+    entropy report and Csiszar-Kullback margin in its fork-inherited copy of
+    the work set and writes the sample's row into the run's record, a shared
+    mapping. The march copies the sampled state into a free slot of a ring
+    in another shared mapping and writes the sample's index on the index
+    pipe; the sampler answers b"." once the slot is free. Its result is its
+    smallest margin (Python's min in sample order, as in process) and its
+    seconds. A sample's SolverError names the dump of the sampled state,
+    failure_step_<k> for the sample after step k."""
 
     def __init__(self, config: ExperimentConfig, work: KineticWork, reports: np.recarray, per: int):
         import mmap  # here, as in _end_with: at module level it would add to every CLI start
 
         self.config, self.work, self.reports, self.per = config, work, reports, per
-        grid = work.grid
-        size = grid.nx * grid.nv + 5 * grid.nx + 1
-        stride = -(-size // 8) * 8  # each slot starts on a 64-byte boundary
-        ring = np.frombuffer(mmap.mmap(-1, 8 * (8 + SAMPLE_RING * stride)), dtype=float)
-        self.header = ring[:2]  # the smallest margin and the sampler's seconds
-        self.slots = [_ring_slot(ring[8 + k * stride :][:size], grid) for k in range(SAMPLE_RING)]
+        nx, nv = work.grid.nx, work.grid.nv
+        # a slot holds a sampled state, the moments of its f and its time
+        dtype = np.dtype({
+            "names": ["f", "rho", "u", "mom", "n", "v", "t"],
+            "formats": [(float, (nx, nv)), *[(float, (nx,))] * 5, float],
+            "itemsize": -(-(nx * nv + 5 * nx + 1) // 8) * 64,  # each slot starts on a 64-byte boundary
+        })
+        self.ring = np.recarray(SAMPLE_RING, dtype=dtype, buf=mmap.mmap(-1, SAMPLE_RING * dtype.itemsize))
         self.sent = self.freed = 0
         self.wait_seconds = 0.0
-        self.ended = False  # the sampler's last message is read
-        self.failure = None
-        index_r, self.index_w = os.pipe()
-        self.answer_r, answer_w = os.pipe()
-        parent = os.getpid()
-        try:
-            self.pid = os.fork()
-        except OSError as exc:
-            for fd in (index_r, self.index_w, self.answer_r, answer_w):
-                os.close(fd)
-            raise SolverError(f"cannot start the sampler process: {exc}") from exc
-        if self.pid == 0:
-            self._serve(parent, index_r, answer_w)
-        os.close(index_r)
-        os.close(answer_w)
+        index_r, index_w = os.pipe()
+        self.index = open(index_w, "wb", buffering=0)  # one write(2) a call, as os.write
+        with open(index_r, "rb", buffering=0) as indices:  # closed here once the sampler is forked
+            self.child = _Child(lambda out: self._serve(indices, out), "the sampler process ended abruptly")
 
     def _sample(self, idx: int) -> float:
         """Write row idx of the run's record from its slot; returns the
         sample's margin. A failing report dumps the slot's state."""
-        f, rho, u, mom, n, v, t = self.slots[idx % SAMPLE_RING]
-        t = float(t[0])
+        f, rho, u, mom, n, v, t = self.ring[idx % SAMPLE_RING]
+        t = float(t)
         try:
             kin = KineticState(f=f, t=t)
             fl = FluidState(n=n, v=v, gamma=self.config.gamma)
@@ -400,61 +466,30 @@ class _Sampler:
             step = max(idx * self.per - 1, 0)  # sample idx > 0 follows step idx * per - 1
             raise dump_failure_state(self.config, exc, {"f": f, "n": n, "v": v}, step, t) from exc
 
-    def _serve(self, parent: int, index_r: int, answer_w: int):
-        """The sampler process: sample until the march closes the pipe, then
-        end the process."""
-        status = 1
-        try:
-            os.close(self.index_w)
-            os.close(self.answer_r)
-            _end_with(parent)
-            ck_min, sample_s = None, 0.0
-            while message := os.read(index_r, 4):
-                t_a = time.perf_counter()
-                margin = self._sample(int.from_bytes(message, "little"))
-                ck_min = margin if ck_min is None else min(ck_min, margin)
-                sample_s += time.perf_counter() - t_a
-                os.write(answer_w, b".")
-            self.header[:] = math.nan if ck_min is None else ck_min, sample_s
-            os.write(answer_w, b"=")
-            status = 0
-        except Exception as exc:  # handed to the march, which raises it
-            message = b"!" + pickle.dumps(exc)
-            while message:
-                message = message[os.write(answer_w, message) :]
-        finally:
-            os._exit(status)
-
-    def _receive(self):
-        """Read what the sampler sent, waiting for it; once it has ended,
-        raise its failure, if any."""
-        data = os.read(self.answer_r, 1 << 16)
-        last = data.lstrip(b".")
-        self.freed += len(data) - len(last)
-        if data and not last:
-            return
-        while chunk := os.read(self.answer_r, 1 << 16):
-            last += chunk
-        self.ended = True
-        if last.startswith(b"!"):
-            self.failure = pickle.loads(last[1:])
-        elif last != b"=":
-            self.failure = SolverError("the sampler process ended abruptly")
-        if self.failure is not None:
-            raise self.failure
+    def _serve(self, indices, out: int) -> tuple[float, float]:
+        """The sampler process: sample until the march closes the index
+        pipe; returns the smallest margin and the seconds taken."""
+        self.index.close()
+        margins, sample_s = [], 0.0
+        while message := indices.read(4):
+            t_a = time.perf_counter()
+            margins.append(self._sample(int.from_bytes(message, "little")))
+            sample_s += time.perf_counter() - t_a
+            os.write(out, b".")
+        return float(min(margins, default=math.nan)), sample_s
 
     def put(self, idx: int, kin: KineticState, fl: FluidState, mom: MomentSet):
         """Hand sample idx, the state (kin, fl) and the moments mom of kin, to
         the sampler, once a slot is free."""
         t_a = time.perf_counter()
-        while self.sent - self.freed >= SAMPLE_RING:
-            self._receive()
-        for slot, value in zip(self.slots[idx % SAMPLE_RING], (kin.f, mom.rho, mom.u, mom.mom, fl.n, fl.v, kin.t)):
-            slot[...] = value
-        try:
-            os.write(self.index_w, idx.to_bytes(4, "little"))
-        except BrokenPipeError:  # the sampler has ended
-            self.finish()
+        while self.sent - self.freed >= SAMPLE_RING:  # wait for an answer
+            data = os.read(self.child.fd, 1 << 16)
+            last = data.lstrip(b".")
+            self.freed += len(data) - len(last)
+            if not data or last:  # the sampler has ended: its failure raised
+                self.child.result(last)
+        self.ring[idx % SAMPLE_RING] = (kin.f, mom.rho, mom.u, mom.mom, fl.n, fl.v, kin.t)
+        self.index.write(idx.to_bytes(4, "little"))  # once the sampler has ended, a BrokenPipeError
         self.sent += 1
         self.wait_seconds += time.perf_counter() - t_a
 
@@ -462,30 +497,16 @@ class _Sampler:
         """Wait for the sampler to take every sample handed to it: its
         smallest margin and its seconds, or its failure raised."""
         t_a = time.perf_counter()
-        if self.index_w >= 0:
-            os.close(self.index_w)
-            self.index_w = -1
-        while not self.ended:
-            self._receive()
-        if self.failure is not None:
-            raise self.failure
+        self.index.close()
+        result = self.child.result()
         self.wait_seconds += time.perf_counter() - t_a
-        return float(self.header[0]), float(self.header[1])
+        return result
 
     def stop(self):
         """Reap the sampler, killed first unless it has ended, and close
         the pipes."""
-        import signal
-
-        if not self.ended:
-            os.kill(self.pid, signal.SIGKILL)
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:  # reaped already, under SIGCHLD set to SIG_IGN
-            pass
-        for fd in (self.index_w, self.answer_r):
-            if fd >= 0:
-                os.close(fd)
+        self.child.stop()
+        self.index.close()
 
 
 def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
@@ -633,7 +654,7 @@ class ConvergenceResult:
     degeneracy: str | None
     runs: list[CoupledRun]
     limit: LimitRun
-    workers: int  # the worker processes the coupled runs went to
+    workers: int  # the most coupled runs, each in a child process, run at once
     wall_seconds: float
 
     @property
@@ -647,33 +668,6 @@ def _stacked_state(samples: np.recarray, gamma: float) -> TwoPhaseState:
     return TwoPhaseState(rho=samples.rho, u=samples.u, fluid=FluidState(n=samples.n, v=samples.v, gamma=gamma))
 
 
-def _run_eps(config: ExperimentConfig, eps: float) -> CoupledRun:
-    """One coupled run of a sweep, in a worker process. run_coupled is looked
-    up here, in the worker, which inherits it from the sweep's process as
-    that process holds it: a run_coupled replaced by a wrapper, which may be
-    a closure that does not pickle, runs as replaced. Runs fail at the same
-    time, so each dumps a failure into its own directory, eps_<eps> under
-    the output directory."""
-    return run_coupled(replace(config, output_dir=str(Path(config.output_dir) / f"eps_{eps!r}")), eps)
-
-
-def _end_with(parent: int):
-    """Initializer of a sweep's worker and of a run's sampler process: the
-    kernel kills the process when the thread that forked it ends (Linux
-    PR_SET_PDEATHSIG), so when its parent, pid parent, ends. A worker whose
-    sweep's process was killed would otherwise wait on its call queue for
-    ever, and a sampler busy with a sample would finish it first."""
-    import ctypes
-    import signal
-
-    prctl = ctypes.CDLL(None, use_errno=True).prctl
-    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-    if prctl(1, signal.SIGKILL) != 0:  # 1 = PR_SET_PDEATHSIG
-        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-    if os.getppid() != parent:  # the parent ended before the call
-        os._exit(1)
-
-
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """For each eps: coupled run vs the single limit trajectory, compared as
     (K, nx) sample stacks, level by level (both runs share the sampling
@@ -681,47 +675,54 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     sup_H against eps, and the slope between each consecutive pair of eps
     values.
 
-    The coupled runs share nothing, so they run at the same time, in
-    min(len(eps_list), CPUs available) worker processes forked from this
-    one; the limit march runs here while they do, and the comparison and
-    the fit once they are done. Each run is deterministic on its own and the
-    results are taken in eps_list order, so the table does not depend on
-    the worker count. A failing limit march cancels the runs that have not
-    started and is raised once the runs under way end. A run that fails
-    cancels the runs that have not started, and the sweep raises the first
-    failure in eps_list order; a worker that ends abruptly is a
-    SolverError."""
+    The coupled runs share nothing, so they run at the same time, each in
+    a _Child, at most min(len(eps_list), CPUs available) at once, started in
+    eps_list order, while the limit march runs here. Each run is
+    deterministic and the results are taken in eps_list order, so the table
+    does not depend on the worker count. Once a run or the limit march
+    fails, no further run starts; the runs under way end, then the limit
+    march's failure is raised, else the first failure in eps_list order."""
     if len(config.eps_list) < 3:
         raise ConfigError("eps sweep needs at least 3 values")
-    # imported here, as in _end_with: at module level they would add to every
-    # CLI start
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import get_context
+    import select  # here, as in _end_with: at module level it would add to every CLI start
 
     t0 = time.perf_counter()
     grid = config.grid()
-    # forked, not spawned, a worker starts with numpy and kinfluid imported;
-    # fork is safe here, as the runs start no threads and call no BLAS, and
-    # the workers are forked at the first submit, before the pool starts its
-    # own thread
     workers = min(len(config.eps_list), len(os.sched_getaffinity(0)))
-    pool = ProcessPoolExecutor(
-        workers, mp_context=get_context("fork"), initializer=_end_with, initargs=(os.getpid(),)
-    )
+    children = []  # a _Child per run started, in eps_list order
+
+    def start_runs():  # the next runs, until workers of them run
+        while len(children) < len(config.eps_list) and sum(not c.ended for c in children) < workers:
+            eps = config.eps_list[len(children)]
+            # run_coupled is looked up in the child, so a wrapper that this
+            # process put in its place, a closure say, runs there; runs fail
+            # at the same time, so each dumps into a directory of its own
+            run = replace(config, output_dir=str(Path(config.output_dir) / f"eps_{eps!r}"))
+            abrupt = f"a sweep worker process ended abruptly: its run at eps = {eps!r} sent no result"
+            children.append(_Child(lambda out, run=run, eps=eps: run_coupled(run, eps), abrupt))
+
+    def wait_runs(more: bool):  # until none is under way; starts the next while more and none failed
+        while running := [c for c in children if not c.ended]:
+            ready = select.select([c.fd for c in running], [], [])[0]
+            for child in (c for c in running if c.fd in ready):
+                try:
+                    child.result()
+                except Exception:  # raised again below, the first in eps_list order
+                    more = False
+            if more:
+                start_runs()
+
+    limit = None
     try:
-        futures = [pool.submit(_run_eps, config, eps) for eps in config.eps_list]
-        limit = run_limit(config)
-        wait(futures, return_when=FIRST_EXCEPTION)
+        start_runs()
+        try:
+            limit = run_limit(config)
+        finally:
+            wait_runs(more=limit is not None)
+        runs = [child.result() for child in children]
     finally:
-        # waits for the runs under way and cancels the ones not started
-        pool.shutdown(cancel_futures=True)
-    # the runs start in eps_list order, so a failed run comes before every
-    # cancelled one, whose result() would raise CancelledError
-    try:
-        runs = [fut.result() for fut in futures]
-    except BrokenProcessPool as exc:  # a worker killed, say for want of memory
-        raise SolverError(f"a sweep worker process ended abruptly: {exc}") from exc
+        for child in children:
+            child.stop()
     lim = limit.samples
     ref = _stacked_state(lim, config.gamma)
     m_end = maxwellian_profile(lim.rho[-1], lim.u[-1], grid)

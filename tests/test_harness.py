@@ -1,8 +1,6 @@
 import json
 import math
-import multiprocessing.context
 import os
-import pickle
 import platform
 import signal
 import subprocess
@@ -1044,27 +1042,29 @@ def _untimed(record: dict) -> dict:
 
 
 def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
-    # the coupled runs of a sweep go to forked worker processes, at most one
-    # per eps and per CPU; the table and every run's record but its timings
-    # are the same with the default workers, with one worker, and with
-    # run_coupled replaced by a closure, as a profiler wraps it: a closure
-    # does not pickle, so each worker looks it up and runs it itself
+    # the coupled runs of a sweep go to forked child processes, one per eps,
+    # at most one per CPU at once; the table and every run's record but its
+    # timings are the same with the default workers, with one worker, and
+    # with run_coupled replaced by a closure, as a profiler wraps it: each
+    # child looks it up and runs it itself
     cfg = _write_cfg(tmp_path, eps_list=[0.4, 0.2, 0.1, 0.05])
-    starts = []
-    start = multiprocessing.context.ForkProcess.start
+    children, running = [], []  # the sweep's children, and how many ran as each started
 
-    def counted_start(process):
-        starts.append(process)
-        return start(process)
+    class Counted(harness._Child):
+        def __init__(self, *args):
+            running.append(sum(not child.ended for child in children))
+            super().__init__(*args)
+            children.append(self)
 
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted_start)
+    monkeypatch.setattr(harness, "_Child", Counted)
 
     def sweep(tag):
         out = tmp_path / tag
-        starts.clear()
+        children.clear()
+        running.clear()
         assert main_converge(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
         meta = json.loads((out / "convergence_meta.json").read_text())
-        assert len(starts) == meta["workers"]
+        assert len(children) == 4 and max(running) == meta["workers"] - 1
         return (out / "convergence.csv").read_bytes(), [_untimed(run) for run in meta["runs"]], meta["workers"]
 
     default = sweep("default")
@@ -1083,33 +1083,8 @@ def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_coupled", wrapped)
     closure = sweep("closure")
-    ran_in = {int(p.name) for p in pids.iterdir()}
-    assert 1 <= len(ran_in) <= closure[2] and os.getpid() not in ran_in
+    assert {int(p.name) for p in pids.iterdir()} == {child.pid for child in children}
     assert default[:2] == one[:2] == closure[:2]
-
-
-def test_sweep_submits_only_what_pickles(tmp_path, monkeypatch):
-    # a sweep hands its workers only module-level callables and picklable
-    # arguments, even with run_coupled replaced by a closure; each submit is
-    # pickled before it is made, so one that does not pickle fails here
-    # instead of leaving the pool waiting for ever in its shutdown
-    from concurrent.futures import ProcessPoolExecutor
-
-    real_run, real_submit, submitted = harness.run_coupled, ProcessPoolExecutor.submit, []
-
-    def wrapped(config, eps):
-        return real_run(config, eps)
-
-    def recorded(pool, fn, /, *args, **kwargs):
-        pickle.dumps((fn, args, kwargs))
-        submitted.append(fn)
-        return real_submit(pool, fn, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "run_coupled", wrapped)
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
-    cfg = tiny_config(output_dir=str(tmp_path / "sweep"))
-    result = harness.run_convergence(cfg)
-    assert len(submitted) == len(cfg.eps_list) == len(result.runs)
 
 
 def test_cli_converge_failing_run(tmp_path, capsys):
@@ -1126,6 +1101,33 @@ def test_cli_converge_failing_run(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("solver failure: step 0: relaxation coefficient"), err
     assert err[0].endswith(f"at eps = 1e-310 (state dumped to {dump})") and dump.is_file()
     assert not (out / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("failing", ["run", "limit"])
+def test_sweep_starts_no_run_after_a_failure(tmp_path, monkeypatch, failing):
+    # on one CPU the runs go one at a time; once the first run or the limit
+    # march has failed, no further run starts, and the first run, under way
+    # as the limit march fails, ends first
+    ran, real = tmp_path / "ran", harness.run_coupled
+    ran.mkdir()
+
+    def recorded(config, eps):
+        (ran / repr(eps)).touch()
+        if failing == "run":
+            raise SolverError(f"forced failure at eps = {eps!r}")
+        return real(config, eps)
+
+    def failing_limit(config):
+        raise SolverError("forced limit failure")
+
+    monkeypatch.setattr(harness, "run_coupled", recorded)
+    if failing == "limit":
+        monkeypatch.setattr(harness, "run_limit", failing_limit)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    message = "forced failure at eps = 0.4" if failing == "run" else "forced limit failure"
+    with pytest.raises(SolverError, match=f"^{message}$"):
+        harness.run_convergence(tiny_config(output_dir=str(tmp_path / "sweep")))
+    assert [p.name for p in ran.iterdir()] == ["0.4"]
 
 
 def test_cli_converge_worker_killed(tmp_path, monkeypatch, capsys):
@@ -1255,6 +1257,70 @@ def _report_failing_at(sample: int, how):
 
 def _forced_vacuum():
     raise VacuumError("forced vacuum")
+
+
+# the child process that a sweep's run and a run's sampler each run in
+# (harness._Child)
+
+
+def test_child_returns_its_result():
+    child = harness._Child(lambda out: ("done", os.getpid()), "ended abruptly")
+    try:
+        assert child.result() == ("done", child.pid) and child.result() == ("done", child.pid)
+    finally:
+        child.stop()
+    assert _children() == []
+
+
+def test_child_raises_its_exception():
+    def failing(out):
+        raise VacuumError("forced vacuum")
+
+    child = harness._Child(failing, "ended abruptly")
+    try:
+        for _ in range(2):  # and again once its message is read
+            with pytest.raises(VacuumError, match="^forced vacuum$"):
+                child.result()
+    finally:
+        child.stop()
+    assert _children() == []
+
+
+def test_child_ending_without_a_message_is_a_solver_error():
+    child = harness._Child(lambda out: os._exit(1), "the child ended abruptly")
+    try:
+        with pytest.raises(SolverError, match="^the child ended abruptly$"):
+            child.result()
+    finally:
+        child.stop()
+    assert _children() == []
+
+
+def test_stopped_child_leaves_no_process():
+    # stop() kills a child still at work, rather than wait for it, and reaps it
+    child = harness._Child(lambda out: time.sleep(60), "ended abruptly")
+    assert _children() == [child.pid]
+    t_a = time.monotonic()
+    child.stop()
+    assert time.monotonic() - t_a < 10 and _children() == []
+
+
+# a tiny converge, then the names of the modules of a process pool that it
+# imported
+_POOL_IMPORTS = """
+import json, sys
+from kinfluid import cli
+json.dump({"nx": 8, "nv": 8, "t_final": 0.02, "n_samples": 2, "eps_list": [0.4, 0.2, 0.1]}, open("tiny.json", "w"))
+assert cli.main_converge(["--config", "tiny.json", "--out", "sweep"]) == 0
+print(sorted(name for name in ("concurrent.futures.process", "multiprocessing") if name in sys.modules))
+"""
+
+
+def test_sweep_imports_no_process_pool(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _POOL_IMPORTS], cwd=tmp_path, env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_sampled_rows_match_reports_made_in_process(tmp_path):
