@@ -107,9 +107,10 @@ class KineticState:
     def __post_init__(self):
         if self.f.ndim != 2:
             raise ValueError("f must be a 2-D (nx, nv) array")
-        # written as "not >=" so that NaN entries fail the check too
+        # written as "not >=" so that NaN entries fail the check too; the
+        # tolerance scales with max f, read only when some entry is below 0
         fmin = float(self.f.min(initial=0.0))
-        if not fmin >= -_NEG_TOL * max(1.0, float(self.f.max(initial=0.0))):
+        if not fmin >= 0.0 and not fmin >= -_NEG_TOL * max(1.0, float(self.f.max(initial=0.0))):
             raise PositivityError(f"kinetic density has negative or NaN entries (min {fmin:g})")
 
 
@@ -200,7 +201,8 @@ def tridiag_dirichlet_solve(diag_add: np.ndarray, coeff: np.ndarray | float, rhs
     homogeneous Dirichlet walls realized by mirror-negated ghost cells
     (v_{-1} = -v_0, v_n = -v_{n-1}), i.e. v = 0 at both wall faces.
 
-    coeff may be a scalar or a per-row array.
+    coeff may be a scalar or a per-row array; any other shape is a
+    ValueError.
 
     One row is solved by the Thomas recurrence over Python floats, which for
     a single row of a few hundred unknowns costs less than any vectorised
@@ -210,15 +212,20 @@ def tridiag_dirichlet_solve(diag_add: np.ndarray, coeff: np.ndarray | float, rhs
     multiplier w_i = coeff_i / m_i lies in [0, 1).
     """
     n = rhs.shape[0]
-    coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (n,))
+    coeff = np.asarray(coeff, dtype=float)
+    if coeff.shape not in ((), (n,)):
+        raise ValueError(f"coeff must be a scalar or hold {n} rows, not shape {coeff.shape}")
+    c = coeff.tolist()
+    if coeff.ndim == 0:
+        c = [c] * n
     diag = diag_add + 2.0 * coeff
-    diag[0] += coeff[0]
-    diag[-1] += coeff[-1]
+    diag[0] += c[0]
+    diag[-1] += c[-1]
     # forward elimination of the sub-diagonal -coeff_i: pivot m_i, upper
     # multiplier w_i and eliminated right-hand side y_i
     w_prev = y_prev = 0.0
     w, y = [], []
-    for d_i, c_i, r_i in zip(diag.tolist(), coeff.tolist(), rhs.tolist()):
+    for d_i, c_i, r_i in zip(diag.tolist(), c, rhs.tolist()):
         m_i = d_i - c_i * w_prev
         w_prev = c_i / m_i
         y_prev = (r_i + c_i * y_prev) / m_i

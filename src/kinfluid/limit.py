@@ -23,6 +23,7 @@ from .core import (
     FluidState,
     PhaseGrid,
     PositivityError,
+    SolverError,
     TwoPhaseState,
     VacuumError,
     quad_x,
@@ -156,34 +157,43 @@ class IterationReport:
 # set (and the peak memory) independent of nt
 _BLOCK = 16
 
+# rows of a level of picard_iterate's march: h and g mirror evenly at the
+# walls, v and u oddly; the first two rows pair with the last two as the
+# (gas, particle) components of _upwind_increments
+_ROWS = ("h", "g", "v", "u")
+_GHOST_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 
-def _upwind_coefficients(lam1, lam2, ratio):
+
+def _upwind_coefficients(lam1, lam2, ratio, out):
     """Coefficients of the first-order characteristic upwinding of a
     frozen-coefficient 2x2 system with eigenvalues lam1/lam2 and eigenvectors
     (ratio, 1), (ratio, -1), for any number of levels at once.
 
     A+- = sum_k lam_k^{+-} P_k with P_1 = [[1, ratio],[1/ratio, 1]]/2 and
-    P_2 = [[1, -ratio],[-1/ratio, 1]]/2; returns
+    P_2 = [[1, -ratio],[-1/ratio, 1]]/2; writes
     (sp, dpm*ratio, sm, dmm*ratio, dpm/ratio, dmm/ratio), the half sums and
-    half differences of the positive and negative eigenvalue parts."""
+    half differences of the positive and negative eigenvalue parts, into
+    out[0], ..., out[5]."""
     l1p, l1m = np.maximum(lam1, 0.0), np.minimum(lam1, 0.0)
     l2p, l2m = np.maximum(lam2, 0.0), np.minimum(lam2, 0.0)
-    sp, dpm = 0.5 * (l1p + l2p), 0.5 * (l1p - l2p)
-    sm, dmm = 0.5 * (l1m + l2m), 0.5 * (l1m - l2m)
-    return sp, dpm * ratio, sm, dmm * ratio, dpm / ratio, dmm / ratio
+    dpm, dmm = 0.5 * (l1p - l2p), 0.5 * (l1m - l2m)
+    np.multiply(0.5, l1p + l2p, out=out[0])
+    np.multiply(dpm, ratio, out=out[1])
+    np.multiply(0.5, l1m + l2m, out=out[2])
+    np.multiply(dmm, ratio, out=out[3])
+    np.divide(dpm, ratio, out=out[4])
+    np.divide(dmm, ratio, out=out[5])
 
 
-def _upwind_increments(q1, q2, coef, r):
-    """Advective increments of one level, already scaled by -r = -dt/dx, for
-    both components; coef holds that level's rows of _upwind_coefficients.
-    Ghosts: q1 mirrors evenly, q2 mirrors oddly."""
+def _upwind_increments(pad, coef, r):
+    """Advective increments of one level of both phases, already scaled by
+    -r = -dt/dx. pad is the level's ghosted (4, nx+2) rows h, g, v, u; coef
+    is that level's (6, 2, nx) rows of _upwind_coefficients, gas first.
+    Returns the (2, nx) increments of (h, g) and of (v, u)."""
     sp, dpm_r, sm, dmm_r, dpm_over_r, dmm_over_r = coef
-    q1p = np.concatenate(([q1[0]], q1, [q1[-1]]))
-    q2p = np.concatenate(([-q2[0]], q2, [-q2[-1]]))
-    dm1 = q1p[1:-1] - q1p[:-2]
-    dp1 = q1p[2:] - q1p[1:-1]
-    dm2 = q2p[1:-1] - q2p[:-2]
-    dp2 = q2p[2:] - q2p[1:-1]
+    dm = pad[:, 1:-1] - pad[:, :-2]
+    dp = pad[:, 2:] - pad[:, 1:-1]
+    dm1, dm2, dp1, dp2 = dm[:2], dm[2:], dp[:2], dp[2:]
     inc1 = -r * (sp * dm1 + dpm_r * dm2 + sm * dp1 + dmm_r * dp2)
     inc2 = -r * (dpm_over_r * dm1 + sp * dm2 + dmm_over_r * dp1 + sm * dp2)
     return inc1, inc2
@@ -217,50 +227,60 @@ def picard_iterate(prev: SymHypState, setup: PicardSetup) -> tuple[SymHypState, 
 
     The frozen coefficients depend on prev only, so they are built for a
     block of _BLOCK levels at a time; the march then loops over the levels
-    of the block."""
+    of the block, advancing both phases of a level in one pass over its
+    ghosted rows. A non-finite level is a SolverError."""
     grid, dt, nt = setup.grid, setup.dt, setup.nt
     nx = grid.nx
     m_norm = grid.length
     r = dt / grid.dx
 
-    g = np.empty((nt + 1, nx))
-    u = np.empty((nt + 1, nx))
-    h = np.empty((nt + 1, nx))
-    v = np.empty((nt + 1, nx))
-    g[0], u[0], h[0], v[0] = prev.g[0], prev.u[0], prev.h[0], prev.v[0]
+    # level k of the new iterate is traj[k], its rows in _ROWS order with a
+    # ghost cell at each end; the returned fields are views of the interior
+    traj = np.empty((nt + 1, 4, nx + 2))
+    interior = traj[:, :, 1:-1]
+    for i, name in enumerate(_ROWS):
+        interior[0, i] = getattr(prev, name)[0]
     ones = np.ones(nx)
+    # the six coefficients of each level of a block, gas row then particle row
+    coef = np.empty((6, min(_BLOCK, nt), 2, nx))
 
     for k0 in range(0, nt, _BLOCK):
         blk = slice(k0, min(k0 + _BLOCK, nt))
         gm, um, hm, vm = prev.g[blk], prev.u[blk], prev.h[blk], prev.v[blk]
         big_h = 1.0 + hm
         c = _checked_sound_speed(big_h, um, vm, k0, setup)
+        nb = len(big_h)
         # gas phase: frozen-coefficient quasilinear system in (h, v), with
         # the drag toward u explicit and the viscosity implicit
-        gas = _upwind_coefficients(vm + c, vm - c, big_h / c)
+        _upwind_coefficients(vm + c, vm - c, big_h / c, coef[:, :nb, 0])
         drag = dt * (np.exp(gm) / (m_norm * big_h) * (um - vm))
         visc = dt / (big_h * grid.dx**2)
         # particle phase: acoustic pair (g, u) advected by the frozen um,
         # relaxation toward v treated implicitly
-        particle = _upwind_coefficients(um + 1.0, um - 1.0, 1.0)
+        _upwind_coefficients(um + 1.0, um - 1.0, 1.0, coef[:, :nb, 1])
 
         for j, k in enumerate(range(blk.start, blk.stop)):
-            inc_h, inc_v = _upwind_increments(h[k], v[k], [a[j] for a in gas], r)
-            h[k + 1] = h[k] + inc_h
-            v_new = tridiag_dirichlet_solve(ones, visc[j], v[k] + inc_v + drag[j])
-            v[k + 1] = v_new
-            inc_g, inc_u = _upwind_increments(g[k], u[k], [a[j] for a in particle], r)
-            g[k + 1] = g[k] + inc_g
-            u[k + 1] = (u[k] + inc_u + dt * v_new) / (1.0 + dt)
+            pad, old, new = traj[k], interior[k], interior[k + 1]
+            pad[:, 0] = _GHOST_SIGN * pad[:, 1]
+            pad[:, -1] = _GHOST_SIGN * pad[:, -2]
+            inc1, inc2 = _upwind_increments(pad, coef[:, j], r)
+            np.add(old[:2], inc1, out=new[:2])
+            v_new = tridiag_dirichlet_solve(ones, visc[j], old[2] + inc2[0] + drag[j])
+            new[2] = v_new
+            new[3] = (old[3] + inc2[1] + dt * v_new) / (1.0 + dt)
 
+    fields = {name: interior[:, i] for i, name in enumerate(_ROWS)}
     # sup over levels of the L2 distance: per level, the squared l2_distance
     # of each field, summed in field order
     dist = [
-        np.sqrt(grid.dx * np.square(a - b).sum(axis=1)).tolist()
-        for a, b in ((g, prev.g), (u, prev.u), (h, prev.h), (v, prev.v))
+        np.sqrt(grid.dx * np.square(fields[name] - getattr(prev, name)).sum(axis=1)).tolist()
+        for name in ("g", "u", "h", "v")
     ]
-    cauchy = max([0.0] + [math.sqrt(dg**2 + du**2 + dh**2 + dv**2) for dg, du, dh, dv in zip(*dist)])
-    return SymHypState(g=g, u=u, h=h, v=v), cauchy
+    levels = [math.sqrt(dg**2 + du**2 + dh**2 + dv**2) for dg, du, dh, dv in zip(*dist)]
+    finite = np.isfinite(levels)
+    if not finite.all():
+        raise SolverError(f"fixed-point iterate is not finite at level {int(np.argmin(finite))}")
+    return SymHypState(**fields), max(levels)
 
 
 def picard_solve(init: SymHypState, setup: PicardSetup, max_iter: int = 12):
@@ -269,7 +289,7 @@ def picard_solve(init: SymHypState, setup: PicardSetup, max_iter: int = 12):
 
     Returns the last iterate's (nt+1, nx) stack and the list of
     IterationReports with contraction ratios filled in; a failed iterate's
-    CFLError or PositivityError propagates."""
+    CFLError, PositivityError or SolverError propagates."""
     traj = SymHypState(*(np.tile(a, (setup.nt + 1, 1)) for a in (init.g, init.u, init.h, init.v)))
     reports: list[IterationReport] = []
     for m in range(1, max_iter + 1):

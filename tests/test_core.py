@@ -121,6 +121,54 @@ def test_validation_errors():
         KineticState(f=np.ones(8))  # not phase-shaped
 
 
+def _accepts(f):
+    from kinfluid.core import KineticState, PositivityError
+
+    try:
+        KineticState(f=f)
+    except PositivityError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "entry, largest, accepted",
+    [
+        (-1e-13, 1.0, True),  # on the tolerance, -1e-13 * max(1, max f)
+        (np.nextafter(-1e-13, -1.0), 1.0, False),
+        (-0.5e-13, 1.0, True),
+        (-2e-13, 1.0, False),
+        (-5e-13, 10.0, True),  # the tolerance scales with max f above 1
+        (-2e-12, 10.0, False),
+        (-0.0, 1.0, True),
+        (math.nan, 1.0, False),
+        (-math.inf, 1.0, False),
+        (math.inf, 1.0, True),
+        (-1e-3, math.inf, True),  # an infinite max f makes the tolerance infinite
+    ],
+)
+def test_kinetic_state_negativity_tolerance(entry, largest, accepted):
+    f = np.full((4, 8), 0.5)
+    f[0, 0] = largest
+    f[2, 3] = entry
+    assert _accepts(f) is accepted
+    # the same set as the check that always reads max f
+    fmin = float(f.min(initial=0.0))
+    assert accepted is bool(fmin >= -1e-13 * max(1.0, float(f.max(initial=0.0))))
+
+
+def test_tridiag_dirichlet_solve_scalar_coeff_is_a_constant_row(rng):
+    for n in (1, 2, 17, 128):
+        diag_add = 0.5 + rng.random(n)
+        rhs = rng.standard_normal(n)
+        rows = tridiag_dirichlet_solve(diag_add, np.full(n, 0.8), rhs)
+        for scalar in (0.8, np.float64(0.8), np.array(0.8)):
+            assert tridiag_dirichlet_solve(diag_add, scalar, rhs).tobytes() == rows.tobytes()
+        for bad in (np.full(n + 1, 0.8), np.full(n - 1, 0.8), np.full((n, 1), 0.8)):
+            with pytest.raises(ValueError):
+                tridiag_dirichlet_solve(diag_add, bad, rhs)
+
+
 def test_tridiag_dirichlet_solve_against_dense(rng):
     for n in (1, 2, 3, 17, 128, 256):
         for per_row in (False, True):

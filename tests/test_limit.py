@@ -9,6 +9,7 @@ from kinfluid.core import (
     FluidState,
     PhaseGrid,
     PositivityError,
+    SolverError,
     TwoPhaseState,
     VacuumError,
     l2_distance,
@@ -291,24 +292,96 @@ def test_picard_iterate_rejects_an_iterate_that_loses_positivity(xgrid, monkeypa
         picard_iterate(prev, setup)
 
 
+def per_phase_iterate(prev, setup):
+    """picard_iterate with the two phases of a level advanced by two
+    upwind calls, each padding its own pair of fields: the reference the
+    stacked pass must match bit for bit."""
+    grid, dt, nt = setup.grid, setup.dt, setup.nt
+    r = dt / grid.dx
+
+    def coefficients(lam1, lam2, ratio):
+        l1p, l1m = np.maximum(lam1, 0.0), np.minimum(lam1, 0.0)
+        l2p, l2m = np.maximum(lam2, 0.0), np.minimum(lam2, 0.0)
+        sp, dpm = 0.5 * (l1p + l2p), 0.5 * (l1p - l2p)
+        sm, dmm = 0.5 * (l1m + l2m), 0.5 * (l1m - l2m)
+        return sp, dpm * ratio, sm, dmm * ratio, dpm / ratio, dmm / ratio
+
+    def increments(q1, q2, coef):
+        sp, dpm_r, sm, dmm_r, dpm_over_r, dmm_over_r = coef
+        q1p = np.concatenate(([q1[0]], q1, [q1[-1]]))
+        q2p = np.concatenate(([-q2[0]], q2, [-q2[-1]]))
+        dm1, dp1 = q1p[1:-1] - q1p[:-2], q1p[2:] - q1p[1:-1]
+        dm2, dp2 = q2p[1:-1] - q2p[:-2], q2p[2:] - q2p[1:-1]
+        inc1 = -r * (sp * dm1 + dpm_r * dm2 + sm * dp1 + dmm_r * dp2)
+        inc2 = -r * (dpm_over_r * dm1 + sp * dm2 + dmm_over_r * dp1 + sm * dp2)
+        return inc1, inc2
+
+    g, u, h, v = (np.empty((nt + 1, grid.nx)) for _ in range(4))
+    g[0], u[0], h[0], v[0] = prev.g[0], prev.u[0], prev.h[0], prev.v[0]
+    ones = np.ones(grid.nx)
+    for k0 in range(0, nt, limit._BLOCK):
+        blk = slice(k0, min(k0 + limit._BLOCK, nt))
+        gm, um, hm, vm = prev.g[blk], prev.u[blk], prev.h[blk], prev.v[blk]
+        big_h = 1.0 + hm
+        c = limit._checked_sound_speed(big_h, um, vm, k0, setup)
+        gas = coefficients(vm + c, vm - c, big_h / c)
+        drag = dt * (np.exp(gm) / (grid.length * big_h) * (um - vm))
+        visc = dt / (big_h * grid.dx**2)
+        particle = coefficients(um + 1.0, um - 1.0, 1.0)
+        for j, k in enumerate(range(blk.start, blk.stop)):
+            inc_h, inc_v = increments(h[k], v[k], [a[j] for a in gas])
+            h[k + 1] = h[k] + inc_h
+            v_new = limit.tridiag_dirichlet_solve(ones, visc[j], v[k] + inc_v + drag[j])
+            v[k + 1] = v_new
+            inc_g, inc_u = increments(g[k], u[k], [a[j] for a in particle])
+            g[k + 1] = g[k] + inc_g
+            u[k + 1] = (u[k] + inc_u + dt * v_new) / (1.0 + dt)
+    dist = [
+        np.sqrt(grid.dx * np.square(a - b).sum(axis=1)).tolist()
+        for a, b in ((g, prev.g), (u, prev.u), (h, prev.h), (v, prev.v))
+    ]
+    cauchy = max([0.0] + [math.sqrt(dg**2 + du**2 + dh**2 + dv**2) for dg, du, dh, dv in zip(*dist)])
+    return SymHypState(g=g, u=u, h=h, v=v), cauchy
+
+
 @pytest.mark.parametrize("nt", [1, 15, 16, 17, 40])
 def test_picard_blocks_leave_bits_unchanged(monkeypatch, nt):
-    # the frozen coefficients are built per block of levels; one level per
-    # block is the plain per-level march, and both give the same bits
-    grid = PhaseGrid(nx=33, nv=2)
-    setup = PicardSetup(grid=grid, t_final=nt * 0.4 * grid.dx / 1.8, nt=nt)
-    init = to_symhyp(small_two_phase(grid, amp=0.3), grid)
+    # the frozen coefficients are built per block of levels, and both phases
+    # of a level advance in one stacked pass; with one level per block or
+    # _BLOCK levels, every iterate has the bits of the per-phase reference
+    for nx in (33, 64):
+        grid = PhaseGrid(nx=nx, nv=2)
+        setup = PicardSetup(grid=grid, t_final=nt * 0.4 * grid.dx / 1.8, nt=nt)
+        init = to_symhyp(small_two_phase(grid, amp=0.3), grid)
+        for block in (16, 1):
+            monkeypatch.setattr(limit, "_BLOCK", block)
+            stacked = reference = constant_iterate(init, setup)
+            for _ in range(4):
+                stacked, cauchy = picard_iterate(stacked, setup)
+                reference, cauchy_ref = per_phase_iterate(reference, setup)
+                assert cauchy.hex() == cauchy_ref.hex()
+                for name in ("g", "u", "h", "v"):
+                    a, b = getattr(stacked, name), getattr(reference, name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (nx, block, name)
 
-    def solve():
-        traj, reps = picard_solve(init, setup, max_iter=4)
-        return [traj.g, traj.u, traj.h, traj.v], [repr(r) for r in reps]
 
-    blocked = solve()
-    monkeypatch.setattr(limit, "_BLOCK", 1)
-    per_level = solve()
-    for a, b in zip(blocked[0], per_level[0]):
-        np.testing.assert_array_equal(a, b)
-    assert blocked[1] == per_level[1]
+@pytest.mark.parametrize("nan_call", [-1, 6])
+def test_picard_iterate_rejects_a_non_finite_level(xgrid, monkeypatch, nan_call):
+    # a NaN out of one level's viscous solve must not vanish from the sup
+    # over levels of the Cauchy distance; the first non-finite level is named
+    setup = _picard_setup(xgrid)
+    prev = constant_iterate(to_symhyp(small_two_phase(xgrid), xgrid), setup)
+    first_bad = nan_call % setup.nt
+    solve, calls = limit.tridiag_dirichlet_solve, []
+
+    def solve_with_a_nan(*args):
+        calls.append(None)
+        v = solve(*args)
+        return np.full_like(v, np.nan) if len(calls) == first_bad + 1 else v
+
+    monkeypatch.setattr(limit, "tridiag_dirichlet_solve", solve_with_a_nan)
+    with pytest.raises(SolverError, match=f"not finite at level {first_bad + 1}$"):
+        picard_iterate(prev, setup)
 
 
 @pytest.mark.parametrize(
