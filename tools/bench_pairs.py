@@ -62,17 +62,17 @@ def summarise(runs: dict, better: dict) -> dict:
     for name in runs["parent"][0]:
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-        wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+        direction = better.get(name, "lower")
+        sign = -1.0 if direction == "lower" else 1.0
         p_side, c_side = spread(parent), spread(change)
+        base = p_side["median"]
         out[name] = {
-            "better": better.get(name, "lower"),
+            "better": direction,
             "parent": p_side,
             "change": c_side,
-            "change_wins": wins,
+            "change_wins": sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0),
             "pairs": len(parent),
-            "median_change_pct": 100.0 * (c_side["median"] - p_side["median"]) / p_side["median"]
-            if p_side["median"] else None,
+            "median_change_pct": 100.0 * (c_side["median"] - base) / base if base else None,
         }
     return out
 
