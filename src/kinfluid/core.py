@@ -108,10 +108,13 @@ class KineticState:
         if self.f.ndim != 2:
             raise ValueError("f must be a 2-D (nx, nv) array")
         # written as "not >=" so that NaN entries fail the check too; the
-        # tolerance scales with max f, read only when some entry is below 0
+        # tolerance scales with max f, read only when some entry is below 0,
+        # and an infinite max f leaves no tolerance
         fmin = float(self.f.min(initial=0.0))
-        if not fmin >= 0.0 and not fmin >= -_NEG_TOL * max(1.0, float(self.f.max(initial=0.0))):
-            raise PositivityError(f"kinetic density has negative or NaN entries (min {fmin:g})")
+        if not fmin >= 0.0:
+            fmax = float(self.f.max(initial=0.0))
+            if not (math.isfinite(fmax) and fmin >= -_NEG_TOL * max(1.0, fmax)):
+                raise PositivityError(f"kinetic density has negative or NaN entries (min {fmin:g}, max {fmax:g})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,45 +199,84 @@ def l2_distance(a: np.ndarray, b: np.ndarray, grid: PhaseGrid) -> float:
     return float(math.sqrt(weight * float((d * d).sum())))
 
 
-def tridiag_dirichlet_solve(diag_add: np.ndarray, coeff: np.ndarray | float, rhs: np.ndarray) -> np.ndarray:
-    """Solve diag_add[i]*v_i - coeff_i*(v_{i+1} - 2 v_i + v_{i-1}) = rhs_i with
-    homogeneous Dirichlet walls realized by mirror-negated ghost cells
-    (v_{-1} = -v_0, v_n = -v_{n-1}), i.e. v = 0 at both wall faces.
+def dirichlet_elimination(diag_add: np.ndarray, coeff: np.ndarray | float):
+    """Forward elimination of the row(s) diag_add[i]*v_i - coeff_i*(v_{i+1} -
+    2 v_i + v_{i-1}) = rhs_i with homogeneous Dirichlet walls realized by
+    mirror-negated ghost cells (v_{-1} = -v_0, v_n = -v_{n-1}), i.e. v = 0 at
+    both wall faces; tridiag_dirichlet_solve substitutes a right-hand side.
 
-    coeff may be a scalar or a per-row array; any other shape is a
-    ValueError.
+    diag_add is one row (n,) or a stack (k, n); coeff is a scalar, an (n,)
+    row or a (k, n) stack; any other shape is a ValueError. The elimination
+    of the Thomas recurrence (Higham 2002, sec. 9.5) does not read the
+    right-hand side: pivot m_i = d_i - coeff_i w_{i-1} and upper multiplier
+    w_i = coeff_i / m_i of the sub-diagonal -coeff_i. With diag_add > 0 and
+    coeff >= 0 the matrix is strictly diagonally dominant, so it needs no
+    pivoting: every m_i is at least diag_add[i] and every w_i lies in [0, 1).
 
-    One row is solved by the Thomas recurrence over Python floats, which for
-    a single row of a few hundred unknowns costs less than any vectorised
-    kernel's per-call overhead. With diag_add > 0 and coeff >= 0 the matrix
-    is strictly diagonally dominant, so the recurrence needs no pivoting
-    (Higham 2002, sec. 9.5): every pivot m_i is at least diag_add[i] and every
-    multiplier w_i = coeff_i / m_i lies in [0, 1).
+    One row runs the recurrence over Python floats, which for a few hundred
+    unknowns costs less than any vectorised kernel's per-call overhead, and
+    returns the lists (coeff, m, w). A stack runs the same loop body over
+    numpy columns, with Python float semantics for inf and NaN, and returns
+    a (k, 3, n) array whose row j holds the bits of row j's own elimination.
     """
-    n = rhs.shape[0]
+    diag_add = np.asarray(diag_add, dtype=float)
     coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape not in ((), (n,)):
-        raise ValueError(f"coeff must be a scalar or hold {n} rows, not shape {coeff.shape}")
-    c = coeff.tolist()
-    if coeff.ndim == 0:
-        c = [c] * n
+    n = diag_add.shape[-1]
+    if diag_add.ndim not in (1, 2) or coeff.ndim > 2 or coeff.shape[-1:] not in ((), (n,)):
+        raise ValueError(f"need diag_add of shape (n,) or (k, n) and a scalar, (n,) or (k, n) coeff,"
+                         f" not {diag_add.shape} and {coeff.shape}")
     diag = diag_add + 2.0 * coeff
-    diag[0] += c[0]
-    diag[-1] += c[-1]
-    # forward elimination of the sub-diagonal -coeff_i: pivot m_i, upper
-    # multiplier w_i and eliminated right-hand side y_i
-    w_prev = y_prev = 0.0
-    w, y = [], []
-    for d_i, c_i, r_i in zip(diag.tolist(), c, rhs.tolist()):
+    if diag.ndim == 1:
+        c = coeff.tolist()
+        if coeff.ndim == 0:
+            c = [c] * n
+        d = diag.tolist()
+        d[0] += c[0]
+        d[-1] += c[-1]
+        return (c, *_eliminate(zip(d, c)))
+    c = np.broadcast_to(coeff, diag.shape)
+    diag[:, 0] += c[:, 0]
+    diag[:, -1] += c[:, -1]
+    # inf and NaN pass through silently, as they do in Python float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, w = _eliminate(zip(diag.T, c.T))
+    return np.stack((c, np.array(m).T, np.array(w).T), axis=1)
+
+
+def _eliminate(columns):
+    """The Thomas recurrence's elimination over (d_i, coeff_i) pairs of
+    Python floats or of numpy columns: the lists of pivots and multipliers."""
+    m, w = [], []
+    w_prev = 0.0
+    for d_i, c_i in columns:
         m_i = d_i - c_i * w_prev
         w_prev = c_i / m_i
-        y_prev = (r_i + c_i * y_prev) / m_i
+        m.append(m_i)
         w.append(w_prev)
+    return m, w
+
+
+def tridiag_dirichlet_solve(elimination, rhs: np.ndarray) -> np.ndarray:
+    """Solve one row eliminated by dirichlet_elimination for the right-hand
+    side rhs: elimination is that function's (coeff, m, w) of one row, or a
+    (3, n) row of its stacked result. The forward substitution
+    y_i = (rhs_i + coeff_i y_{i-1}) / m_i and the back substitution
+    v_i = y_i + w_i v_{i+1}, from v_{n-1} = y_{n-1}, run over Python floats;
+    with the elimination, every unknown sees the floating-point operations
+    of one Thomas loop that eliminates and substitutes together, in the
+    same order."""
+    c, m, w = elimination.tolist() if isinstance(elimination, np.ndarray) else elimination
+    r = rhs.tolist()
+    if not len(c) == len(m) == len(w) == len(r):
+        raise ValueError(f"an elimination of {len(c)} rows cannot solve a right-hand side of {len(r)}")
+    y_prev = 0.0
+    y = []
+    for c_i, m_i, r_i in zip(c, m, r):
+        y_prev = (r_i + c_i * y_prev) / m_i
         y.append(y_prev)
-    # back substitution v_i = y_i + w_i v_{i+1}, from v_{n-1} = y_{n-1}
     v_next = y_prev
     v = [v_next]
     for w_i, y_i in zip(reversed(w[:-1]), reversed(y[:-1])):
         v_next = y_i + w_i * v_next
         v.append(v_next)
-    return np.array(v[::-1])
+    return np.fromiter(reversed(v), float, len(v))

@@ -15,6 +15,7 @@ from .core import (
     FluidState,
     PhaseGrid,
     VacuumError,
+    dirichlet_elimination,
     tridiag_dirichlet_solve,
 )
 
@@ -63,7 +64,7 @@ def gas_substep(n, v, dt, grid: PhaseGrid, gamma: float):
     n1, m1 = rusanov_step(n, n * v, dt, grid, gamma)
     if not float(n1.min()) > N_FLOOR:
         raise VacuumError(f"fluid density hit the vacuum floor (min {n1.min():g})")
-    v1 = tridiag_dirichlet_solve(n1, dt / grid.dx**2, m1)
+    v1 = tridiag_dirichlet_solve(dirichlet_elimination(n1, dt / grid.dx**2), m1)
     return n1, v1
 
 

@@ -26,6 +26,7 @@ from .core import (
     SolverError,
     TwoPhaseState,
     VacuumError,
+    dirichlet_elimination,
     quad_x,
     tridiag_dirichlet_solve,
 )
@@ -199,13 +200,19 @@ def _upwind_increments(pad, coef, r):
     return inc1, inc2
 
 
+def _positive_levels(big_h):
+    """The number of leading levels of big_h = 1 + h that are positive
+    (a NaN is not)."""
+    positive = big_h.min(axis=1) > 0.0
+    return len(positive) if positive.all() else int(np.argmin(positive))
+
+
 def _checked_sound_speed(big_h, um, vm, k0, setup):
     """Frozen gas sound speed of the levels k0, k0+1, ... whose rows are
     given, after the per-level checks in level order: at each level 1 + h > 0
     first, then the fixed-point CFL condition."""
     dt, dx, gamma = setup.dt, setup.grid.dx, setup.gamma
-    positive = big_h.min(axis=1) > 0.0  # NaN fails
-    n_ok = len(positive) if positive.all() else int(np.argmin(positive))
+    n_ok = _positive_levels(big_h)
     c = sound_speed(big_h[:n_ok], gamma)
     speed_v = (np.abs(vm[:n_ok]) + c).max(axis=1)
     speed_u = (np.abs(um[:n_ok]) + 1.0).max(axis=1)
@@ -215,7 +222,7 @@ def _checked_sound_speed(big_h, um, vm, k0, setup):
     if over.any():
         i = int(np.argmax(over))
         raise CFLError(f"fixed-point CFL violated at iterate level {k0 + i}: {cfl[i]:g}")
-    if n_ok < len(positive):
+    if n_ok < len(big_h):
         raise PositivityError(f"1 + h lost positivity at iterate level {k0 + n_ok}")
     return c
 
@@ -225,10 +232,13 @@ def picard_iterate(prev: SymHypState, setup: PicardSetup) -> tuple[SymHypState, 
     coefficient frozen at the previous iterate, an (nt+1, nx) stack; return
     the new stack and its sup-in-time L2 distance to the previous one.
 
-    The frozen coefficients depend on prev only, so they are built for a
-    block of _BLOCK levels at a time; the march then loops over the levels
-    of the block, advancing both phases of a level in one pass over its
-    ghosted rows. A non-finite level is a SolverError."""
+    The frozen coefficients depend on prev only. So the gas's implicit
+    viscous rows of all levels are eliminated in one stacked pass before the
+    first level, and each level only substitutes its right-hand side. The
+    other coefficients are built, and the levels checked, for a block of
+    _BLOCK levels at a time; the march then loops over the levels of the
+    block, advancing both phases of a level in one pass over its ghosted
+    rows. A non-finite level is a SolverError."""
     grid, dt, nt = setup.grid, setup.dt, setup.nt
     nx = grid.nx
     m_norm = grid.length
@@ -240,21 +250,24 @@ def picard_iterate(prev: SymHypState, setup: PicardSetup) -> tuple[SymHypState, 
     interior = traj[:, :, 1:-1]
     for i, name in enumerate(_ROWS):
         interior[0, i] = getattr(prev, name)[0]
-    ones = np.ones(nx)
+    big_h_all = 1.0 + prev.h[:nt]
+    # the gas's implicit unit viscosity, one Dirichlet row per level: rows up
+    # to the first level whose 1 + h is not positive, where the checks of
+    # its block stop the march
+    n_pos = _positive_levels(big_h_all)
+    visc = dirichlet_elimination(np.ones(nx), dt / (big_h_all[:n_pos] * grid.dx**2))
     # the six coefficients of each level of a block, gas row then particle row
     coef = np.empty((6, min(_BLOCK, nt), 2, nx))
 
     for k0 in range(0, nt, _BLOCK):
         blk = slice(k0, min(k0 + _BLOCK, nt))
-        gm, um, hm, vm = prev.g[blk], prev.u[blk], prev.h[blk], prev.v[blk]
-        big_h = 1.0 + hm
+        gm, um, vm, big_h = prev.g[blk], prev.u[blk], prev.v[blk], big_h_all[blk]
         c = _checked_sound_speed(big_h, um, vm, k0, setup)
         nb = len(big_h)
         # gas phase: frozen-coefficient quasilinear system in (h, v), with
-        # the drag toward u explicit and the viscosity implicit
+        # the drag toward u explicit
         _upwind_coefficients(vm + c, vm - c, big_h / c, coef[:, :nb, 0])
         drag = dt * (np.exp(gm) / (m_norm * big_h) * (um - vm))
-        visc = dt / (big_h * grid.dx**2)
         # particle phase: acoustic pair (g, u) advected by the frozen um,
         # relaxation toward v treated implicitly
         _upwind_coefficients(um + 1.0, um - 1.0, 1.0, coef[:, :nb, 1])
@@ -265,7 +278,7 @@ def picard_iterate(prev: SymHypState, setup: PicardSetup) -> tuple[SymHypState, 
             pad[:, -1] = _GHOST_SIGN * pad[:, -2]
             inc1, inc2 = _upwind_increments(pad, coef[:, j], r)
             np.add(old[:2], inc1, out=new[:2])
-            v_new = tridiag_dirichlet_solve(ones, visc[j], old[2] + inc2[0] + drag[j])
+            v_new = tridiag_dirichlet_solve(visc[k], old[2] + inc2[0] + drag[j])
             new[2] = v_new
             new[3] = (old[3] + inc2[1] + dt * v_new) / (1.0 + dt)
 

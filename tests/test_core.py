@@ -6,6 +6,7 @@ from scipy.special import erf
 
 from kinfluid.core import (
     PhaseGrid,
+    dirichlet_elimination,
     l1_distance,
     l2_distance,
     quad_v,
@@ -143,8 +144,9 @@ def _accepts(f):
         (-0.0, 1.0, True),
         (math.nan, 1.0, False),
         (-math.inf, 1.0, False),
-        (math.inf, 1.0, True),
-        (-1e-3, math.inf, True),  # an infinite max f makes the tolerance infinite
+        (math.inf, 1.0, True),  # an infinite entry with no negative one passes
+        (-1e-3, math.inf, False),  # an infinite max f leaves no tolerance
+        (-1e-300, math.inf, False),
     ],
 )
 def test_kinetic_state_negativity_tolerance(entry, largest, accepted):
@@ -153,20 +155,51 @@ def test_kinetic_state_negativity_tolerance(entry, largest, accepted):
     f[2, 3] = entry
     assert _accepts(f) is accepted
     # the same set as the check that always reads max f
-    fmin = float(f.min(initial=0.0))
-    assert accepted is bool(fmin >= -1e-13 * max(1.0, float(f.max(initial=0.0))))
+    fmin, fmax = float(f.min(initial=0.0)), float(f.max(initial=0.0))
+    assert accepted is bool(fmin >= 0.0 or (math.isfinite(fmax) and fmin >= -1e-13 * max(1.0, fmax)))
 
 
 def test_tridiag_dirichlet_solve_scalar_coeff_is_a_constant_row(rng):
     for n in (1, 2, 17, 128):
         diag_add = 0.5 + rng.random(n)
         rhs = rng.standard_normal(n)
-        rows = tridiag_dirichlet_solve(diag_add, np.full(n, 0.8), rhs)
+        rows = tridiag_dirichlet_solve(dirichlet_elimination(diag_add, np.full(n, 0.8)), rhs)
         for scalar in (0.8, np.float64(0.8), np.array(0.8)):
-            assert tridiag_dirichlet_solve(diag_add, scalar, rhs).tobytes() == rows.tobytes()
+            assert tridiag_dirichlet_solve(dirichlet_elimination(diag_add, scalar), rhs).tobytes() == rows.tobytes()
         for bad in (np.full(n + 1, 0.8), np.full(n - 1, 0.8), np.full((n, 1), 0.8)):
             with pytest.raises(ValueError):
-                tridiag_dirichlet_solve(diag_add, bad, rhs)
+                tridiag_dirichlet_solve(dirichlet_elimination(diag_add, bad), rhs)
+        with pytest.raises(ValueError):
+            tridiag_dirichlet_solve(dirichlet_elimination(diag_add, 0.8), np.append(rhs, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 256])
+@pytest.mark.parametrize("per_row", [False, True])
+def test_dirichlet_elimination_stack_rows_are_one_row_eliminations(rng, n, per_row):
+    # row j of a stacked elimination holds the bytes of row j's own
+    # elimination over Python floats, for a stacked or a shared diag_add
+    k = 7
+    diag_add = 0.5 + rng.random((k, n))
+    coeff = 0.1 + 2.0 * rng.random((k, n)) if per_row else 0.8
+    shared = dirichlet_elimination(diag_add[0], coeff) if per_row else None
+    stacked = dirichlet_elimination(diag_add, coeff)
+    assert stacked.shape == (k, 3, n)
+    for j in range(k):
+        coeff_j = coeff[j] if per_row else coeff
+        assert np.array(dirichlet_elimination(diag_add[j], coeff_j)).tobytes() == stacked[j].tobytes()
+        if per_row:
+            assert np.array(dirichlet_elimination(diag_add[0], coeff_j)).tobytes() == shared[j].tobytes()
+
+
+def test_dirichlet_elimination_stack_passes_inf_and_nan_as_floats_do():
+    # an infinite or NaN coefficient makes a row NaN, as Python floats do,
+    # with no RuntimeWarning (an error in tier-1) from the numpy columns
+    coeff = np.full((3, 6), 0.5)
+    coeff[0, 2], coeff[1, 0], coeff[2, 5] = math.inf, math.nan, -math.inf
+    stacked = dirichlet_elimination(np.ones(6), coeff)
+    for j in range(3):
+        np.testing.assert_array_equal(stacked[j], np.array(dirichlet_elimination(np.ones(6), coeff[j])))
+    assert np.isnan(stacked[0, 1:, 2:]).all() and np.isfinite(stacked[0, 1:, :2]).all()
 
 
 def test_tridiag_dirichlet_solve_against_dense(rng):
@@ -176,7 +209,7 @@ def test_tridiag_dirichlet_solve_against_dense(rng):
             coeff = 0.1 + 2.0 * rng.random(n) if per_row else 0.8
             rhs = rng.standard_normal(n)
             inputs = [np.copy(x) for x in (diag_add, coeff, rhs)]
-            v = tridiag_dirichlet_solve(diag_add, coeff, rhs)
+            v = tridiag_dirichlet_solve(dirichlet_elimination(diag_add, coeff), rhs)
             for before, after in zip(inputs, (diag_add, coeff, rhs)):
                 np.testing.assert_array_equal(after, before)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from kinfluid.core import (
     SolverError,
     TwoPhaseState,
     VacuumError,
+    dirichlet_elimination,
     l2_distance,
     quad_x,
+    tridiag_dirichlet_solve,
 )
 from kinfluid.fluid import N_FLOOR
 from kinfluid.limit import (
@@ -292,10 +295,62 @@ def test_picard_iterate_rejects_an_iterate_that_loses_positivity(xgrid, monkeypa
         picard_iterate(prev, setup)
 
 
+def fused_dirichlet_solve(diag_add, coeff, rhs):
+    """The one-row Dirichlet solve as one Thomas loop, the elimination and
+    the forward substitution fused, as the solve ran before it was split in
+    two: the reference the split solve must match bit for bit."""
+    n = rhs.shape[0]
+    coeff = np.asarray(coeff, dtype=float)
+    c = coeff.tolist()
+    if coeff.ndim == 0:
+        c = [c] * n
+    diag = diag_add + 2.0 * coeff
+    diag[0] += c[0]
+    diag[-1] += c[-1]
+    w_prev = y_prev = 0.0
+    w, y = [], []
+    for d_i, c_i, r_i in zip(diag.tolist(), c, rhs.tolist()):
+        m_i = d_i - c_i * w_prev
+        w_prev = c_i / m_i
+        y_prev = (r_i + c_i * y_prev) / m_i
+        w.append(w_prev)
+        y.append(y_prev)
+    v_next = y_prev
+    v = [v_next]
+    for w_i, y_i in zip(reversed(w[:-1]), reversed(y[:-1])):
+        v_next = y_i + w_i * v_next
+        v.append(v_next)
+    return np.array(v[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 256])
+@pytest.mark.parametrize("per_row", [False, True])
+def test_split_dirichlet_solve_matches_the_fused_loop(rng, n, per_row):
+    # one row eliminated and substituted, and each row of a stacked
+    # elimination substituted, have the bytes of the fused loop; the stack
+    # shares one diag_add row, as picard_iterate's levels do, or has its own
+    k = 5
+    diag_add = 0.5 + rng.random((k, n))
+    coeff = 0.1 + 2.0 * rng.random((k, n)) if per_row else 0.8
+    rhs = rng.standard_normal((k, n))
+    stacks = [(diag_add, dirichlet_elimination(diag_add, coeff))]
+    if per_row:
+        stacks.append((np.ones((k, n)), dirichlet_elimination(np.ones(n), coeff)))
+    for diags, stacked in stacks:
+        assert stacked.shape == (k, 3, n)
+        for j in range(k):
+            coeff_j = coeff[j] if per_row else coeff
+            expect = fused_dirichlet_solve(diags[j], coeff_j, rhs[j]).tobytes()
+            one = tridiag_dirichlet_solve(dirichlet_elimination(diags[j], coeff_j), rhs[j])
+            assert one.tobytes() == expect, (n, j)
+            assert tridiag_dirichlet_solve(stacked[j], rhs[j]).tobytes() == expect, (n, j)
+
+
 def per_phase_iterate(prev, setup):
     """picard_iterate with the two phases of a level advanced by two
-    upwind calls, each padding its own pair of fields: the reference the
-    stacked pass must match bit for bit."""
+    upwind calls, each padding its own pair of fields, and each level's
+    viscous row solved by the fused loop: the reference the stacked pass
+    must match bit for bit."""
     grid, dt, nt = setup.grid, setup.dt, setup.nt
     r = dt / grid.dx
 
@@ -331,7 +386,7 @@ def per_phase_iterate(prev, setup):
         for j, k in enumerate(range(blk.start, blk.stop)):
             inc_h, inc_v = increments(h[k], v[k], [a[j] for a in gas])
             h[k + 1] = h[k] + inc_h
-            v_new = limit.tridiag_dirichlet_solve(ones, visc[j], v[k] + inc_v + drag[j])
+            v_new = fused_dirichlet_solve(ones, visc[j], v[k] + inc_v + drag[j])
             v[k + 1] = v_new
             inc_g, inc_u = increments(g[k], u[k], [a[j] for a in particle])
             g[k + 1] = g[k] + inc_g
@@ -403,6 +458,47 @@ def test_picard_iterate_raises_at_the_first_failing_level(xgrid, cfl_level, erro
         prev.v[cfl_level] = 100.0
     with pytest.raises(error, match=match):
         picard_iterate(prev, setup)
+
+
+@pytest.mark.parametrize(
+    "field, value, error, match",
+    [
+        ("h", -1.0, PositivityError, "1 \\+ h lost positivity at iterate level 20$"),
+        ("h", -1.5, PositivityError, "1 \\+ h lost positivity at iterate level 20$"),
+        ("h", math.nan, PositivityError, "1 \\+ h lost positivity at iterate level 20$"),
+        ("v", math.nan, SolverError, "fixed-point iterate is not finite at level 20$"),
+    ],
+)
+def test_picard_iterate_bad_level_raises_before_any_warning(xgrid, field, value, error, match):
+    # every level's viscous row is eliminated before the first level is
+    # marched; a bad level at 20 still raises what the march raised there,
+    # and no other level's elimination turns it into a RuntimeWarning
+    setup = _picard_setup(xgrid)
+    prev = constant_iterate(to_symhyp(small_two_phase(xgrid), xgrid), setup)
+    getattr(prev, field)[20] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=match):
+            picard_iterate(prev, setup)
+
+
+def test_picard_iterate_infinite_viscous_row_is_a_non_finite_level():
+    # on a grid this narrow dx^2 is subnormal, so where 1 + h is one ulp
+    # above 0 the viscous coefficient dt / ((1 + h) dx^2) divides by zero;
+    # as in Python float arithmetic, that level's row then solves to NaN
+    # without a warning, and the next level is named as non-finite
+    grid = PhaseGrid(nx=16, nv=2, x_hi=1e-160)
+    nt = 24
+    setup = PicardSetup(grid=grid, t_final=nt * 0.4 * grid.dx / 1.8, nt=nt)
+    z = np.zeros(grid.nx)
+    prev = constant_iterate(SymHypState(g=z, u=z.copy(), h=z.copy(), v=z.copy()), setup)
+    prev.h[20] = np.nextafter(-1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="divide by zero encountered in divide"):
+            picard_iterate(prev, setup)
+        with np.errstate(divide="ignore"), pytest.raises(SolverError, match="not finite at level 21$"):
+            picard_iterate(prev, setup)
 
 
 def test_picard_solve_cfl_error_names_the_level():
