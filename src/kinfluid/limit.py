@@ -153,9 +153,10 @@ class IterationReport:
     contraction_ratio: float = math.nan
 
 
-# time levels whose frozen coefficients picard_iterate builds in one
-# vectorised pass; a block rather than the whole horizon keeps the working
-# set (and the peak memory) independent of nt
+# time levels whose frozen upwind coefficients picard_iterate builds in one
+# vectorised pass; a block rather than the whole horizon keeps their twelve
+# rows a level (six per phase) from growing with nt, where the viscous rows'
+# elimination, three rows a level, is held for the whole horizon
 _BLOCK = 16
 
 # rows of a level of picard_iterate's march: h and g mirror evenly at the

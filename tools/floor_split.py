@@ -56,12 +56,18 @@ def main(argv=None) -> int:
         ap.error("--repeats must be at least 1")
 
     root = args.root.resolve()
+    if not ((root / "kfbench" / "floor.py").is_file() and (root / "src" / "kinfluid" / "__init__.py").is_file()):
+        ap.error(f"{root} holds no kfbench/floor.py and src/kinfluid")
     sys.path[:0] = [str(root / "src"), str(root / "kfbench")]
     import run as kfbench_run  # standard library only at import; caps threads before numpy loads
 
     kfbench_run.cap_threads(len(os.sched_getaffinity(0)))
+    import kinfluid
     import workloads
     from floor import FloorClock
+
+    if not Path(kinfluid.__file__).resolve().is_relative_to(root / "src"):
+        ap.error(f"kinfluid imported from {kinfluid.__file__}, not from {root / 'src'}")
 
     with tempfile.TemporaryDirectory() as workdir:
         wl = workloads.WORKLOADS[args.workload](Path(workdir), args.seed, args.size)
