@@ -86,7 +86,7 @@ def main_simulate_kinetic(argv=None) -> int:
     if not (math.isfinite(eps) and eps > 0):  # as an eps_list entry is checked
         raise ConfigError(f"--eps must be finite and positive, got {eps!r}")
     out = _output_dir(cfg.output_dir)
-    run = run_coupled(cfg, eps)
+    run = run_coupled(cfg, eps, out)
     save_run_series(run, out, cfg)
     print(
         f"eps={eps:g} steps_dt={run.dt:g} wall={run.wall_seconds:.2f}s "
@@ -106,11 +106,12 @@ def main_simulate_limit(argv=None) -> int:
     args = ap.parse_args(argv)
     cfg = ExperimentConfig.from_json(args.config, output_dir=args.out)
     out = _output_dir(cfg.output_dir)
-    run = run_limit(cfg)
+    run = run_limit(cfg, out)
     save_state(
         out / "limit_series",
-        {name: run.samples[name] for name in run.samples.dtype.names},
+        {**{name: run.samples[name] for name in run.samples.dtype.names}, **run.stacks},
         meta={"config": asdict(cfg), "dt": run.dt, **run.book, **run.cost},
+        streamed=run.files,
     )
     print(f"dt={run.dt:g} {_book(run.book)} {_book(run.cost)} -> {out}")
     return EXIT_OK

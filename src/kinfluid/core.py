@@ -61,8 +61,9 @@ class PhaseGrid:
             raise ValueError("need x_hi > x_lo")
         if not self.v_max > 0:
             raise ValueError("v_max must be positive")
-        if not max(self.dx, self.dv) < 1e150:
-            raise ValueError("cell widths must stay below 1e150 (the solvers square them)")
+        # so dx^2 and dv^2 are normal floats, and dt / ((1 + h) dx^2) stays finite
+        if not (min(self.dx, self.dv) >= 1e-150 and max(self.dx, self.dv) < 1e150):
+            raise ValueError("cell widths must lie in [1e-150, 1e150): the solvers square them")
 
     @property
     def dx(self) -> float:

@@ -68,8 +68,8 @@ MAX_STEPS = 100_000
 
 # Largest number of cells, nx * nv, of one run's phase space, and so of the
 # other blocks a run sizes before its first step: the two wall blocks of
-# (nv/2)^2 entries each, and the sample record of n_samples + 1 rows of four
-# (nx,) fields. A coupled run's KineticWork holds about 11 arrays of nx * nv
+# (nv/2)^2 entries each, and the four (n_samples + 1, nx) stacks of the
+# sampled fields. A coupled run's KineticWork holds about 11 arrays of nx * nv
 # doubles (the state between sub-steps, the drift, four scratch arrays, the
 # Courant numbers and the relaxation's packed levels, about 4), and the run
 # two more states, so one of MAX_CELLS = 2^24 cells takes about 1.6 GiB, and
@@ -193,7 +193,7 @@ def _macroscopic_profile(config: ExperimentConfig, grid: PhaseGrid):
         return np.ones(grid.nx), z, np.ones(grid.nx), z.copy()
     if config.initial_profile == "local_maxwellian_wave":
         return _wave_profile(grid)
-    arrays, _ = load_state(config.custom_state)
+    arrays, _ = load_state(config.custom_state, ("rho0", "u0", "n0", "v0"))
     try:
         prof = (arrays["rho0"], arrays["u0"], arrays["n0"], arrays["v0"])
     except KeyError as exc:
@@ -243,22 +243,65 @@ def make_well_prepared(config: ExperimentConfig) -> tuple[KineticState, FluidSta
 
 _REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))
 
+# the sampled fields of a run, each a (K, nx) stack of its K samples
+_FIELDS = ("rho", "u", "n", "v")
 
-def _sample_record(config: ExperimentConfig, scalars) -> np.recarray:
-    """The (n_samples + 1,) record array of a run's samples, a row per time
-    level: times, the sampled fields rho, u, n and v as (nx,) fields, then
-    the run's per-sample scalars. A row reads rec[k].F, a column rec.F, and
-    rec.rho is the (K, nx) stack of the samples. The record lies in an
-    anonymous shared mapping, so the rows that a process forked after it is
-    built writes, as a coupled run's sampler does, are read here."""
+
+def _shared(shape: tuple, dtype, fd: int = -1) -> np.ndarray:
+    """A zeroed array in a shared mapping, so that what a process forked
+    after it is built writes in it, as a coupled run's sampler does, is
+    read here. The mapping is of the file open at fd, which is first
+    reserved in full, so that a full disk is an OSError here and not a
+    SIGBUS at a later write, and then closed; at fd -1 it is anonymous."""
     import mmap  # here, as in _end_with: at module level it would add to every CLI start
 
-    dtype = np.dtype([
-        ("times", float),
-        *((name, float, (config.nx,)) for name in ("rho", "u", "n", "v")),
-        *((name, float) for name in scalars),
-    ])
-    return np.recarray(config.n_samples + 1, dtype=dtype, buf=mmap.mmap(-1, (config.n_samples + 1) * dtype.itemsize))
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if fd == -1:
+        return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, size))
+    try:
+        os.posix_fallocate(fd, 0, size)
+        return np.ndarray(shape, dtype, buffer=mmap.mmap(fd, size))
+    finally:
+        os.close(fd)
+
+
+def _sample_record(config: ExperimentConfig, scalars) -> np.recarray:
+    """The (n_samples + 1,) record array of a run's per-sample scalars, a
+    row per time level: times, then scalars. A row reads rec[k].F and a
+    column rec.F. It lies in an anonymous shared mapping."""
+    dtype = np.dtype([("times", float), *((name, float) for name in scalars)])
+    return _shared((config.n_samples + 1,), dtype).view(np.recarray)
+
+
+def _field_stacks(config: ExperimentConfig, out, prefix: str) -> tuple[dict, dict]:
+    """The (n_samples + 1, nx) stacks of a run's sampled fields rho, u, n
+    and v, each in a shared mapping, and the files they map, by name. With
+    out None the mappings are anonymous. Else each stack maps a new file of
+    the directory out, under a temporary name until save_state renames it to
+    <prefix>__<name>.bin: so the samples are written once, into the file they
+    are emitted in, no file of that name is truncated while an earlier run
+    or a reader maps it, and a run that fails leaves it as it was."""
+    shape = (config.n_samples + 1, config.nx)
+    stacks, files = {}, {}
+    try:
+        for name in _FIELDS:
+            fd = -1
+            if out is not None:
+                path = Path(out) / f".{prefix}__{name}.bin.{os.urandom(6).hex()}"
+                fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
+                files[name] = path
+            stacks[name] = _shared(shape, "<f8", fd)
+    except BaseException:
+        _discard(files)
+        raise
+    return stacks, files
+
+
+def _discard(files: dict):
+    """Remove the stack files of a run that no save_state renamed into
+    place, and forget them."""
+    while files:
+        files.popitem()[1].unlink(missing_ok=True)
 
 
 @dataclass
@@ -266,6 +309,7 @@ class CoupledRun:
     eps: float
     # a _sample_record whose scalars are every EntropyReport field and mass_fluid
     reports: np.recarray
+    stacks: dict[str, np.ndarray]  # of _field_stacks
     f_final: KineticState
     fluid_final: FluidState
     # max_wall_flux, wall_outflow and truncation_leak; the CFL ratios
@@ -283,6 +327,9 @@ class CoupledRun:
     # sample_wait_seconds, the march's hand-off of every sample to the
     # sampler and its wait for the last
     cost: dict[str, float]
+    # the files of stacks streamed to their output directory, by name, until
+    # save_run_series renames them into place
+    files: dict[str, Path] = field(default_factory=dict)
 
     @property
     def record(self) -> dict:
@@ -424,18 +471,17 @@ class _Sampler:
     """A coupled run's sampler process, a _Child forked once the run's
     KineticWork is built. While the march goes on, it makes each sample's
     entropy report and Csiszar-Kullback margin in its fork-inherited copy of
-    the work set and writes the sample's row into the run's record, a shared
-    mapping. The march copies the sampled state into a free slot of a ring
-    in another shared mapping and writes the sample's index on the index
-    pipe; the sampler answers b"." once the slot is free. Its result is its
-    smallest margin (Python's min in sample order, as in process) and its
-    seconds. A sample's SolverError names the dump of the sampled state,
-    failure_step_<k> for the sample after step k."""
+    the work set and writes the sample's row into the run's record and its
+    fields into the run's stacks, each a shared mapping. The march copies
+    the sampled state into a free slot of a ring in another shared mapping
+    and writes the sample's index on the index pipe; the sampler answers
+    b"." once the slot is free. Its result is its smallest margin (Python's
+    min in sample order, as in process) and its seconds. A sample's
+    SolverError names the dump of the sampled state, failure_step_<k> for
+    the sample after step k."""
 
-    def __init__(self, config: ExperimentConfig, work: KineticWork, reports: np.recarray, per: int):
-        import mmap  # here, as in _end_with: at module level it would add to every CLI start
-
-        self.config, self.work, self.reports, self.per = config, work, reports, per
+    def __init__(self, config: ExperimentConfig, work: KineticWork, reports: np.recarray, stacks: dict, per: int):
+        self.config, self.work, self.reports, self.stacks, self.per = config, work, reports, stacks, per
         nx, nv = work.grid.nx, work.grid.nv
         # a slot holds a sampled state, the moments of its f and its time
         dtype = np.dtype({
@@ -443,7 +489,7 @@ class _Sampler:
             "formats": [(float, (nx, nv)), *[(float, (nx,))] * 5, float],
             "itemsize": -(-(nx * nv + 5 * nx + 1) // 8) * 64,  # each slot starts on a 64-byte boundary
         })
-        self.ring = np.recarray(SAMPLE_RING, dtype=dtype, buf=mmap.mmap(-1, SAMPLE_RING * dtype.itemsize))
+        self.ring = _shared((SAMPLE_RING,), dtype).view(np.recarray)
         self.sent = self.freed = 0
         self.wait_seconds = 0.0
         index_r, index_w = os.pipe()
@@ -452,15 +498,17 @@ class _Sampler:
             self.child = _Child(lambda out: self._serve(indices, out), "the sampler process ended abruptly")
 
     def _sample(self, idx: int) -> float:
-        """Write row idx of the run's record from its slot; returns the
-        sample's margin. A failing report dumps the slot's state."""
+        """Write row idx of the run's record and stacks from its slot;
+        returns the sample's margin. A failing report dumps the slot's state."""
         f, rho, u, mom, n, v, t = self.ring[idx % SAMPLE_RING]
         t = float(t)
         try:
             kin = KineticState(f=f, t=t)
             fl = FluidState(n=n, v=v, gamma=self.config.gamma)
             report, l1_gap = evaluate_entropy_report(kin, fl, MomentSet(rho=rho, mom=mom, u=u), self.work)
-            self.reports[idx] = (t, rho, u, n, v, *vars(report).values(), quad_x(n, self.work.grid))
+            self.reports[idx] = (t, *vars(report).values(), quad_x(n, self.work.grid))
+            for stack, sampled in zip(self.stacks.values(), (rho, u, n, v)):
+                stack[idx] = sampled
             return csiszar_kullback_margin(report, l1_gap)
         except SolverError as exc:
             step = max(idx * self.per - 1, 0)  # sample idx > 0 follows step idx * per - 1
@@ -509,12 +557,17 @@ class _Sampler:
         self.index.close()
 
 
-def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
+def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
     """Time-march the coupled kinetic/gas system, sampling entropy reports at
     the configured cadence and auditing the run at the end. The reports are
     made in the run's sampler process (_Sampler) while the march goes on.
     When both fail, the failure at the earlier step is raised: the
-    sampler's, as it samples only steps the march has made."""
+    sampler's, as it samples only steps the march has made.
+
+    out is the directory that save_run_series will emit the run to, or None:
+    the sampler then writes the sampled fields straight into their files
+    there, and this process never reads them (_field_stacks). A run that
+    fails removes them."""
     t0 = time.perf_counter()
     grid = config.grid()
     if grid.nv < 4:
@@ -524,16 +577,17 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     dt, nt, per = _pick_dt(config, grid, fl)
 
     reports = _sample_record(config, (*_REPORT_FIELDS, "mass_fluid"))
+    stacks, files = _field_stacks(config, out, "series")
     clock = time.perf_counter
     step = 0  # a failure before the first step, such as a run constant failing its check, dumps t = 0
-    sampler = None
+    sampler, done = None, False
     try:
         work = KineticWork(grid, dt, eps)
         book = {
             "max_wall_flux": 0.0, "wall_outflow": 0.0, "truncation_leak": 0.0,
             "max_cfl_transport": work.cfl_transport, "max_cfl_drag": 0.0, "min_n": float(fl.n.min()),
         }
-        sampler = _Sampler(config, work, reports, per)
+        sampler = _Sampler(config, work, reports, stacks, per)
         # the moments of the current kin: sampled, then the next step's gas drag
         t_a = clock()
         mom = compute_moments(kin, grid, work.f)
@@ -560,6 +614,7 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
             if (step + 1) % per == 0:
                 sampler.put((step + 1) // per, kin, fl, mom)
         ck_min, sample_s = sampler.finish()
+        done = True
     except Exception as exc:
         if sampler is not None:
             sampler.finish()  # raises the sampler's failure, from an earlier step
@@ -569,21 +624,24 @@ def run_coupled(config: ExperimentConfig, eps: float) -> CoupledRun:
     finally:
         if sampler is not None:
             sampler.stop()
+        if not done:
+            _discard(files)
 
     cost = {
         "steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": gas_s,
         "moments_seconds": moments_s, "sample_seconds": sample_s, "sample_wait_seconds": sampler.wait_seconds,
     }
     return CoupledRun(
-        eps=eps, reports=reports, f_final=kin, fluid_final=fl,
+        eps=eps, reports=reports, stacks=stacks, f_final=kin, fluid_final=fl,
         book=book, ck_margin_min=ck_min, audit=entropy_inequality_audit(reports, eps),
-        dt=dt, wall_seconds=time.perf_counter() - t0, cost=cost,
+        dt=dt, wall_seconds=time.perf_counter() - t0, cost=cost, files=files,
     )
 
 
 @dataclass
 class LimitRun:
     samples: np.recarray  # a _sample_record whose one scalar is mass_rho
+    stacks: dict[str, np.ndarray]  # of _field_stacks
     # max_exchange_asym, and min_one_plus_h over t = 0 and every step, not only the samples
     book: dict[str, float]
     dt: float
@@ -591,11 +649,15 @@ class LimitRun:
     # (_two_phase_substeps) and sample_seconds (each sample's row, t = 0
     # included)
     cost: dict[str, float]
+    # as CoupledRun.files, until save_state renames them into place
+    files: dict[str, Path] = field(default_factory=dict)
 
 
-def run_limit(config: ExperimentConfig) -> LimitRun:
+def run_limit(config: ExperimentConfig, out=None) -> LimitRun:
     """March the relaxed two-phase system directly, on the same sampling
-    cadence as the coupled runs, keeping the smallest n = 1 + h of every step."""
+    cadence as the coupled runs, keeping the smallest n = 1 + h of every step.
+    out is as run_coupled's: the directory whose limit_series files the
+    samples are written into, or None."""
     grid = config.grid()
     _, _, st = make_well_prepared(config)
 
@@ -604,6 +666,7 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
         grid.dx / float((np.abs(st.fluid.v) + sound_speed(st.fluid.n, config.gamma)).max()),
     ))
     samples = _sample_record(config, ("mass_rho",))
+    stacks, files = _field_stacks(config, out, "limit_series")
     book = {"max_exchange_asym": 0.0, "min_one_plus_h": float(st.fluid.n.min())}
 
     clock = time.perf_counter
@@ -611,11 +674,14 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
     def sample(idx, st):
         """Record time level idx; returns the seconds it took."""
         t_a = clock()
-        samples[idx] = (st.t, st.rho, st.u, st.fluid.n, st.fluid.v, quad_x(st.rho, grid))
+        samples[idx] = (st.t, quad_x(st.rho, grid))
+        for stack, sampled in zip(stacks.values(), (st.rho, st.u, st.fluid.n, st.fluid.v)):
+            stack[idx] = sampled
         return clock() - t_a
 
-    substep_s, sample_s = 0.0, sample(0, st)
+    done = False
     try:
+        substep_s, sample_s = 0.0, sample(0, st)
         for step in range(nt):
             t_a = clock()
             st, dpp, dpf = _two_phase_substeps(st, dt, grid)
@@ -624,12 +690,16 @@ def run_limit(config: ExperimentConfig) -> LimitRun:
             book["min_one_plus_h"] = min(book["min_one_plus_h"], float(st.fluid.n.min()))
             if (step + 1) % per == 0:
                 sample_s += sample((step + 1) // per, st)
+        done = True
     except SolverError as exc:
         arrays = {"rho": st.rho, "u": st.u, "n": st.fluid.n, "v": st.fluid.v}
         raise dump_failure_state(config, exc, arrays, step, st.t) from exc
+    finally:
+        if not done:
+            _discard(files)
 
     cost = {"steps": nt, "substep_seconds": substep_s, "sample_seconds": sample_s}
-    return LimitRun(samples=samples, book=book, dt=dt, cost=cost)
+    return LimitRun(samples=samples, stacks=stacks, book=book, dt=dt, cost=cost, files=files)
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +732,11 @@ class ConvergenceResult:
         return self.degeneracy is not None
 
 
-def _stacked_state(samples: np.recarray, gamma: float) -> TwoPhaseState:
-    """The two-phase state whose fields are the (K, nx) stacks of a sample
-    record."""
-    return TwoPhaseState(rho=samples.rho, u=samples.u, fluid=FluidState(n=samples.n, v=samples.v, gamma=gamma))
+def _stacked_state(stacks: dict, gamma: float) -> TwoPhaseState:
+    """The two-phase state whose fields are a run's (K, nx) stacks."""
+    return TwoPhaseState(
+        rho=stacks["rho"], u=stacks["u"], fluid=FluidState(n=stacks["n"], v=stacks["v"], gamma=gamma)
+    )
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
@@ -723,18 +794,18 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     finally:
         for child in children:
             child.stop()
-    lim = limit.samples
+    lim = limit.stacks
     ref = _stacked_state(lim, config.gamma)
-    m_end = maxwellian_profile(lim.rho[-1], lim.u[-1], grid)
+    m_end = maxwellian_profile(lim["rho"][-1], lim["u"][-1], grid)
 
     rows = np.recarray(len(config.eps_list), dtype=_SWEEP_DTYPE)
     for k, (eps, run) in enumerate(zip(config.eps_list, runs)):
-        samples = run.reports
+        samples = run.stacks
         rows[k] = (
             eps,
             relative_entropy(_stacked_state(samples, config.gamma), ref, grid).max(),
-            quad_x(np.abs(samples.rho - lim.rho), grid).max(),
-            quad_x(np.abs(samples.n - lim.n), grid).max(),
+            quad_x(np.abs(samples["rho"] - lim["rho"]), grid).max(),
+            quad_x(np.abs(samples["n"] - lim["n"]), grid).max(),
             l1_distance(run.f_final.f, m_end, grid),
         )
 
@@ -781,26 +852,42 @@ def emit_csv(rows: np.ndarray, path) -> Path:
     return path
 
 
-def save_state(prefix, arrays: dict[str, np.ndarray], meta: dict | None = None) -> Path:
-    """Flat little-endian float64 binaries plus a JSON shape descriptor."""
+def save_state(prefix, arrays: dict[str, np.ndarray], meta: dict | None = None, streamed: dict | None = None) -> Path:
+    """Flat little-endian float64 binaries plus a JSON shape descriptor,
+    which is removed first and written last, so that none describes a
+    partly written set. Each file is a new one: a file of the same name that
+    a run or a reader maps keeps its bytes. streamed maps the name of an
+    array to the file that already holds it, a run's stack (_field_stacks),
+    which is renamed into place in place of a write. Every streamed file is
+    gone from streamed, renamed or removed, once this returns or raises."""
     prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    desc = {"arrays": {}, "meta": meta or {}}
-    for name, arr in arrays.items():
-        # one contiguous copy at most (of a record's field), written from its buffer
-        arr = np.ascontiguousarray(np.asarray(arr), dtype="<f8")
-        bin_path = prefix.with_name(prefix.name + f"__{name}.bin")
-        arr.tofile(bin_path)
-        desc["arrays"][name] = {"file": bin_path.name, "shape": list(arr.shape), "dtype": "<f8"}
-    json_path = prefix.with_suffix(".json")
-    json_path.write_text(json.dumps(desc, indent=2, sort_keys=True))
+    streamed = {} if streamed is None else streamed
+    try:
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        json_path = prefix.with_suffix(".json")
+        json_path.unlink(missing_ok=True)
+        desc = {"arrays": {}, "meta": meta or {}}
+        for name, arr in arrays.items():
+            # one contiguous copy at most, written from its buffer
+            arr = np.ascontiguousarray(np.asarray(arr), dtype="<f8")
+            bin_path = prefix.with_name(prefix.name + f"__{name}.bin")
+            if name in streamed:
+                os.replace(streamed.pop(name), bin_path)
+            else:
+                bin_path.unlink(missing_ok=True)
+                arr.tofile(bin_path)
+            desc["arrays"][name] = {"file": bin_path.name, "shape": list(arr.shape), "dtype": "<f8"}
+        json_path.write_text(json.dumps(desc, indent=2, sort_keys=True))
+    finally:
+        _discard(streamed)
     return json_path
 
 
-def load_state(descriptor_path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read the arrays a save_state descriptor names. An unreadable or
-    malformed descriptor, an array file outside the descriptor's directory,
-    or a file whose size does not match its shape is a ConfigError."""
+def load_state(descriptor_path, names=None) -> tuple[dict[str, np.ndarray], dict]:
+    """Read the arrays a save_state descriptor lists, or only those of them
+    in names. An unreadable or malformed descriptor, an array file outside
+    the descriptor's directory, or a listed file whose size does not match
+    its shape, read or not, is a ConfigError."""
     descriptor_path = Path(descriptor_path)
     try:
         desc = json.loads(descriptor_path.read_text())
@@ -824,14 +911,16 @@ def load_state(descriptor_path) -> tuple[dict[str, np.ndarray], dict]:
         if not path.is_relative_to(base):
             raise ConfigError(f"{descriptor_path}: array file {info['file']!r} lies outside {base}")
         try:
-            raw = path.read_bytes()
+            nbytes = os.stat(path).st_size
+            if nbytes == 8 * math.prod(shape) and (names is None or name in names):
+                arrays[name] = np.fromfile(path, dtype="<f8")
+                nbytes = arrays[name].nbytes  # as read, should the file have changed since
         except OSError as exc:
             raise ConfigError(f"cannot read array {name!r}: {exc}") from exc
-        if len(raw) != 8 * math.prod(shape):
-            raise ConfigError(
-                f"{path}: {len(raw)} bytes do not hold a float64 array of shape {tuple(shape)}"
-            )
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if nbytes != 8 * math.prod(shape):
+            raise ConfigError(f"{path}: {nbytes} bytes do not hold a float64 array of shape {tuple(shape)}")
+        if name in arrays:
+            arrays[name] = arrays[name].reshape(shape)
     return arrays, desc.get("meta", {})
 
 
@@ -844,13 +933,20 @@ def dump_failure_state(config: ExperimentConfig, exc: SolverError, arrays: dict,
 
 
 def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
-    """Emit a coupled run: sampled series + final state + metadata sidecar."""
+    """Emit a coupled run: sampled series + final state + metadata sidecar.
+    series.json is removed first and written last. The stacks that the run
+    streamed (run_coupled's out) are renamed into place, not written again."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_state(out / "series", {name: run.reports[name] for name in run.reports.dtype.names})
-    save_state(out / "state_final", {"f": run.f_final.f, "n": run.fluid_final.n, "v": run.fluid_final.v})
-    meta = {"config": asdict(config), **run.record}
-    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "series.json").unlink(missing_ok=True)
+        save_state(out / "state_final", {"f": run.f_final.f, "n": run.fluid_final.n, "v": run.fluid_final.v})
+        meta = {"config": asdict(config), **run.record}
+        (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+        scalars = {name: run.reports[name] for name in run.reports.dtype.names}
+        save_state(out / "series", {**scalars, **run.stacks}, streamed=run.files)
+    finally:
+        _discard(run.files)
     return out
 
 
@@ -861,7 +957,7 @@ def reaudit_run(run_dir) -> tuple[AuditRecord, float]:
     run_dir = Path(run_dir)
     try:
         meta = json.loads((run_dir / "run_meta.json").read_text())
-        arrays, _ = load_state(run_dir / "series.json")
+        arrays, _ = load_state(run_dir / "series.json", ("times", *_REPORT_FIELDS))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{run_dir} is not a run directory: {exc}") from exc
     # as ExperimentConfig and --eps check them: JSON's Infinity is no eps or tolerance

@@ -119,20 +119,24 @@ def convergence_rows_per_sample(result: ConvergenceResult, config: ExperimentCon
     index, and their maxima over the samples; a record array with the CSV
     columns as fields."""
     grid = config.grid()
-    limit = result.limit.samples
+    limit = result.limit.stacks
 
-    def state(record, k):
-        fluid = FluidState(n=record.n[k], v=record.v[k], gamma=config.gamma)
-        return TwoPhaseState(rho=record.rho[k], u=record.u[k], fluid=fluid, t=record.times[k])
+    def state(stacks, times, k):
+        fluid = FluidState(n=stacks["n"][k], v=stacks["v"][k], gamma=config.gamma)
+        return TwoPhaseState(rho=stacks["rho"][k], u=stacks["u"][k], fluid=fluid, t=times[k])
 
-    samples = range(len(limit))
-    m_end = maxwellian_profile(limit.rho[-1], limit.u[-1], grid)
+    samples = range(len(result.limit.samples))
+    m_end = maxwellian_profile(limit["rho"][-1], limit["u"][-1], grid)
     rows = [
         (
             run.eps,
-            max(relative_entropy(state(run.reports, k), state(limit, k), grid) for k in samples),
-            max(l1_distance(run.reports.rho[k], limit.rho[k], grid) for k in samples),
-            max(l1_distance(run.reports.n[k], limit.n[k], grid) for k in samples),
+            max(
+                relative_entropy(state(run.stacks, run.reports.times, k),
+                                 state(limit, result.limit.samples.times, k), grid)
+                for k in samples
+            ),
+            max(l1_distance(run.stacks["rho"][k], limit["rho"][k], grid) for k in samples),
+            max(l1_distance(run.stacks["n"][k], limit["n"][k], grid) for k in samples),
             l1_distance(run.f_final.f, m_end, grid),
         )
         for run in result.runs

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -138,11 +139,12 @@ def test_equilibrium_run_constant_macroscopic_states():
         nx=24, nv=64, t_final=1.0, eps_list=[0.5], n_samples=8,
         initial_profile="equilibrium",
     )
-    samples = run_coupled(cfg, 0.5).reports
-    assert np.abs(samples.rho - samples.rho[0]).max() <= 1e-10
-    assert np.abs(samples.u).max() <= 1e-10
-    assert np.abs(samples.n - samples.n[0]).max() <= 1e-10
-    assert np.abs(samples.v).max() <= 1e-10
+    run = run_coupled(cfg, 0.5)
+    samples, stacks = run.reports, run.stacks
+    assert np.abs(stacks["rho"] - stacks["rho"][0]).max() <= 1e-10
+    assert np.abs(stacks["u"]).max() <= 1e-10
+    assert np.abs(stacks["n"] - stacks["n"][0]).max() <= 1e-10
+    assert np.abs(stacks["v"]).max() <= 1e-10
     assert abs(samples[-1].mass - samples[0].mass) <= 1e-10
     assert abs(samples[-1].mass_fluid - samples[0].mass_fluid) <= 1e-10
 
@@ -816,7 +818,7 @@ def test_limit_run_min_one_plus_h_reads_every_step(tmp_path):
         st = two_phase_step(st, run.dt, grid)
         lows.append(float(st.fluid.n.min()))
     assert run.book["min_one_plus_h"] == min(lows)
-    assert round(run.book["min_one_plus_h"], 5) == 0.95544 and round(float(run.samples.n.min()), 5) == 0.97363
+    assert round(run.book["min_one_plus_h"], 5) == 0.95544 and round(float(run.stacks["n"].min()), 5) == 0.97363
 
 
 def _rarefying_coupled_run(tmp_path):
@@ -847,7 +849,7 @@ def test_coupled_run_min_n_reads_every_step(tmp_path):
     # both samples
     _, run, gas = _rarefying_coupled_run(tmp_path)
     assert run.book["min_n"] == min(float(fl.n.min()) for fl in gas)
-    assert round(run.book["min_n"], 5) == 0.9557 and round(float(run.reports.n.min()), 5) == 0.97381
+    assert round(run.book["min_n"], 5) == 0.9557 and round(float(run.stacks["n"].min()), 5) == 0.97381
 
 
 def test_coupled_run_cfl_book_reads_every_step(tmp_path):
@@ -885,6 +887,7 @@ def test_cli_unwritable_output_file_exit_code(tmp_path, capsys, main, blocked, a
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output:") and err.count("\n") == 1, err
     assert str(out / blocked) in err
+    assert list(out.glob(".*")) == []  # no streamed stack file is left behind
 
 
 def test_cli_check_entropy_rejects_non_run(tmp_path):
@@ -1338,16 +1341,24 @@ def test_sampled_rows_match_reports_made_in_process(tmp_path):
         mom = harness.compute_moments(kin, grid, work.f)
         report, l1_gap = entropy.evaluate_entropy_report(kin, fl, mom, work)
         row = np.recarray(1, dtype=run.reports.dtype)
-        row[0] = (kin.t, mom.rho, mom.u, fl.n, fl.v, *vars(report).values(), quad_x(fl.n, grid))
-        return row, entropy.csiszar_kullback_margin(report, l1_gap)
+        row[0] = (kin.t, *vars(report).values(), quad_x(fl.n, grid))
+        level = np.stack([mom.rho, mom.u, fl.n, fl.v])
+        return row, level, entropy.csiszar_kullback_margin(report, l1_gap)
+
+    def sampled_fields(run, k):
+        return np.stack([run.stacks[name][k] for name in ("rho", "u", "n", "v")])
 
     kin, fl, _ = make_well_prepared(cfg)
-    first, first_margin = in_process(kin, fl)
-    last, last_margin = in_process(run.f_final, run.fluid_final)
+    first, first_fields, first_margin = in_process(kin, fl)
+    last, last_fields, last_margin = in_process(run.f_final, run.fluid_final)
     assert run.reports[:1].tobytes() == first.tobytes()
     assert run.reports[-1:].tobytes() == last.tobytes()
+    assert sampled_fields(run, 0).tobytes() == first_fields.tobytes()
+    assert sampled_fields(run, -1).tobytes() == last_fields.tobytes()
     two_levels = run_coupled(replace(cfg, n_samples=1), 0.2)
     assert two_levels.reports.tobytes() == run.reports[[0, -1]].tobytes()
+    for name, stack in two_levels.stacks.items():
+        assert stack.tobytes() == run.stacks[name][[0, -1]].tobytes(), name
     assert two_levels.ck_margin_min == min(first_margin, last_margin)
     assert run.ck_margin_min <= two_levels.ck_margin_min
 
@@ -1396,7 +1407,7 @@ def test_sample_failure_dumps_the_sampled_state(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"solver failure: step 2: forced vacuum (state dumped to {dump})\n"
     arrays, meta = load_state(dump)
     assert meta == {"step": 2, "t": run.reports.times[3]}
-    assert arrays["n"].tobytes() == run.reports.n[3].tobytes()
+    assert arrays["n"].tobytes() == run.stacks["n"][3].tobytes()
     assert _children() == []
 
 
@@ -1547,3 +1558,189 @@ def test_cli_audit_failure_exit_code(tmp_path):
     arrays["D2"] = arrays["D2"] + 1e6  # impossible dissipation
     save_state(out / "series", arrays)
     assert main_check_entropy(["--run", str(out)]) == EXIT_AUDIT
+
+
+# ---------------------------------------------------------------------------
+# the sampled fields streamed into their output files
+# ---------------------------------------------------------------------------
+
+
+def _files(folder: Path) -> dict:
+    """Every file of a folder by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in folder.iterdir()}
+
+
+def test_streamed_series_match_a_run_saved_after_it(tmp_path, monkeypatch):
+    # simulate-kinetic streams the stacks into their files and renames them
+    # into place; a run without a destination, saved after it, writes the
+    # same bytes, and a sweep's runs keep their stacks in memory
+    cfgfile = _dense_config(tmp_path)
+    cfg = ExperimentConfig.from_json(cfgfile)
+    fallocated = []
+    real = os.posix_fallocate
+    monkeypatch.setattr(os, "posix_fallocate", lambda fd, *span: fallocated.append(span) or real(fd, *span))
+    assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", "0.2", "--out", str(tmp_path / "streamed")]) == EXIT_OK
+    assert fallocated == [(0, 8 * (cfg.n_samples + 1) * cfg.nx)] * 4
+    run = run_coupled(cfg, 0.2)
+    assert run.files == {} and len(fallocated) == 4
+    harness.save_run_series(run, tmp_path / "saved", cfg)
+    streamed, saved = _files(tmp_path / "streamed"), _files(tmp_path / "saved")
+    assert streamed.keys() == saved.keys() and not [name for name in streamed if name.startswith(".")]
+    names = [name for name in streamed if name.startswith("series")]
+    assert len(names) == 4 + 1 + len(run.reports.dtype.names) and "series__rho.bin" in names
+    assert [name for name in names if streamed[name] != saved[name]] == []
+    for name, stack in run.stacks.items():
+        assert streamed[f"series__{name}.bin"] == stack.tobytes()
+    # a second run into the directory: its series.json is gone before any
+    # other file is written, and comes back last
+    seen = []
+    real_save = harness.save_state
+    monkeypatch.setattr(harness, "save_state", lambda prefix, *a, **kw: seen.append(
+        ((tmp_path / "streamed" / "series.json").exists(), Path(prefix).name)) or real_save(prefix, *a, **kw))
+    first = {p.name: _comparable(p) for p in (tmp_path / "streamed").iterdir()}
+    assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", "0.2", "--out", str(tmp_path / "streamed")]) == EXIT_OK
+    assert seen == [(False, "state_final"), (False, "series")]
+    assert {p.name: _comparable(p) for p in (tmp_path / "streamed").iterdir()} == first
+    tiny = tiny_config(output_dir=str(tmp_path / "sweep"))
+    assert all(r.files == {} for r in harness.run_convergence(tiny).runs) and len(fallocated) == 8
+
+
+@pytest.mark.parametrize("failure", ["eps-1e-320", "sampler"])
+def test_failed_run_leaves_the_previous_run_files(tmp_path, monkeypatch, capsys, failure):
+    # a run that fails after its stack files were made removes them; the
+    # previous run's files keep their bytes and only the failure dump is new
+    cfgfile = _dense_config(tmp_path)
+    out = tmp_path / "run"
+    assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", "0.2", "--out", str(out)]) == EXIT_OK
+    before = _files(out)
+    made = []
+    real = os.posix_fallocate
+    monkeypatch.setattr(os, "posix_fallocate", lambda fd, *span: made.append(span) or real(fd, *span))
+    eps, dumped = "1e-320", "failure_step_0"
+    if failure == "sampler":
+        monkeypatch.setattr(harness, "evaluate_entropy_report", _report_failing_at(3, _forced_vacuum))
+        eps, dumped = "0.2", "failure_step_2"
+    capsys.readouterr()
+    assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", eps, "--out", str(out)]) == EXIT_SOLVER
+    assert len(made) == 4 and capsys.readouterr().err.startswith("solver failure:")
+    after = _files(out)
+    assert {name: after[name] for name in before} == before
+    assert sorted(set(after) - set(before)) == [f"{dumped}.json", f"{dumped}__f.bin", f"{dumped}__n.bin",
+                                                f"{dumped}__v.bin"]
+    assert main_check_entropy(["--run", str(out)]) == EXIT_OK
+    assert _children() == []
+
+
+# two runs into one directory, the first still mapping its streamed stacks,
+# then a run written without a destination into it too: the first run's
+# stacks keep their bytes, where a file truncated under them would be a
+# SIGBUS at the first read past its new end
+_TWO_RUNS_ONE_DIR = """
+from dataclasses import replace
+from pathlib import Path
+from kinfluid import harness
+cfg = harness.ExperimentConfig(nx=16, nv=16, t_final=0.05, n_samples=16, eps_list=[0.2], output_dir="run")
+Path("run").mkdir()
+first = harness.run_coupled(cfg, 0.2, "run")
+harness.save_run_series(first, "run", cfg)
+kept = {name: stack.tobytes() for name, stack in first.stacks.items()}
+assert kept == {name: Path(f"run/series__{name}.bin").read_bytes() for name in kept}
+second_cfg = replace(cfg, n_samples=2)
+second = harness.run_coupled(second_cfg, 0.4, "run")
+harness.save_run_series(second, "run", second_cfg)
+assert {name: stack.tobytes() for name, stack in first.stacks.items()} == kept
+kept_second = {name: stack.tobytes() for name, stack in second.stacks.items()}
+third = harness.run_coupled(second_cfg, 0.1)
+harness.save_run_series(third, "run", second_cfg)
+assert {name: stack.tobytes() for name, stack in first.stacks.items()} == kept
+assert {name: stack.tobytes() for name, stack in second.stacks.items()} == kept_second
+assert Path("run/series__rho.bin").read_bytes() == third.stacks["rho"].tobytes() != kept_second["rho"]
+print("kept")
+"""
+
+
+def test_earlier_run_keeps_its_mapped_stacks(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _TWO_RUNS_ONE_DIR], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "kept\n", (proc.returncode, proc.stderr[-2000:])
+
+
+@pytest.mark.parametrize("main, prefix", [(main_simulate_kinetic, "series"), (main_simulate_limit, "limit_series")])
+def test_full_disk_is_a_config_error(tmp_path, monkeypatch, capsys, main, prefix):
+    # no room for the stack files: exit 1 with one stderr line before the
+    # run starts, the previous run's files as they were and no process left
+    cfgfile = _write_cfg(tmp_path, nx=8, nv=8, t_final=0.02, n_samples=2)
+    out = tmp_path / "run"
+    assert main(["--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+    before = _files(out)
+    assert f"{prefix}__rho.bin" in before
+
+    def full(fd, offset, size):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", full)
+    capsys.readouterr()
+    assert main(["--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: cannot write output: [Errno 28] No space left on device\n"
+    assert _files(out) == before
+    assert _children() == []
+
+
+def test_check_entropy_rejects_a_short_stack_file(tmp_path, capsys):
+    # check-entropy reads only the scalar series, but checks the size of
+    # every file series.json lists
+    cfgfile = _write_cfg(tmp_path, nx=8, nv=8, t_final=0.02, n_samples=2)
+    out = tmp_path / "run"
+    assert main_simulate_kinetic(["--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+    stack = out / "series__rho.bin"
+    stack.write_bytes(stack.read_bytes()[:-8])
+    capsys.readouterr()
+    assert main_check_entropy(["--run", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{stack}: 184 bytes do not hold a float64 array of shape (3, 8)" in err
+
+
+def test_load_state_reads_only_the_arrays_named(tmp_path):
+    desc = save_state(tmp_path / "st", {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
+    arrays, _ = load_state(desc, ("a", "c"))
+    assert list(arrays) == ["a"] and arrays["a"].tobytes() == np.arange(6.0).tobytes()
+    (tmp_path / "st__b.bin").write_bytes(b"")
+    with pytest.raises(ConfigError, match="0 bytes do not hold a float64 array of shape \\(4,\\)"):
+        load_state(desc, ("a",))
+
+
+# one command of the CLI on a run whose sampled fields take 16 MiB, after a
+# tiny run of the same command; prints the growth of the process's peak RSS
+# across the command, in bytes
+_SERIES_RSS = """
+import json, resource, sys
+from kinfluid import cli
+main = getattr(cli, sys.argv[1])
+json.dump({"nx": 8, "nv": 8, "t_final": 0.02, "n_samples": 2}, open("tiny.json", "w"))
+json.dump({"nx": 1024, "nv": 4, "t_final": 0.005, "n_samples": 512}, open("big.json", "w"))
+args = {"main_simulate_kinetic": lambda name: ["--config", f"{name}.json", "--out", name],
+        "main_check_entropy": lambda name: ["--run", name]}[sys.argv[1]]
+assert main(args("tiny")) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert main(args("big")) == 0
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+"""
+
+
+def test_series_stay_out_of_the_cli_processes(tmp_path):
+    # the sampler writes the fields into their files, simulate-kinetic never
+    # reads them and check-entropy reads only the scalar series: neither
+    # process's peak RSS grows by a quarter of the series
+    env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    growth = {}
+    for main in ("main_simulate_kinetic", "main_check_entropy"):
+        proc = subprocess.run([sys.executable, "-c", _SERIES_RSS, main], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        growth[main] = int(proc.stdout.splitlines()[-1])
+    series = sum(p.stat().st_size for p in (tmp_path / "big").glob("series__*.bin"))
+    assert json.loads((tmp_path / "big" / "run_meta.json").read_text())["steps"] == 512
+    stacks = sum((tmp_path / "big" / f"series__{name}.bin").stat().st_size for name in ("rho", "u", "n", "v"))
+    assert stacks == 4 * 8 * 513 * 1024 >= 16 << 20 and series > stacks
+    assert max(growth.values()) < stacks / 4, growth

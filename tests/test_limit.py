@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from kinfluid import limit
+from kinfluid.cli import EXIT_CONFIG, main_simulate_kinetic, main_simulate_limit
 from kinfluid.core import (
     CFLError,
+    ConfigError,
     FluidState,
     PhaseGrid,
     PositivityError,
@@ -19,6 +22,7 @@ from kinfluid.core import (
     tridiag_dirichlet_solve,
 )
 from kinfluid.fluid import N_FLOOR
+from kinfluid.harness import ExperimentConfig
 from kinfluid.limit import (
     PicardSetup,
     SymHypState,
@@ -482,23 +486,27 @@ def test_picard_iterate_bad_level_raises_before_any_warning(xgrid, field, value,
             picard_iterate(prev, setup)
 
 
-def test_picard_iterate_infinite_viscous_row_is_a_non_finite_level():
-    # on a grid this narrow dx^2 is subnormal, so where 1 + h is one ulp
-    # above 0 the viscous coefficient dt / ((1 + h) dx^2) divides by zero;
-    # as in Python float arithmetic, that level's row then solves to NaN
-    # without a warning, and the next level is named as non-finite
-    grid = PhaseGrid(nx=16, nv=2, x_hi=1e-160)
-    nt = 24
-    setup = PicardSetup(grid=grid, t_final=nt * 0.4 * grid.dx / 1.8, nt=nt)
-    z = np.zeros(grid.nx)
-    prev = constant_iterate(SymHypState(g=z, u=z.copy(), h=z.copy(), v=z.copy()), setup)
-    prev.h[20] = np.nextafter(-1.0, 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(RuntimeWarning, match="divide by zero encountered in divide"):
-            picard_iterate(prev, setup)
-        with np.errstate(divide="ignore"), pytest.raises(SolverError, match="not finite at level 21$"):
-            picard_iterate(prev, setup)
+def test_grid_too_narrow_to_square_is_refused(tmp_path, capsys):
+    # on a grid 1e-160 wide dx^2 would be subnormal, so where 1 + h is one
+    # ulp above 0 a Picard level's viscous coefficient dt / ((1 + h) dx^2),
+    # and the gas sub-step's dt / dx^2, would divide by zero; such a grid,
+    # and a config or a CLI run on one, is refused before any solve. The
+    # picard solve's "not finite at level k" is reached through the NaN
+    # levels above.
+    message = r"^cell widths must lie in \[1e-150, 1e150\): the solvers square them$"
+    for kw in (dict(x_hi=1e-160), dict(v_max=1e-160)):
+        with pytest.raises(ValueError, match=message):
+            PhaseGrid(nx=16, nv=2, **kw)
+    assert PhaseGrid(nx=1, nv=2, x_hi=1e-150, v_max=1e-150).dx == 1e-150
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(nx=16, nv=8, x_hi=1e-160)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"nx": 16, "nv": 8, "x_hi": 1e-160}))
+    capsys.readouterr()
+    for main in (main_simulate_kinetic, main_simulate_limit):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cell widths must lie in") and err.count("\n") == 1, err
 
 
 def test_picard_solve_cfl_error_names_the_level():

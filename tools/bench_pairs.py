@@ -10,7 +10,9 @@ that runs first alternates from pair to pair, so a drift of the machine's
 speed does not favour one side. Each side's metrics are summarised by their
 median and quartiles; each metric also records in how many pairs the change
 did better (ties count for neither side). The median wall seconds per repeat
-of each run is recorded as "wall_s" beside the floor-clock solve_s.
+of each run is recorded as "wall_s" beside the floor-clock solve_s, and
+each side's BLAS build as "blas": the name, version and OpenBLAS
+configuration that numpy reports.
 
 Entries are keyed "<workload>/seed<seed>"; when --out exists, its other
 entries are kept, so a second seed or workload can be added by a second call.
@@ -25,6 +27,21 @@ from pathlib import Path
 
 ENV_PREFIX = "# env "
 WALL_PREFIX = "# wall seconds per repeat: "
+BLAS_KEYS = ("name", "version", "openblas configuration")
+BLAS_PROBE = (
+    "import json, numpy; blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']; "
+    f"print(json.dumps({{key: blas.get(key) for key in {BLAS_KEYS!r}}}))"
+)
+
+
+def blas_build(root: Path) -> dict:
+    """The BLAS build that numpy reports in the interpreter that runs the
+    checkout at root: its name, version and OpenBLAS configuration. Read in
+    a subprocess, so that this tool imports no numpy."""
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"numpy.show_config in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, size: str) -> dict:
@@ -97,6 +114,7 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     entries = doc.setdefault("entries", {})
+    blas = {side: blas_build(root) for side, root in roots.items()}
 
     for workload in args.workload:
         runs = {"parent": [], "change": []}
@@ -114,7 +132,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
         entries[f"{workload}/seed{args.seed}"] = {
             "workload": workload, "seed": args.seed, "seconds": args.seconds, "size": args.size,
-            "first_side_per_pair": order, "runs_not_correct": failed, "env": env,
+            "first_side_per_pair": order, "runs_not_correct": failed, "env": env, "blas": blas,
             "metrics": summarise(runs, better),
         }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
