@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .core import (
     ConfigError,
     FluidState,
@@ -75,12 +76,12 @@ MAX_STEPS = 100_000
 # two more states, so one of MAX_CELLS = 2^24 cells takes about 1.6 GiB, and
 # each of the other blocks at most 0.5 GiB: far above the runs the tests, CI
 # and the benchmark make (at most 2^14 cells, 128 x 128 and 256 x 64). The
-# run's sampler process writes six of the work arrays in its own copy, and
-# its ring holds SAMPLE_RING = 4 states, about 1.25 GiB more at the bound. An
-# eps sweep holds up to workers such runs at once, each in a child process,
-# so a sweep at the bound takes about 2.9 GiB per worker. A grid above it is
-# a config error, checked before any array is built, not an allocation that
-# fails or commits memory as the run goes.
+# run's sampler process writes six of the work arrays in its own copy and
+# reads each sample into one more state, about 0.9 GiB more at the bound (its
+# pipe holds at most 1 MiB). An eps sweep holds up to workers such runs at
+# once, each in a child process, so a sweep at the bound takes about 2.5 GiB
+# per worker. A grid above it is a config error, checked before any array is
+# built, not an allocation that fails or commits memory as the run goes.
 MAX_CELLS = 1 << 24
 
 
@@ -388,12 +389,11 @@ def _end_with(parent: int):
 
 class _Child:
     """A child process forked to run call(out) once, out the write end of
-    its one pipe to this process, on which call may send b"." bytes of its
-    own (a run's sampler answers with them). The child's last message is
-    b"=" and the pickled result, or b"!" and the pickled exception that call
-    raised; the pipe's end without either (the child killed, say) is
-    SolverError(abrupt). The child starts with _end_with and inherits all
-    that call uses, so nothing is pickled on the way in.
+    its one pipe to this process. The child's one message is b"=" and the
+    pickled result, or b"!" and the pickled exception that call raised; the
+    pipe's end without either (the child killed, say) is SolverError(abrupt).
+    The child starts with _end_with and inherits all that call uses, so
+    nothing is pickled on the way in.
 
     Fork only from the main thread, with no other Python thread started and
     no BLAS call under way: a child copies the locks held at the fork, not
@@ -405,7 +405,7 @@ class _Child:
 
     def __init__(self, call, abrupt: str):
         self.fd, out = os.pipe()
-        self.abrupt, self.ended = abrupt, False  # ended: the last message is read
+        self.abrupt, self.ended = abrupt, False  # ended: the message is read
         parent = os.getpid()
         try:
             self.pid = os.fork()
@@ -429,17 +429,17 @@ class _Child:
                 os._exit(status)
         os.close(out)
 
-    def result(self, head: bytes = b""):
-        """The child's result, or its exception raised, once its last message
-        has come; head is what the caller read of that message, if anything."""
+    def result(self):
+        """The child's result, or its exception raised, once its message has
+        come."""
         if not self.ended:
-            chunks = [head]
+            chunks = []
             while chunk := os.read(self.fd, 1 << 16):
                 chunks.append(chunk)
-            self.ended, message = True, b"".join(chunks).lstrip(b".")
+            self.ended, message = True, b"".join(chunks)
             try:
                 self.outcome = message[:1], pickle.loads(message[1:])
-            except (EOFError, pickle.UnpicklingError):  # no last message, or a cut one
+            except (EOFError, pickle.UnpicklingError):  # no message, or a cut one
                 self.outcome = b"!", SolverError(self.abrupt)
         kind, value = self.outcome
         if kind != b"=":
@@ -447,8 +447,8 @@ class _Child:
         return value
 
     def stop(self):
-        """Reap the child, killed first unless its last message is read, and
-        close the pipe."""
+        """Reap the child, killed first unless its message is read, and close
+        the pipe."""
         import signal
 
         if not self.ended:
@@ -461,10 +461,10 @@ class _Child:
 
 
 # Samples in flight at once between a coupled run's march and its sampler
-# process: the slots of the ring that the march copies each sampled state
-# into. The march waits only when every slot is full. Four slots of a
-# 128 x 128 run take about 0.5 MiB.
-SAMPLE_RING = 4
+# process: the pipe between them is sized to hold this many, where the system
+# allows, up to 1 MiB (Linux's default pipe-max-size). The march waits only
+# while the pipe is full, so a sample above 1 MiB goes over in lockstep.
+SAMPLES_IN_FLIGHT = 4
 
 
 class _Sampler:
@@ -472,36 +472,37 @@ class _Sampler:
     KineticWork is built. While the march goes on, it makes each sample's
     entropy report and Csiszar-Kullback margin in its fork-inherited copy of
     the work set and writes the sample's row into the run's record and its
-    fields into the run's stacks, each a shared mapping. The march copies
-    the sampled state into a free slot of a ring in another shared mapping
-    and writes the sample's index on the index pipe; the sampler answers
-    b"." once the slot is free. Its result is its smallest margin (Python's
-    min in sample order, as in process) and its seconds. A sample's
-    SolverError names the dump of the sampled state, failure_step_<k> for
-    the sample after step k."""
+    fields into the run's stacks, each a shared mapping. The march writes
+    each sampled state, whole, down the sampler's pipe, which holds
+    SAMPLES_IN_FLIGHT of them where the system allows; the sampler reads
+    each into one buffer. Its result is its smallest margin (Python's min
+    in sample order, as in process) and its seconds. A sample's SolverError
+    names the dump of the sampled state, failure_step_<k> for the sample
+    after step k."""
 
     def __init__(self, config: ExperimentConfig, work: KineticWork, reports: np.recarray, stacks: dict, per: int):
+        import fcntl  # here, as in _end_with: at module level it would add to every CLI start
+
         self.config, self.work, self.reports, self.stacks, self.per = config, work, reports, stacks, per
         nx, nv = work.grid.nx, work.grid.nv
-        # a slot holds a sampled state, the moments of its f and its time
-        dtype = np.dtype({
-            "names": ["f", "rho", "u", "mom", "n", "v", "t"],
-            "formats": [(float, (nx, nv)), *[(float, (nx,))] * 5, float],
-            "itemsize": -(-(nx * nv + 5 * nx + 1) // 8) * 64,  # each slot starts on a 64-byte boundary
-        })
-        self.ring = _shared((SAMPLE_RING,), dtype).view(np.recarray)
-        self.sent = self.freed = 0
+        self.size = nx * nv + 5 * nx + 1  # doubles of a sample: f, rho, u, mom, n, v and t
         self.wait_seconds = 0.0
-        index_r, index_w = os.pipe()
-        self.index = open(index_w, "wb", buffering=0)  # one write(2) a call, as os.write
-        with open(index_r, "rb", buffering=0) as indices:  # closed here once the sampler is forked
-            self.child = _Child(lambda out: self._serve(indices, out), "the sampler process ended abruptly")
+        samples_r, samples_w = os.pipe()
+        self.pipe = open(samples_w, "wb", buffering=0)
+        try:
+            fcntl.fcntl(samples_w, fcntl.F_SETPIPE_SZ, min(SAMPLES_IN_FLIGHT * 8 * self.size, 1 << 20))
+        except OSError:  # refused: the default pipe, which holds fewer
+            pass
+        with open(samples_r, "rb") as samples:  # closed here once the sampler is forked
+            self.child = _Child(lambda out: self._serve(samples), "the sampler process ended abruptly")
 
-    def _sample(self, idx: int) -> float:
-        """Write row idx of the run's record and stacks from its slot;
-        returns the sample's margin. A failing report dumps the slot's state."""
-        f, rho, u, mom, n, v, t = self.ring[idx % SAMPLE_RING]
-        t = float(t)
+    def _sample(self, idx: int, sample: np.ndarray) -> float:
+        """Write row idx of the run's record and stacks from sample, as put
+        writes it; returns the sample's margin. A failing report dumps the
+        sampled state."""
+        nx, nv = self.work.grid.nx, self.work.grid.nv
+        f, t = sample[: nx * nv].reshape(nx, nv), float(sample[-1])
+        rho, u, mom, n, v = sample[nx * nv : -1].reshape(5, nx)
         try:
             kin = KineticState(f=f, t=t)
             fl = FluidState(n=n, v=v, gamma=self.config.gamma)
@@ -514,38 +515,33 @@ class _Sampler:
             step = max(idx * self.per - 1, 0)  # sample idx > 0 follows step idx * per - 1
             raise dump_failure_state(self.config, exc, {"f": f, "n": n, "v": v}, step, t) from exc
 
-    def _serve(self, indices, out: int) -> tuple[float, float]:
-        """The sampler process: sample until the march closes the index
+    def _serve(self, samples) -> tuple[float, float]:
+        """The sampler process: sample until the march closes its end of the
         pipe; returns the smallest margin and the seconds taken."""
-        self.index.close()
+        self.pipe.close()
+        sample = _kernels.aligned_empty(self.size)  # f starts on a 64-byte boundary
         margins, sample_s = [], 0.0
-        while message := indices.read(4):
+        while samples.readinto(sample) == sample.nbytes:  # short only at the pipe's end, a failed march's included
             t_a = time.perf_counter()
-            margins.append(self._sample(int.from_bytes(message, "little")))
+            margins.append(self._sample(len(margins), sample))
             sample_s += time.perf_counter() - t_a
-            os.write(out, b".")
         return float(min(margins, default=math.nan)), sample_s
 
-    def put(self, idx: int, kin: KineticState, fl: FluidState, mom: MomentSet):
-        """Hand sample idx, the state (kin, fl) and the moments mom of kin, to
-        the sampler, once a slot is free."""
+    def put(self, kin: KineticState, fl: FluidState, mom: MomentSet):
+        """Hand the next sample, the state (kin, fl) and the moments mom of
+        kin, to the sampler; waits only while the pipe is full."""
         t_a = time.perf_counter()
-        while self.sent - self.freed >= SAMPLE_RING:  # wait for an answer
-            data = os.read(self.child.fd, 1 << 16)
-            last = data.lstrip(b".")
-            self.freed += len(data) - len(last)
-            if not data or last:  # the sampler has ended: its failure raised
-                self.child.result(last)
-        self.ring[idx % SAMPLE_RING] = (kin.f, mom.rho, mom.u, mom.mom, fl.n, fl.v, kin.t)
-        self.index.write(idx.to_bytes(4, "little"))  # once the sampler has ended, a BrokenPipeError
-        self.sent += 1
+        # once the sampler has ended, a BrokenPipeError
+        sent = os.writev(self.pipe.fileno(), (kin.f, mom.rho, mom.u, mom.mom, fl.n, fl.v, np.float64(kin.t)))
+        if sent != 8 * self.size:
+            raise SolverError(f"the sampler pipe took {sent} of a sample's {8 * self.size} bytes")
         self.wait_seconds += time.perf_counter() - t_a
 
     def finish(self) -> tuple[float, float]:
         """Wait for the sampler to take every sample handed to it: its
         smallest margin and its seconds, or its failure raised."""
         t_a = time.perf_counter()
-        self.index.close()
+        self.pipe.close()
         result = self.child.result()
         self.wait_seconds += time.perf_counter() - t_a
         return result
@@ -554,7 +550,7 @@ class _Sampler:
         """Reap the sampler, killed first unless it has ended, and close
         the pipes."""
         self.child.stop()
-        self.index.close()
+        self.pipe.close()
 
 
 def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
@@ -593,7 +589,7 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
         mom = compute_moments(kin, grid, work.f)
         kinetic_s = gas_s = 0.0
         moments_s = clock() - t_a
-        sampler.put(0, kin, fl, mom)
+        sampler.put(kin, fl, mom)
         for step in range(nt):
             t_a = clock()
             kin_new, krep = kinetic_step(kin, fl, walls, work)
@@ -612,7 +608,7 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
             book["max_cfl_drag"] = max(book["max_cfl_drag"], krep.cfl_drag)
             book["min_n"] = min(book["min_n"], float(fl.n.min()))
             if (step + 1) % per == 0:
-                sampler.put((step + 1) // per, kin, fl, mom)
+                sampler.put(kin, fl, mom)
         ck_min, sample_s = sampler.finish()
         done = True
     except Exception as exc:

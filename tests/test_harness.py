@@ -1,4 +1,5 @@
 import errno
+import fcntl
 import json
 import math
 import os
@@ -1237,8 +1238,9 @@ def _children() -> list[int]:
 
 
 def _dense_config(tmp_path, **kw) -> Path:
-    """A tiny diffuse-wall config file sampled on every one of its steps."""
-    kw = dict(nx=16, nv=16, t_final=0.05, eps_list=[0.2], boundary="diffuse", wall_temperature=1.3, **kw)
+    """A diffuse-wall config file, 16 x 16 unless kw says otherwise,
+    sampled on every one of its steps."""
+    kw = {**dict(nx=16, nv=16, t_final=0.05, eps_list=[0.2], boundary="diffuse", wall_temperature=1.3), **kw}
     steps = run_coupled(ExperimentConfig(**kw, n_samples=1), 0.2).cost["steps"]
     return _write_cfg(tmp_path, **kw, n_samples=steps)
 
@@ -1375,8 +1377,9 @@ sys.exit(cli.main_simulate_kinetic({_RUN_ARGS!r}))
 
 
 def test_sampled_run_keeps_its_bytes_on_one_cpu(tmp_path, monkeypatch):
-    # the march and its sampler share one CPU, so the march waits for free
-    # slots; the record, the smallest margin and every file keep their bytes
+    # the march and its sampler share one CPU, so the march waits while the
+    # sampler's pipe is full; the record, the smallest margin and every file
+    # keep their bytes
     config = _dense_config(tmp_path).read_text()
     for tag in ("default", "one"):
         (tmp_path / tag).mkdir()
@@ -1390,6 +1393,80 @@ def test_sampled_run_keeps_its_bytes_on_one_cpu(tmp_path, monkeypatch):
     )
     assert default.keys() == one.keys() and "series__F.bin" in default
     assert [name for name in default if default[name] != one[name]] == []
+
+
+# put before _ONE_CPU_RUN: the sampler's pipe is left at its default size
+_DEFAULT_PIPE = """
+import errno, fcntl, os
+def refused(*args):
+    raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+fcntl.fcntl = refused
+"""
+
+
+def _refused_pipe_size(calls: list):
+    """fcntl.fcntl refusing every call with EPERM, as the kernel refuses a
+    pipe above pipe-max-size; records each call's command in calls."""
+
+    def refused(fd, cmd, *args):
+        calls.append(cmd)
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+    return refused
+
+
+def test_run_on_a_pipe_smaller_than_a_sample_keeps_its_bytes(tmp_path, monkeypatch):
+    # where the system refuses to enlarge the sampler's pipe, it keeps its
+    # default size, smaller than one sample of this 128 x 64 grid (69 KiB),
+    # so each sample goes over in lockstep with the sampler's reads; the
+    # series, their descriptor and the smallest margin keep their bytes, on
+    # one CPU too
+    nx, nv = 128, 64
+    pipe_r, pipe_w = os.pipe()
+    try:
+        assert fcntl.fcntl(pipe_w, fcntl.F_GETPIPE_SZ) < 8 * (nx * nv + 5 * nx + 1)
+    finally:
+        os.close(pipe_r)
+        os.close(pipe_w)
+    config = _dense_config(tmp_path, nx=nx, nv=nv).read_text()
+    for tag in ("default", "small", "small_one"):
+        (tmp_path / tag).mkdir()
+        (tmp_path / tag / "config.json").write_text(config)
+    monkeypatch.chdir(tmp_path / "default")
+    assert main_simulate_kinetic(_RUN_ARGS) == EXIT_OK
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(fcntl, "fcntl", _refused_pipe_size(calls))
+        patch.chdir(tmp_path / "small")
+        assert main_simulate_kinetic(_RUN_ARGS) == EXIT_OK
+    assert calls == [fcntl.F_SETPIPE_SZ]
+    env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", _DEFAULT_PIPE + _ONE_CPU_RUN], cwd=tmp_path / "small_one", env=env,
+                   check=True, timeout=120)
+
+    def series(tag):
+        run = tmp_path / tag / "run"
+        margin = json.loads((run / "run_meta.json").read_text())["ck_margin_min"]
+        return margin, {p.name: p.read_bytes() for p in run.glob("series*")}
+
+    default = series("default")
+    assert len(default[1]) > 4 and "series__rho.bin" in default[1]
+    assert series("small") == default
+    assert series("small_one") == default
+
+
+def test_short_sample_write_is_a_solver_failure(tmp_path, monkeypatch):
+    # a write that the pipe takes only part of, as one cut by a signal, is a
+    # solver failure of the march, dumped at its step; no process outlives
+    # the run
+    cfg = ExperimentConfig.from_json(_dense_config(tmp_path, output_dir=str(tmp_path / "out")))
+    real = os.writev
+    monkeypatch.setattr(os, "writev", lambda fd, buffers: real(fd, buffers[:1]))  # f only
+    took, size = 8 * cfg.nx * cfg.nv, 8 * (cfg.nx * cfg.nv + 5 * cfg.nx + 1)
+    with pytest.raises(SolverError, match=rf"^step 0: the sampler pipe took {took} of a sample's {size} bytes"):
+        run_coupled(cfg, 0.2)
+    assert (tmp_path / "out" / "failure_step_0.json").exists()
+    assert _children() == []
 
 
 def test_sample_failure_dumps_the_sampled_state(tmp_path, monkeypatch, capsys):
