@@ -5,12 +5,14 @@ Runs are deterministic: dt is fixed up front (an exact divisor of t_final
 aligned with the sampling cadence), there is no randomness, and aggregation
 follows eps_list order, so identical configs produce bit-identical CSVs.
 """
+import errno
 import json
 import math
 import numbers
 import os
 import pickle
 import time
+import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -248,22 +250,26 @@ _REPORT_FIELDS = tuple(f.name for f in fields(EntropyReport))
 _FIELDS = ("rho", "u", "n", "v")
 
 
-def _shared(shape: tuple, dtype, fd: int = -1) -> np.ndarray:
+def _shared(shape: tuple, dtype, file=None) -> np.ndarray:
     """A zeroed array in a shared mapping, so that what a process forked
     after it is built writes in it, as a coupled run's sampler does, is
-    read here. The mapping is of the file open at fd, which is first
-    reserved in full, so that a full disk is an OSError here and not a
-    SIGBUS at a later write, and then closed; at fd -1 it is anonymous."""
+    read here. The mapping is of file, an open file that is first reserved
+    in full, so that a full disk is an OSError here and not a SIGBUS at a
+    later write; file closes when the mapping goes, or here if either step
+    fails. With file None the mapping is anonymous."""
     import mmap  # here, as in _end_with: at module level it would add to every CLI start
 
     size = math.prod(shape) * np.dtype(dtype).itemsize
-    if fd == -1:
+    if file is None:
         return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, size))
     try:
-        os.posix_fallocate(fd, 0, size)
-        return np.ndarray(shape, dtype, buffer=mmap.mmap(fd, size))
-    finally:
-        os.close(fd)
+        os.posix_fallocate(file.fileno(), 0, size)
+        mapping = mmap.mmap(file.fileno(), size)
+    except BaseException:
+        file.close()
+        raise
+    weakref.finalize(mapping, file.close)
+    return np.ndarray(shape, dtype, buffer=mapping)
 
 
 def _sample_record(config: ExperimentConfig, scalars) -> np.recarray:
@@ -274,35 +280,27 @@ def _sample_record(config: ExperimentConfig, scalars) -> np.recarray:
     return _shared((config.n_samples + 1,), dtype).view(np.recarray)
 
 
-def _field_stacks(config: ExperimentConfig, out, prefix: str) -> tuple[dict, dict]:
+def _field_stacks(config: ExperimentConfig, out) -> tuple[dict, dict]:
     """The (n_samples + 1, nx) stacks of a run's sampled fields rho, u, n
-    and v, each in a shared mapping, and the files they map, by name. With
-    out None the mappings are anonymous. Else each stack maps a new file of
-    the directory out, under a temporary name until save_state renames it to
-    <prefix>__<name>.bin: so the samples are written once, into the file they
-    are emitted in, no file of that name is truncated while an earlier run
-    or a reader maps it, and a run that fails leaves it as it was."""
+    and v, each in a shared mapping, and the open files they map, by name.
+    With out None the mappings are anonymous. Else each stack maps a new
+    file of the directory out that has no name until save_state links it
+    into place (series__<name>.bin, say): so the samples are written once,
+    into the file they are emitted in, and a run that fails or is killed
+    leaves nothing behind. Where the file system has no unnamed files, the stack is
+    anonymous, and save_state writes it as any other array."""
     shape = (config.n_samples + 1, config.nx)
     stacks, files = {}, {}
-    try:
-        for name in _FIELDS:
-            fd = -1
-            if out is not None:
-                path = Path(out) / f".{prefix}__{name}.bin.{os.urandom(6).hex()}"
-                fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
-                files[name] = path
-            stacks[name] = _shared(shape, "<f8", fd)
-    except BaseException:
-        _discard(files)
-        raise
+    for name in _FIELDS:
+        file = None
+        if out is not None:
+            try:
+                file = files[name] = open(os.open(out, os.O_RDWR | os.O_TMPFILE, 0o666), "r+b", buffering=0)
+            except OSError as exc:  # EISDIR from a kernel without O_TMPFILE
+                if exc.errno not in (errno.EOPNOTSUPP, errno.EISDIR):
+                    raise
+        stacks[name] = _shared(shape, "<f8", file)
     return stacks, files
-
-
-def _discard(files: dict):
-    """Remove the stack files of a run that no save_state renamed into
-    place, and forget them."""
-    while files:
-        files.popitem()[1].unlink(missing_ok=True)
 
 
 @dataclass
@@ -328,9 +326,9 @@ class CoupledRun:
     # sample_wait_seconds, the march's hand-off of every sample to the
     # sampler and its wait for the last
     cost: dict[str, float]
-    # the files of stacks streamed to their output directory, by name, until
-    # save_run_series renames them into place
-    files: dict[str, Path] = field(default_factory=dict)
+    # the open files of the stacks streamed to their output directory, by
+    # name (_field_stacks), for save_run_series to link into place
+    files: dict = field(default_factory=dict)
 
     @property
     def record(self) -> dict:
@@ -562,8 +560,7 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
 
     out is the directory that save_run_series will emit the run to, or None:
     the sampler then writes the sampled fields straight into their files
-    there, and this process never reads them (_field_stacks). A run that
-    fails removes them."""
+    there, and this process never reads them (_field_stacks)."""
     t0 = time.perf_counter()
     grid = config.grid()
     if grid.nv < 4:
@@ -573,10 +570,10 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
     dt, nt, per = _pick_dt(config, grid, fl)
 
     reports = _sample_record(config, (*_REPORT_FIELDS, "mass_fluid"))
-    stacks, files = _field_stacks(config, out, "series")
+    stacks, files = _field_stacks(config, out)
     clock = time.perf_counter
     step = 0  # a failure before the first step, such as a run constant failing its check, dumps t = 0
-    sampler, done = None, False
+    sampler = None
     try:
         work = KineticWork(grid, dt, eps)
         book = {
@@ -610,7 +607,6 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
             if (step + 1) % per == 0:
                 sampler.put(kin, fl, mom)
         ck_min, sample_s = sampler.finish()
-        done = True
     except Exception as exc:
         if sampler is not None:
             sampler.finish()  # raises the sampler's failure, from an earlier step
@@ -620,8 +616,6 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
     finally:
         if sampler is not None:
             sampler.stop()
-        if not done:
-            _discard(files)
 
     cost = {
         "steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": gas_s,
@@ -645,8 +639,8 @@ class LimitRun:
     # (_two_phase_substeps) and sample_seconds (each sample's row, t = 0
     # included)
     cost: dict[str, float]
-    # as CoupledRun.files, until save_state renames them into place
-    files: dict[str, Path] = field(default_factory=dict)
+    # as CoupledRun.files, for save_state to link into place
+    files: dict = field(default_factory=dict)
 
 
 def run_limit(config: ExperimentConfig, out=None) -> LimitRun:
@@ -662,7 +656,7 @@ def run_limit(config: ExperimentConfig, out=None) -> LimitRun:
         grid.dx / float((np.abs(st.fluid.v) + sound_speed(st.fluid.n, config.gamma)).max()),
     ))
     samples = _sample_record(config, ("mass_rho",))
-    stacks, files = _field_stacks(config, out, "limit_series")
+    stacks, files = _field_stacks(config, out)
     book = {"max_exchange_asym": 0.0, "min_one_plus_h": float(st.fluid.n.min())}
 
     clock = time.perf_counter
@@ -675,7 +669,6 @@ def run_limit(config: ExperimentConfig, out=None) -> LimitRun:
             stack[idx] = sampled
         return clock() - t_a
 
-    done = False
     try:
         substep_s, sample_s = 0.0, sample(0, st)
         for step in range(nt):
@@ -686,13 +679,9 @@ def run_limit(config: ExperimentConfig, out=None) -> LimitRun:
             book["min_one_plus_h"] = min(book["min_one_plus_h"], float(st.fluid.n.min()))
             if (step + 1) % per == 0:
                 sample_s += sample((step + 1) // per, st)
-        done = True
     except SolverError as exc:
         arrays = {"rho": st.rho, "u": st.u, "n": st.fluid.n, "v": st.fluid.v}
         raise dump_failure_state(config, exc, arrays, step, st.t) from exc
-    finally:
-        if not done:
-            _discard(files)
 
     cost = {"steps": nt, "substep_seconds": substep_s, "sample_seconds": sample_s}
     return LimitRun(samples=samples, stacks=stacks, book=book, dt=dt, cost=cost, files=files)
@@ -853,29 +842,27 @@ def save_state(prefix, arrays: dict[str, np.ndarray], meta: dict | None = None, 
     which is removed first and written last, so that none describes a
     partly written set. Each file is a new one: a file of the same name that
     a run or a reader maps keeps its bytes. streamed maps the name of an
-    array to the file that already holds it, a run's stack (_field_stacks),
-    which is renamed into place in place of a write. Every streamed file is
-    gone from streamed, renamed or removed, once this returns or raises."""
+    array to the open file that already holds it, a run's stack
+    (_field_stacks), which is linked into place, on its file system, in
+    place of a write."""
     prefix = Path(prefix)
-    streamed = {} if streamed is None else streamed
-    try:
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        json_path = prefix.with_suffix(".json")
-        json_path.unlink(missing_ok=True)
-        desc = {"arrays": {}, "meta": meta or {}}
-        for name, arr in arrays.items():
-            # one contiguous copy at most, written from its buffer
-            arr = np.ascontiguousarray(np.asarray(arr), dtype="<f8")
-            bin_path = prefix.with_name(prefix.name + f"__{name}.bin")
-            if name in streamed:
-                os.replace(streamed.pop(name), bin_path)
-            else:
-                bin_path.unlink(missing_ok=True)
-                arr.tofile(bin_path)
-            desc["arrays"][name] = {"file": bin_path.name, "shape": list(arr.shape), "dtype": "<f8"}
-        json_path.write_text(json.dumps(desc, indent=2, sort_keys=True))
-    finally:
-        _discard(streamed)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    json_path = prefix.with_suffix(".json")
+    json_path.unlink(missing_ok=True)
+    desc = {"arrays": {}, "meta": meta or {}}
+    for name, arr in arrays.items():
+        # one contiguous copy at most, written from its buffer
+        arr = np.ascontiguousarray(np.asarray(arr), dtype="<f8")
+        bin_path = prefix.with_name(prefix.name + f"__{name}.bin")
+        bin_path.unlink(missing_ok=True)
+        if streamed and name in streamed:
+            # a src_dir_fd makes this linkat(2), which follows the /proc link
+            fd = streamed[name].fileno()
+            os.link(f"/proc/self/fd/{fd}", bin_path, src_dir_fd=fd, follow_symlinks=True)
+        else:
+            arr.tofile(bin_path)
+        desc["arrays"][name] = {"file": bin_path.name, "shape": list(arr.shape), "dtype": "<f8"}
+    json_path.write_text(json.dumps(desc, indent=2, sort_keys=True))
     return json_path
 
 
@@ -931,18 +918,15 @@ def dump_failure_state(config: ExperimentConfig, exc: SolverError, arrays: dict,
 def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     """Emit a coupled run: sampled series + final state + metadata sidecar.
     series.json is removed first and written last. The stacks that the run
-    streamed (run_coupled's out) are renamed into place, not written again."""
+    streamed (run_coupled's out) are linked into place, not written again."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "series.json").unlink(missing_ok=True)
-        save_state(out / "state_final", {"f": run.f_final.f, "n": run.fluid_final.n, "v": run.fluid_final.v})
-        meta = {"config": asdict(config), **run.record}
-        (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-        scalars = {name: run.reports[name] for name in run.reports.dtype.names}
-        save_state(out / "series", {**scalars, **run.stacks}, streamed=run.files)
-    finally:
-        _discard(run.files)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "series.json").unlink(missing_ok=True)
+    save_state(out / "state_final", {"f": run.f_final.f, "n": run.fluid_final.n, "v": run.fluid_final.v})
+    meta = {"config": asdict(config), **run.record}
+    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    scalars = {name: run.reports[name] for name in run.reports.dtype.names}
+    save_state(out / "series", {**scalars, **run.stacks}, streamed=run.files)
     return out
 
 

@@ -1648,9 +1648,9 @@ def _files(folder: Path) -> dict:
 
 
 def test_streamed_series_match_a_run_saved_after_it(tmp_path, monkeypatch):
-    # simulate-kinetic streams the stacks into their files and renames them
-    # into place; a run without a destination, saved after it, writes the
-    # same bytes, and a sweep's runs keep their stacks in memory
+    # simulate-kinetic streams the stacks into their unnamed files and links
+    # them into place; a run without a destination, saved after it, writes
+    # the same bytes, and a sweep's runs keep their stacks in memory
     cfgfile = _dense_config(tmp_path)
     cfg = ExperimentConfig.from_json(cfgfile)
     fallocated = []
@@ -1684,8 +1684,9 @@ def test_streamed_series_match_a_run_saved_after_it(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("failure", ["eps-1e-320", "sampler"])
 def test_failed_run_leaves_the_previous_run_files(tmp_path, monkeypatch, capsys, failure):
-    # a run that fails after its stack files were made removes them; the
-    # previous run's files keep their bytes and only the failure dump is new
+    # a run that fails after its stack files were made leaves none of them,
+    # as they have no name until saved; the previous run's files keep their
+    # bytes and only the failure dump is new
     cfgfile = _dense_config(tmp_path)
     out = tmp_path / "run"
     assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", "0.2", "--out", str(out)]) == EXIT_OK
@@ -1706,6 +1707,93 @@ def test_failed_run_leaves_the_previous_run_files(tmp_path, monkeypatch, capsys,
                                                 f"{dumped}__v.bin"]
     assert main_check_entropy(["--run", str(out)]) == EXIT_OK
     assert _children() == []
+
+
+# simulate-kinetic into the directory out, killed outright at its step 5
+# after it names the children it has, its sampler among them, in a file
+_KILLED_RUN = """
+import os, signal
+from pathlib import Path
+from kinfluid import cli, harness
+real, steps = harness.kinetic_step, []
+def step(*args):
+    steps.append(1)
+    if len(steps) == 6:
+        Path("children").write_text(Path(f"/proc/self/task/{os.getpid()}/children").read_text())
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args)
+harness.kinetic_step = step
+cli.main_simulate_kinetic(["--config", "config.json", "--out", "out"])
+"""
+
+
+def test_killed_run_leaves_no_file(tmp_path):
+    # the stacks a killed run streamed into its output directory have no
+    # name yet, so the kernel drops them with the process and its sampler
+    _write_cfg(tmp_path, nx=16, nv=16, t_final=0.05, n_samples=10, eps_list=[0.2])
+    env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _KILLED_RUN], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, (proc.returncode, proc.stderr[-2000:])
+    pids = [int(pid) for pid in (tmp_path / "children").read_text().split()]
+    try:
+        assert len(pids) == 1 and _wait_for(lambda: not any(map(_alive, pids)), 10)
+    finally:
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
+    assert os.listdir(tmp_path / "out") == []
+    assert _children() == []
+
+
+# emitted runs that are saved, saved twice, failed, refused room or dropped,
+# under -X dev -W error::ResourceWarning: each closes the files it opened
+_RUNS_CLOSE_THEIR_FILES = """
+import errno, gc, os
+from pathlib import Path
+from kinfluid import harness
+from kinfluid.core import SolverError
+def fds():
+    return sorted(os.listdir("/proc/self/fd"))
+cfg = harness.ExperimentConfig(nx=8, nv=8, t_final=0.02, n_samples=2, eps_list=[0.4], output_dir="failed")
+for folder in ("saved", "again", "failed", "full", "dropped"):
+    Path(folder).mkdir()
+before = fds()
+run = harness.run_coupled(cfg, 0.4, "saved")
+harness.save_run_series(run, "saved", cfg)
+harness.save_run_series(run, "again", cfg)
+for name, stack in run.stacks.items():
+    assert Path(f"saved/series__{name}.bin").read_bytes() == Path(f"again/series__{name}.bin").read_bytes() == stack.tobytes()
+del run, stack
+try:
+    harness.run_coupled(cfg, 1e-320, "failed")
+    raise AssertionError("the run at eps 1e-320 passed")
+except SolverError:
+    pass
+real = os.posix_fallocate
+def full(fd, offset, size):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+os.posix_fallocate = full
+try:
+    harness.run_coupled(cfg, 0.4, "full")
+    raise AssertionError("the run on a full disk passed")
+except OSError as exc:
+    assert exc.errno == errno.ENOSPC
+os.posix_fallocate = real
+harness.run_coupled(cfg, 0.4, "dropped")
+gc.collect()
+assert fds() == before, (before, fds())
+assert os.listdir("full") == os.listdir("dropped") == []
+assert sorted(os.listdir("failed")) == ["failure_step_0.json", "failure_step_0__f.bin", "failure_step_0__n.bin", "failure_step_0__v.bin"]
+print("closed")
+"""
+
+
+def test_runs_close_their_stack_files(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _RUNS_CLOSE_THEIR_FILES],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "closed\n", (proc.returncode, proc.stderr[-2000:])
+    assert "ResourceWarning" not in proc.stderr, proc.stderr[-2000:]
 
 
 # two runs into one directory, the first still mapping its streamed stacks,
@@ -1743,24 +1831,60 @@ def test_earlier_run_keeps_its_mapped_stacks(tmp_path):
     assert proc.returncode == 0 and proc.stdout == "kept\n", (proc.returncode, proc.stderr[-2000:])
 
 
-@pytest.mark.parametrize("main, prefix", [(main_simulate_kinetic, "series"), (main_simulate_limit, "limit_series")])
-def test_full_disk_is_a_config_error(tmp_path, monkeypatch, capsys, main, prefix):
+_EMITTERS = [(main_simulate_kinetic, "series"), (main_simulate_limit, "limit_series")]
+
+
+@pytest.mark.parametrize(
+    "main, prefix, refused",
+    [
+        *(pytest.param(main, prefix, None, id=f"{main.__name__}-{prefix}") for main, prefix in _EMITTERS),
+        *(pytest.param(main, prefix, code, id=f"{main.__name__}-{prefix}-tmpfile-{name}")
+          for main, prefix in _EMITTERS
+          for name, code in (("EOPNOTSUPP", errno.EOPNOTSUPP), ("EISDIR", errno.EISDIR), ("ENOSPC", errno.ENOSPC))),
+    ],
+)
+def test_full_disk_is_a_config_error(tmp_path, monkeypatch, capsys, main, prefix, refused):
     # no room for the stack files: exit 1 with one stderr line before the
-    # run starts, the previous run's files as they were and no process left
+    # run starts, the previous run's files as they were and no process left.
+    # A file system without unnamed files (EOPNOTSUPP, or EISDIR from a
+    # kernel without O_TMPFILE) refused as the files are opened: the stacks
+    # are anonymous, and the run writes the stack files and descriptor a
+    # default run does; any other refusal there is as a full disk.
     cfgfile = _write_cfg(tmp_path, nx=8, nv=8, t_final=0.02, n_samples=2)
     out = tmp_path / "run"
     assert main(["--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
     before = _files(out)
     assert f"{prefix}__rho.bin" in before
+    code = refused or errno.ENOSPC
+    refusals, real_open = [], os.open
 
     def full(fd, offset, size):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        raise OSError(code, os.strerror(code))
 
-    monkeypatch.setattr(os, "posix_fallocate", full)
+    def no_tmpfile(path, flags, *args, **kw):
+        if flags & os.O_TMPFILE == os.O_TMPFILE:
+            refusals.append(path)
+            raise OSError(code, os.strerror(code))
+        return real_open(path, flags, *args, **kw)
+
+    if refused is None:
+        monkeypatch.setattr(os, "posix_fallocate", full)
+    else:
+        monkeypatch.setattr(os, "open", no_tmpfile)
     capsys.readouterr()
-    assert main(["--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: cannot write output: [Errno 28] No space left on device\n"
-    assert _files(out) == before
+    if refused in (errno.EOPNOTSUPP, errno.EISDIR):
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        after = _files(out)
+        assert len(refusals) == 4 and after.keys() == before.keys()
+        assert [name for name in after if name.startswith(f"{prefix}__") and after[name] != before[name]] == []
+        descriptor = f"{prefix}.json"
+        assert json.loads(after[descriptor])["arrays"] == json.loads(before[descriptor])["arrays"]
+        if prefix == "series":  # with no timings in it
+            assert after[descriptor] == before[descriptor]
+    else:
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cannot write output: [Errno {code}] {os.strerror(code)}\n"
+        assert _files(out) == before
     assert _children() == []
 
 
