@@ -320,11 +320,13 @@ class CoupledRun:
     dt: float
     wall_seconds: float
     # steps, and the seconds of the step loop's four parts: kinetic_seconds
-    # (kinetic_step), gas_seconds (ns_step), moments_seconds
-    # (compute_moments) and sample_seconds (the entropy report and margin of
-    # each sample, t = 0 included, timed in the sampler process); and
-    # sample_wait_seconds, the march's hand-off of every sample to the
-    # sampler and its wait for the last
+    # (kinetic_step), gas_seconds (ns_step, timed in the process that ran
+    # it), moments_seconds (compute_moments) and sample_seconds (the entropy
+    # report and margin of each sample, t = 0 included, timed in the sampler
+    # process); sample_wait_seconds, the march's hand-off of every step to
+    # the sampler, its waits for the gas replies and its wait for the last
+    # sample; and march_cpu and sampler_cpu, the CPU each process was pinned
+    # to, or -1 (_Sampler)
     cost: dict[str, float]
     # the open files of the stacks streamed to their output directory, by
     # name (_field_stacks), for save_run_series to link into place
@@ -391,7 +393,10 @@ class _Child:
     pickled result, or b"!" and the pickled exception that call raised; the
     pipe's end without either (the child killed, say) is SolverError(abrupt).
     The child starts with _end_with and inherits all that call uses, so
-    nothing is pickled on the way in.
+    nothing is pickled on the way in; any other traffic goes down pipes that
+    call holds, as a run's sampler's steps and gas replies do (_Sampler). A
+    sweep's worker marks itself as one (_sweep_run) and a run's sampler
+    pins itself to its CPU, each in its own process, once forked.
 
     Fork only from the main thread, with no other Python thread started and
     no BLAS call under way: a child copies the locks held at the fork, not
@@ -464,6 +469,10 @@ class _Child:
 # while the pipe is full, so a sample above 1 MiB goes over in lockstep.
 SAMPLES_IN_FLIGHT = 4
 
+# True in a sweep's worker process only (_sweep_run): its run keeps its gas
+# sub-steps in its march
+_SWEEP_WORKER = False
+
 
 class _Sampler:
     """A coupled run's sampler process, a _Child forked once the run's
@@ -473,26 +482,53 @@ class _Sampler:
     fields into the run's stacks, each a shared mapping. The march writes
     each sampled state, whole, down the sampler's pipe, which holds
     SAMPLES_IN_FLIGHT of them where the system allows; the sampler reads
-    each into one buffer. Its result is its smallest margin (Python's min
-    in sample order, as in process) and its seconds. A sample's SolverError
-    names the dump of the sampled state, failure_step_<k> for the sample
-    after step k."""
+    each into one buffer.
 
-    def __init__(self, config: ExperimentConfig, work: KineticWork, reports: np.recarray, stacks: dict, per: int):
+    Given cpus, the CPU set of the march's caller, the sampler also makes
+    each step's gas sub-step (ns_step) beside the march's kinetic sub-step,
+    and owns the gas state from fl on: at each step the march writes the
+    moments rho and u of its f down the pipe, within the sample where one is
+    due, and reads the new gas state (n, v) back down a second pipe before
+    its next step. The sampler reads the whole step before it writes, so
+    neither process waits on a full pipe while the other does. The march is
+    pinned to the first CPU of cpus and the sampler to the second, where the
+    kernel allows; stop gives the march cpus back.
+
+    Its result is its smallest margin (Python's min in sample order, as in
+    process), its cost (the seconds of its reports and of its gas sub-steps,
+    and its CPU, -1 where it is not pinned) and the SolverError of its gas
+    sub-step, after which it stops, or None. A sample's SolverError names
+    the dump of the sampled state, failure_step_<k> for the sample after
+    step k."""
+
+    def __init__(self, config: ExperimentConfig, work: KineticWork, reports: np.recarray, stacks: dict, per: int,
+                 fl: FluidState, cpus: set | None):
         import fcntl  # here, as in _end_with: at module level it would add to every CLI start
 
         self.config, self.work, self.reports, self.stacks, self.per = config, work, reports, stacks, per
         nx, nv = work.grid.nx, work.grid.nv
         self.size = nx * nv + 5 * nx + 1  # doubles of a sample: f, rho, u, mom, n, v and t
         self.wait_seconds = 0.0
+        self.gas = fl if cpus else None  # the gas state the sampler advances, None where the march does
+        self.cpus, self.march_cpu = cpus, -1
+        self.pair = sorted(cpus or ())[:2]  # the CPU to pin the march to, and the sampler's
         samples_r, samples_w = os.pipe()
+        replies_r, replies_w = os.pipe()  # carries nothing where the march makes the gas sub-steps
         self.pipe = open(samples_w, "wb", buffering=0)
+        self.replies = open(replies_r, "rb")
         try:
             fcntl.fcntl(samples_w, fcntl.F_SETPIPE_SZ, min(SAMPLES_IN_FLIGHT * 8 * self.size, 1 << 20))
         except OSError:  # refused: the default pipe, which holds fewer
             pass
-        with open(samples_r, "rb") as samples:  # closed here once the sampler is forked
-            self.child = _Child(lambda out: self._serve(samples), "the sampler process ended abruptly")
+        # closed here once the sampler is forked
+        with open(samples_r, "rb") as samples, open(replies_w, "wb") as replies:
+            self.child = _Child(lambda out: self._serve(samples, replies), "the sampler process ended abruptly")
+        if self.gas is not None:
+            try:
+                os.sched_setaffinity(0, {self.pair[0]})
+                self.march_cpu = self.pair[0]
+            except OSError:  # refused: the march runs unpinned
+                pass
 
     def _sample(self, idx: int, sample: np.ndarray) -> float:
         """Write row idx of the run's record and stacks from sample, as put
@@ -513,55 +549,115 @@ class _Sampler:
             step = max(idx * self.per - 1, 0)  # sample idx > 0 follows step idx * per - 1
             raise dump_failure_state(self.config, exc, {"f": f, "n": n, "v": v}, step, t) from exc
 
-    def _serve(self, samples) -> tuple[float, float]:
-        """The sampler process: sample until the march closes its end of the
-        pipe; returns the smallest margin and the seconds taken."""
+    def _serve(self, samples, replies) -> tuple[float, dict, SolverError | None]:
+        """The sampler process: take each step the march hands over, until
+        the march closes its end of the pipe or the run's last sample."""
         self.pipe.close()
+        self.replies.close()
+        clock, grid, cpu = time.perf_counter, self.work.grid, -1
+        if self.gas is not None:
+            try:
+                os.sched_setaffinity(0, {self.pair[1]})
+                cpu = self.pair[1]
+            except OSError:  # refused: the sampler runs unpinned
+                pass
+        nt = self.per * self.config.n_samples
         sample = _kernels.aligned_empty(self.size)  # f starts on a 64-byte boundary
-        margins, sample_s = [], 0.0
-        while samples.readinto(sample) == sample.nbytes:  # short only at the pipe's end, a failed march's included
-            t_a = time.perf_counter()
-            margins.append(self._sample(len(margins), sample))
-            sample_s += time.perf_counter() - t_a
-        return float(min(margins, default=math.nan)), sample_s
+        moments = sample[grid.nx * grid.nv : grid.nx * (grid.nv + 2)]  # rho and u, sampled or not
+        margins, sample_s, gas_s, failure = [], 0.0, 0.0, None
+        for step in range(nt + 1) if self.gas is not None else range(0, nt + 1, self.per):
+            sampled = step % self.per == 0
+            took = sample if sampled else moments
+            if samples.readinto(took) != took.nbytes:  # short only at the pipe's end, a failed march's included
+                break
+            if self.gas is not None and step < nt:
+                t_a = clock()
+                try:
+                    self.gas = ns_step(self.gas, *moments.reshape(2, grid.nx), self.work.dt, grid)
+                except SolverError as exc:
+                    failure = exc
+                gas_s += clock() - t_a
+                if failure is None:
+                    try:
+                        replies.write(self.gas.n)
+                        replies.write(self.gas.v)
+                        replies.flush()
+                    except BrokenPipeError:  # the march failed, and takes no more replies
+                        pass
+            if sampled:
+                t_a = clock()
+                margins.append(self._sample(step // self.per, sample))
+                sample_s += clock() - t_a
+            if failure is not None:
+                break
+        cost = {"gas_seconds": gas_s, "sample_seconds": sample_s, "sampler_cpu": cpu}
+        return float(min(margins, default=math.nan)), cost, failure
 
-    def put(self, kin: KineticState, fl: FluidState, mom: MomentSet):
-        """Hand the next sample, the state (kin, fl) and the moments mom of
-        kin, to the sampler; waits only while the pipe is full."""
+    def put(self, step: int, kin: KineticState, fl: FluidState, mom: MomentSet):
+        """Hand the sampler what it takes of the state (kin, fl) at the start
+        of step, with mom the moments of kin: the state, whole, where a
+        sample is due, else, where the sampler makes the gas sub-steps, the
+        rho and u of mom. Waits only while the pipe is full."""
+        if step % self.per == 0:
+            what, buffers = "a sample's", (kin.f, mom.rho, mom.u, mom.mom, fl.n, fl.v, np.float64(kin.t))
+        elif self.gas is not None:
+            what, buffers = "a gas request's", (mom.rho, mom.u)
+        else:
+            return
         t_a = time.perf_counter()
         # once the sampler has ended, a BrokenPipeError
-        sent = os.writev(self.pipe.fileno(), (kin.f, mom.rho, mom.u, mom.mom, fl.n, fl.v, np.float64(kin.t)))
-        if sent != 8 * self.size:
-            raise SolverError(f"the sampler pipe took {sent} of a sample's {8 * self.size} bytes")
+        sent, size = os.writev(self.pipe.fileno(), buffers), sum(b.nbytes for b in buffers)
+        if sent != size:
+            raise SolverError(f"the sampler pipe took {sent} of {what} {size} bytes")
         self.wait_seconds += time.perf_counter() - t_a
 
-    def finish(self) -> tuple[float, float]:
-        """Wait for the sampler to take every sample handed to it: its
-        smallest margin and its seconds, or its failure raised."""
+    def gas_step(self) -> FluidState:
+        """The gas state after the march's step, as the sampler sends it
+        back; where none comes, the sampler's failure raised: an earlier
+        sample's, the gas sub-step's or its abrupt end."""
+        reply = np.empty((2, self.work.grid.nx))
+        if self.replies.readinto(reply) != reply.nbytes:
+            raise self.finish()[2] or SolverError(self.child.abrupt)
+        return FluidState(n=reply[0], v=reply[1], gamma=self.config.gamma)
+
+    def finish(self) -> tuple[float, dict, SolverError | None]:
+        """Wait for the sampler to take every step handed to it: its result,
+        or its failure raised."""
         t_a = time.perf_counter()
         self.pipe.close()
+        self.replies.close()  # so a reply it still writes is a BrokenPipeError, not a wait
         result = self.child.result()
         self.wait_seconds += time.perf_counter() - t_a
         return result
 
     def stop(self):
-        """Reap the sampler, killed first unless it has ended, and close
-        the pipes."""
+        """Reap the sampler, killed first unless it has ended, close the
+        pipes and give the march its caller's CPUs back."""
         self.child.stop()
         self.pipe.close()
+        self.replies.close()
+        if self.march_cpu >= 0:
+            os.sched_setaffinity(0, self.cpus)
 
 
 def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
     """Time-march the coupled kinetic/gas system, sampling entropy reports at
     the configured cadence and auditing the run at the end. The reports are
     made in the run's sampler process (_Sampler) while the march goes on.
-    When both fail, the failure at the earlier step is raised: the
-    sampler's, as it samples only steps the march has made.
+    Where the run's process may use two CPUs or more, read once as the run
+    starts, and is not a sweep's worker, the sampler also makes each step's
+    gas sub-step beside the march's kinetic sub-step, each process pinned to
+    a CPU of its own until the run ends; the gas state's bits are the same
+    in either process. When several fail, the failure at the earlier step is
+    raised: a sample's, as the sampler samples only steps the march has
+    made, before a gas sub-step's; and a step's kinetic sub-step's before its
+    gas sub-step's, as when the march makes both.
 
     out is the directory that save_run_series will emit the run to, or None:
     the sampler then writes the sampled fields straight into their files
     there, and this process never reads them (_field_stacks)."""
     t0 = time.perf_counter()
+    cpus = os.sched_getaffinity(0)
     grid = config.grid()
     if grid.nv < 4:
         raise ConfigError("coupled runs need nv >= 4 (the entropy diagnostics' velocity stencil)")
@@ -580,18 +676,19 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
             "max_wall_flux": 0.0, "wall_outflow": 0.0, "truncation_leak": 0.0,
             "max_cfl_transport": work.cfl_transport, "max_cfl_drag": 0.0, "min_n": float(fl.n.min()),
         }
-        sampler = _Sampler(config, work, reports, stacks, per)
+        beside = cpus if len(cpus) >= 2 and not _SWEEP_WORKER else None
+        sampler = _Sampler(config, work, reports, stacks, per, fl, beside)
         # the moments of the current kin: sampled, then the next step's gas drag
         t_a = clock()
         mom = compute_moments(kin, grid, work.f)
         kinetic_s = gas_s = 0.0
         moments_s = clock() - t_a
-        sampler.put(kin, fl, mom)
+        sampler.put(0, kin, fl, mom)
         for step in range(nt):
             t_a = clock()
             kin_new, krep = kinetic_step(kin, fl, walls, work)
             t_b = clock()
-            fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
+            fl_new = ns_step(fl, mom.rho, mom.u, dt, grid) if sampler.gas is None else sampler.gas_step()
             t_c = clock()
             kin, fl = kin_new, fl_new
             mom = compute_moments(kin, grid, work.f)
@@ -604,9 +701,8 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
             book["truncation_leak"] += krep.truncation_leak
             book["max_cfl_drag"] = max(book["max_cfl_drag"], krep.cfl_drag)
             book["min_n"] = min(book["min_n"], float(fl.n.min()))
-            if (step + 1) % per == 0:
-                sampler.put(kin, fl, mom)
-        ck_min, sample_s = sampler.finish()
+            sampler.put(step + 1, kin, fl, mom)
+        ck_min, sampled, _ = sampler.finish()
     except Exception as exc:
         if sampler is not None:
             sampler.finish()  # raises the sampler's failure, from an earlier step
@@ -617,9 +713,13 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
         if sampler is not None:
             sampler.stop()
 
+    waited = sampler.wait_seconds
+    if sampler.gas is not None:  # the march's gas part was its wait for each reply
+        waited, gas_s = waited + gas_s, sampled["gas_seconds"]
     cost = {
-        "steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": gas_s,
-        "moments_seconds": moments_s, "sample_seconds": sample_s, "sample_wait_seconds": sampler.wait_seconds,
+        "steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": gas_s, "moments_seconds": moments_s,
+        "sample_seconds": sampled["sample_seconds"], "sample_wait_seconds": waited,
+        "march_cpu": sampler.march_cpu, "sampler_cpu": sampled["sampler_cpu"],
     }
     return CoupledRun(
         eps=eps, reports=reports, stacks=stacks, f_final=kin, fluid_final=fl,
@@ -724,6 +824,17 @@ def _stacked_state(stacks: dict, gamma: float) -> TwoPhaseState:
     )
 
 
+def _sweep_run(config: ExperimentConfig, eps: float) -> CoupledRun:
+    """A sweep's run, in its worker process, which it marks as one first:
+    each worker keeps its run's gas sub-steps in its march, as the sweep
+    runs as many workers as it has CPUs. run_coupled is looked up here, in
+    the worker, so a wrapper that the sweep's process put in its place, a
+    closure say, runs there."""
+    global _SWEEP_WORKER
+    _SWEEP_WORKER = True
+    return run_coupled(config, eps)
+
+
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """For each eps: coupled run vs the single limit trajectory, compared as
     (K, nx) sample stacks, level by level (both runs share the sampling
@@ -750,12 +861,10 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     def start_runs():  # the next runs, until workers of them run
         while len(children) < len(config.eps_list) and sum(not c.ended for c in children) < workers:
             eps = config.eps_list[len(children)]
-            # run_coupled is looked up in the child, so a wrapper that this
-            # process put in its place, a closure say, runs there; runs fail
-            # at the same time, so each dumps into a directory of its own
+            # runs fail at the same time, so each dumps into a directory of its own
             run = replace(config, output_dir=str(Path(config.output_dir) / f"eps_{eps!r}"))
             abrupt = f"a sweep worker process ended abruptly: its run at eps = {eps!r} sent no result"
-            children.append(_Child(lambda out, run=run, eps=eps: run_coupled(run, eps), abrupt))
+            children.append(_Child(lambda out, run=run, eps=eps: _sweep_run(run, eps), abrupt))
 
     def wait_runs(more: bool):  # until none is under way; starts the next while more and none failed
         while running := [c for c in children if not c.ended]:
@@ -837,15 +946,31 @@ def emit_csv(rows: np.ndarray, path) -> Path:
     return path
 
 
+def _linked(file, path: Path) -> bool:
+    """Give the open file that has no name (_field_stacks) the name path;
+    False where path lies on another file system."""
+    fd = file.fileno()
+    try:
+        # a src_dir_fd makes this linkat(2), which follows the /proc link
+        os.link(f"/proc/self/fd/{fd}", path, src_dir_fd=fd, follow_symlinks=True)
+    except OSError as exc:
+        if exc.errno != errno.EXDEV:
+            raise
+        return False
+    return True
+
+
 def save_state(prefix, arrays: dict[str, np.ndarray], meta: dict | None = None, streamed: dict | None = None) -> Path:
     """Flat little-endian float64 binaries plus a JSON shape descriptor,
     which is removed first and written last, so that none describes a
     partly written set. Each file is a new one: a file of the same name that
     a run or a reader maps keeps its bytes. streamed maps the name of an
     array to the open file that already holds it, a run's stack
-    (_field_stacks), which is linked into place, on its file system, in
-    place of a write."""
+    (_field_stacks), which is linked into place in place of a write, where
+    it lies on the file system of prefix; elsewhere it is written as any
+    other array."""
     prefix = Path(prefix)
+    streamed = streamed or {}
     prefix.parent.mkdir(parents=True, exist_ok=True)
     json_path = prefix.with_suffix(".json")
     json_path.unlink(missing_ok=True)
@@ -855,11 +980,7 @@ def save_state(prefix, arrays: dict[str, np.ndarray], meta: dict | None = None, 
         arr = np.ascontiguousarray(np.asarray(arr), dtype="<f8")
         bin_path = prefix.with_name(prefix.name + f"__{name}.bin")
         bin_path.unlink(missing_ok=True)
-        if streamed and name in streamed:
-            # a src_dir_fd makes this linkat(2), which follows the /proc link
-            fd = streamed[name].fileno()
-            os.link(f"/proc/self/fd/{fd}", bin_path, src_dir_fd=fd, follow_symlinks=True)
-        else:
+        if not (name in streamed and _linked(streamed[name], bin_path)):
             arr.tofile(bin_path)
         desc["arrays"][name] = {"file": bin_path.name, "shape": list(arr.shape), "dtype": "<f8"}
     json_path.write_text(json.dumps(desc, indent=2, sort_keys=True))
@@ -918,7 +1039,8 @@ def dump_failure_state(config: ExperimentConfig, exc: SolverError, arrays: dict,
 def save_run_series(run: CoupledRun, out_dir, config: ExperimentConfig) -> Path:
     """Emit a coupled run: sampled series + final state + metadata sidecar.
     series.json is removed first and written last. The stacks that the run
-    streamed (run_coupled's out) are linked into place, not written again."""
+    streamed (run_coupled's out) are linked into place, not written again,
+    where out_dir lies on their file system."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "series.json").unlink(missing_ok=True)

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import fcntl
 import json
@@ -460,6 +461,9 @@ def test_cli_simulate_kinetic_and_check_entropy(tmp_path, capsys):
     }
     for key, value in run.book.items():
         assert meta[key] == value and f" {key}={value:.6g} " in line, key
+    # and so are the CPUs its march and its sampler were pinned to
+    for key, value in zip(("march_cpu", "sampler_cpu"), _pinned()):
+        assert meta[key] == run.cost[key] == value and f" {key}={value:.6g} " in line, key
     # and so is its audit summary, which check-entropy prints too
     assert meta["audit"] == run.audit.summary
     rc2 = main_check_entropy(["--run", str(out)])
@@ -744,15 +748,18 @@ def test_cli_converge_writes_outputs(tmp_path, capsys):
     book_keys = {"max_wall_flux", "wall_outflow", "truncation_leak", "max_cfl_transport", "max_cfl_drag", "min_n"}
     cost_keys = {
         "steps", "kinetic_seconds", "gas_seconds", "moments_seconds", "sample_seconds", "sample_wait_seconds",
+        "march_cpu", "sampler_cpu",
     }
     assert all(set(r) == {"eps", "dt", "wall_seconds", "audit", "ck_margin_min", *book_keys, *cost_keys}
                for r in runs)
     # every run takes the same steps, and the march's three parts and its
     # hand-off to the sampler fit in its wall time; the sampler's seconds
-    # are spent in its own process
+    # are spent in its own process. A sweep's worker keeps its gas sub-steps
+    # in its march, and neither process is pinned
     assert {r["steps"] for r in runs} == {round(0.1 / runs[0]["dt"])}
     for r in runs:
-        parts = [r[key] for key in cost_keys - {"steps", "sample_seconds"}]
+        assert r["march_cpu"] == r["sampler_cpu"] == -1
+        parts = [r[key] for key in cost_keys - {"steps", "sample_seconds", "march_cpu", "sampler_cpu"}]
         assert all(t > 0 for t in parts) and sum(parts) < r["wall_seconds"]
         assert 0 < r["sample_seconds"] < r["wall_seconds"]
     # and so does the limit march's
@@ -1041,8 +1048,8 @@ def test_cli_converge_audit_failure(tmp_path, capsys):
 
 def _untimed(record: dict) -> dict:
     """A run or sweep record without its timings, the keys ending in
-    _seconds."""
-    return {key: value for key, value in record.items() if not key.endswith("_seconds")}
+    _seconds, and the CPUs its processes were pinned to, ending in _cpu."""
+    return {key: value for key, value in record.items() if not key.endswith(("_seconds", "_cpu"))}
 
 
 def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
@@ -1245,15 +1252,16 @@ def _dense_config(tmp_path, **kw) -> Path:
     return _write_cfg(tmp_path, **kw, n_samples=steps)
 
 
-def _report_failing_at(sample: int, how):
-    """harness.evaluate_entropy_report, with how() called in its place at
-    the given sample; the sampler process inherits it, and its own count of
-    calls, as the run forks it."""
-    real, calls = harness.evaluate_entropy_report, []
+def _failing_at(name: str, call: int, how):
+    """harness.<name>, with how() called first at its call-th call from 0:
+    the report of that sample (evaluate_entropy_report), say, or the gas
+    sub-step of that step (ns_step). The sampler process inherits it, and
+    its own count of calls, as the run forks it."""
+    real, calls = getattr(harness, name), []
 
     def wrapper(*args):
         calls.append(1)
-        if len(calls) == sample + 1:
+        if len(calls) == call + 1:
             how()
         return real(*args)
 
@@ -1376,23 +1384,51 @@ sys.exit(cli.main_simulate_kinetic({_RUN_ARGS!r}))
 """
 
 
+def _placement(run_dir: Path) -> tuple:
+    """The CPUs that a run's march and sampler were pinned to, as its
+    run_meta.json records them."""
+    meta = json.loads((run_dir / "run_meta.json").read_text())
+    return meta["march_cpu"], meta["sampler_cpu"]
+
+
+def _pinned() -> tuple:
+    """The CPUs that a run of this process pins its march and its sampler
+    to: the first two it may use, or none, -1, on one CPU."""
+    cpus = sorted(os.sched_getaffinity(0))
+    return tuple(cpus[:2]) if len(cpus) >= 2 else (-1, -1)
+
+
 def test_sampled_run_keeps_its_bytes_on_one_cpu(tmp_path, monkeypatch):
-    # the march and its sampler share one CPU, so the march waits while the
-    # sampler's pipe is full; the record, the smallest margin and every file
-    # keep their bytes
-    config = _dense_config(tmp_path).read_text()
-    for tag in ("default", "one"):
-        (tmp_path / tag).mkdir()
-        (tmp_path / tag / "config.json").write_text(config)
-    monkeypatch.chdir(tmp_path / "default")
-    assert main_simulate_kinetic(_RUN_ARGS) == EXIT_OK
+    # by default the sampler makes the gas sub-steps beside the march, each
+    # pinned to a CPU of its own; in a process that reads one CPU, or runs
+    # on one, the march makes them, and the march and its sampler share the
+    # CPU, so the march waits while the sampler's pipe is full. On a diffuse
+    # and a specular wall, the record, the smallest margin and every file,
+    # the final gas state included, keep their bytes on all three paths
     env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", _ONE_CPU_RUN], cwd=tmp_path / "one", env=env, check=True, timeout=120)
-    default, one = (
-        {p.name: _comparable(p) for p in (tmp_path / tag / "run").iterdir()} for tag in ("default", "one")
-    )
-    assert default.keys() == one.keys() and "series__F.bin" in default
-    assert [name for name in default if default[name] != one[name]] == []
+    for boundary in ("diffuse", "specular"):
+        root = tmp_path / boundary
+        root.mkdir()
+        config = _dense_config(root, boundary=boundary).read_text()
+        for tag in ("default", "read_one", "one"):
+            (root / tag).mkdir()
+            (root / tag / "config.json").write_text(config)
+        monkeypatch.chdir(root / "default")
+        assert main_simulate_kinetic(_RUN_ARGS) == EXIT_OK
+        with monkeypatch.context() as patch:
+            _one_cpu_read(patch)
+            patch.chdir(root / "read_one")
+            assert main_simulate_kinetic(_RUN_ARGS) == EXIT_OK
+        subprocess.run([sys.executable, "-c", _ONE_CPU_RUN], cwd=root / "one", env=env, check=True, timeout=120)
+        runs = {tag: {p.name: _comparable(p) for p in (root / tag / "run").iterdir()}
+                for tag in ("default", "read_one", "one")}
+        default = runs["default"]
+        assert "series__F.bin" in default and "state_final__n.bin" in default
+        for tag in ("read_one", "one"):
+            assert runs[tag].keys() == default.keys()
+            assert [name for name in default if default[name] != runs[tag][name]] == [], (boundary, tag)
+            assert _placement(root / tag / "run") == (-1, -1)
+        assert _placement(root / "default" / "run") == _pinned()
 
 
 # put before _ONE_CPU_RUN: the sampler's pipe is left at its default size
@@ -1476,7 +1512,7 @@ def test_sample_failure_dumps_the_sampled_state(tmp_path, monkeypatch, capsys):
     cfgfile = _dense_config(tmp_path)
     cfg = ExperimentConfig.from_json(cfgfile)
     run = run_coupled(cfg, 0.2)
-    monkeypatch.setattr(harness, "evaluate_entropy_report", _report_failing_at(3, _forced_vacuum))
+    monkeypatch.setattr(harness, "evaluate_entropy_report", _failing_at("evaluate_entropy_report", 3, _forced_vacuum))
     out = tmp_path / "failed"
     capsys.readouterr()
     assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", "0.2", "--out", str(out)]) == EXIT_SOLVER
@@ -1501,7 +1537,7 @@ def test_sample_failure_wins_over_a_later_march_failure(tmp_path, monkeypatch):
         return real(kin, fl, walls, work)
 
     monkeypatch.setattr(harness, "kinetic_step", fail_at_step_2)
-    monkeypatch.setattr(harness, "evaluate_entropy_report", _report_failing_at(1, _forced_vacuum))
+    monkeypatch.setattr(harness, "evaluate_entropy_report", _failing_at("evaluate_entropy_report", 1, _forced_vacuum))
     with pytest.raises(SolverError) as err:
         run_coupled(cfg, 0.2)
     assert str(err.value).startswith("step 0: forced vacuum (state dumped to ")
@@ -1519,23 +1555,270 @@ def _timed_out(signum, frame):
     raise _Deadline("the run did not end")
 
 
+@contextlib.contextmanager
+def _deadline(seconds: int = 60):
+    """Raise _Deadline in the block after seconds, should it hang."""
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_killed_sampler_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     # a sampler that ends abruptly, as one killed for want of memory would,
     # ends the run with exit 2 and one stderr line, not a hang
     cfgfile = _dense_config(tmp_path)
     monkeypatch.setattr(harness, "evaluate_entropy_report",
-                        _report_failing_at(2, lambda: os.kill(os.getpid(), signal.SIGKILL)))
+                        _failing_at("evaluate_entropy_report", 2, lambda: os.kill(os.getpid(), signal.SIGKILL)))
     capsys.readouterr()
-    previous = signal.signal(signal.SIGALRM, _timed_out)
-    signal.alarm(60)
-    try:
+    with _deadline():
         code = main_simulate_kinetic(["--config", str(cfgfile), "--out", str(tmp_path / "run")])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == EXIT_SOLVER
     assert capsys.readouterr().err == "solver failure: the sampler process ended abruptly\n"
     assert _children() == []
+
+
+def _one_cpu_read(patch):
+    """Make this process read one CPU as its set, as a run on one CPU
+    does: the run's march then makes its gas sub-steps."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.mark.parametrize("where", ["sampler", "march"])
+def test_gas_failure_dumps_the_state_its_step_started_from(tmp_path, monkeypatch, capsys, where):
+    # a gas sub-step that fails at step 3, in the sampler by default and in
+    # the march on one CPU, exits 2 with the stderr line and the dump of
+    # the step's input f, n and v that a failure in the march gives; no
+    # process outlives the run
+    cfgfile = _dense_config(tmp_path)
+    cfg = ExperimentConfig.from_json(cfgfile)
+    run = run_coupled(cfg, 0.2)
+    # the f that step 3 starts from, marched here
+    kin, fl, _ = make_well_prepared(cfg)
+    grid = cfg.grid()
+    walls, work = kinetic.wall_kernels(cfg.boundary, grid, cfg.wall_temperature), kinetic.KineticWork(grid, run.dt, 0.2)
+    for _ in range(3):
+        mom = kinfluid.compute_moments(kin, grid)
+        kin, _ = kinetic.kinetic_step(kin, fl, walls, work)
+        fl = harness.ns_step(fl, mom.rho, mom.u, run.dt, grid)
+    if where == "march":
+        _one_cpu_read(monkeypatch)
+    monkeypatch.setattr(harness, "ns_step", _failing_at("ns_step", 3, _forced_vacuum))
+    out = tmp_path / "failed"
+    capsys.readouterr()
+    with _deadline():
+        assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", "0.2", "--out", str(out)]) == EXIT_SOLVER
+    dump = out / "failure_step_3.json"
+    assert capsys.readouterr().err == f"solver failure: step 3: forced vacuum (state dumped to {dump})\n"
+    assert sorted(p.name for p in out.glob("*.json")) == [dump.name]
+    arrays, meta = load_state(dump)
+    assert meta == {"step": 3, "t": run.reports.times[3]}
+    assert arrays["f"].tobytes() == kin.f.tobytes()
+    for name in ("n", "v"):
+        assert arrays[name].tobytes() == run.stacks[name][3].tobytes() == getattr(fl, name).tobytes(), name
+    assert _children() == []
+
+
+def _kinetic_failing_at(step: int):
+    """harness.kinetic_step, failing with "forced kinetic failure" at step."""
+    real = harness.kinetic_step
+
+    def failing(kin, fl, walls, work):
+        if kin.t > (step - 0.5) * work.dt:
+            raise SolverError("forced kinetic failure")
+        return real(kin, fl, walls, work)
+
+    return failing
+
+
+def _forced_gas_vacuum():
+    raise VacuumError("forced gas vacuum")
+
+
+@pytest.mark.parametrize("where", ["sampler", "march"])
+@pytest.mark.parametrize(
+    "gas_step, kinetic_step, report, raised",
+    [
+        # the kinetic and the gas sub-step of step 3: the kinetic one, which
+        # the march makes first
+        (3, 3, None, "step 3: forced kinetic failure"),
+        # the gas sub-step of step 2 before the kinetic sub-step of step 3
+        (2, 3, None, "step 2: forced gas vacuum"),
+        # the report of the sample after step 2 before the gas sub-step of step 3
+        (3, None, 3, "step 2: forced vacuum"),
+        # the gas sub-step of step 2 before the report after it
+        (2, None, 3, "step 2: forced gas vacuum"),
+    ],
+    ids=["kinetic-same-step", "gas-before-kinetic", "report-before-gas", "gas-before-report"],
+)
+def test_earlier_failure_wins_wherever_the_gas_step_runs(tmp_path, monkeypatch, where, gas_step, kinetic_step,
+                                                         report, raised):
+    # of the failures of a kinetic sub-step, a gas sub-step and a report,
+    # the earliest is raised, with its dump alone, on both paths
+    cfg = ExperimentConfig.from_json(_dense_config(tmp_path, output_dir=str(tmp_path / "out")))
+    if where == "march":
+        _one_cpu_read(monkeypatch)
+    monkeypatch.setattr(harness, "ns_step", _failing_at("ns_step", gas_step, _forced_gas_vacuum))
+    if kinetic_step is not None:
+        monkeypatch.setattr(harness, "kinetic_step", _kinetic_failing_at(kinetic_step))
+    if report is not None:
+        monkeypatch.setattr(harness, "evaluate_entropy_report",
+                            _failing_at("evaluate_entropy_report", report, _forced_vacuum))
+    with _deadline(), pytest.raises(SolverError) as err:
+        run_coupled(cfg, 0.2)
+    step = raised.split(":")[0].removeprefix("step ")
+    assert str(err.value) == f"{raised} (state dumped to {tmp_path / 'out' / f'failure_step_{step}.json'})"
+    assert [p.name for p in (tmp_path / "out").glob("failure_step_*.json")] == [f"failure_step_{step}.json"]
+    assert _children() == []
+
+
+@pytest.mark.parametrize("grid", [{}, dict(nx=8192, nv=4, t_final=2e-4)], ids=["16x16", "reply-above-the-pipe"])
+def test_march_failure_while_the_sampler_replies(tmp_path, monkeypatch, grid):
+    # the march fails at step 3 and stops reading replies while its sampler
+    # is still making that step's gas sub-step; the reply the sampler then
+    # writes to the closed pipe fails it nothing, not even one of 128 KiB,
+    # above the default pipe's 64 KiB, and the march's failure is raised
+    # with its dump
+    cfg = ExperimentConfig.from_json(_dense_config(tmp_path, **grid, output_dir=str(tmp_path / "out")))
+    monkeypatch.setattr(harness, "ns_step", _failing_at("ns_step", 3, lambda: time.sleep(0.2)))
+    monkeypatch.setattr(harness, "kinetic_step", _kinetic_failing_at(3))
+    with _deadline(), pytest.raises(SolverError, match="^step 3: forced kinetic failure"):
+        run_coupled(cfg, 0.2)
+    assert (tmp_path / "out" / "failure_step_3.json").exists()
+    assert _children() == []
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("reply", ["missing", "short"])
+def test_gas_reply_cut_short_is_a_solver_failure(tmp_path, monkeypatch, capsys, reply):
+    # a sampler that ends before its gas reply is whole, killed before it
+    # sends the reply of step 3 or once it has sent half of it, ends the
+    # run with exit 2 and the abrupt-end line; the march builds no state
+    # from the part it read, so it takes the moments of no state after step
+    # 2's and dumps nothing, and no process outlives it
+    cfgfile = _dense_config(tmp_path)
+    moments, real_moments = [], harness.compute_moments
+    monkeypatch.setattr(harness, "compute_moments", lambda *args: moments.append(1) or real_moments(*args))
+    if reply == "missing":
+        monkeypatch.setattr(harness, "ns_step", _failing_at("ns_step", 3, _killed))
+    else:
+        real, calls = harness.ns_step, []
+
+        def halved(*args):  # at step 3, a state of half the cells: half a reply's bytes
+            calls.append(1)
+            fl = real(*args)
+            return fl if len(calls) != 4 else harness.FluidState(n=fl.n[::2].copy(), v=fl.v[::2].copy())
+
+        # after the gas sub-step of step 3 the sampler reports on the state
+        # that step started from, and is killed there
+        monkeypatch.setattr(harness, "ns_step", halved)
+        monkeypatch.setattr(harness, "evaluate_entropy_report", _failing_at("evaluate_entropy_report", 3, _killed))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with _deadline():
+        code = main_simulate_kinetic(["--config", str(cfgfile), "--out", str(out)])
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().err == "solver failure: the sampler process ended abruptly\n"
+    assert len(moments) == 1 + 3 and list(out.glob("failure_step_*")) == []
+    assert _children() == []
+
+
+def test_runs_give_their_caller_its_cpus_back(tmp_path, monkeypatch):
+    # the march is pinned to the first CPU of the set the run reads as it
+    # starts and its sampler, which makes the gas sub-steps, to the second;
+    # the caller's set comes back after a run and after a failing run, so a
+    # second run in the process pins from the whole set again
+    cpus = os.sched_getaffinity(0)
+    march, sampler = _pinned()
+    placements, during = tmp_path / "placements", []
+    placements.mkdir()
+    real_gas, real_step = harness.ns_step, harness.kinetic_step
+
+    def placed(*args):  # names the process that makes it and the CPUs it may use
+        (placements / "_".join(map(str, (os.getpid(), *sorted(os.sched_getaffinity(0)))))).touch()
+        return real_gas(*args)
+
+    def step(*args):
+        during.append(frozenset(os.sched_getaffinity(0)))
+        return real_step(*args)
+
+    monkeypatch.setattr(harness, "ns_step", placed)
+    monkeypatch.setattr(harness, "kinetic_step", step)
+    cfg = tiny_config(output_dir=str(tmp_path / "out"))
+    runs = [run_coupled(cfg, 0.4) for _ in range(2)]
+    assert os.sched_getaffinity(0) == cpus
+    assert [(run.cost["march_cpu"], run.cost["sampler_cpu"]) for run in runs] == [(march, sampler)] * 2
+    assert set(during) == {frozenset({march} if march >= 0 else cpus)}
+    seen = {tuple(map(int, p.name.split("_"))) for p in placements.iterdir()}  # (pid, *cpus)
+    if sampler >= 0:  # two samplers, each pinned to the second CPU
+        assert len(seen) == 2 and all(pid != os.getpid() and on == [sampler] for pid, *on in seen)
+    else:
+        assert seen == {(os.getpid(), *sorted(cpus))}
+    monkeypatch.setattr(harness, "kinetic_step", _kinetic_failing_at(2))
+    with pytest.raises(SolverError, match="^step 2: forced kinetic failure"):
+        run_coupled(cfg, 0.4)
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_sweep_workers_make_their_own_gas_steps(tmp_path, monkeypatch):
+    # each run of a sweep makes its gas sub-steps in its worker process, not
+    # in the worker's sampler, and neither process is pinned
+    children = []
+
+    class Counted(harness._Child):
+        def __init__(self, *args):
+            super().__init__(*args)
+            children.append(self)
+
+    monkeypatch.setattr(harness, "_Child", Counted)
+    real, pids = harness.ns_step, tmp_path / "pids"
+    pids.mkdir()
+
+    def named(*args):
+        (pids / str(os.getpid())).touch()
+        return real(*args)
+
+    monkeypatch.setattr(harness, "ns_step", named)
+    result = harness.run_convergence(tiny_config(output_dir=str(tmp_path / "sweep")))
+    assert len(children) == 3
+    assert {int(p.name) for p in pids.iterdir()} == {child.pid for child in children}
+    assert all((run.cost["march_cpu"], run.cost["sampler_cpu"]) == (-1, -1) for run in result.runs)
+
+
+def test_emitted_run_saves_into_another_file_system(tmp_path, monkeypatch):
+    # a stack that cannot be linked into the directory it is saved into, one
+    # on another file system (EXDEV), is written there as an anonymous stack
+    # is: every file, series.json included, has the bytes of a linked save;
+    # and so does a save into /dev/shm, where that is another file system
+    out = tmp_path / "run"
+    out.mkdir()
+    cfg = tiny_config(output_dir=str(out))
+    run = run_coupled(cfg, 0.4, out)
+    harness.save_run_series(run, out, cfg)
+    linked = _files(out)
+    assert "series.json" in linked
+    refused = []
+
+    def exdev(src, dst, **kw):
+        refused.append(Path(dst).name)
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "link", exdev)
+        harness.save_run_series(run, tmp_path / "written", cfg)
+    assert sorted(refused) == [f"series__{name}.bin" for name in sorted(harness._FIELDS)]
+    assert _files(tmp_path / "written") == linked
+    shm = Path("/dev/shm")
+    if shm.is_dir() and os.access(shm, os.W_OK) and shm.stat().st_dev != out.stat().st_dev:
+        with tempfile.TemporaryDirectory(dir=shm) as other:
+            harness.save_run_series(run, other, cfg)
+            assert _files(Path(other)) == linked
 
 
 # a coupled run whose sampler names itself in a file in the working
@@ -1696,7 +1979,8 @@ def test_failed_run_leaves_the_previous_run_files(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(os, "posix_fallocate", lambda fd, *span: made.append(span) or real(fd, *span))
     eps, dumped = "1e-320", "failure_step_0"
     if failure == "sampler":
-        monkeypatch.setattr(harness, "evaluate_entropy_report", _report_failing_at(3, _forced_vacuum))
+        monkeypatch.setattr(harness, "evaluate_entropy_report",
+                            _failing_at("evaluate_entropy_report", 3, _forced_vacuum))
         eps, dumped = "0.2", "failure_step_2"
     capsys.readouterr()
     assert main_simulate_kinetic(["--config", str(cfgfile), "--eps", eps, "--out", str(out)]) == EXIT_SOLVER
