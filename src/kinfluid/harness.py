@@ -320,13 +320,16 @@ class CoupledRun:
     dt: float
     wall_seconds: float
     # steps, and the seconds of the step loop's four parts: kinetic_seconds
-    # (kinetic_step), gas_seconds (ns_step, timed in the process that ran
-    # it), moments_seconds (compute_moments) and sample_seconds (the entropy
+    # (kinetic_step), gas_seconds (ns_step, timed in the process that made
+    # each), moments_seconds (compute_moments) and sample_seconds (the entropy
     # report and margin of each sample, t = 0 included, timed in the sampler
     # process); sample_wait_seconds, the march's hand-off of every step to
     # the sampler, its waits for the gas replies and its wait for the last
-    # sample; and march_cpu and sampler_cpu, the CPU each process was pinned
-    # to, or -1 (_Sampler)
+    # sample; march_cpu, the CPU the march ran on as its sampler was placed,
+    # and sampler_cpu, the CPU the sampler was pinned to, each -1 where the
+    # march makes the gas sub-steps or nothing was pinned; and
+    # sampler_gas_steps, the steps whose gas sub-step the sampler made
+    # (_Sampler)
     cost: dict[str, float]
     # the open files of the stacks streamed to their output directory, by
     # name (_field_stacks), for save_run_series to link into place
@@ -395,8 +398,7 @@ class _Child:
     The child starts with _end_with and inherits all that call uses, so
     nothing is pickled on the way in; any other traffic goes down pipes that
     call holds, as a run's sampler's steps and gas replies do (_Sampler). A
-    sweep's worker marks itself as one (_sweep_run) and a run's sampler
-    pins itself to its CPU, each in its own process, once forked.
+    run's sampler pins itself to its CPU in its own process, once forked.
 
     Fork only from the main thread, with no other Python thread started and
     no BLAS call under way: a child copies the locks held at the fork, not
@@ -469,9 +471,75 @@ class _Child:
 # while the pipe is full, so a sample above 1 MiB goes over in lockstep.
 SAMPLES_IN_FLIGHT = 4
 
-# True in a sweep's worker process only (_sweep_run): its run keeps its gas
-# sub-steps in its march
-_SWEEP_WORKER = False
+# The gas sub-steps a sampler makes between two looks at its run's wait for
+# a CPU (_Sampler). Where the run waited more than twice as long as they
+# took over two stretches in a row, the sampler gives the gas sub-steps back
+# to the march. Short stretches, so that a run without a CPU to spare pays
+# little: the first looks of a sweep's runs read waits 4-10 times the gas
+# seconds. Twice, and two stretches, so that a stall of a CPU that the
+# overlap did not cause does not end it: a run alone on two CPUs reads a
+# stretch at 1-3 times now and then, at most two in a row.
+GAS_LOOK_STEPS = 16
+
+
+def _cpu_quota(cgroups="/proc/self/cgroup", root="/sys/fs/cgroup") -> float:
+    """The CPUs' worth of time that this process's cgroup may take at once:
+    its CPU quota over its period (cgroup v2 cpu.max, or v1 cpu.cfs_quota_us
+    over cpu.cfs_period_us), the smaller where both are set; inf where none
+    is set or can be read."""
+    quotas = [math.inf]
+    try:
+        entries = [line.split(":", 2) for line in Path(cgroups).read_text().splitlines() if line.count(":") >= 2]
+    except OSError:
+        return math.inf
+    for hierarchy, controllers, path in entries:
+        base = Path(root, "" if hierarchy == "0" else controllers, path.lstrip("/"))
+        try:
+            if hierarchy == "0":
+                quota, period = (base / "cpu.max").read_text().split()
+            elif "cpu" in controllers.split(","):
+                quota, period = ((base / f"cpu.cfs_{part}_us").read_text().strip() for part in ("quota", "period"))
+            else:
+                continue
+            if quota not in ("max", "-1"):
+                quotas.append(int(quota) / int(period))
+        except (OSError, ValueError, ZeroDivisionError):
+            pass
+    return min(quotas)
+
+
+def _cpu_wait(*pids: int) -> float:
+    """The seconds that the processes pids have spent ready to run but
+    waiting for a CPU, together (the second field of each one's
+    /proc/<pid>/schedstat); 0 where they cannot be read."""
+    try:
+        waits = []
+        for pid in pids:
+            with open(f"/proc/{pid}/schedstat", "rb") as stat:
+                waits.append(int(stat.read().split()[1]))
+        return sum(waits) * 1e-9
+    except (OSError, ValueError, IndexError):
+        return 0.0
+
+
+def _pinned(cpus: set) -> bool:
+    """Pin this process to cpus; False where the kernel refuses, and the
+    process's CPU set is as it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+        return True
+    except OSError:
+        return False
+
+
+def _current_cpu() -> int:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or -1
+    where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return -1
 
 
 class _Sampler:
@@ -484,22 +552,33 @@ class _Sampler:
     SAMPLES_IN_FLIGHT of them where the system allows; the sampler reads
     each into one buffer.
 
-    Given cpus, the CPU set of the march's caller, the sampler also makes
-    each step's gas sub-step (ns_step) beside the march's kinetic sub-step,
-    and owns the gas state from fl on: at each step the march writes the
-    moments rho and u of its f down the pipe, within the sample where one is
-    due, and reads the new gas state (n, v) back down a second pipe before
-    its next step. The sampler reads the whole step before it writes, so
-    neither process waits on a full pipe while the other does. The march is
-    pinned to the first CPU of cpus and the sampler to the second, where the
-    kernel allows; stop gives the march cpus back.
+    Given cpus, the CPU set of the march, the sampler also makes each step's
+    gas sub-step (ns_step) beside the march's kinetic sub-step, and owns the
+    gas state from fl on: at each step the march writes the moments rho and
+    u of its f down the pipe, within the sample where one is due, and reads
+    the new gas state (n, v) back down a second pipe before its next step.
+    The sampler reads the whole step before it writes, so neither process
+    waits on a full pipe while the other does. The march stays where the
+    kernel puts it; the sampler pins itself, where the kernel allows, to the
+    CPU of cpus next after the one the march ran on as the sampler was
+    forked (march_cpu), so that runs whose marches the kernel has spread
+    over the CPUs spread their samplers too. Nothing is pinned where that
+    CPU cannot be read.
+
+    The gas sub-steps pay only while the run has a CPU to spare: the march
+    waits for each reply. So after every GAS_LOOK_STEPS of them the sampler
+    looks at how long it and the march waited for a CPU meanwhile
+    (_cpu_wait). The second look in a row to find they waited more than
+    twice as long as the gas sub-steps took ends the overlap: that reply says so (its last
+    double), the sampler unpins itself, and from the next step on the march
+    makes the gas sub-steps and hands over only the samples, as on one CPU.
 
     Its result is its smallest margin (Python's min in sample order, as in
     process), its cost (the seconds of its reports and of its gas sub-steps,
-    and its CPU, -1 where it is not pinned) and the SolverError of its gas
-    sub-step, after which it stops, or None. A sample's SolverError names
-    the dump of the sampled state, failure_step_<k> for the sample after
-    step k."""
+    the number of those, and its CPU, -1 where it is not pinned) and the
+    SolverError of its gas sub-step, after which it stops, or None. A
+    sample's SolverError names the dump of the sampled state,
+    failure_step_<k> for the sample after step k."""
 
     def __init__(self, config: ExperimentConfig, work: KineticWork, reports: np.recarray, stacks: dict, per: int,
                  fl: FluidState, cpus: set | None):
@@ -510,8 +589,9 @@ class _Sampler:
         self.size = nx * nv + 5 * nx + 1  # doubles of a sample: f, rho, u, mom, n, v and t
         self.wait_seconds = 0.0
         self.gas = fl if cpus else None  # the gas state the sampler advances, None where the march does
-        self.cpus, self.march_cpu = cpus, -1
-        self.pair = sorted(cpus or ())[:2]  # the CPU to pin the march to, and the sampler's
+        self.cpus, self.march_cpu = cpus, _current_cpu() if cpus else -1
+        ring = sorted(cpus or ())  # the sampler pins itself to the CPU after the march's, cyclically
+        self.sampler_cpu = ring[(ring.index(self.march_cpu) + 1) % len(ring)] if self.march_cpu in ring else -1
         samples_r, samples_w = os.pipe()
         replies_r, replies_w = os.pipe()  # carries nothing where the march makes the gas sub-steps
         self.pipe = open(samples_w, "wb", buffering=0)
@@ -523,12 +603,6 @@ class _Sampler:
         # closed here once the sampler is forked
         with open(samples_r, "rb") as samples, open(replies_w, "wb") as replies:
             self.child = _Child(lambda out: self._serve(samples, replies), "the sampler process ended abruptly")
-        if self.gas is not None:
-            try:
-                os.sched_setaffinity(0, {self.pair[0]})
-                self.march_cpu = self.pair[0]
-            except OSError:  # refused: the march runs unpinned
-                pass
 
     def _sample(self, idx: int, sample: np.ndarray) -> float:
         """Write row idx of the run's record and stacks from sample, as put
@@ -554,19 +628,19 @@ class _Sampler:
         the march closes its end of the pipe or the run's last sample."""
         self.pipe.close()
         self.replies.close()
-        clock, grid, cpu = time.perf_counter, self.work.grid, -1
-        if self.gas is not None:
-            try:
-                os.sched_setaffinity(0, {self.pair[1]})
-                cpu = self.pair[1]
-            except OSError:  # refused: the sampler runs unpinned
-                pass
+        clock, grid = time.perf_counter, self.work.grid
+        cpu = self.sampler_cpu if self.sampler_cpu >= 0 and _pinned({self.sampler_cpu}) else -1
         nt = self.per * self.config.n_samples
         sample = _kernels.aligned_empty(self.size)  # f starts on a 64-byte boundary
         moments = sample[grid.nx * grid.nv : grid.nx * (grid.nv + 2)]  # rho and u, sampled or not
-        margins, sample_s, gas_s, failure = [], 0.0, 0.0, None
-        for step in range(nt + 1) if self.gas is not None else range(0, nt + 1, self.per):
+        margins, sample_s, gas_s, gas_steps, failure = [], 0.0, 0.0, 0, None
+        run = (os.getpid(), os.getppid())  # the sampler and its march
+        looked = (0.0, _cpu_wait(*run))  # the gas seconds and the run's wait for a CPU at the last look
+        short = 0  # the looks in a row that found the run short of a CPU
+        for step in range(nt + 1):
             sampled = step % self.per == 0
+            if not (sampled or self.gas is not None):
+                continue
             took = sample if sampled else moments
             if samples.readinto(took) != took.nbytes:  # short only at the pipe's end, a failed march's included
                 break
@@ -577,20 +651,31 @@ class _Sampler:
                 except SolverError as exc:
                     failure = exc
                 gas_s += clock() - t_a
+                gas_steps += 1
+                back = False
+                if gas_steps % GAS_LOOK_STEPS == 0:
+                    waited = _cpu_wait(*run)
+                    short = short + 1 if waited - looked[1] > 2 * (gas_s - looked[0]) else 0
+                    back, looked = short == 2, (gas_s, waited)
                 if failure is None:
                     try:
                         replies.write(self.gas.n)
                         replies.write(self.gas.v)
+                        replies.write(np.float64(back))
                         replies.flush()
                     except BrokenPipeError:  # the march failed, and takes no more replies
                         pass
+                    if back:  # the march makes the gas sub-steps from the next step on
+                        self.gas = None
+                        if cpu >= 0:
+                            _pinned(self.cpus)
             if sampled:
                 t_a = clock()
                 margins.append(self._sample(step // self.per, sample))
                 sample_s += clock() - t_a
             if failure is not None:
                 break
-        cost = {"gas_seconds": gas_s, "sample_seconds": sample_s, "sampler_cpu": cpu}
+        cost = {"gas_seconds": gas_s, "sample_seconds": sample_s, "sampler_cpu": cpu, "gas_steps": gas_steps}
         return float(min(margins, default=math.nan)), cost, failure
 
     def put(self, step: int, kin: KineticState, fl: FluidState, mom: MomentSet):
@@ -613,12 +698,18 @@ class _Sampler:
 
     def gas_step(self) -> FluidState:
         """The gas state after the march's step, as the sampler sends it
-        back; where none comes, the sampler's failure raised: an earlier
-        sample's, the gas sub-step's or its abrupt end."""
-        reply = np.empty((2, self.work.grid.nx))
+        back, with the sampler's word on whether it makes the next step's
+        gas sub-step; where none comes, the sampler's failure raised: an
+        earlier sample's, the gas sub-step's or its abrupt end."""
+        nx = self.work.grid.nx
+        reply = np.empty(2 * nx + 1)  # n, v and whether the march makes the gas sub-steps from now on
+        t_a = time.perf_counter()
         if self.replies.readinto(reply) != reply.nbytes:
             raise self.finish()[2] or SolverError(self.child.abrupt)
-        return FluidState(n=reply[0], v=reply[1], gamma=self.config.gamma)
+        self.wait_seconds += time.perf_counter() - t_a
+        if reply[-1]:
+            self.gas = None
+        return FluidState(n=reply[:nx], v=reply[nx:-1], gamma=self.config.gamma)
 
     def finish(self) -> tuple[float, dict, SolverError | None]:
         """Wait for the sampler to take every step handed to it: its result,
@@ -631,24 +722,24 @@ class _Sampler:
         return result
 
     def stop(self):
-        """Reap the sampler, killed first unless it has ended, close the
-        pipes and give the march its caller's CPUs back."""
+        """Reap the sampler, killed first unless it has ended, and close the
+        pipes."""
         self.child.stop()
         self.pipe.close()
         self.replies.close()
-        if self.march_cpu >= 0:
-            os.sched_setaffinity(0, self.cpus)
 
 
 def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
     """Time-march the coupled kinetic/gas system, sampling entropy reports at
     the configured cadence and auditing the run at the end. The reports are
     made in the run's sampler process (_Sampler) while the march goes on.
-    Where the run's process may use two CPUs or more, read once as the run
-    starts, and is not a sweep's worker, the sampler also makes each step's
-    gas sub-step beside the march's kinetic sub-step, each process pinned to
-    a CPU of its own until the run ends; the gas state's bits are the same
-    in either process. When several fail, the failure at the earlier step is
+    Where the run's process may take two CPUs or more at once, both by its
+    CPU set and by its cgroup's CPU quota (_cpu_quota), read as the run
+    starts, the sampler also makes each step's gas sub-step beside the
+    march's kinetic sub-step, pinned to a CPU other than the march's, until
+    it finds that it waits for that CPU longer than the gas sub-steps take;
+    the march's own CPU set is never changed. The gas state's bits are the
+    same in either process. When several fail, the failure at the earlier step is
     raised: a sample's, as the sampler samples only steps the march has
     made, before a gas sub-step's; and a step's kinetic sub-step's before its
     gas sub-step's, as when the march makes both.
@@ -658,6 +749,7 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
     there, and this process never reads them (_field_stacks)."""
     t0 = time.perf_counter()
     cpus = os.sched_getaffinity(0)
+    beside = cpus if min(len(cpus), _cpu_quota()) >= 2 else None
     grid = config.grid()
     if grid.nv < 4:
         raise ConfigError("coupled runs need nv >= 4 (the entropy diagnostics' velocity stencil)")
@@ -676,7 +768,6 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
             "max_wall_flux": 0.0, "wall_outflow": 0.0, "truncation_leak": 0.0,
             "max_cfl_transport": work.cfl_transport, "max_cfl_drag": 0.0, "min_n": float(fl.n.min()),
         }
-        beside = cpus if len(cpus) >= 2 and not _SWEEP_WORKER else None
         sampler = _Sampler(config, work, reports, stacks, per, fl, beside)
         # the moments of the current kin: sampled, then the next step's gas drag
         t_a = clock()
@@ -688,14 +779,16 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
             t_a = clock()
             kin_new, krep = kinetic_step(kin, fl, walls, work)
             t_b = clock()
-            fl_new = ns_step(fl, mom.rho, mom.u, dt, grid) if sampler.gas is None else sampler.gas_step()
+            if sampler.gas is None:
+                fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
+                gas_s += clock() - t_b
+            else:
+                fl_new = sampler.gas_step()  # its wait counts in the sampler's
             t_c = clock()
             kin, fl = kin_new, fl_new
             mom = compute_moments(kin, grid, work.f)
-            t_d = clock()
             kinetic_s += t_b - t_a
-            gas_s += t_c - t_b
-            moments_s += t_d - t_c
+            moments_s += clock() - t_c
             book["max_wall_flux"] = max(book["max_wall_flux"], krep.max_wall_flux)
             book["wall_outflow"] += krep.wall_outflow
             book["truncation_leak"] += krep.truncation_leak
@@ -713,13 +806,11 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
         if sampler is not None:
             sampler.stop()
 
-    waited = sampler.wait_seconds
-    if sampler.gas is not None:  # the march's gas part was its wait for each reply
-        waited, gas_s = waited + gas_s, sampled["gas_seconds"]
     cost = {
-        "steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": gas_s, "moments_seconds": moments_s,
-        "sample_seconds": sampled["sample_seconds"], "sample_wait_seconds": waited,
-        "march_cpu": sampler.march_cpu, "sampler_cpu": sampled["sampler_cpu"],
+        "steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": gas_s + sampled["gas_seconds"],
+        "moments_seconds": moments_s, "sample_seconds": sampled["sample_seconds"],
+        "sample_wait_seconds": sampler.wait_seconds, "march_cpu": sampler.march_cpu,
+        "sampler_cpu": sampled["sampler_cpu"], "sampler_gas_steps": sampled["gas_steps"],
     }
     return CoupledRun(
         eps=eps, reports=reports, stacks=stacks, f_final=kin, fluid_final=fl,
@@ -824,17 +915,6 @@ def _stacked_state(stacks: dict, gamma: float) -> TwoPhaseState:
     )
 
 
-def _sweep_run(config: ExperimentConfig, eps: float) -> CoupledRun:
-    """A sweep's run, in its worker process, which it marks as one first:
-    each worker keeps its run's gas sub-steps in its march, as the sweep
-    runs as many workers as it has CPUs. run_coupled is looked up here, in
-    the worker, so a wrapper that the sweep's process put in its place, a
-    closure say, runs there."""
-    global _SWEEP_WORKER
-    _SWEEP_WORKER = True
-    return run_coupled(config, eps)
-
-
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """For each eps: coupled run vs the single limit trajectory, compared as
     (K, nx) sample stacks, level by level (both runs share the sampling
@@ -864,7 +944,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
             # runs fail at the same time, so each dumps into a directory of its own
             run = replace(config, output_dir=str(Path(config.output_dir) / f"eps_{eps!r}"))
             abrupt = f"a sweep worker process ended abruptly: its run at eps = {eps!r} sent no result"
-            children.append(_Child(lambda out, run=run, eps=eps: _sweep_run(run, eps), abrupt))
+            children.append(_Child(lambda out, run=run, eps=eps: run_coupled(run, eps), abrupt))
 
     def wait_runs(more: bool):  # until none is under way; starts the next while more and none failed
         while running := [c for c in children if not c.ended]:

@@ -1,8 +1,10 @@
 import contextlib
 import errno
 import fcntl
+import itertools
 import json
 import math
+import mmap
 import os
 import platform
 import signal
@@ -461,9 +463,12 @@ def test_cli_simulate_kinetic_and_check_entropy(tmp_path, capsys):
     }
     for key, value in run.book.items():
         assert meta[key] == value and f" {key}={value:.6g} " in line, key
-    # and so are the CPUs its march and its sampler were pinned to
-    for key, value in zip(("march_cpu", "sampler_cpu"), _pinned()):
-        assert meta[key] == run.cost[key] == value and f" {key}={value:.6g} " in line, key
+    # and so are the CPU its march ran on, the CPU its sampler was pinned
+    # to and the gas sub-steps that the sampler made
+    for key in ("march_cpu", "sampler_cpu", "sampler_gas_steps"):
+        assert f" {key}={meta[key]:.6g} " in line, key
+    for placed in (meta, run.cost):
+        _check_placement(placed)
     # and so is its audit summary, which check-entropy prints too
     assert meta["audit"] == run.audit.summary
     rc2 = main_check_entropy(["--run", str(out)])
@@ -748,20 +753,20 @@ def test_cli_converge_writes_outputs(tmp_path, capsys):
     book_keys = {"max_wall_flux", "wall_outflow", "truncation_leak", "max_cfl_transport", "max_cfl_drag", "min_n"}
     cost_keys = {
         "steps", "kinetic_seconds", "gas_seconds", "moments_seconds", "sample_seconds", "sample_wait_seconds",
-        "march_cpu", "sampler_cpu",
+        "march_cpu", "sampler_cpu", "sampler_gas_steps",
     }
     assert all(set(r) == {"eps", "dt", "wall_seconds", "audit", "ck_margin_min", *book_keys, *cost_keys}
                for r in runs)
-    # every run takes the same steps, and the march's three parts and its
-    # hand-off to the sampler fit in its wall time; the sampler's seconds
-    # are spent in its own process. A sweep's worker keeps its gas sub-steps
-    # in its march, and neither process is pinned
+    # every run takes the same steps, and the march's kinetic and moments
+    # parts and its hand-off to the sampler fit in its wall time; the gas
+    # sub-steps and the reports may run in the sampler's own process. Each
+    # worker places its run as a run of this process would
     assert {r["steps"] for r in runs} == {round(0.1 / runs[0]["dt"])}
     for r in runs:
-        assert r["march_cpu"] == r["sampler_cpu"] == -1
-        parts = [r[key] for key in cost_keys - {"steps", "sample_seconds", "march_cpu", "sampler_cpu"}]
+        _check_placement(r)
+        parts = [r[key] for key in ("kinetic_seconds", "moments_seconds", "sample_wait_seconds")]
         assert all(t > 0 for t in parts) and sum(parts) < r["wall_seconds"]
-        assert 0 < r["sample_seconds"] < r["wall_seconds"]
+        assert 0 < r["gas_seconds"] and 0 < r["sample_seconds"] < r["wall_seconds"]
     # and so does the limit march's
     limit_cost = meta["limit"]
     assert set(limit_cost) == {"steps", "substep_seconds", "sample_seconds"}
@@ -1048,16 +1053,20 @@ def test_cli_converge_audit_failure(tmp_path, capsys):
 
 def _untimed(record: dict) -> dict:
     """A run or sweep record without its timings, the keys ending in
-    _seconds, and the CPUs its processes were pinned to, ending in _cpu."""
-    return {key: value for key, value in record.items() if not key.endswith(("_seconds", "_cpu"))}
+    _seconds, and its placement, which depends on the CPUs it found: the
+    CPUs of its processes, ending in _cpu, and the gas sub-steps that its
+    sampler made."""
+    return {key: value for key, value in record.items()
+            if not key.endswith(("_seconds", "_cpu")) and key != "sampler_gas_steps"}
 
 
 def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
     # the coupled runs of a sweep go to forked child processes, one per eps,
     # at most one per CPU at once; the table and every run's record but its
-    # timings are the same with the default workers, with one worker, and
-    # with run_coupled replaced by a closure, as a profiler wraps it: each
-    # child looks it up and runs it itself
+    # timings are the same with the default workers, with one worker, with
+    # each run's sampler giving the gas sub-steps back to its march after
+    # the first two, and with run_coupled replaced by a closure, as a
+    # profiler wraps it: each child looks it up and runs it itself
     cfg = _write_cfg(tmp_path, eps_list=[0.4, 0.2, 0.1, 0.05])
     children, running = [], []  # the sweep's children, and how many ran as each started
 
@@ -1084,6 +1093,9 @@ def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})
         one = sweep("one")
     assert one[2] == 1
+    with monkeypatch.context() as patch:
+        _handing_back(patch, 2)
+        handed_back = sweep("handed_back")
 
     real, pids = harness.run_coupled, tmp_path / "pids"
     pids.mkdir()
@@ -1095,7 +1107,7 @@ def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "run_coupled", wrapped)
     closure = sweep("closure")
     assert {int(p.name) for p in pids.iterdir()} == {child.pid for child in children}
-    assert default[:2] == one[:2] == closure[:2]
+    assert default[:2] == one[:2] == handed_back[:2] == closure[:2]
 
 
 def test_cli_converge_failing_run(tmp_path, capsys):
@@ -1255,13 +1267,15 @@ def _dense_config(tmp_path, **kw) -> Path:
 def _failing_at(name: str, call: int, how):
     """harness.<name>, with how() called first at its call-th call from 0:
     the report of that sample (evaluate_entropy_report), say, or the gas
-    sub-step of that step (ns_step). The sampler process inherits it, and
-    its own count of calls, as the run forks it."""
-    real, calls = getattr(harness, name), []
+    sub-step of that step (ns_step). The sampler process inherits it as the
+    run forks it, and shares its count of calls with the run's process, so
+    the count is the step's on whichever side a step's gas sub-step runs.
+    For one run at a time: they take turns with the count."""
+    real, calls = getattr(harness, name), np.frombuffer(mmap.mmap(-1, 8), np.int64)
 
     def wrapper(*args):
-        calls.append(1)
-        if len(calls) == call + 1:
+        calls[0] += 1
+        if calls[0] == call + 1:
             how()
         return real(*args)
 
@@ -1385,50 +1399,77 @@ sys.exit(cli.main_simulate_kinetic({_RUN_ARGS!r}))
 
 
 def _placement(run_dir: Path) -> tuple:
-    """The CPUs that a run's march and sampler were pinned to, as its
-    run_meta.json records them."""
+    """The CPU that a run's march ran on, the CPU its sampler was pinned to
+    and the gas sub-steps its sampler made, as its run_meta.json records
+    them."""
     meta = json.loads((run_dir / "run_meta.json").read_text())
-    return meta["march_cpu"], meta["sampler_cpu"]
+    return meta["march_cpu"], meta["sampler_cpu"], meta["sampler_gas_steps"]
 
 
-def _pinned() -> tuple:
-    """The CPUs that a run of this process pins its march and its sampler
-    to: the first two it may use, or none, -1, on one CPU."""
+def _check_placement(cost: dict):
+    """Check the placement that a run of this process records in cost (or
+    in a record of it): where the process may take two CPUs or more at once,
+    the sampler makes every gas sub-step, pinned to the CPU of the set next
+    after the march's, cyclically; else the march makes them and nothing is
+    pinned."""
     cpus = sorted(os.sched_getaffinity(0))
-    return tuple(cpus[:2]) if len(cpus) >= 2 else (-1, -1)
+    march, sampler = cost["march_cpu"], cost["sampler_cpu"]
+    if min(len(cpus), harness._cpu_quota()) >= 2:
+        assert march in cpus and sampler == cpus[(cpus.index(march) + 1) % len(cpus)], (march, sampler)
+        assert cost["sampler_gas_steps"] == cost["steps"]
+    else:
+        assert (march, sampler, cost["sampler_gas_steps"]) == (-1, -1, 0)
+
+
+def _handing_back(patch, steps: int):
+    """Make the sampler of each run give the gas sub-steps back to its march
+    after its first steps of them, an even number, as a sampler that waits
+    for a CPU longer than they take does: it looks twice, each look at its
+    wait reading a second more."""
+    assert steps % 2 == 0
+    patch.setattr(harness, "GAS_LOOK_STEPS", steps // 2)
+    looks = itertools.count()
+    patch.setattr(harness, "_cpu_wait", lambda *pids: next(looks))
 
 
 def test_sampled_run_keeps_its_bytes_on_one_cpu(tmp_path, monkeypatch):
-    # by default the sampler makes the gas sub-steps beside the march, each
-    # pinned to a CPU of its own; in a process that reads one CPU, or runs
-    # on one, the march makes them, and the march and its sampler share the
-    # CPU, so the march waits while the sampler's pipe is full. On a diffuse
-    # and a specular wall, the record, the smallest margin and every file,
-    # the final gas state included, keep their bytes on all three paths
+    # by default the sampler makes the gas sub-steps beside the march, on a
+    # CPU of its own; in a process that reads one CPU, or one CPU's quota,
+    # or runs on one, the march makes them, and the march and its sampler
+    # share the CPU, so the march waits while the sampler's pipe is full;
+    # and a sampler that waits for its CPU gives them back to the march
+    # midway. On a diffuse and a specular wall, the record, the smallest
+    # margin and every file, the final gas state included, keep their
+    # bytes on all five paths
     env = {**os.environ, "PYTHONPATH": str(Path(kinfluid.__file__).parents[1])}
+    tags = ("default", "read_one", "quota_one", "one", "handed_back")
     for boundary in ("diffuse", "specular"):
         root = tmp_path / boundary
         root.mkdir()
         config = _dense_config(root, boundary=boundary).read_text()
-        for tag in ("default", "read_one", "one"):
+        for tag in tags:
             (root / tag).mkdir()
             (root / tag / "config.json").write_text(config)
         monkeypatch.chdir(root / "default")
         assert main_simulate_kinetic(_RUN_ARGS) == EXIT_OK
-        with monkeypatch.context() as patch:
-            _one_cpu_read(patch)
-            patch.chdir(root / "read_one")
-            assert main_simulate_kinetic(_RUN_ARGS) == EXIT_OK
+        for tag, patched in (("read_one", _one_cpu_read), ("quota_one", _one_cpu_quota),
+                             ("handed_back", lambda patch: _handing_back(patch, 4))):
+            with monkeypatch.context() as patch:
+                patched(patch)
+                patch.chdir(root / tag)
+                assert main_simulate_kinetic(_RUN_ARGS) == EXIT_OK
         subprocess.run([sys.executable, "-c", _ONE_CPU_RUN], cwd=root / "one", env=env, check=True, timeout=120)
-        runs = {tag: {p.name: _comparable(p) for p in (root / tag / "run").iterdir()}
-                for tag in ("default", "read_one", "one")}
+        runs = {tag: {p.name: _comparable(p) for p in (root / tag / "run").iterdir()} for tag in tags}
         default = runs["default"]
         assert "series__F.bin" in default and "state_final__n.bin" in default
-        for tag in ("read_one", "one"):
+        for tag in tags[1:]:
             assert runs[tag].keys() == default.keys()
             assert [name for name in default if default[name] != runs[tag][name]] == [], (boundary, tag)
-            assert _placement(root / tag / "run") == (-1, -1)
-        assert _placement(root / "default" / "run") == _pinned()
+        for tag in ("read_one", "quota_one", "one"):
+            assert _placement(root / tag / "run") == (-1, -1, 0)
+        _check_placement(json.loads((root / "default" / "run" / "run_meta.json").read_text()))
+        if _placement(root / "default" / "run")[1] >= 0:
+            assert _placement(root / "handed_back" / "run")[2] == 4
 
 
 # put before _ONE_CPU_RUN: the sampler's pipe is left at its default size
@@ -1587,7 +1628,13 @@ def _one_cpu_read(patch):
     patch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
-@pytest.mark.parametrize("where", ["sampler", "march"])
+def _one_cpu_quota(patch):
+    """Make this process read one CPU's time as its cgroup's quota: the
+    run's march then makes its gas sub-steps."""
+    patch.setattr(harness, "_cpu_quota", lambda: 1.0)
+
+
+@pytest.mark.parametrize("where", ["sampler", "march", "handed-back"])
 def test_gas_failure_dumps_the_state_its_step_started_from(tmp_path, monkeypatch, capsys, where):
     # a gas sub-step that fails at step 3, in the sampler by default and in
     # the march on one CPU, exits 2 with the stderr line and the dump of
@@ -1606,6 +1653,8 @@ def test_gas_failure_dumps_the_state_its_step_started_from(tmp_path, monkeypatch
         fl = harness.ns_step(fl, mom.rho, mom.u, run.dt, grid)
     if where == "march":
         _one_cpu_read(monkeypatch)
+    elif where == "handed-back":
+        _handing_back(monkeypatch, 2)
     monkeypatch.setattr(harness, "ns_step", _failing_at("ns_step", 3, _forced_vacuum))
     out = tmp_path / "failed"
     capsys.readouterr()
@@ -1638,7 +1687,7 @@ def _forced_gas_vacuum():
     raise VacuumError("forced gas vacuum")
 
 
-@pytest.mark.parametrize("where", ["sampler", "march"])
+@pytest.mark.parametrize("where", ["sampler", "march", "handed-back"])
 @pytest.mark.parametrize(
     "gas_step, kinetic_step, report, raised",
     [
@@ -1661,6 +1710,8 @@ def test_earlier_failure_wins_wherever_the_gas_step_runs(tmp_path, monkeypatch, 
     cfg = ExperimentConfig.from_json(_dense_config(tmp_path, output_dir=str(tmp_path / "out")))
     if where == "march":
         _one_cpu_read(monkeypatch)
+    elif where == "handed-back":
+        _handing_back(monkeypatch, 2)
     monkeypatch.setattr(harness, "ns_step", _failing_at("ns_step", gas_step, _forced_gas_vacuum))
     if kinetic_step is not None:
         monkeypatch.setattr(harness, "kinetic_step", _kinetic_failing_at(kinetic_step))
@@ -1729,13 +1780,12 @@ def test_gas_reply_cut_short_is_a_solver_failure(tmp_path, monkeypatch, capsys, 
     assert _children() == []
 
 
-def test_runs_give_their_caller_its_cpus_back(tmp_path, monkeypatch):
-    # the march is pinned to the first CPU of the set the run reads as it
-    # starts and its sampler, which makes the gas sub-steps, to the second;
-    # the caller's set comes back after a run and after a failing run, so a
-    # second run in the process pins from the whole set again
+def test_runs_leave_their_callers_cpus_alone(tmp_path, monkeypatch):
+    # the march keeps its caller's CPU set through a run and a failing run;
+    # only the sampler, which makes the gas sub-steps in its own process, is
+    # pinned, to the CPU next after the one the march ran on, and a second
+    # run in the process places its sampler afresh
     cpus = os.sched_getaffinity(0)
-    march, sampler = _pinned()
     placements, during = tmp_path / "placements", []
     placements.mkdir()
     real_gas, real_step = harness.ns_step, harness.kinetic_step
@@ -1752,12 +1802,13 @@ def test_runs_give_their_caller_its_cpus_back(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "kinetic_step", step)
     cfg = tiny_config(output_dir=str(tmp_path / "out"))
     runs = [run_coupled(cfg, 0.4) for _ in range(2)]
-    assert os.sched_getaffinity(0) == cpus
-    assert [(run.cost["march_cpu"], run.cost["sampler_cpu"]) for run in runs] == [(march, sampler)] * 2
-    assert set(during) == {frozenset({march} if march >= 0 else cpus)}
+    assert os.sched_getaffinity(0) == cpus and set(during) == {frozenset(cpus)}
+    for run in runs:
+        _check_placement(run.cost)
     seen = {tuple(map(int, p.name.split("_"))) for p in placements.iterdir()}  # (pid, *cpus)
-    if sampler >= 0:  # two samplers, each pinned to the second CPU
-        assert len(seen) == 2 and all(pid != os.getpid() and on == [sampler] for pid, *on in seen)
+    if runs[0].cost["sampler_cpu"] >= 0:  # two samplers, each on its run's sampler CPU
+        assert len(seen) == 2 and os.getpid() not in {pid for pid, *_ in seen}
+        assert sorted(on for _, *on in seen) == sorted([run.cost["sampler_cpu"]] for run in runs)
     else:
         assert seen == {(os.getpid(), *sorted(cpus))}
     monkeypatch.setattr(harness, "kinetic_step", _kinetic_failing_at(2))
@@ -1766,29 +1817,89 @@ def test_runs_give_their_caller_its_cpus_back(tmp_path, monkeypatch):
     assert os.sched_getaffinity(0) == cpus
 
 
-def test_sweep_workers_make_their_own_gas_steps(tmp_path, monkeypatch):
-    # each run of a sweep makes its gas sub-steps in its worker process, not
-    # in the worker's sampler, and neither process is pinned
-    children = []
+def test_refused_pinning_leaves_the_run_as_it_is(tmp_path, monkeypatch):
+    # where the kernel refuses the sampler its CPU, the sampler runs
+    # unpinned and still makes the gas sub-steps; the run keeps its bytes,
+    # and a failing run raises its own failure
+    cfg = tiny_config(output_dir=str(tmp_path / "out"))
+    default = run_coupled(cfg, 0.4)
 
-    class Counted(harness._Child):
-        def __init__(self, *args):
-            super().__init__(*args)
-            children.append(self)
+    def refused(pid, cpus):
+        raise OSError(errno.EINVAL, "refused")
 
-    monkeypatch.setattr(harness, "_Child", Counted)
-    real, pids = harness.ns_step, tmp_path / "pids"
-    pids.mkdir()
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    run = run_coupled(cfg, 0.4)
+    assert run.cost["sampler_cpu"] == -1 and (run.cost["march_cpu"] >= 0) == (default.cost["march_cpu"] >= 0)
+    assert run.cost["sampler_gas_steps"] == default.cost["sampler_gas_steps"]
+    assert run.fluid_final.n.tobytes() == default.fluid_final.n.tobytes()
+    assert run.reports.tobytes() == default.reports.tobytes()
+    monkeypatch.setattr(harness, "kinetic_step", _kinetic_failing_at(2))
+    with _deadline(), pytest.raises(SolverError, match="^step 2: forced kinetic failure"):
+        run_coupled(cfg, 0.4)
+    assert _children() == []
 
-    def named(*args):
-        (pids / str(os.getpid())).touch()
+
+def test_sampler_gives_the_gas_back_when_it_waits_for_a_cpu(tmp_path, monkeypatch):
+    # a sampler that waited for its CPU longer than its gas sub-steps
+    # since its last look took gives them back: those and no later
+    # ones are made in the sampler, the rest in the march; a sampler that
+    # does not wait keeps them to the end. A sweep's workers do the same
+    cfg = tiny_config(output_dir=str(tmp_path / "out"))
+    steps = run_coupled(cfg, 0.4).cost["steps"]
+    if min(len(os.sched_getaffinity(0)), harness._cpu_quota()) < 2:
+        pytest.skip("the march makes every gas sub-step on one CPU")
+    real, calls = harness.ns_step, tmp_path / "calls"
+
+    def named(*args):  # appends the pid of the process that makes it
+        with open(calls, "a") as log:
+            log.write(f"{os.getpid()}\n")
         return real(*args)
 
     monkeypatch.setattr(harness, "ns_step", named)
-    result = harness.run_convergence(tiny_config(output_dir=str(tmp_path / "sweep")))
-    assert len(children) == 3
-    assert {int(p.name) for p in pids.iterdir()} == {child.pid for child in children}
-    assert all((run.cost["march_cpu"], run.cost["sampler_cpu"]) == (-1, -1) for run in result.runs)
+    monkeypatch.setattr(harness, "GAS_LOOK_STEPS", 2)
+    monkeypatch.setattr(harness, "_cpu_wait", lambda *pids: 0.0)
+    assert run_coupled(cfg, 0.4).cost["sampler_gas_steps"] == steps
+    pids = calls.read_text().split()
+    assert len(pids) == steps and str(os.getpid()) not in pids
+    calls.unlink()
+    _handing_back(monkeypatch, 4)
+    assert run_coupled(cfg, 0.4).cost["sampler_gas_steps"] == 4
+    pids = calls.read_text().split()
+    assert len(pids) == steps and len(set(pids[:4])) == 1 and pids[4:] == [str(os.getpid())] * (steps - 4)
+    result = harness.run_convergence(replace(cfg, output_dir=str(tmp_path / "sweep")))
+    assert [run.cost["sampler_gas_steps"] for run in result.runs] == [4] * 3
+    # one look that finds the run short of a CPU is not enough: the waits
+    # read at the start and at the looks after 2, 4, 6 and 8 gas sub-steps
+    # grow by more than those took at the first, third and fourth look only
+    waits = iter([0.0, 1.0, 1.0, 2.0, 3.0])
+    monkeypatch.setattr(harness, "_cpu_wait", lambda *pids: next(waits))
+    assert run_coupled(cfg, 0.4).cost["sampler_gas_steps"] == 8
+
+
+def test_cpu_quota_reads_the_cgroup_of_the_process(tmp_path):
+    # the quota over the period, of cgroup v2 (cpu.max) or v1 (a cpu
+    # controller's cpu.cfs_quota_us and cpu.cfs_period_us), the smaller where
+    # both are set; inf where none is set or none can be read
+    def quota(cgroups: str, files: dict) -> float:
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        (tmp_path / "cgroup").write_text(cgroups)
+        try:
+            return harness._cpu_quota(tmp_path / "cgroup", tmp_path / "fs")
+        finally:
+            for name in files:
+                (tmp_path / name).unlink()
+
+    assert quota("0::/a/b\n", {"fs/a/b/cpu.max": "150000 100000\n"}) == 1.5
+    assert quota("0::/\n", {"fs/cpu.max": "max 100000\n"}) == math.inf
+    v1 = {"fs/cpu,cpuacct/j/cpu.cfs_quota_us": "50000\n", "fs/cpu,cpuacct/j/cpu.cfs_period_us": "100000\n"}
+    assert quota("3:memory:/m\n4:cpu,cpuacct:/j\n0::/\n", v1) == 0.5
+    assert quota("4:cpu,cpuacct:/j\n0::/u\n", {**v1, "fs/u/cpu.max": "300000 100000"}) == 0.5
+    assert quota("1:cpu:/\n", {"fs/cpu/cpu.cfs_quota_us": "-1\n", "fs/cpu/cpu.cfs_period_us": "100000\n"}) == math.inf
+    assert quota("0::/gone\n", {}) == math.inf
+    assert harness._cpu_quota(tmp_path / "no_such_file") == math.inf
+    assert harness._current_cpu() in os.sched_getaffinity(0)
 
 
 def test_emitted_run_saves_into_another_file_system(tmp_path, monkeypatch):
