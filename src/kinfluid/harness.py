@@ -391,14 +391,13 @@ def _end_with(parent: int):
 
 
 class _Child:
-    """A child process forked to run call(out) once, out the write end of
-    its one pipe to this process. The child's one message is b"=" and the
-    pickled result, or b"!" and the pickled exception that call raised; the
-    pipe's end without either (the child killed, say) is SolverError(abrupt).
-    The child starts with _end_with and inherits all that call uses, so
-    nothing is pickled on the way in; any other traffic goes down pipes that
-    call holds, as a run's sampler's steps and gas replies do (_Sampler). A
-    run's sampler pins itself to its CPU in its own process, once forked.
+    """A child process forked to run call() once. Its one message, on its
+    one pipe to this process, is b"=" and the pickled result, or b"!" and
+    the pickled exception that call raised; the pipe's end without either
+    (the child killed, say) is SolverError(abrupt). The child starts with
+    _end_with and inherits all that call uses, so nothing is pickled on the
+    way in; any other traffic goes down pipes that call holds, as a run's
+    sampler's steps and gas replies do (_Sampler).
 
     Fork only from the main thread, with no other Python thread started and
     no BLAS call under way: a child copies the locks held at the fork, not
@@ -424,7 +423,7 @@ class _Child:
                 os.close(self.fd)
                 _end_with(parent)
                 try:
-                    message = b"=" + pickle.dumps(call(out))
+                    message = b"=" + pickle.dumps(call())
                 except Exception as exc:  # raised again in the parent, by result()
                     message = b"!" + pickle.dumps(exc)
                 while message:
@@ -472,13 +471,12 @@ class _Child:
 SAMPLES_IN_FLIGHT = 4
 
 # The gas sub-steps a sampler makes between two looks at its run's wait for
-# a CPU (_Sampler). Where the run waited more than twice as long as they
-# took over two stretches in a row, the sampler gives the gas sub-steps back
-# to the march. Short stretches, so that a run without a CPU to spare pays
-# little: the first looks of a sweep's runs read waits 4-10 times the gas
-# seconds. Twice, and two stretches, so that a stall of a CPU that the
-# overlap did not cause does not end it: a run alone on two CPUs reads a
-# stretch at 1-3 times now and then, at most two in a row.
+# a CPU (_Sampler), which hands them back after two stretches in a row with
+# waits over twice their seconds. Short stretches, so that a run without a
+# CPU to spare pays little: the first looks of a sweep's runs read waits
+# 4-10 times the gas seconds. Twice, and two stretches, so that a stall of a
+# CPU that the overlap did not cause does not end it: a run alone on two
+# CPUs reads a stretch at 1-3 times now and then, at most two in a row.
 GAS_LOOK_STEPS = 16
 
 
@@ -508,6 +506,14 @@ def _cpu_quota(cgroups="/proc/self/cgroup", root="/sys/fs/cgroup") -> float:
     return min(quotas)
 
 
+def _cpus() -> tuple[list[int], int]:
+    """This process's CPU set, sorted, and the most CPUs that it may keep
+    busy at once: as many as the set holds, fewer where its cgroup's CPU
+    quota (_cpu_quota) allows less, and at least one."""
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus, max(1, int(min(len(cpus), _cpu_quota())))
+
+
 def _cpu_wait(*pids: int) -> float:
     """The seconds that the processes pids have spent ready to run but
     waiting for a CPU, together (the second field of each one's
@@ -522,16 +528,6 @@ def _cpu_wait(*pids: int) -> float:
         return 0.0
 
 
-def _pinned(cpus: set) -> bool:
-    """Pin this process to cpus; False where the kernel refuses, and the
-    process's CPU set is as it was."""
-    try:
-        os.sched_setaffinity(0, cpus)
-        return True
-    except OSError:
-        return False
-
-
 def _current_cpu() -> int:
     """The CPU this process last ran on (field 39 of /proc/self/stat), or -1
     where it cannot be read."""
@@ -544,7 +540,8 @@ def _current_cpu() -> int:
 
 class _Sampler:
     """A coupled run's sampler process, a _Child forked once the run's
-    KineticWork is built. While the march goes on, it makes each sample's
+    KineticWork is built, and the one place that decides where the run's
+    gas sub-steps are made. While the march goes on, it makes each sample's
     entropy report and Csiszar-Kullback margin in its fork-inherited copy of
     the work set and writes the sample's row into the run's record and its
     fields into the run's stacks, each a shared mapping. The march writes
@@ -552,46 +549,45 @@ class _Sampler:
     SAMPLES_IN_FLIGHT of them where the system allows; the sampler reads
     each into one buffer.
 
-    Given cpus, the CPU set of the march, the sampler also makes each step's
-    gas sub-step (ns_step) beside the march's kinetic sub-step, and owns the
-    gas state from fl on: at each step the march writes the moments rho and
-    u of its f down the pipe, within the sample where one is due, and reads
-    the new gas state (n, v) back down a second pipe before its next step.
-    The sampler reads the whole step before it writes, so neither process
-    waits on a full pipe while the other does. The march stays where the
-    kernel puts it; the sampler pins itself, where the kernel allows, to the
-    CPU of cpus next after the one the march ran on as the sampler was
-    forked (march_cpu), so that runs whose marches the kernel has spread
-    over the CPUs spread their samplers too. Nothing is pinned where that
-    CPU cannot be read.
+    Where the run's process may keep two CPUs busy (_cpus), the sampler
+    also makes each step's gas sub-step (ns_step) beside the march's
+    kinetic sub-step, and owns the gas state from fl on: at each step the
+    march writes the moments rho and u of its f down the pipe, within the
+    sample where one is due, and reads the new gas state (n, v) back down a
+    second pipe (gas_step). The sampler reads the whole step before it
+    writes, so neither process waits on a full pipe while the other does.
+    The march stays where the kernel puts it; the sampler pins itself once,
+    as it starts and where the kernel allows, to the CPU of the set next
+    after the one the march ran on as the sampler was forked (march_cpu),
+    so that runs whose marches the kernel has spread over the CPUs spread
+    their samplers too. Nothing is pinned where that CPU cannot be read.
 
     The gas sub-steps pay only while the run has a CPU to spare: the march
     waits for each reply. So after every GAS_LOOK_STEPS of them the sampler
     looks at how long it and the march waited for a CPU meanwhile
     (_cpu_wait). The second look in a row to find they waited more than
-    twice as long as the gas sub-steps took ends the overlap: that reply says so (its last
-    double), the sampler unpins itself, and from the next step on the march
-    makes the gas sub-steps and hands over only the samples, as on one CPU.
+    twice as long as the gas sub-steps took ends the overlap: that reply
+    says so (its last double), and from the next step on the march makes
+    the gas sub-steps, as on one CPU; the sampler stays on its CPU.
 
     Its result is its smallest margin (Python's min in sample order, as in
-    process), its cost (the seconds of its reports and of its gas sub-steps,
-    the number of those, and its CPU, -1 where it is not pinned) and the
-    SolverError of its gas sub-step, after which it stops, or None. A
-    sample's SolverError names the dump of the sampled state,
-    failure_step_<k> for the sample after step k."""
+    process), its side of the run's cost (finish) and the SolverError of its
+    gas sub-step, after which it stops, or None. A sample's SolverError
+    names the dump of the sampled state, failure_step_<k> for the sample
+    after step k."""
 
     def __init__(self, config: ExperimentConfig, work: KineticWork, reports: np.recarray, stacks: dict, per: int,
-                 fl: FluidState, cpus: set | None):
+                 fl: FluidState):
         import fcntl  # here, as in _end_with: at module level it would add to every CLI start
 
         self.config, self.work, self.reports, self.stacks, self.per = config, work, reports, stacks, per
         nx, nv = work.grid.nx, work.grid.nv
         self.size = nx * nv + 5 * nx + 1  # doubles of a sample: f, rho, u, mom, n, v and t
-        self.wait_seconds = 0.0
-        self.gas = fl if cpus else None  # the gas state the sampler advances, None where the march does
-        self.cpus, self.march_cpu = cpus, _current_cpu() if cpus else -1
-        ring = sorted(cpus or ())  # the sampler pins itself to the CPU after the march's, cyclically
-        self.sampler_cpu = ring[(ring.index(self.march_cpu) + 1) % len(ring)] if self.march_cpu in ring else -1
+        self.wait_seconds = self.gas_seconds = 0.0  # the march's: its hand-offs and waits, its gas sub-steps
+        cpus, busy = _cpus()
+        self.gas = fl if busy >= 2 else None  # the gas state the sampler advances, None where the march does
+        self.march_cpu = _current_cpu() if busy >= 2 else -1
+        self.sampler_cpu = cpus[(cpus.index(self.march_cpu) + 1) % len(cpus)] if self.march_cpu in cpus else -1
         samples_r, samples_w = os.pipe()
         replies_r, replies_w = os.pipe()  # carries nothing where the march makes the gas sub-steps
         self.pipe = open(samples_w, "wb", buffering=0)
@@ -602,7 +598,12 @@ class _Sampler:
             pass
         # closed here once the sampler is forked
         with open(samples_r, "rb") as samples, open(replies_w, "wb") as replies:
-            self.child = _Child(lambda out: self._serve(samples, replies), "the sampler process ended abruptly")
+            try:
+                self.child = _Child(lambda: self._serve(samples, replies), "the sampler process ended abruptly")
+            except SolverError:  # not forked, so no stop() will close them
+                self.pipe.close()
+                self.replies.close()
+                raise
 
     def _sample(self, idx: int, sample: np.ndarray) -> float:
         """Write row idx of the run's record and stacks from sample, as put
@@ -629,7 +630,12 @@ class _Sampler:
         self.pipe.close()
         self.replies.close()
         clock, grid = time.perf_counter, self.work.grid
-        cpu = self.sampler_cpu if self.sampler_cpu >= 0 and _pinned({self.sampler_cpu}) else -1
+        cpu = self.sampler_cpu
+        if cpu >= 0:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:  # refused: the sampler runs where the kernel puts it
+                cpu = -1
         nt = self.per * self.config.n_samples
         sample = _kernels.aligned_empty(self.size)  # f starts on a 64-byte boundary
         moments = sample[grid.nx * grid.nv : grid.nx * (grid.nv + 2)]  # rho and u, sampled or not
@@ -659,24 +665,19 @@ class _Sampler:
                     back, looked = short == 2, (gas_s, waited)
                 if failure is None:
                     try:
-                        replies.write(self.gas.n)
-                        replies.write(self.gas.v)
-                        replies.write(np.float64(back))
+                        replies.writelines((self.gas.n, self.gas.v, np.float64(back)))
                         replies.flush()
                     except BrokenPipeError:  # the march failed, and takes no more replies
                         pass
                     if back:  # the march makes the gas sub-steps from the next step on
                         self.gas = None
-                        if cpu >= 0:
-                            _pinned(self.cpus)
             if sampled:
                 t_a = clock()
                 margins.append(self._sample(step // self.per, sample))
                 sample_s += clock() - t_a
             if failure is not None:
                 break
-        cost = {"gas_seconds": gas_s, "sample_seconds": sample_s, "sampler_cpu": cpu, "gas_steps": gas_steps}
-        return float(min(margins, default=math.nan)), cost, failure
+        return float(min(margins, default=math.nan)), (gas_s, sample_s, cpu, gas_steps), failure
 
     def put(self, step: int, kin: KineticState, fl: FluidState, mom: MomentSet):
         """Hand the sampler what it takes of the state (kin, fl) at the start
@@ -696,14 +697,19 @@ class _Sampler:
             raise SolverError(f"the sampler pipe took {sent} of {what} {size} bytes")
         self.wait_seconds += time.perf_counter() - t_a
 
-    def gas_step(self) -> FluidState:
-        """The gas state after the march's step, as the sampler sends it
-        back, with the sampler's word on whether it makes the next step's
-        gas sub-step; where none comes, the sampler's failure raised: an
+    def gas_step(self, fl: FluidState, mom: MomentSet) -> FluidState:
+        """The gas state after the step that starts from fl, whose f has the
+        moments mom: made here, into gas_seconds, where the march makes the
+        gas sub-steps, else the sampler's reply, which says whether it makes
+        the next one. Without a reply, the sampler's failure is raised: an
         earlier sample's, the gas sub-step's or its abrupt end."""
+        t_a = time.perf_counter()
+        if self.gas is None:
+            fl = ns_step(fl, mom.rho, mom.u, self.work.dt, self.work.grid)
+            self.gas_seconds += time.perf_counter() - t_a
+            return fl
         nx = self.work.grid.nx
         reply = np.empty(2 * nx + 1)  # n, v and whether the march makes the gas sub-steps from now on
-        t_a = time.perf_counter()
         if self.replies.readinto(reply) != reply.nbytes:
             raise self.finish()[2] or SolverError(self.child.abrupt)
         self.wait_seconds += time.perf_counter() - t_a
@@ -712,14 +718,17 @@ class _Sampler:
         return FluidState(n=reply[:nx], v=reply[nx:-1], gamma=self.config.gamma)
 
     def finish(self) -> tuple[float, dict, SolverError | None]:
-        """Wait for the sampler to take every step handed to it: its result,
-        or its failure raised."""
+        """Wait for the sampler to take every step handed to it: its smallest
+        margin, its side of the run's cost, under CoupledRun.cost's keys, and
+        the SolverError of its gas sub-step or None; or its failure raised."""
         t_a = time.perf_counter()
         self.pipe.close()
         self.replies.close()  # so a reply it still writes is a BrokenPipeError, not a wait
-        result = self.child.result()
+        margin, (gas_s, sample_s, cpu, gas_steps), failure = self.child.result()
         self.wait_seconds += time.perf_counter() - t_a
-        return result
+        return margin, {"gas_seconds": self.gas_seconds + gas_s, "sample_seconds": sample_s,
+                        "sample_wait_seconds": self.wait_seconds, "march_cpu": self.march_cpu,
+                        "sampler_cpu": cpu, "sampler_gas_steps": gas_steps}, failure
 
     def stop(self):
         """Reap the sampler, killed first unless it has ended, and close the
@@ -733,23 +742,20 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
     """Time-march the coupled kinetic/gas system, sampling entropy reports at
     the configured cadence and auditing the run at the end. The reports are
     made in the run's sampler process (_Sampler) while the march goes on.
-    Where the run's process may take two CPUs or more at once, both by its
-    CPU set and by its cgroup's CPU quota (_cpu_quota), read as the run
-    starts, the sampler also makes each step's gas sub-step beside the
-    march's kinetic sub-step, pinned to a CPU other than the march's, until
-    it finds that it waits for that CPU longer than the gas sub-steps take;
-    the march's own CPU set is never changed. The gas state's bits are the
-    same in either process. When several fail, the failure at the earlier step is
-    raised: a sample's, as the sampler samples only steps the march has
-    made, before a gas sub-step's; and a step's kinetic sub-step's before its
-    gas sub-step's, as when the march makes both.
+    The sampler also decides where each step's gas sub-step is made, and
+    the march takes each new gas state from it (_Sampler.gas_step): made
+    beside the kinetic sub-step, by the sampler on a CPU other than the
+    march's, or in the march. The march's own CPU set is never changed, and
+    the gas state's bits are the same in either process.
+    When several fail, the failure at the earlier step is raised: a
+    sample's, as the sampler samples only steps the march has made, before
+    a gas sub-step's; and a step's kinetic sub-step's before its gas
+    sub-step's, as when the march makes both.
 
     out is the directory that save_run_series will emit the run to, or None:
     the sampler then writes the sampled fields straight into their files
     there, and this process never reads them (_field_stacks)."""
     t0 = time.perf_counter()
-    cpus = os.sched_getaffinity(0)
-    beside = cpus if min(len(cpus), _cpu_quota()) >= 2 else None
     grid = config.grid()
     if grid.nv < 4:
         raise ConfigError("coupled runs need nv >= 4 (the entropy diagnostics' velocity stencil)")
@@ -768,24 +774,19 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
             "max_wall_flux": 0.0, "wall_outflow": 0.0, "truncation_leak": 0.0,
             "max_cfl_transport": work.cfl_transport, "max_cfl_drag": 0.0, "min_n": float(fl.n.min()),
         }
-        sampler = _Sampler(config, work, reports, stacks, per, fl, beside)
+        sampler = _Sampler(config, work, reports, stacks, per, fl)
         # the moments of the current kin: sampled, then the next step's gas drag
         t_a = clock()
         mom = compute_moments(kin, grid, work.f)
-        kinetic_s = gas_s = 0.0
+        kinetic_s = 0.0
         moments_s = clock() - t_a
         sampler.put(0, kin, fl, mom)
         for step in range(nt):
             t_a = clock()
             kin_new, krep = kinetic_step(kin, fl, walls, work)
             t_b = clock()
-            if sampler.gas is None:
-                fl_new = ns_step(fl, mom.rho, mom.u, dt, grid)
-                gas_s += clock() - t_b
-            else:
-                fl_new = sampler.gas_step()  # its wait counts in the sampler's
+            kin, fl = kin_new, sampler.gas_step(fl, mom)  # timed into the sampler's side of the cost
             t_c = clock()
-            kin, fl = kin_new, fl_new
             mom = compute_moments(kin, grid, work.f)
             kinetic_s += t_b - t_a
             moments_s += clock() - t_c
@@ -806,12 +807,8 @@ def run_coupled(config: ExperimentConfig, eps: float, out=None) -> CoupledRun:
         if sampler is not None:
             sampler.stop()
 
-    cost = {
-        "steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": gas_s + sampled["gas_seconds"],
-        "moments_seconds": moments_s, "sample_seconds": sampled["sample_seconds"],
-        "sample_wait_seconds": sampler.wait_seconds, "march_cpu": sampler.march_cpu,
-        "sampler_cpu": sampled["sampler_cpu"], "sampler_gas_steps": sampled["gas_steps"],
-    }
+    cost = {"steps": nt, "kinetic_seconds": kinetic_s, "gas_seconds": sampled.pop("gas_seconds"),
+            "moments_seconds": moments_s, **sampled}
     return CoupledRun(
         eps=eps, reports=reports, stacks=stacks, f_final=kin, fluid_final=fl,
         book=book, ck_margin_min=ck_min, audit=entropy_inequality_audit(reports, eps),
@@ -935,7 +932,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 
     t0 = time.perf_counter()
     grid = config.grid()
-    workers = min(len(config.eps_list), len(os.sched_getaffinity(0)))
+    workers = min(len(config.eps_list), _cpus()[1])
     children = []  # a _Child per run started, in eps_list order
 
     def start_runs():  # the next runs, until workers of them run
@@ -944,7 +941,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
             # runs fail at the same time, so each dumps into a directory of its own
             run = replace(config, output_dir=str(Path(config.output_dir) / f"eps_{eps!r}"))
             abrupt = f"a sweep worker process ended abruptly: its run at eps = {eps!r} sent no result"
-            children.append(_Child(lambda out, run=run, eps=eps: run_coupled(run, eps), abrupt))
+            children.append(_Child(lambda run=run, eps=eps: run_coupled(run, eps), abrupt))
 
     def wait_runs(more: bool):  # until none is under way; starts the next while more and none failed
         while running := [c for c in children if not c.ended]:

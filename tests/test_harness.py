@@ -775,7 +775,7 @@ def test_cli_converge_writes_outputs(tmp_path, capsys):
     slacks = [r["audit"]["slack_entropy_budget"] for r in runs]
     after = [r["audit"]["slack_after_start"] for r in runs]
     assert all(s != 0.0 for s in after) and slacks == [min(0.0, s) for s in after]
-    workers = min(3, len(os.sched_getaffinity(0)))
+    workers = min(3, harness._cpus()[1])
     assert meta["workers"] == workers
     assert f" worst_slack={min(slacks):.6g} workers={workers} -> " in capsys.readouterr().out
 
@@ -1063,10 +1063,11 @@ def _untimed(record: dict) -> dict:
 def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
     # the coupled runs of a sweep go to forked child processes, one per eps,
     # at most one per CPU at once; the table and every run's record but its
-    # timings are the same with the default workers, with one worker, with
-    # each run's sampler giving the gas sub-steps back to its march after
-    # the first two, and with run_coupled replaced by a closure, as a
-    # profiler wraps it: each child looks it up and runs it itself
+    # timings are the same with the default workers, with one worker, on one
+    # CPU's set or on one CPU's quota, with each run's sampler giving the gas
+    # sub-steps back to its march after the first two, and with run_coupled
+    # replaced by a closure, as a profiler wraps it: each child looks it up
+    # and runs it itself
     cfg = _write_cfg(tmp_path, eps_list=[0.4, 0.2, 0.1, 0.05])
     children, running = [], []  # the sweep's children, and how many ran as each started
 
@@ -1088,11 +1089,14 @@ def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
         return (out / "convergence.csv").read_bytes(), [_untimed(run) for run in meta["runs"]], meta["workers"]
 
     default = sweep("default")
-    assert default[2] == min(4, len(os.sched_getaffinity(0)))
+    assert default[2] == min(4, harness._cpus()[1])
     with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _one_cpu_read(patch)
         one = sweep("one")
-    assert one[2] == 1
+    with monkeypatch.context() as patch:
+        _one_cpu_quota(patch)
+        quota_one = sweep("quota_one")
+    assert one[2] == quota_one[2] == 1
     with monkeypatch.context() as patch:
         _handing_back(patch, 2)
         handed_back = sweep("handed_back")
@@ -1107,7 +1111,7 @@ def test_sweep_keeps_its_bytes_on_every_path(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "run_coupled", wrapped)
     closure = sweep("closure")
     assert {int(p.name) for p in pids.iterdir()} == {child.pid for child in children}
-    assert default[:2] == one[:2] == handed_back[:2] == closure[:2]
+    assert default[:2] == one[:2] == quota_one[:2] == handed_back[:2] == closure[:2]
 
 
 def test_cli_converge_failing_run(tmp_path, capsys):
@@ -1230,7 +1234,7 @@ def test_sweep_workers_end_with_their_process(tmp_path):
     proc = subprocess.Popen([sys.executable, "-c", _ENDLESS_SWEEP], cwd=tmp_path, env=env)
     pids = []
     try:
-        workers = min(4, len(os.sched_getaffinity(0)))
+        workers = min(4, harness._cpus()[1])
 
         def all_named():
             pids[:] = [int(p.name.removeprefix("pid_")) for p in tmp_path.glob("pid_*")]
@@ -1291,7 +1295,7 @@ def _forced_vacuum():
 
 
 def test_child_returns_its_result():
-    child = harness._Child(lambda out: ("done", os.getpid()), "ended abruptly")
+    child = harness._Child(lambda: ("done", os.getpid()), "ended abruptly")
     try:
         assert child.result() == ("done", child.pid) and child.result() == ("done", child.pid)
     finally:
@@ -1300,7 +1304,7 @@ def test_child_returns_its_result():
 
 
 def test_child_raises_its_exception():
-    def failing(out):
+    def failing():
         raise VacuumError("forced vacuum")
 
     child = harness._Child(failing, "ended abruptly")
@@ -1314,7 +1318,7 @@ def test_child_raises_its_exception():
 
 
 def test_child_ending_without_a_message_is_a_solver_error():
-    child = harness._Child(lambda out: os._exit(1), "the child ended abruptly")
+    child = harness._Child(lambda: os._exit(1), "the child ended abruptly")
     try:
         with pytest.raises(SolverError, match="^the child ended abruptly$"):
             child.result()
@@ -1325,7 +1329,7 @@ def test_child_ending_without_a_message_is_a_solver_error():
 
 def test_stopped_child_leaves_no_process():
     # stop() kills a child still at work, rather than wait for it, and reaps it
-    child = harness._Child(lambda out: time.sleep(60), "ended abruptly")
+    child = harness._Child(lambda: time.sleep(60), "ended abruptly")
     assert _children() == [child.pid]
     t_a = time.monotonic()
     child.stop()
@@ -1412,9 +1416,9 @@ def _check_placement(cost: dict):
     the sampler makes every gas sub-step, pinned to the CPU of the set next
     after the march's, cyclically; else the march makes them and nothing is
     pinned."""
-    cpus = sorted(os.sched_getaffinity(0))
+    cpus, busy = harness._cpus()
     march, sampler = cost["march_cpu"], cost["sampler_cpu"]
-    if min(len(cpus), harness._cpu_quota()) >= 2:
+    if busy >= 2:
         assert march in cpus and sampler == cpus[(cpus.index(march) + 1) % len(cpus)], (march, sampler)
         assert cost["sampler_gas_steps"] == cost["steps"]
     else:
@@ -1842,13 +1846,20 @@ def test_refused_pinning_leaves_the_run_as_it_is(tmp_path, monkeypatch):
 def test_sampler_gives_the_gas_back_when_it_waits_for_a_cpu(tmp_path, monkeypatch):
     # a sampler that waited for its CPU longer than its gas sub-steps
     # since its last look took gives them back: those and no later
-    # ones are made in the sampler, the rest in the march; a sampler that
-    # does not wait keeps them to the end. A sweep's workers do the same
+    # ones are made in the sampler, the rest in the march, and the sampler
+    # stays on its CPU; a sampler that does not wait keeps them to the end.
+    # A sweep's workers do the same
     cfg = tiny_config(output_dir=str(tmp_path / "out"))
     steps = run_coupled(cfg, 0.4).cost["steps"]
-    if min(len(os.sched_getaffinity(0)), harness._cpu_quota()) < 2:
+    if harness._cpus()[1] < 2:
         pytest.skip("the march makes every gas sub-step on one CPU")
     real, calls = harness.ns_step, tmp_path / "calls"
+    real_report, placed = harness.evaluate_entropy_report, tmp_path / "placed"
+
+    def reported(kin, *args):  # appends the time of the sample and the CPUs of the process that reports it
+        with open(placed, "a") as log:
+            log.write(f"{kin.t!r} {' '.join(map(str, sorted(os.sched_getaffinity(0))))}\n")
+        return real_report(kin, *args)
 
     def named(*args):  # appends the pid of the process that makes it
         with open(calls, "a") as log:
@@ -1863,9 +1874,16 @@ def test_sampler_gives_the_gas_back_when_it_waits_for_a_cpu(tmp_path, monkeypatc
     assert len(pids) == steps and str(os.getpid()) not in pids
     calls.unlink()
     _handing_back(monkeypatch, 4)
-    assert run_coupled(cfg, 0.4).cost["sampler_gas_steps"] == 4
+    monkeypatch.setattr(harness, "evaluate_entropy_report", reported)
+    run = run_coupled(cfg, 0.4)
+    assert run.cost["sampler_gas_steps"] == 4
     pids = calls.read_text().split()
     assert len(pids) == steps and len(set(pids[:4])) == 1 and pids[4:] == [str(os.getpid())] * (steps - 4)
+    # the samples after the hand-back, at step 4, are reported on the
+    # sampler's CPU, where it was pinned
+    after = [cpus for t, *cpus in map(str.split, placed.read_text().splitlines()) if float(t) > 4.5 * run.dt]
+    cpus = [run.cost["sampler_cpu"]] if run.cost["sampler_cpu"] >= 0 else harness._cpus()[0]
+    assert after and after == [list(map(str, cpus))] * len(after)
     result = harness.run_convergence(replace(cfg, output_dir=str(tmp_path / "sweep")))
     assert [run.cost["sampler_gas_steps"] for run in result.runs] == [4] * 3
     # one look that finds the run short of a CPU is not enough: the waits
@@ -2140,17 +2158,19 @@ def test_killed_run_leaves_no_file(tmp_path):
     assert _children() == []
 
 
-# emitted runs that are saved, saved twice, failed, refused room or dropped,
-# under -X dev -W error::ResourceWarning: each closes the files it opened
+# emitted runs that are saved, saved twice, failed, refused room, refused
+# a fork or dropped, under -X dev -W error::ResourceWarning: each closes the
+# files it opened, and the run refused a fork fails at step 0 with its dump
 _RUNS_CLOSE_THEIR_FILES = """
 import errno, gc, os
+from dataclasses import replace
 from pathlib import Path
 from kinfluid import harness
 from kinfluid.core import SolverError
 def fds():
     return sorted(os.listdir("/proc/self/fd"))
 cfg = harness.ExperimentConfig(nx=8, nv=8, t_final=0.02, n_samples=2, eps_list=[0.4], output_dir="failed")
-for folder in ("saved", "again", "failed", "full", "dropped"):
+for folder in ("saved", "again", "failed", "full", "forkless", "dropped"):
     Path(folder).mkdir()
 before = fds()
 run = harness.run_coupled(cfg, 0.4, "saved")
@@ -2174,11 +2194,22 @@ try:
 except OSError as exc:
     assert exc.errno == errno.ENOSPC
 os.posix_fallocate = real
+real = os.fork
+def no_fork():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+os.fork = no_fork
+try:
+    harness.run_coupled(replace(cfg, output_dir="forkless"), 0.4, "forkless")
+    raise AssertionError("the run refused a fork passed")
+except SolverError as exc:
+    assert str(exc).startswith("step 0: cannot fork a child process: ") and "(state dumped to " in str(exc), exc
+os.fork = real
 harness.run_coupled(cfg, 0.4, "dropped")
 gc.collect()
 assert fds() == before, (before, fds())
 assert os.listdir("full") == os.listdir("dropped") == []
-assert sorted(os.listdir("failed")) == ["failure_step_0.json", "failure_step_0__f.bin", "failure_step_0__n.bin", "failure_step_0__v.bin"]
+dump = ["failure_step_0.json", "failure_step_0__f.bin", "failure_step_0__n.bin", "failure_step_0__v.bin"]
+assert sorted(os.listdir("failed")) == sorted(os.listdir("forkless")) == dump
 print("closed")
 """
 
